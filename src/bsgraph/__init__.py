@@ -3,15 +3,17 @@
 Builds the category of compatible coloured-graph morphisms out of a
 2-coloured directed graph with a complete collection of squares, in two
 modes: degrees in BS(2,1)+ (relation ab^2 = ba) and degrees in N^2.
+Degrees are plain (N, M) int pairs and edge colours are the letters
+'a' (red) and 'b' (blue); the mode objects BS and GRID hold the arithmetic.
 """
 
 from .category import (
     LambdaContext,
     VerificationReport,
-    bs_category_axioms,
     compose,
     factorize,
     identity,
+    verify,
     verify_category,
     verify_factorization,
     verify_functor,
@@ -19,11 +21,9 @@ from .category import (
 from .errors import BsGraphError
 from .fixtures import FixtureFile, load_fixture, parse_fixture, serialize_fixture
 from .graphs import ColouredGraph, Path, build_graph, validate_path, vertex_path
-from .grid import GridContext, compose_grid, lift_path_grid, verify_grid
-from .models import IntervalGraph, ModelGraph, model, model_interval
+from .models import ModelGraph, model
 from .morphisms import (
     Morphism,
-    Occurrence,
     check_compatible,
     check_traverses,
     enumerate_morphisms,
@@ -43,21 +43,6 @@ from .squares import (
     build_square_slots,
     check_complete,
 )
-from .words import (
-    BS,
-    GRID,
-    BsWord,
-    GridDegree,
-    Letter,
-    grid_add,
-    grid_le,
-    is_prefix,
-    left_quotient,
-    longest_form,
-    mul,
-    parse_word,
-    prefixes,
-    shortest_form,
-)
+from .words import BS, GRID, longest_form, parse_grid_degree, parse_word
 
 __version__ = "0.1.0"

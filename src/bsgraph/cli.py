@@ -12,14 +12,7 @@ import json
 import sys
 
 from . import dot
-from .category import (
-    LambdaContext,
-    compose,
-    factorize,
-    verify_category,
-    verify_factorization,
-    verify_functor,
-)
+from .category import SUITES, LambdaContext, compose, factorize, verify
 from .errors import (
     BsGraphError,
     Conflict,
@@ -32,7 +25,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .fixtures import load_fixture
-from .graphs import parse_path, path_degree
+from .graphs import parse_path
 from .models import model
 from .morphisms import (
     check_traverses,
@@ -42,7 +35,7 @@ from .morphisms import (
     shortest_traversal,
 )
 from .squares import CompleteCollection, check_complete
-from .words import BS, GRID, is_prefix, left_quotient, longest_form, mul, parse_word, shortest_form
+from .words import BS, GRID, longest_form, parse_word
 
 _FINDING = (NotCovered, Conflict, NotAPrefix, NotComposable, DegreeMismatch)
 _INPUT_ERROR = (FixtureSyntaxError, WordSyntaxError)
@@ -55,10 +48,6 @@ def _emit(payload, as_json: bool, text: str):
 def _context(path) -> tuple:
     fx = load_fixture(path)
     return fx, LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
-
-
-def _degree(ops, text: str):
-    return ops.parse(text)
 
 
 def cmd_check(args) -> int:
@@ -89,29 +78,29 @@ def cmd_word(args) -> int:
     if args.word_op == "normalize":
         w = parse_word(args.w1)
         _emit(
-            {"shortest": shortest_form(w), "longest": longest_form(w), "pair": list(w.pair)},
+            {"shortest": BS.format(w), "longest": longest_form(w), "pair": list(w)},
             args.json,
-            f"shortest {shortest_form(w)}\nlongest {longest_form(w)}\npair {w.pair}",
+            f"shortest {BS.format(w)}\nlongest {longest_form(w)}\npair {w}",
         )
         return 0
     w1, w2 = parse_word(args.w1), parse_word(args.w2)
     if args.word_op == "mul":
-        w = mul(w1, w2)
-        _emit({"word": shortest_form(w), "pair": list(w.pair)}, args.json, shortest_form(w))
+        w = BS.mul(w1, w2)
+        _emit({"word": BS.format(w), "pair": list(w)}, args.json, BS.format(w))
         return 0
     if args.word_op == "prefix":
-        ok = is_prefix(w1, w2)
+        ok = BS.is_prefix(w1, w2)
         _emit({"prefix": ok}, args.json, "true" if ok else "false")
         return 0
     # quotient
-    w = left_quotient(w1, w2)
-    _emit({"word": shortest_form(w), "pair": list(w.pair)}, args.json, shortest_form(w))
+    w = BS.quotient(w1, w2)
+    _emit({"word": BS.format(w), "pair": list(w)}, args.json, BS.format(w))
     return 0
 
 
 def cmd_model(args) -> int:
     ops = GRID if args.mode == "grid" else BS
-    m = model(ops, _degree(ops, args.word))
+    m = model(ops, ops.parse(args.word))
     if args.dot:
         sys.stdout.write(dot.model_to_dot(m))
         return 0
@@ -119,7 +108,7 @@ def cmd_model(args) -> int:
         "degree": ops.format(m.word),
         "vertices": [ops.format(z) for z in m.vertices],
         "edges": [
-            {"prefix": ops.format(z), "letter": l.value} for z, l in m.edges
+            {"prefix": ops.format(z), "letter": l} for z, l in m.edges
         ],
     }
     _emit(
@@ -177,7 +166,7 @@ def cmd_compose(args) -> int:
 def cmd_factorize(args) -> int:
     fx, ctx = _context(args.fixture)
     lam = lift_path(ctx.graph, ctx.collection, parse_path(ctx.graph, args.path))
-    w1 = _degree(ctx.ops, args.at)
+    w1 = ctx.ops.parse(args.at)
     w2 = ctx.ops.quotient(w1, lam.degree)
     mu, nu = factorize(lam, w1, w2)
     _emit(
@@ -210,7 +199,7 @@ def cmd_traversals(args) -> int:
 
 def cmd_enumerate(args) -> int:
     fx, ctx = _context(args.fixture)
-    w = _degree(ctx.ops, args.degree)
+    w = ctx.ops.parse(args.degree)
     found = enumerate_morphisms(ctx.graph, ctx.collection, w)
     if args.limit is not None:
         found = found[: args.limit]
@@ -230,28 +219,13 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     fx, ctx = _context(args.fixture)
     wanted = args.laws.split(",")
-    suites = {
-        "category": verify_category,
-        "functor": verify_functor,
-        "factorization": verify_factorization,
-    }
-    unknown = [w for w in wanted if w not in suites]
+    unknown = [w for w in wanted if w not in SUITES]
     if unknown:
         print(f"unknown law suite(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    laws = []
-    for name in wanted:
-        laws.extend(suites[name](ctx, args.max_len).laws)
-    passed = all(l.passed for l in laws)
-    if args.json:
-        print(json.dumps({"passed": passed, "laws": [l.to_json() for l in laws]}, indent=2))
-    else:
-        for l in laws:
-            status = "pass" if l.passed else "FAIL"
-            print(f"{status}  {l.name}  ({l.instances} instances)")
-            if l.counterexample:
-                print(f"      counterexample: {l.counterexample}")
-    return 0 if passed else 1
+    report = verify(ctx, args.max_len, wanted)
+    _emit(report.to_json(), args.json, report.to_text())
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the law-verification suites")
     p.add_argument("fixture")
     p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--laws", default="category,functor,factorization")
+    p.add_argument("--laws", default=",".join(SUITES))
     add_json(p)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -5,9 +5,8 @@ from __future__ import annotations
 from .graphs import ColouredGraph
 from .models import ModelGraph
 from .morphisms import Morphism
-from .words import Letter
 
-_COLOUR = {Letter.A: "red", Letter.B: "blue"}
+_COLOUR = {"a": "red", "b": "blue"}
 
 
 def _quote(s: str) -> str:
@@ -47,14 +46,12 @@ def morphism_to_dot(lam: Morphism, name: str = "morphism") -> str:
     lines = [f"digraph {name} {{"]
     lines.extend(
         f"  {_quote(fmt(z))} [label={_quote(fmt(z) + ' -> ' + v)}];"
-        for z, v in sorted(lam.vmap.items(), key=lambda kv: ops.sort_key(kv[0]))
+        for z, v in sorted(lam.vmap.items())
     )
     lines.extend(
         f"  {_quote(fmt(ops.step(z, l)))} -> {_quote(fmt(z))} "
         f"[label={_quote(e)}, color={_COLOUR[l]}];"
-        for (z, l), e in sorted(
-            lam.emap.items(), key=lambda kv: (ops.sort_key(kv[0][0]), kv[0][1].value)
-        )
+        for (z, l), e in sorted(lam.emap.items())
     )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import FixtureSyntaxError
 from .graphs import ColouredGraph, build_graph
 from .squares import Square, build_square_slots, slot_table
-from .words import BS, GRID, Letter
+from .words import BS, GRID
 
 
 @dataclass
@@ -95,7 +95,7 @@ def serialize_fixture(fx: FixtureFile) -> str:
     lines = [f"mode {fx.mode}"]
     lines.extend(f"vertex {v}" for v in fx.graph.vertices)
     lines.extend(
-        f"edge {e.name} {e.colour.value if fx.mode == 'bs' else ('1' if e.colour is Letter.A else '2')}"
+        f"edge {e.name} {e.colour if fx.mode == 'bs' else ('1' if e.colour == 'a' else '2')}"
         f" {e.range_} {e.source}"
         for e in fx.graph.edges
     )

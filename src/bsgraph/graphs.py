@@ -16,26 +16,34 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .words import Letter
 
-_COLOUR_TOKENS = {"a": Letter.A, "1": Letter.A, "b": Letter.B, "2": Letter.B}
+_COLOUR_TOKENS = {"a": "a", "1": "a", "b": "b", "2": "b"}
 
 
 @dataclass(frozen=True)
 class Edge:
     name: str
-    colour: Letter
+    colour: str  # "a" (red) or "b" (blue)
     range_: str
     source: str
 
 
 @dataclass(frozen=True)
 class ColouredGraph:
-    """Immutable coloured graph with deterministic declaration order."""
+    """Immutable coloured graph with deterministic declaration order.
+
+    The edge-name and vertex indices are built from the fields, so they
+    exist however the graph is constructed.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    _by_name: dict[str, Edge] = field(repr=False, compare=False, default=None)
+    vertex_set: frozenset = field(init=False, repr=False, compare=False)
+    _by_name: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertex_set", frozenset(self.vertices))
+        object.__setattr__(self, "_by_name", {e.name: e for e in self.edges})
 
     def edge(self, name: str) -> Edge:
         try:
@@ -43,23 +51,8 @@ class ColouredGraph:
         except KeyError:
             raise UnknownEdge(f"unknown edge {name!r}") from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._by_name_vertices
 
-    @property
-    def _by_name_vertices(self):
-        return set(self.vertices)
-
-    def edges_coloured(self, colour: Letter, range_: str | None = None):
-        """Edges of one colour, optionally filtered by range vertex."""
-        return [
-            e
-            for e in self.edges
-            if e.colour is colour and (range_ is None or e.range_ == range_)
-        ]
-
-
-def parse_colour(token: str) -> Letter:
+def parse_colour(token: str) -> str:
     try:
         return _COLOUR_TOKENS[token.lower()]
     except KeyError:
@@ -70,7 +63,7 @@ def build_graph(vertices, edges) -> ColouredGraph:
     """Validate and freeze a graph.
 
     vertices: iterable of names; edges: iterable of
-    (name, colour token or Letter, range vertex, source vertex).
+    (name, colour token, range vertex, source vertex).
     """
     vs: list[str] = []
     seen: set[str] = set()
@@ -79,22 +72,18 @@ def build_graph(vertices, edges) -> ColouredGraph:
             raise DuplicateId(f"duplicate vertex {v!r}")
         seen.add(v)
         vs.append(v)
-    vertex_set = set(vs)
     es: list[Edge] = []
     names: set[str] = set()
     for name, colour, range_, source in edges:
-        if name in names or name in vertex_set:
+        if name in names or name in seen:
             raise DuplicateId(f"duplicate id {name!r}")
         names.add(name)
-        if not isinstance(colour, Letter):
-            colour = parse_colour(colour)
+        colour = parse_colour(colour)
         for v in (range_, source):
-            if v not in vertex_set:
+            if v not in seen:
                 raise UnknownVertex(f"edge {name!r} uses undeclared vertex {v!r}")
         es.append(Edge(name, colour, range_, source))
-    g = ColouredGraph(tuple(vs), tuple(es))
-    object.__setattr__(g, "_by_name", {e.name: e for e in es})
-    return g
+    return ColouredGraph(tuple(vs), tuple(es))
 
 
 @dataclass(frozen=True)
@@ -104,7 +93,7 @@ class Path:
     edges: tuple[str, ...]
     range_: str
     source: str
-    colours: tuple[Letter, ...]
+    colours: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -114,7 +103,7 @@ class Path:
 
 
 def vertex_path(g: ColouredGraph, v: str) -> Path:
-    if v not in g._by_name_vertices:
+    if v not in g.vertex_set:
         raise UnknownVertex(f"unknown vertex {v!r}")
     return Path((), v, v, ())
 
@@ -143,7 +132,7 @@ def validate_path(g: ColouredGraph, names) -> Path:
 def parse_path(g: ColouredGraph, text: str) -> Path:
     """Space-separated edge names; a bare vertex name is a length-0 path."""
     tokens = text.split()
-    if len(tokens) == 1 and tokens[0] in g._by_name_vertices:
+    if len(tokens) == 1 and tokens[0] in g.vertex_set:
         return vertex_path(g, tokens[0])
     return validate_path(g, tokens)
 

@@ -1,4 +1,4 @@
-"""Template graphs: prefix graphs of a degree and their interval subgraphs.
+"""Template graphs: the prefix graph of a degree.
 
 The model graph of a degree w has the prefixes of w as vertices and the
 single-letter extensions (z, z*l) as edges, coloured by l.  It is the
@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAPrefix, ResourceLimit
-from .words import Letter
+from .errors import ResourceLimit
 
 DEFAULT_MAX_VERTICES = 10**6
-_LETTERS = (Letter.A, Letter.B)
 
 
 @dataclass(frozen=True)
@@ -23,28 +21,9 @@ class ModelGraph:
     r = base, s = base*letter, colour = letter."""
 
     ops: object
-    word: object
+    word: tuple
     vertices: tuple
-    edges: tuple  # of (degree, Letter)
-
-    def vertex_set(self):
-        return set(self.vertices)
-
-
-@dataclass(frozen=True)
-class IntervalGraph:
-    """Restriction of a model graph to {z : w1 <= z <= w2}, remembering
-    the base point w1 so the starred restriction can translate by it."""
-
-    ops: object
-    word1: object
-    word2: object
-    vertices: tuple
-    edges: tuple
-
-    def translated(self) -> ModelGraph:
-        """The isomorphic model graph of the quotient, via z -> w1*z."""
-        return model(self.ops, self.ops.quotient(self.word1, self.word2))
+    edges: tuple  # of (degree, letter)
 
 
 def model(ops, w, max_vertices: int = DEFAULT_MAX_VERTICES) -> ModelGraph:
@@ -54,27 +33,14 @@ def model(ops, w, max_vertices: int = DEFAULT_MAX_VERTICES) -> ModelGraph:
             f"model graph of {ops.format(w)} has {count} vertices "
             f"(limit {max_vertices})"
         )
-    vertices = sorted(ops.prefixes(w), key=ops.sort_key)
+    vertices = tuple(ops.prefixes(w))
     edges = tuple(
         (z, l)
         for z in vertices
-        for l in _LETTERS
+        for l in "ab"
         if ops.is_prefix(ops.step(z, l), w)
     )
-    return ModelGraph(ops, w, tuple(vertices), edges)
-
-
-def model_interval(ops, w1, w2, max_vertices: int = DEFAULT_MAX_VERTICES) -> IntervalGraph:
-    if not ops.is_prefix(w1, w2):
-        raise NotAPrefix(f"{ops.format(w1)} is not a prefix of {ops.format(w2)}")
-    parent = model(ops, w2, max_vertices)
-    keep = [z for z in parent.vertices if ops.is_prefix(w1, z)]
-    keep_set = set(keep)
-    edges = tuple(
-        (z, l) for (z, l) in parent.edges
-        if z in keep_set and ops.step(z, l) in keep_set
-    )
-    return IntervalGraph(ops, w1, w2, tuple(keep), edges)
+    return ModelGraph(ops, w, vertices, edges)
 
 
 def square_positions(ops, w) -> list:
@@ -82,8 +48,3 @@ def square_positions(ops, w) -> list:
     the model graph of w."""
     sq = ops.square_degree
     return [m for m in ops.prefixes(w) if ops.is_prefix(ops.mul(m, sq), w)]
-
-
-def model_edges(ops, w):
-    """Edge keys of the model graph of w."""
-    return model(ops, w).edges

@@ -12,7 +12,7 @@ that the collection is not complete for the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     Conflict,
@@ -24,9 +24,6 @@ from .errors import (
 from .graphs import ColouredGraph, Path, path_degree
 from .models import model, square_positions
 from .squares import CompleteCollection, Square, blue_keys, red_keys
-from .words import Letter
-
-_LETTERS = (Letter.A, Letter.B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +31,7 @@ class Morphism:
     """Total colour/structure-preserving assignment on a model graph.
 
     vmap sends each domain vertex (a degree) to an ambient vertex name;
-    emap sends each domain edge (degree, Letter) to an ambient edge name.
+    emap sends each domain edge (degree, letter) to an ambient edge name.
     Morphisms compare by degree and both maps.
     """
 
@@ -56,16 +53,11 @@ class Morphism:
         cached = getattr(self, "_key", None)
         if cached is not None:
             return cached
-        ops = self.ops
         key = (
-            ops.name,
-            ops.sort_key(self.degree),
-            tuple(sorted(
-                (ops.sort_key(z), v) for z, v in self.vmap.items()
-            )),
-            tuple(sorted(
-                ((ops.sort_key(z), l.value), e) for (z, l), e in self.emap.items()
-            )),
+            self.ops.name,
+            self.degree,
+            tuple(sorted(self.vmap.items())),
+            tuple(sorted(self.emap.items())),
         )
         object.__setattr__(self, "_key", key)
         return key
@@ -88,30 +80,16 @@ class Morphism:
         ops = self.ops
         return {
             "mode": ops.name,
-            "degree": {"word": ops.format(self.degree), "pair": list(self.degree.pair)},
+            "degree": {"word": ops.format(self.degree), "pair": list(self.degree)},
             "vertices": [
-                {"prefix": ops.format(z), "pair": list(z.pair), "vertex": v}
-                for z, v in sorted(self.vmap.items(), key=lambda kv: ops.sort_key(kv[0]))
+                {"prefix": ops.format(z), "pair": list(z), "vertex": v}
+                for z, v in sorted(self.vmap.items())
             ],
             "edges": [
-                {"prefix": ops.format(z), "letter": l.value, "edge": e}
-                for (z, l), e in sorted(
-                    self.emap.items(),
-                    key=lambda kv: (ops.sort_key(kv[0][0]), kv[0][1].value),
-                )
+                {"prefix": ops.format(z), "letter": l, "edge": e}
+                for (z, l), e in sorted(self.emap.items())
             ],
         }
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """A translated square read off inside a morphism at a base position."""
-
-    position: object
-    emap: dict = field(compare=True)  # keys relative to the square's domain
-
-    def __hash__(self):
-        return hash((self.position, frozenset(self.emap.items())))
 
 
 def identity_morphism(ops, vertex: str) -> Morphism:
@@ -119,63 +97,49 @@ def identity_morphism(ops, vertex: str) -> Morphism:
 
 
 class _LiftState:
-    """Mutable assignment with square-completion propagation.
-
-    Degrees are kept as raw (int, int) pairs throughout the hot path and
-    converted back to proper degree values only when the final morphism
-    is assembled.
-    """
+    """Mutable assignment with square-completion propagation."""
 
     def __init__(self, g: ColouredGraph, collection: CompleteCollection):
         self.g = g
         self.c = collection
         ops = self.ops = collection.ops
-        self.vmap: dict = {}  # raw pair -> ambient vertex name
-        self.emap: dict = {}  # (raw pair, Letter) -> ambient edge name
-        self.degree = ops.raw(ops.identity)
+        self.vmap: dict = {}  # degree -> ambient vertex name
+        self.emap: dict = {}  # (degree, letter) -> ambient edge name
+        self.degree = ops.identity
         # Square positions already filled and checked; never revisited.
         self._done: set = set()
-        self._red_keys = [(ops.raw(z), l) for z, l in red_keys(ops)]
-        self._blue_keys = [(ops.raw(z), l) for z, l in blue_keys(ops)]
-        self._sq_degree = ops.raw(ops.square_degree)
-        self._unit = {l: ops.raw_step(self.degree, l) for l in _LETTERS}
+        self._red_keys = red_keys(ops)
+        self._blue_keys = blue_keys(ops)
+        self._unit = {l: ops.step(ops.identity, l) for l in "ab"}
         # (relative base, letter) pairs that can place an assigned edge
         # inside a square boundary, for worklist seeding.
         self._offsets = {
-            Letter.A: [k for k in self._red_keys + self._blue_keys if k[1] is Letter.A],
-            Letter.B: [k for k in self._red_keys + self._blue_keys if k[1] is Letter.B],
+            l: [k for k in self._red_keys + self._blue_keys if k[1] == l] for l in "ab"
         }
-        self._square_cells = {
-            id(sq): [(ops.raw(rel), l, name) for (rel, l), name in sq.emap.items()]
-            for sq in collection.squares
-        }
-
-    def _fmt(self, t) -> str:
-        return self.ops.format(self.ops.unraw(t))
 
     def set_vertex(self, z, vertex: str):
         old = self.vmap.setdefault(z, vertex)
         if old != vertex:
             raise Conflict(
-                f"vertex {self._fmt(z)} forced to both {old!r} and {vertex!r}"
+                f"vertex {self.ops.format(z)} forced to both {old!r} and {vertex!r}"
             )
 
-    def set_edge(self, z, letter: Letter, name: str, queue: list):
+    def set_edge(self, z, letter: str, name: str, queue: list):
         key = (z, letter)
         old = self.emap.get(key)
         if old is not None:
             if old != name:
                 raise Conflict(
-                    f"edge ({self._fmt(z)},{letter.value}) forced to "
+                    f"edge ({self.ops.format(z)},{letter}) forced to "
                     f"both {old!r} and {name!r}"
                 )
             return
         edge = self.g.edge(name)
         self.emap[key] = name
         self.set_vertex(z, edge.range_)
-        self.set_vertex(self.ops.raw_step(z, letter), edge.source)
+        self.set_vertex(self.ops.step(z, letter), edge.source)
         # Every square that uses this edge on a boundary may now be completable.
-        left_factor = self.ops.raw_left_factor
+        left_factor = self.ops.left_factor
         done = self._done
         for rel, l in self._offsets[letter]:
             m = left_factor(z, rel)
@@ -193,9 +157,9 @@ class _LiftState:
                 f"{self.vmap[self.degree]!r}",
             )
         queue: list = []
-        self.degree = ops.raw_step(self.degree, edge.colour)
+        self.degree = ops.step(self.degree, edge.colour)
         self.set_edge(
-            ops.raw_left_factor(self.degree, self._unit[edge.colour]),
+            ops.left_factor(self.degree, self._unit[edge.colour]),
             edge.colour,
             name,
             queue,
@@ -203,11 +167,11 @@ class _LiftState:
         self.propagate(queue)
 
     def propagate(self, queue: list):
-        mul = self.ops.raw_mul
-        is_prefix = self.ops.raw_is_prefix
+        mul = self.ops.mul
+        is_prefix = self.ops.is_prefix
         emap_get = self.emap.get
         done = self._done
-        sq_degree = self._sq_degree
+        sq_degree = self.ops.square_degree
         degree = self.degree
         red_keys_ = self._red_keys
         blue_keys_ = self._blue_keys
@@ -230,46 +194,36 @@ class _LiftState:
                 sq = self.c.lookup_red(red)
                 if list(sq.blue_boundary()) != blue:
                     raise Conflict(
-                        f"square at {self._fmt(m)} pairs {red} with {blue}, "
+                        f"square at {self.ops.format(m)} pairs {red} with {blue}, "
                         f"but the collection pairs it with "
                         f"{list(sq.blue_boundary())}"
                     )
                 done.add(m)
 
     def _fill(self, m, square: Square, queue: list):
-        mul = self.ops.raw_mul
+        mul = self.ops.mul
         emap = self.emap
-        for rel, letter, name in self._square_cells[id(square)]:
+        for (rel, letter), name in square.emap.items():
             z = mul(m, rel)
             old = emap.get((z, letter))
             if old is None:
                 self.set_edge(z, letter, name, queue)
             elif old != name:
                 raise Conflict(
-                    f"edge ({self._fmt(z)},{letter.value}) forced to "
+                    f"edge ({self.ops.format(z)},{letter}) forced to "
                     f"both {old!r} and {name!r}"
                 )
 
     def morphism(self) -> Morphism:
-        unraw = self.ops.unraw
-        return Morphism(
-            self.ops,
-            unraw(self.degree),
-            {unraw(z): v for z, v in self.vmap.items()},
-            {(unraw(z), l): e for (z, l), e in self.emap.items()},
-        )
+        return Morphism(self.ops, self.degree, self.vmap, self.emap)
 
     def assert_total(self):
         # Closed-form count first; build the model only to name the gaps.
         ops = self.ops
-        degree = ops.unraw(self.degree)
-        if len(self.emap) == ops.edge_count(degree):
+        if len(self.emap) == ops.edge_count(self.degree):
             return
-        domain = model(ops, degree)
-        missing = [
-            (z, l) for z, l in domain.edges if (ops.raw(z), l) not in self.emap
-        ]
-        pretty = [f"({ops.format(z)},{l.value})" for z, l in missing]
+        missing = [k for k in model(ops, self.degree).edges if k not in self.emap]
+        pretty = [f"({ops.format(z)},{l})" for z, l in missing]
         raise Conflict(
             f"propagation left {len(missing)} domain edges unassigned "
             f"({', '.join(pretty[:5])}...); the collection cannot be "
@@ -277,26 +231,15 @@ class _LiftState:
         )
 
 
-def lift_path(
-    g: ColouredGraph,
-    collection: CompleteCollection,
-    x: Path,
-    check_each_step: bool = False,
-) -> Morphism:
-    """The unique compatible morphism traversed by x.
-
-    check_each_step additionally asserts totality of the assignment after
-    every prefix of x (the induction invariant), at extra cost.
-    """
+def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morphism:
+    """The unique compatible morphism traversed by x."""
     ops = collection.ops
     if not x.edges:
         return identity_morphism(ops, x.range_)
     state = _LiftState(g, collection)
-    state.set_vertex(ops.raw(ops.identity), x.range_)
+    state.set_vertex(ops.identity, x.range_)
     for name in x.edges:
         state.append(name)
-        if check_each_step:
-            state.assert_total()
     state.assert_total()
     return state.morphism()
 
@@ -368,25 +311,21 @@ def restrict_shifted(lam: Morphism, w1, w2) -> Morphism:
     )
 
 
-def occurrences(lam: Morphism) -> list[Occurrence]:
-    """One occurrence per square base position inside the domain."""
+def occurrences(lam: Morphism) -> list[tuple]:
+    """(base position, square edge map) of every translated square inside
+    lam's domain; the edge map is keyed relative to the square's domain."""
     ops = lam.ops
-    out = []
     square_edges = model(ops, ops.square_degree).edges
-    for m in square_positions(ops, lam.degree):
-        emap = {
-            (z, l): lam.emap[(ops.mul(m, z), l)] for (z, l) in square_edges
-        }
-        out.append(Occurrence(m, emap))
-    return out
+    return [
+        (m, {(z, l): lam.emap[(ops.mul(m, z), l)] for (z, l) in square_edges})
+        for m in square_positions(ops, lam.degree)
+    ]
 
 
 def check_compatible(lam: Morphism, collection: CompleteCollection) -> bool:
     """True iff every occurring square belongs to the collection."""
     known = {frozenset(sq.emap.items()) for sq in collection.squares}
-    return all(
-        frozenset(occ.emap.items()) in known for occ in occurrences(lam)
-    )
+    return all(frozenset(emap.items()) in known for _, emap in occurrences(lam))
 
 
 def rewrite_tail(g: ColouredGraph, lam: Morphism, z: Path) -> Path:
@@ -395,7 +334,7 @@ def rewrite_tail(g: ColouredGraph, lam: Morphism, z: Path) -> Path:
     ops = lam.ops
     if ops.name != "bs":
         raise PreconditionViolated("rewrite_tail applies to BS-mode morphisms")
-    if len(z.edges) < 2 or z.colours[-2:] != (Letter.B, Letter.A):
+    if len(z.edges) < 2 or z.colours[-2:] != ("b", "a"):
         raise PreconditionViolated("path must end in a blue then a red edge")
     if not check_traverses(g, lam, z):
         raise PreconditionViolated("path does not traverse the morphism")
@@ -413,7 +352,6 @@ def enumerate_morphisms(
     collection: CompleteCollection,
     w,
     max_vertices: int = 10**4,
-    compatible_only: bool = True,
 ) -> list[Morphism]:
     """Brute-force oracle: every total colour/structure-preserving
     assignment on the model graph of w, filtered to compatible ones.
@@ -433,13 +371,13 @@ def enumerate_morphisms(
     def backtrack(i: int, vmap: dict, emap: dict):
         if i == len(edge_keys):
             lam = Morphism(ops, w, dict(vmap), dict(emap))
-            if not compatible_only or check_compatible(lam, collection):
+            if check_compatible(lam, collection):
                 results.append(lam)
             return
         z, letter = edge_keys[i]
         target = ops.step(z, letter)
         for e in g.edges:
-            if e.colour is not letter:
+            if e.colour != letter:
                 continue
             if vmap[z] != e.range_:
                 continue

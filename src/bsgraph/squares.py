@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .errors import ColourMismatch, JunctionMismatch, NotCovered
 from .graphs import ColouredGraph
 from .models import model
-from .words import BS, GRID, Letter
 
 
 def boundary_keys(ops, colour_word) -> tuple:
@@ -35,19 +34,20 @@ def blue_keys(ops) -> tuple:
     return boundary_keys(ops, ops.blue_first_word)
 
 
-# Named slots of the fixture format, mapped to domain edge keys.
+# Named slots of the fixture format, mapped to domain edge keys
+# (base, letter).  A bs slot name spells its base word, then its letter.
 BS_SLOTS = {
-    "eA": (BS.identity, Letter.A),
-    "aB": (BS.step(BS.identity, Letter.A), Letter.B),
-    "abB": (BS.step(BS.step(BS.identity, Letter.A), Letter.B), Letter.B),
-    "eB": (BS.identity, Letter.B),
-    "bA": (BS.step(BS.identity, Letter.B), Letter.A),
+    "eA": ((0, 0), "a"),
+    "aB": ((1, 0), "b"),
+    "abB": ((1, 1), "b"),
+    "eB": ((0, 0), "b"),
+    "bA": ((0, 1), "a"),
 }
 GRID_SLOTS = {
-    "v1": (GRID.identity, Letter.A),
-    "e1v2": (GRID.step(GRID.identity, Letter.A), Letter.B),
-    "v2": (GRID.identity, Letter.B),
-    "e2v1": (GRID.step(GRID.identity, Letter.B), Letter.A),
+    "v1": ((0, 0), "a"),
+    "e1v2": ((1, 0), "b"),
+    "v2": ((0, 0), "b"),
+    "e2v1": ((0, 1), "a"),
 }
 
 
@@ -61,7 +61,7 @@ class Square:
 
     name: str
     ops: object
-    emap: dict  # (degree, Letter) -> edge name
+    emap: dict  # (degree, letter) -> edge name
     vmap: dict  # degree -> vertex name
 
     def red_boundary(self) -> tuple[str, ...]:
@@ -78,7 +78,7 @@ class Square:
 
 
 def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
-    """Validate edge images keyed by (degree, Letter) domain edges.
+    """Validate edge images keyed by (degree, letter) domain edges.
 
     Checks colours and that images meet at common vertices, deriving the
     vertex images along the way.
@@ -91,11 +91,10 @@ def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
     vmap: dict = {}
     for z, letter in domain.edges:
         edge = g.edge(images[(z, letter)])
-        if edge.colour is not letter:
+        if edge.colour != letter:
             raise ColourMismatch(
-                f"square {name!r}: slot ({ops.format(z)},{letter.value}) "
-                f"needs colour {letter.value} but {edge.name!r} is "
-                f"{edge.colour.value}"
+                f"square {name!r}: slot ({ops.format(z)},{letter}) "
+                f"needs colour {letter} but {edge.name!r} is {edge.colour}"
             )
         emap[(z, letter)] = edge.name
         for vertex_key, value in ((z, edge.range_), (ops.step(z, letter), edge.source)):
@@ -122,7 +121,12 @@ def build_square_slots(g: ColouredGraph, ops, slots: dict, name: str = "") -> Sq
 
 @dataclass
 class CompleteCollection:
-    """Squares plus both boundary-path indices, built eagerly."""
+    """Squares plus both boundary-path indices, built eagerly.
+
+    The indices keep the first square of each boundary; every later list
+    entry with the same boundary, renamed copies included, is recorded in
+    duplicate_red / duplicate_blue.
+    """
 
     ops: object
     squares: tuple
@@ -135,11 +139,11 @@ class CompleteCollection:
         for sq in self.squares:
             red = sq.red_boundary()
             blue = sq.blue_boundary()
-            if red in self.index_red and self.index_red[red] != sq:
+            if red in self.index_red:
                 self.duplicate_red.append(red)
             else:
                 self.index_red[red] = sq
-            if blue in self.index_blue and self.index_blue[blue] != sq:
+            if blue in self.index_blue:
                 self.duplicate_blue.append(blue)
             else:
                 self.index_blue[blue] = sq
@@ -200,7 +204,7 @@ def paths_with_colour_word(g: ColouredGraph, colour_word) -> list[tuple[str, ...
         extended = []
         for names, tail in partial:
             for e in g.edges:
-                if e.colour is letter and (tail is None or tail == e.range_):
+                if e.colour == letter and (tail is None or tail == e.range_):
                     extended.append((names + (e.name,), e.source))
         partial = extended
     return [names for names, _ in partial]
@@ -227,16 +231,11 @@ def check_complete(g: ColouredGraph, ops, squares) -> CompletenessReport:
     uncovered_red = [p for p in red_paths if p not in coll.index_red]
     uncovered_blue = [p for p in blue_paths if p not in coll.index_blue]
     # Coverage must be exactly once per boundary, counting list entries:
-    # a renamed copy of a square still breaks uniqueness.
-    duplicated = []
-    for boundary in (sq.red_boundary() for sq in valid):
-        if sum(1 for sq in valid if sq.red_boundary() == boundary) > 1:
-            if boundary not in duplicated:
-                duplicated.append(boundary)
-    for boundary in (sq.blue_boundary() for sq in valid):
-        if sum(1 for sq in valid if sq.blue_boundary() == boundary) > 1:
-            if boundary not in duplicated:
-                duplicated.append(boundary)
+    # a renamed copy of a square still breaks uniqueness.  Report each
+    # repeated boundary once, in order of first appearance (the index order).
+    dup_red, dup_blue = set(coll.duplicate_red), set(coll.duplicate_blue)
+    duplicated = [b for b in coll.index_red if b in dup_red]
+    duplicated += [b for b in coll.index_blue if b in dup_blue]
     ok = not (uncovered_red or uncovered_blue or duplicated or malformed)
     return CompletenessReport(
         "complete" if ok else "incomplete",

@@ -1,5 +1,9 @@
 """Exact arithmetic in the two degree monoids.
 
+A degree is a plain ``(N, M)`` int pair and a letter is the string ``'a'``
+(red) or ``'b'`` (blue).  The mode objects ``BS`` and ``GRID`` carry the
+operations on those pairs.
+
 The positive Baumslag-Solitar monoid on generators a, b with the relation
 ab^2 = ba has a canonical normal form a^N b^M, and multiplication
 
@@ -15,354 +19,195 @@ The grid monoid is plain (N^2, +) with componentwise order; it drives the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
 
 from .errors import NotAPrefix, WordSyntaxError
 
 
-class Letter(Enum):
-    """Generator / edge colour.  A is the red colour, B the blue one."""
-
-    A = "a"
-    B = "b"
-
-    def __lt__(self, other):
-        return self.value < other.value
-
-
-@dataclass(frozen=True, eq=False)
-class BsWord:
-    """Canonical element a^N b^M of the positive Baumslag-Solitar monoid."""
-
-    n_a: int
-    m_b: int
-
-    def __post_init__(self):
-        if self.n_a < 0 or self.m_b < 0:
-            raise WordSyntaxError("exponents must be non-negative")
-        # Words are dict keys throughout; precompute the hash.
-        object.__setattr__(self, "_hash", hash((self.n_a, self.m_b)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BsWord)
-            and self.n_a == other.n_a
-            and self.m_b == other.m_b
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.n_a, self.m_b)
-
-    def __str__(self) -> str:
-        return format_letters(BS.shortest_letters(self))
-
-
-@dataclass(frozen=True, eq=False)
-class GridDegree:
-    """Point of N^2; addition and the componentwise order make it a monoid."""
-
-    m1: int
-    m2: int
-
-    def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
-            raise WordSyntaxError("coordinates must be non-negative")
-        object.__setattr__(self, "_hash", hash((self.m1, self.m2)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GridDegree)
-            and self.m1 == other.m1
-            and self.m2 == other.m2
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.m1, self.m2)
-
-    def __str__(self) -> str:
-        return f"({self.m1},{self.m2})"
-
-
 def format_letters(letters) -> str:
-    return "".join(l.value for l in letters) or "e"
+    return "".join(letters) or "e"
 
 
 _WORD_TOKEN = re.compile(r"([ab])(?:\s*\^?\s*(-?\d+))?")
 
 
 class BsMonoid:
-    """Operations of the BS(2,1)+ degree monoid."""
+    """Operations of the BS(2,1)+ degree monoid on (N, M) pairs."""
 
     name = "bs"
-    identity = BsWord(0, 0)
+    identity = (0, 0)
     # Degree of one square: the common value of ab^2 and ba.
-    square_degree = BsWord(1, 2)
-    red_first_word = (Letter.A, Letter.B, Letter.B)
-    blue_first_word = (Letter.B, Letter.A)
+    square_degree = (1, 2)
+    red_first_word = ("a", "b", "b")
+    blue_first_word = ("b", "a")
 
     @staticmethod
-    def mul(w1: BsWord, w2: BsWord) -> BsWord:
-        return BsWord(w1.n_a + w2.n_a, (w1.m_b << w2.n_a) + w2.m_b)
+    def mul(w1, w2):
+        return (w1[0] + w2[0], (w1[1] << w2[0]) + w2[1])
 
     @staticmethod
-    def step(w: BsWord, letter: Letter) -> BsWord:
-        if letter is Letter.A:
-            return BsWord(w.n_a + 1, w.m_b << 1)
-        return BsWord(w.n_a, w.m_b + 1)
+    def step(w, letter: str):
+        if letter == "a":
+            return (w[0] + 1, w[1] << 1)
+        return (w[0], w[1] + 1)
 
     @staticmethod
-    def is_prefix(w1: BsWord, w: BsWord) -> bool:
-        return w1.n_a <= w.n_a and (w1.m_b << (w.n_a - w1.n_a)) <= w.m_b
+    def is_prefix(w1, w) -> bool:
+        return w1[0] <= w[0] and (w1[1] << (w[0] - w1[0])) <= w[1]
 
     @staticmethod
-    def quotient(w1: BsWord, w: BsWord) -> BsWord:
+    def quotient(w1, w):
         """The unique w'' with w1 * w'' = w."""
         if not BsMonoid.is_prefix(w1, w):
-            raise NotAPrefix(f"{w1} is not a prefix of {w}")
-        shift = w.n_a - w1.n_a
-        return BsWord(shift, w.m_b - (w1.m_b << shift))
+            raise NotAPrefix(f"{BsMonoid.format(w1)} is not a prefix of {BsMonoid.format(w)}")
+        shift = w[0] - w1[0]
+        return (shift, w[1] - (w1[1] << shift))
 
     @staticmethod
-    def left_factor(w: BsWord, suffix: BsWord) -> BsWord | None:
+    def left_factor(w, suffix):
         """The m with m * suffix = w, or None if no such element exists."""
-        n = w.n_a - suffix.n_a
+        n = w[0] - suffix[0]
         if n < 0:
             return None
-        rest = w.m_b - suffix.m_b
-        if rest < 0 or rest % (1 << suffix.n_a):
+        rest = w[1] - suffix[1]
+        if rest < 0 or rest & ((1 << suffix[0]) - 1):
             return None
-        return BsWord(n, rest >> suffix.n_a)
+        return (n, rest >> suffix[0])
 
     @staticmethod
-    def prefix_count(w: BsWord) -> int:
-        return sum((w.m_b >> (w.n_a - i)) + 1 for i in range(w.n_a + 1))
+    def prefix_count(w) -> int:
+        n, m = w
+        return sum((m >> (n - i)) + 1 for i in range(n + 1))
 
     @staticmethod
-    def edge_count(w: BsWord) -> int:
+    def edge_count(w) -> int:
         """Number of edges of the model graph of w.
 
         Row i (prefixes with i a's) holds cap_i + 1 vertices where
         cap_i = M >> (N - i); it carries cap_i blue edges, and every one
         of its vertices starts a red edge when i < N.
         """
-        blue = sum(w.m_b >> (w.n_a - i) for i in range(w.n_a + 1))
-        red = sum((w.m_b >> (w.n_a - i)) + 1 for i in range(w.n_a))
+        n, m = w
+        blue = sum(m >> (n - i) for i in range(n + 1))
+        red = sum((m >> (n - i)) + 1 for i in range(n))
         return blue + red
 
     @staticmethod
-    def prefixes(w: BsWord) -> list[BsWord]:
+    def prefixes(w) -> list:
+        """Every left divisor of w, in ascending pair order."""
+        n, m = w
         out = []
-        for i in range(w.n_a + 1):
-            cap = w.m_b >> (w.n_a - i)
-            out.extend(BsWord(i, j) for j in range(cap + 1))
+        for i in range(n + 1):
+            out.extend((i, j) for j in range((m >> (n - i)) + 1))
         return out
 
     @staticmethod
-    def shortest_letters(w: BsWord) -> tuple[Letter, ...]:
+    def shortest_letters(w) -> tuple[str, ...]:
         """The geodesic word for w, peeled letter by letter from the right."""
-        n, m = w.n_a, w.m_b
+        n, m = w
         rev = []
         while n or m:
             if m & 1:
-                rev.append(Letter.B)
+                rev.append("b")
                 m -= 1
             elif n:
-                rev.append(Letter.A)
+                rev.append("a")
                 n -= 1
                 m >>= 1
             else:
-                rev.append(Letter.B)
+                rev.append("b")
                 m -= 1
         return tuple(reversed(rev))
 
     @staticmethod
-    def longest_letters(w: BsWord) -> tuple[Letter, ...]:
-        return (Letter.A,) * w.n_a + (Letter.B,) * w.m_b
+    def longest_letters(w) -> tuple[str, ...]:
+        return ("a",) * w[0] + ("b",) * w[1]
 
     @staticmethod
-    def sort_key(w: BsWord):
-        return w.pair
+    def format(w) -> str:
+        """The shortest form of w, "e" for the identity."""
+        return format_letters(BsMonoid.shortest_letters(w))
 
     @staticmethod
-    def format(w: BsWord) -> str:
-        return str(w)
-
-    @staticmethod
-    def parse(text: str) -> BsWord:
+    def parse(text: str):
         return parse_word(text)
-
-    # Raw variants on (N, M) int pairs, for allocation-free inner loops.
-
-    @staticmethod
-    def raw(w: BsWord) -> tuple[int, int]:
-        return w.pair
-
-    @staticmethod
-    def unraw(t: tuple[int, int]) -> BsWord:
-        return BsWord(t[0], t[1])
-
-    @staticmethod
-    def raw_mul(t1, t2):
-        return (t1[0] + t2[0], (t1[1] << t2[0]) + t2[1])
-
-    @staticmethod
-    def raw_step(t, letter: Letter):
-        if letter is Letter.A:
-            return (t[0] + 1, t[1] << 1)
-        return (t[0], t[1] + 1)
-
-    @staticmethod
-    def raw_is_prefix(t1, t) -> bool:
-        return t1[0] <= t[0] and (t1[1] << (t[0] - t1[0])) <= t[1]
-
-    @staticmethod
-    def raw_left_factor(t, suffix):
-        n = t[0] - suffix[0]
-        if n < 0:
-            return None
-        rest = t[1] - suffix[1]
-        if rest < 0 or rest & ((1 << suffix[0]) - 1):
-            return None
-        return (n, rest >> suffix[0])
 
 
 class GridMonoid:
     """Operations of the (N^2, +) degree monoid, mirroring BsMonoid."""
 
     name = "grid"
-    identity = GridDegree(0, 0)
-    square_degree = GridDegree(1, 1)
-    red_first_word = (Letter.A, Letter.B)
-    blue_first_word = (Letter.B, Letter.A)
+    identity = (0, 0)
+    square_degree = (1, 1)
+    red_first_word = ("a", "b")
+    blue_first_word = ("b", "a")
 
     @staticmethod
-    def mul(p: GridDegree, q: GridDegree) -> GridDegree:
-        return GridDegree(p.m1 + q.m1, p.m2 + q.m2)
+    def mul(p, q):
+        return (p[0] + q[0], p[1] + q[1])
 
     @staticmethod
-    def step(p: GridDegree, letter: Letter) -> GridDegree:
-        if letter is Letter.A:
-            return GridDegree(p.m1 + 1, p.m2)
-        return GridDegree(p.m1, p.m2 + 1)
+    def step(p, letter: str):
+        if letter == "a":
+            return (p[0] + 1, p[1])
+        return (p[0], p[1] + 1)
 
     @staticmethod
-    def is_prefix(p: GridDegree, q: GridDegree) -> bool:
-        return p.m1 <= q.m1 and p.m2 <= q.m2
+    def is_prefix(p, q) -> bool:
+        return p[0] <= q[0] and p[1] <= q[1]
 
     @staticmethod
-    def quotient(p: GridDegree, q: GridDegree) -> GridDegree:
+    def quotient(p, q):
         if not GridMonoid.is_prefix(p, q):
-            raise NotAPrefix(f"{p} is not <= {q}")
-        return GridDegree(q.m1 - p.m1, q.m2 - p.m2)
+            raise NotAPrefix(f"{GridMonoid.format(p)} is not <= {GridMonoid.format(q)}")
+        return (q[0] - p[0], q[1] - p[1])
 
     @staticmethod
-    def left_factor(q: GridDegree, suffix: GridDegree) -> GridDegree | None:
-        m1, m2 = q.m1 - suffix.m1, q.m2 - suffix.m2
+    def left_factor(q, suffix):
+        m1, m2 = q[0] - suffix[0], q[1] - suffix[1]
         if m1 < 0 or m2 < 0:
             return None
-        return GridDegree(m1, m2)
+        return (m1, m2)
 
     @staticmethod
-    def prefix_count(p: GridDegree) -> int:
-        return (p.m1 + 1) * (p.m2 + 1)
+    def prefix_count(p) -> int:
+        return (p[0] + 1) * (p[1] + 1)
 
     @staticmethod
-    def edge_count(p: GridDegree) -> int:
-        return p.m1 * (p.m2 + 1) + p.m2 * (p.m1 + 1)
+    def edge_count(p) -> int:
+        return p[0] * (p[1] + 1) + p[1] * (p[0] + 1)
 
     @staticmethod
-    def prefixes(p: GridDegree) -> list[GridDegree]:
-        return [
-            GridDegree(i, j)
-            for i in range(p.m1 + 1)
-            for j in range(p.m2 + 1)
-        ]
+    def prefixes(p) -> list:
+        """Every point below p, in ascending pair order."""
+        return [(i, j) for i in range(p[0] + 1) for j in range(p[1] + 1)]
 
     @staticmethod
-    def shortest_letters(p: GridDegree) -> tuple[Letter, ...]:
-        return (Letter.A,) * p.m1 + (Letter.B,) * p.m2
+    def shortest_letters(p) -> tuple[str, ...]:
+        return ("a",) * p[0] + ("b",) * p[1]
 
     longest_letters = shortest_letters
 
     @staticmethod
-    def sort_key(p: GridDegree):
-        return p.pair
+    def format(p) -> str:
+        return f"({p[0]},{p[1]})"
 
     @staticmethod
-    def format(p: GridDegree) -> str:
-        return str(p)
-
-    @staticmethod
-    def parse(text: str) -> GridDegree:
+    def parse(text: str):
         return parse_grid_degree(text)
-
-    @staticmethod
-    def raw(p: GridDegree) -> tuple[int, int]:
-        return p.pair
-
-    @staticmethod
-    def unraw(t: tuple[int, int]) -> GridDegree:
-        return GridDegree(t[0], t[1])
-
-    @staticmethod
-    def raw_mul(t1, t2):
-        return (t1[0] + t2[0], t1[1] + t2[1])
-
-    @staticmethod
-    def raw_step(t, letter: Letter):
-        if letter is Letter.A:
-            return (t[0] + 1, t[1])
-        return (t[0], t[1] + 1)
-
-    @staticmethod
-    def raw_is_prefix(t1, t) -> bool:
-        return t1[0] <= t[0] and t1[1] <= t[1]
-
-    @staticmethod
-    def raw_left_factor(t, suffix):
-        m1, m2 = t[0] - suffix[0], t[1] - suffix[1]
-        if m1 < 0 or m2 < 0:
-            return None
-        return (m1, m2)
 
 
 BS = BsMonoid()
 GRID = GridMonoid()
 
 
-def mul(w1: BsWord, w2: BsWord) -> BsWord:
-    return BS.mul(w1, w2)
-
-
-def is_prefix(w1: BsWord, w: BsWord) -> bool:
-    return BS.is_prefix(w1, w)
-
-
-def left_quotient(w1: BsWord, w: BsWord) -> BsWord:
-    return BS.quotient(w1, w)
-
-
-def prefixes(w: BsWord) -> set[BsWord]:
-    return set(BS.prefixes(w))
-
-
-def fold_letters(letters) -> BsWord:
+def fold_letters(letters):
     w = BS.identity
     for l in letters:
         w = BS.step(w, l)
     return w
 
 
-def parse_letters(text: str) -> tuple[Letter, ...]:
+def parse_letters(text: str) -> tuple[str, ...]:
     """Expand word text into its letter sequence.
 
     Accepts raw letter strings ("bbaa"), caret exponents ("a^2 b^8") and
@@ -371,7 +216,7 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
     cleaned = text.replace(".", " ").strip()
     if cleaned in ("", "e"):
         return ()
-    letters: list[Letter] = []
+    letters: list[str] = []
     pos = 0
     while pos < len(cleaned):
         if cleaned[pos].isspace():
@@ -380,30 +225,25 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
         m = _WORD_TOKEN.match(cleaned, pos)
         if not m:
             raise WordSyntaxError(f"bad character {cleaned[pos]!r} in word {text!r}")
-        letter = Letter(m.group(1))
         count = 1
         if m.group(2) is not None:
             count = int(m.group(2))
             if count < 0:
                 raise WordSyntaxError(f"negative exponent in word {text!r}")
-        letters.extend([letter] * count)
+        letters.extend([m.group(1)] * count)
         pos = m.end()
     return tuple(letters)
 
 
-def parse_word(text: str) -> BsWord:
+def parse_word(text: str):
     return fold_letters(parse_letters(text))
 
 
-def shortest_form(w: BsWord) -> str:
-    return format_letters(BS.shortest_letters(w))
-
-
-def longest_form(w: BsWord) -> str:
+def longest_form(w) -> str:
     return format_letters(BS.longest_letters(w))
 
 
-def parse_grid_degree(text: str) -> GridDegree:
+def parse_grid_degree(text: str):
     """Parse "(m1,m2)" / "m1,m2", or letter syntax counting a's and b's."""
     cleaned = text.strip().strip("()")
     if "," in cleaned:
@@ -414,17 +254,8 @@ def parse_grid_degree(text: str) -> GridDegree:
             m1, m2 = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise WordSyntaxError(f"bad grid degree {text!r}") from exc
-        return GridDegree(m1, m2)
+        if m1 < 0 or m2 < 0:
+            raise WordSyntaxError("coordinates must be non-negative")
+        return (m1, m2)
     letters = parse_letters(cleaned)
-    return GridDegree(
-        sum(1 for l in letters if l is Letter.A),
-        sum(1 for l in letters if l is Letter.B),
-    )
-
-
-def grid_add(p: GridDegree, q: GridDegree) -> GridDegree:
-    return GRID.mul(p, q)
-
-
-def grid_le(p: GridDegree, q: GridDegree) -> bool:
-    return GRID.is_prefix(p, q)
+    return (letters.count("a"), letters.count("b"))

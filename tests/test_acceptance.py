@@ -12,18 +12,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from bsgraph.category import (
-    LambdaContext,
-    all_paths,
-    verify_category,
-    verify_factorization,
-    verify_functor,
-)
+from bsgraph.category import all_paths, verify
 from bsgraph.cli import run
 from bsgraph.errors import NotCovered
 from bsgraph.graphs import path_degree, validate_path
-from bsgraph.grid import lift_path_grid, verify_grid
-from bsgraph.models import model
 from bsgraph.morphisms import (
     check_traverses,
     enumerate_morphisms,
@@ -32,7 +24,7 @@ from bsgraph.morphisms import (
     shortest_traversal,
 )
 from bsgraph.squares import CompleteCollection, check_complete
-from bsgraph.words import BS, BsWord, GridDegree, Letter, parse_word, shortest_form
+from bsgraph.words import BS, parse_word
 
 from .conftest import FIXTURE_DIR
 from .oracles import all_strings, fold_pair, minimal_lengths, rewrite_closure
@@ -85,13 +77,13 @@ def test_criterion_2_lift_reproduction(capsys, ctx):
             ctx.graph, ctx.collection, validate_path(ctx.graph, ["g", "g", "f", "h"])
         )
         elapsed = time.perf_counter() - start
-        assert lam.degree == BsWord(2, 8)
+        assert lam.degree == (2, 8)
         assert len(lam.vmap) == 17 and len(lam.emap) == 22
         # row-wise images: vertices u/v/u, blues g/k/g, reds f/h
         for z, v in lam.vmap.items():
-            assert v == ("u", "v", "u")[z.n_a]
+            assert v == ("u", "v", "u")[z[0]]
         for (z, l), e in lam.emap.items():
-            expected = ("g", "k", "g")[z.n_a] if l is Letter.B else ("f", "h")[z.n_a]
+            expected = ("g", "k", "g")[z[0]] if l == "b" else ("f", "h")[z[0]]
             assert e == expected
         assert elapsed < 1.0
         st["detail"] = f"{elapsed:.3f}s"
@@ -103,7 +95,7 @@ def test_criterion_3_traversal_extremes(capsys, ctx, example_lam):
         long = longest_traversal(ctx.graph, example_lam)
         assert short.edges == ("g", "g", "f", "h") and len(short) == 4
         assert long.edges == ("f", "h") + ("g",) * 8 and len(long) == 10
-        assert path_degree(BS, short) == path_degree(BS, long) == BsWord(2, 8)
+        assert path_degree(BS, short) == path_degree(BS, long) == (2, 8)
         st["detail"] = "lengths 4 and 10, common degree (2,8)"
 
 
@@ -114,10 +106,10 @@ def test_criterion_4_oracle_uniqueness(capsys, ctx):
         checked = 0
         for path in all_paths(ctx.graph, 6):
             w = path_degree(BS, path)
-            if w.pair not in enum_memo:
-                enum_memo[w.pair] = enumerate_morphisms(ctx.graph, ctx.collection, w)
+            if w not in enum_memo:
+                enum_memo[w] = enumerate_morphisms(ctx.graph, ctx.collection, w)
             matches = [
-                m for m in enum_memo[w.pair] if check_traverses(ctx.graph, m, path)
+                m for m in enum_memo[w] if check_traverses(ctx.graph, m, path)
             ]
             lam = lift_path(ctx.graph, ctx.collection, path)
             assert matches == [lam], str(path)
@@ -155,7 +147,7 @@ def test_criterion_6_word_arithmetic_soundness(capsys):
         assert len(strings) == 510
         classes: dict = {}
         for s in strings:
-            assert parse_word(s).pair == fold_pair(s)
+            assert parse_word(s) == fold_pair(s)
             classes.setdefault(fold_pair(s), set()).add(s)
         for pair, members in classes.items():
             closure = rewrite_closure(next(iter(members)))
@@ -164,9 +156,9 @@ def test_criterion_6_word_arithmetic_soundness(capsys):
         minlen = minimal_lengths(11)
         for n in range(4):
             for m in range(9):
-                w = BsWord(n, m)
-                s = shortest_form(w)
-                assert (0 if s == "e" else len(s)) == minlen[w.pair]
+                w = (n, m)
+                s = BS.format(w)
+                assert (0 if s == "e" else len(s)) == minlen[w]
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         st["detail"] = f"510 strings, {len(classes)} classes, {elapsed:.1f}s"
@@ -178,15 +170,15 @@ def test_criterion_7_grid_cross_check(capsys, grid_ctx):
         degrees = 0
         for m in range(7):
             for n in range(7 - m):
-                w = GridDegree(m, n)
+                w = (m, n)
                 found = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, w)
                 assert len(found) == 1, (m, n)
                 letters = ["rho"] * m + ["beta"] * n
                 if letters:
                     path = validate_path(grid_ctx.graph, letters)
-                    assert lift_path_grid(grid_ctx.graph, grid_ctx.collection, path) == found[0]
+                    assert lift_path(grid_ctx.graph, grid_ctx.collection, path) == found[0]
                 degrees += 1
-        assert verify_grid(grid_ctx, 3).passed
+        assert verify(grid_ctx, 3).passed
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         st["detail"] = f"{degrees} degrees, {elapsed:.1f}s"

@@ -12,6 +12,8 @@ from bsgraph.errors import (
     UnknownVertex,
 )
 from bsgraph.graphs import (
+    ColouredGraph,
+    Edge,
     build_graph,
     concat,
     parse_path,
@@ -19,14 +21,14 @@ from bsgraph.graphs import (
     validate_path,
     vertex_path,
 )
-from bsgraph.words import BS, GRID, BsWord, GridDegree, Letter
+from bsgraph.words import BS, GRID
 
 
 def test_fixture_E_shape(graph_E):
     assert graph_E.vertices == ("u", "v")
     by_name = {e.name: e for e in graph_E.edges}
-    assert by_name["g"].colour is Letter.B and by_name["g"].range_ == "u"
-    assert by_name["k"].colour is Letter.B and by_name["k"].source == "v"
+    assert by_name["g"].colour == "b" and by_name["g"].range_ == "u"
+    assert by_name["k"].colour == "b" and by_name["k"].source == "v"
     assert (by_name["f"].range_, by_name["f"].source) == ("u", "v")
     assert (by_name["h"].range_, by_name["h"].source) == ("v", "u")
 
@@ -47,6 +49,15 @@ def test_empty_graph_is_valid():
     assert g.vertices == () and g.edges == ()
 
 
+def test_directly_built_graph_is_indexed():
+    g = ColouredGraph(("u", "v"), (Edge("f", "a", "u", "v"),))
+    assert g.edge("f").source == "v"
+    with pytest.raises(UnknownEdge):
+        g.edge("zz")
+    assert parse_path(g, "v").range_ == "v"
+    assert g == build_graph(["u", "v"], [("f", "a", "u", "v")])
+
+
 def test_validate_path_examples(graph_E):
     p = validate_path(graph_E, ["g", "g", "f", "h"])
     assert (p.range_, p.source) == ("u", "u")
@@ -59,9 +70,9 @@ def test_validate_path_examples(graph_E):
 
 
 def test_path_degree(graph_E):
-    assert path_degree(BS, validate_path(graph_E, ["g", "g", "f", "h"])) == BsWord(2, 8)
-    assert path_degree(BS, vertex_path(graph_E, "u")) == BsWord(0, 0)
-    assert path_degree(BS, validate_path(graph_E, ["f", "k", "k"])) == BsWord(1, 2)
+    assert path_degree(BS, validate_path(graph_E, ["g", "g", "f", "h"])) == (2, 8)
+    assert path_degree(BS, vertex_path(graph_E, "u")) == (0, 0)
+    assert path_degree(BS, validate_path(graph_E, ["f", "k", "k"])) == (1, 2)
 
 
 def test_path_degree_multiplicative(graph_E):
@@ -72,9 +83,9 @@ def test_path_degree_multiplicative(graph_E):
 
 def test_grid_path_degree(grid_ctx):
     p = validate_path(grid_ctx.graph, ["rho", "beta", "rho"])
-    assert path_degree(GRID, p) == GridDegree(2, 1)
-    assert path_degree(GRID, validate_path(grid_ctx.graph, ["beta", "beta"])) == GridDegree(0, 2)
-    assert path_degree(GRID, vertex_path(grid_ctx.graph, "w")) == GridDegree(0, 0)
+    assert path_degree(GRID, p) == (2, 1)
+    assert path_degree(GRID, validate_path(grid_ctx.graph, ["beta", "beta"])) == (0, 2)
+    assert path_degree(GRID, vertex_path(grid_ctx.graph, "w")) == (0, 0)
 
 
 def test_parse_path(graph_E):

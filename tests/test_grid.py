@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
-from bsgraph.errors import PreconditionViolated
+from bsgraph.category import compose, verify
 from bsgraph.graphs import validate_path, vertex_path
-from bsgraph.grid import compose_grid, lift_path_grid, verify_grid
 from bsgraph.morphisms import enumerate_morphisms, identity_morphism, lift_path
-from bsgraph.words import GRID, GridDegree
+from bsgraph.words import GRID
 
 
 def test_fixture_shape(grid_ctx):
@@ -19,65 +16,49 @@ def test_fixture_shape(grid_ctx):
 
 def test_lift_rho_beta_rho(grid_ctx):
     path = validate_path(grid_ctx.graph, ["rho", "beta", "rho"])
-    lam = lift_path_grid(grid_ctx.graph, grid_ctx.collection, path)
-    assert lam.degree == GridDegree(2, 1)
+    lam = lift_path(grid_ctx.graph, grid_ctx.collection, path)
+    assert lam.degree == (2, 1)
     assert len(lam.vmap) == 6 and len(lam.emap) == 7
-    found = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, GridDegree(2, 1))
+    found = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, (2, 1))
     assert found == [lam]
 
 
 def test_vertex_path_lift(grid_ctx):
-    lam = lift_path_grid(grid_ctx.graph, grid_ctx.collection, vertex_path(grid_ctx.graph, "w"))
+    lam = lift_path(grid_ctx.graph, grid_ctx.collection, vertex_path(grid_ctx.graph, "w"))
     assert lam == identity_morphism(GRID, "w")
 
 
 def test_lift_order_independent(grid_ctx):
-    br = lift_path_grid(
+    br = lift_path(
         grid_ctx.graph, grid_ctx.collection, validate_path(grid_ctx.graph, ["beta", "rho"])
     )
-    rb = lift_path_grid(
+    rb = lift_path(
         grid_ctx.graph, grid_ctx.collection, validate_path(grid_ctx.graph, ["rho", "beta"])
     )
-    assert br == rb and br.degree == GridDegree(1, 1)
+    assert br == rb and br.degree == (1, 1)
 
 
 def test_lambda_is_singleton_up_to_degree_six(grid_ctx):
     for m in range(7):
         for n in range(7 - m):
-            found = enumerate_morphisms(
-                grid_ctx.graph, grid_ctx.collection, GridDegree(m, n)
-            )
+            found = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, (m, n))
             assert len(found) == 1, (m, n)
 
 
 def test_composition_is_degree_addition(grid_ctx):
-    mu = lift_path_grid(
+    mu = lift_path(
         grid_ctx.graph, grid_ctx.collection, validate_path(grid_ctx.graph, ["rho", "beta"])
     )
-    nu = lift_path_grid(
+    nu = lift_path(
         grid_ctx.graph, grid_ctx.collection, validate_path(grid_ctx.graph, ["beta"])
     )
-    lam = compose_grid(grid_ctx, mu, nu)
-    assert lam.degree == GridDegree(1, 2)
-    only = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, GridDegree(1, 2))
+    lam = compose(grid_ctx, mu, nu)
+    assert lam.degree == (1, 2)
+    only = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, (1, 2))
     assert [lam] == only
 
 
 def test_verify_grid(grid_ctx):
-    report = verify_grid(grid_ctx, 3)
+    report = verify(grid_ctx, 3)
     assert report.passed
     assert len(report.laws) == 7
-
-
-def test_grid_wrappers_reject_bs_context(ctx):
-    with pytest.raises(PreconditionViolated):
-        verify_grid(ctx, 2)
-    with pytest.raises(PreconditionViolated):
-        lift_path_grid(ctx.graph, ctx.collection, vertex_path(ctx.graph, "u"))
-
-
-def test_lift_path_agrees_with_generic_engine(grid_ctx):
-    path = validate_path(grid_ctx.graph, ["beta", "rho", "rho", "beta"])
-    assert lift_path_grid(grid_ctx.graph, grid_ctx.collection, path) == lift_path(
-        grid_ctx.graph, grid_ctx.collection, path
-    )

@@ -22,25 +22,25 @@ from bsgraph.morphisms import (
 )
 from bsgraph.models import model, square_positions
 from bsgraph.squares import CompleteCollection
-from bsgraph.words import BS, BsWord, Letter
+from bsgraph.words import BS
 
 
 def expected_example_lam(graph):
     """The worked-example morphism written out entry by entry:
     rows u/v/u, blue rows g/k/g, red columns f then h."""
-    w = BsWord(2, 8)
-    vmap = {z: ("u", "v", "u")[z.n_a] for z in BS.prefixes(w)}
+    w = (2, 8)
+    vmap = {z: ("u", "v", "u")[z[0]] for z in BS.prefixes(w)}
     emap = {}
     for z, l in model(BS, w).edges:
-        if l is Letter.B:
-            emap[(z, l)] = ("g", "k", "g")[z.n_a]
+        if l == "b":
+            emap[(z, l)] = ("g", "k", "g")[z[0]]
         else:
-            emap[(z, l)] = ("f", "h")[z.n_a]
+            emap[(z, l)] = ("f", "h")[z[0]]
     return Morphism(BS, w, vmap, emap)
 
 
 def test_lift_ggfh_matches_worked_example(ctx, example_lam):
-    assert example_lam.degree == BsWord(2, 8)
+    assert example_lam.degree == (2, 8)
     assert len(example_lam.vmap) == 17
     assert len(example_lam.emap) == 22
     assert example_lam == expected_example_lam(ctx.graph)
@@ -57,7 +57,7 @@ def test_lift_equal_for_square_traversals(ctx):
     via_red = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, ["f", "k", "k"]))
     via_blue = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, ["g", "f"]))
     assert via_red == via_blue
-    assert via_red.degree == BsWord(1, 2)
+    assert via_red.degree == (1, 2)
     # it is exactly phi1 viewed as a morphism
     phi1 = next(sq for sq in ctx.collection.squares if sq.name == "phi1")
     assert via_red.emap == phi1.emap
@@ -79,10 +79,12 @@ def test_lift_not_covered_without_phi2(ctx, incomplete_fixture):
 
 
 def test_lift_loop_invariant(ctx):
-    # check_each_step asserts totality after every prefix of the path
-    path = validate_path(ctx.graph, ["g", "g", "f", "h", "g", "f"])
-    lam = lift_path(ctx.graph, ctx.collection, path, check_each_step=True)
-    assert check_traverses(ctx.graph, lam, path)
+    # every prefix of the path lifts to a total morphism it traverses
+    names = ["g", "g", "f", "h", "g", "f"]
+    for n in range(1, len(names) + 1):
+        path = validate_path(ctx.graph, names[:n])
+        lam = lift_path(ctx.graph, ctx.collection, path)
+        assert check_traverses(ctx.graph, lam, path)
 
 
 def test_check_traverses(ctx, example_lam):
@@ -103,7 +105,7 @@ def test_traversal_extremes(ctx, example_lam):
     assert len(short) == 4 and len(long) == 10
     from bsgraph.graphs import path_degree
 
-    assert path_degree(BS, short) == path_degree(BS, long) == BsWord(2, 8)
+    assert path_degree(BS, short) == path_degree(BS, long) == (2, 8)
 
 
 def test_traversals_traverse_their_morphism(ctx):
@@ -114,11 +116,11 @@ def test_traversals_traverse_their_morphism(ctx):
 
 
 def test_restrict(ctx, example_lam):
-    bottom = restrict(example_lam, BsWord(0, 2))
+    bottom = restrict(example_lam, (0, 2))
     assert shortest_traversal(ctx.graph, bottom).edges == ("g", "g")
     assert restrict_shifted(example_lam, BS.identity, example_lam.degree) == example_lam
-    top = restrict_shifted(example_lam, BsWord(0, 2), BsWord(2, 8))
-    assert top.degree == BsWord(2, 0)
+    top = restrict_shifted(example_lam, (0, 2), (2, 8))
+    assert top.degree == (2, 0)
     assert shortest_traversal(ctx.graph, top).edges == ("f", "h")
 
 
@@ -134,13 +136,13 @@ def test_occurrences(ctx, example_lam, phi1, phi2):
     assert occurrences(identity_morphism(BS, "v")) == []
     sq_morph = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, ["g", "f"]))
     occs = occurrences(sq_morph)
-    assert len(occs) == 1 and occs[0].position == BS.identity
+    assert len(occs) == 1 and occs[0][0] == BS.identity
     occs28 = occurrences(example_lam)
     # one occurrence per square position of (2,8); brute count gives 6
-    assert len(occs28) == len(square_positions(BS, BsWord(2, 8))) == 6
+    assert len(occs28) == len(square_positions(BS, (2, 8))) == 6
     known = {frozenset(phi1.emap.items()): 0, frozenset(phi2.emap.items()): 0}
-    for occ in occs28:
-        known[frozenset(occ.emap.items())] += 1
+    for _, emap in occs28:
+        known[frozenset(emap.items())] += 1
     # phi1 fills the bottom band twice, phi2 the top band four times
     assert known[frozenset(phi1.emap.items())] == 2
     assert known[frozenset(phi2.emap.items())] == 4
@@ -163,7 +165,7 @@ def test_rewrite_tail(ctx):
     assert rewrite_tail(g, sq2, validate_path(g, ["k", "h"])).edges == ("h", "g", "g")
     from bsgraph.graphs import path_degree
 
-    assert path_degree(BS, out) == BsWord(1, 2)
+    assert path_degree(BS, out) == (1, 2)
 
 
 def test_rewrite_tail_preconditions(ctx, example_lam):
@@ -176,7 +178,7 @@ def test_rewrite_tail_preconditions(ctx, example_lam):
 
 
 def test_enumerate_ba(ctx, phi1, phi2):
-    found = enumerate_morphisms(ctx.graph, ctx.collection, BsWord(1, 2))
+    found = enumerate_morphisms(ctx.graph, ctx.collection, (1, 2))
     assert len(found) == 2
     assert {frozenset(m.emap.items()) for m in found} == {
         frozenset(phi1.emap.items()),
@@ -190,7 +192,7 @@ def test_enumerate_identity_degree(ctx):
 
 
 def test_enumerate_contains_worked_example(ctx, example_lam):
-    found = enumerate_morphisms(ctx.graph, ctx.collection, BsWord(2, 8))
+    found = enumerate_morphisms(ctx.graph, ctx.collection, (2, 8))
     assert example_lam in found
 
 

@@ -12,7 +12,7 @@ from bsgraph.squares import (
     check_complete,
     paths_with_colour_word,
 )
-from bsgraph.words import BS, Letter
+from bsgraph.words import BS
 
 PHI1 = {"eA": "f", "aB": "k", "abB": "k", "eB": "g", "bA": "f"}
 PHI2 = {"eA": "h", "aB": "g", "abB": "g", "eB": "k", "bA": "h"}
@@ -86,6 +86,14 @@ def test_check_duplicate(ctx, graph_E, phi1):
     assert report.duplicated  # the shared boundary paths are reported
 
 
+def test_duplicates_reported_in_first_appearance_order(ctx, graph_E, phi1, phi2):
+    phi2_again = build_square_slots(graph_E, BS, PHI2, "phi2_again")
+    phi1_again = build_square_slots(graph_E, BS, PHI1, "phi1_again")
+    report = check_complete(graph_E, BS, [phi1, phi2, phi2_again, phi1_again])
+    assert not report.complete
+    assert report.duplicated == [("f", "k", "k"), ("h", "g", "g"), ("g", "f"), ("k", "h")]
+
+
 def test_check_complete_order_independent(ctx, graph_E):
     sqs = list(ctx.collection.squares)
     fwd = check_complete(graph_E, BS, sqs).to_json()
@@ -120,4 +128,4 @@ def test_slot_keys_match_square_model():
 
     domain_edges = set(model(BS, BS.square_degree).edges)
     assert set(BS_SLOTS.values()) == domain_edges
-    assert BS_SLOTS["eA"] == (BS.identity, Letter.A)
+    assert BS_SLOTS["eA"] == (BS.identity, "a")

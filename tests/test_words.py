@@ -10,45 +10,35 @@ from bsgraph.errors import NotAPrefix, WordSyntaxError
 from bsgraph.words import (
     BS,
     GRID,
-    BsWord,
-    GridDegree,
-    Letter,
     fold_letters,
-    grid_add,
-    grid_le,
-    is_prefix,
-    left_quotient,
     longest_form,
-    mul,
     parse_grid_degree,
     parse_letters,
     parse_word,
-    prefixes,
-    shortest_form,
 )
 
 from .oracles import all_strings, brute_prefixes, fold_pair, minimal_lengths, rewrite_closure
 
-# m_b is capped because longest_form materialises m_b letters.
-words = st.builds(BsWord, st.integers(0, 10), st.integers(0, 2**12))
-big_words = st.builds(BsWord, st.integers(0, 10), st.integers(0, 2**60))
-small_words = st.builds(BsWord, st.integers(0, 4), st.integers(0, 32))
+# M is capped because longest_form materialises M letters.
+words = st.tuples(st.integers(0, 10), st.integers(0, 2**12))
+big_words = st.tuples(st.integers(0, 10), st.integers(0, 2**60))
+small_words = st.tuples(st.integers(0, 4), st.integers(0, 32))
 letter_strings = st.text(alphabet="ab", max_size=10)
 
 
 def test_multiplication_law_examples():
-    assert mul(BsWord(0, 1), BsWord(1, 0)) == BsWord(1, 2)  # b * a = ab^2
-    assert mul(BsWord(0, 0), BsWord(2, 8)) == BsWord(2, 8)
-    assert mul(BsWord(0, 2), BsWord(2, 0)) == BsWord(2, 8)  # b^2 a^2 = a^2 b^8
+    assert BS.mul((0, 1), (1, 0)) == (1, 2)  # b * a = ab^2
+    assert BS.mul((0, 0), (2, 8)) == (2, 8)
+    assert BS.mul((0, 2), (2, 0)) == (2, 8)  # b^2 a^2 = a^2 b^8
 
 
 def test_parse_word_examples():
-    assert parse_word("ba") == BsWord(1, 2)
-    assert parse_word("") == BsWord(0, 0)
-    assert parse_word("e") == BsWord(0, 0)
-    assert parse_word("abab") == BsWord(2, 3)
-    assert parse_word("a^2 b^8") == BsWord(2, 8)
-    assert parse_word("a2.b8") == BsWord(2, 8)
+    assert parse_word("ba") == (1, 2)
+    assert parse_word("") == (0, 0)
+    assert parse_word("e") == (0, 0)
+    assert parse_word("abab") == (2, 3)
+    assert parse_word("a^2 b^8") == (2, 8)
+    assert parse_word("a2.b8") == (2, 8)
 
 
 @pytest.mark.parametrize("bad", ["xyz", "a^-1", "a^", "b-2"])
@@ -58,72 +48,73 @@ def test_parse_word_rejects(bad):
 
 
 def test_negative_exponents_rejected():
+    # Degrees enter only through the parsers, which reject negatives.
     with pytest.raises(WordSyntaxError):
-        BsWord(-1, 0)
+        parse_grid_degree("-1,0")
     with pytest.raises(WordSyntaxError):
-        BsWord(0, -1)
+        parse_grid_degree("0,-1")
 
 
 @given(letter_strings)
 def test_fold_matches_string_oracle(s):
-    assert parse_word(s).pair == fold_pair(s)
+    assert parse_word(s) == fold_pair(s)
 
 
 @given(big_words, big_words, big_words)
 def test_associativity(x, y, z):
-    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert BS.mul(BS.mul(x, y), z) == BS.mul(x, BS.mul(y, z))
 
 
 @given(words)
 def test_identity(w):
-    e = BsWord(0, 0)
-    assert mul(e, w) == w
-    assert mul(w, e) == w
+    e = (0, 0)
+    assert BS.mul(e, w) == w
+    assert BS.mul(w, e) == w
 
 
 @given(words)
 def test_normal_form_round_trips(w):
-    assert parse_word(shortest_form(w)) == w
+    assert parse_word(BS.format(w)) == w
     assert parse_word(longest_form(w)) == w
 
 
 @given(words, words)
 def test_prefix_quotient_cancels(w1, w2):
-    w = mul(w1, w2)
-    assert is_prefix(w1, w)
-    assert left_quotient(w1, w) == w2
-    assert mul(w1, left_quotient(w1, w)) == w
+    w = BS.mul(w1, w2)
+    assert BS.is_prefix(w1, w)
+    assert BS.quotient(w1, w) == w2
+    assert BS.mul(w1, BS.quotient(w1, w)) == w
 
 
 def test_prefix_examples():
-    assert is_prefix(BsWord(0, 1), BsWord(2, 4))  # b <= ba^2
-    assert not is_prefix(BsWord(0, 1), BsWord(2, 3))  # b is not <= abab
-    assert is_prefix(BsWord(2, 8), BsWord(2, 8))
+    assert BS.is_prefix((0, 1), (2, 4))  # b <= ba^2
+    assert not BS.is_prefix((0, 1), (2, 3))  # b is not <= abab
+    assert BS.is_prefix((2, 8), (2, 8))
 
 
 def test_quotient_examples():
-    assert left_quotient(BsWord(0, 2), BsWord(2, 8)) == BsWord(2, 0)
-    assert left_quotient(BsWord(1, 2), BsWord(1, 2)) == BsWord(0, 0)
-    assert left_quotient(BsWord(0, 1), BsWord(2, 4)) == BsWord(2, 0)
+    assert BS.quotient((0, 2), (2, 8)) == (2, 0)
+    assert BS.quotient((1, 2), (1, 2)) == (0, 0)
+    assert BS.quotient((0, 1), (2, 4)) == (2, 0)
     with pytest.raises(NotAPrefix):
-        left_quotient(BsWord(1, 0), BsWord(0, 5))
+        BS.quotient((1, 0), (0, 5))
 
 
 def test_shortest_form_examples():
-    assert shortest_form(BsWord(1, 2)) == "ba"
-    assert shortest_form(BsWord(0, 0)) == "e"
-    assert shortest_form(BsWord(2, 3)) == "abab"
+    assert BS.format((1, 2)) == "ba"
+    assert BS.format((0, 0)) == "e"
+    assert BS.format((2, 3)) == "abab"
 
 
 def test_longest_form_examples():
-    assert longest_form(BsWord(2, 8)) == "aabbbbbbbb"
-    assert longest_form(BsWord(0, 0)) == "e"
-    assert longest_form(BsWord(1, 2)) == "abb"
+    assert longest_form((2, 8)) == "aabbbbbbbb"
+    assert longest_form((0, 0)) == "e"
+    assert longest_form((1, 2)) == "abb"
 
 
 @given(small_words)
 def test_shortest_form_has_no_abb_factor(w):
-    s = shortest_form(w)
+    s = BS.format(w)
     assert "abb" not in s.replace("e", "")
 
 
@@ -149,84 +140,80 @@ def test_geodesic_minimality_against_bfs_oracle():
     minlen = minimal_lengths(11)  # n + m <= 11 covers the whole box
     for n in range(4):
         for m in range(9):
-            w = BsWord(n, m)
-            s = shortest_form(w)
+            w = (n, m)
+            s = BS.format(w)
             length = 0 if s == "e" else len(s)
-            assert length == minlen[w.pair]
+            assert length == minlen[w]
             assert parse_word(s) == w
 
 
 def test_prefixes_examples():
-    assert prefixes(BsWord(1, 2)) == {
-        BsWord(0, 0), BsWord(0, 1), BsWord(1, 0), BsWord(1, 1), BsWord(1, 2)
-    }
-    assert prefixes(BsWord(0, 0)) == {BsWord(0, 0)}
-    assert len(prefixes(BsWord(2, 8))) == 17
+    assert set(BS.prefixes((1, 2))) == {(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)}
+    assert set(BS.prefixes((0, 0))) == {(0, 0)}
+    assert len(BS.prefixes((2, 8))) == 17
 
 
 def test_prefix_count_matches_brute_enumeration():
     for n in range(5):
         for m in range(17):
-            w = BsWord(n, m)
-            expected = {BsWord(*p) for p in brute_prefixes(w.pair)}
-            assert prefixes(w) == expected
+            w = (n, m)
+            expected = brute_prefixes(w)
+            assert set(BS.prefixes(w)) == expected
             assert BS.prefix_count(w) == len(expected)
 
 
 @given(small_words, small_words)
 def test_is_prefix_agrees_with_membership(w1, w):
-    assert is_prefix(w1, w) == (w1 in prefixes(w))
+    assert BS.is_prefix(w1, w) == (w1 in BS.prefixes(w))
 
 
 def test_letter_fold_and_parse_letters():
-    assert parse_letters("ba") == (Letter.B, Letter.A)
-    assert fold_letters((Letter.B, Letter.A)) == BsWord(1, 2)
-    assert fold_letters(()) == BsWord(0, 0)
+    assert parse_letters("ba") == ("b", "a")
+    assert fold_letters(("b", "a")) == (1, 2)
+    assert fold_letters(()) == (0, 0)
 
 
 def test_edge_count_matches_model_edge_predicate():
     # Cross-check the closed form against direct enumeration.
     for n in range(4):
         for m in range(13):
-            w = BsWord(n, m)
+            w = (n, m)
             count = sum(
                 1
                 for z in BS.prefixes(w)
-                for l in (Letter.A, Letter.B)
+                for l in ("a", "b")
                 if BS.is_prefix(BS.step(z, l), w)
             )
             assert BS.edge_count(w) == count
 
 
 def test_grid_arithmetic():
-    assert grid_add(GridDegree(1, 0), GridDegree(0, 1)) == GridDegree(1, 1)
-    assert grid_le(GridDegree(1, 2), GridDegree(2, 2))
-    assert not grid_le(GridDegree(2, 1), GridDegree(1, 5))
-    assert GRID.quotient(GridDegree(1, 1), GridDegree(2, 3)) == GridDegree(1, 2)
-    assert GRID.prefix_count(GridDegree(2, 1)) == 6
-    assert GRID.edge_count(GridDegree(2, 1)) == 7
+    assert GRID.mul((1, 0), (0, 1)) == (1, 1)
+    assert GRID.is_prefix((1, 2), (2, 2))
+    assert not GRID.is_prefix((2, 1), (1, 5))
+    assert GRID.quotient((1, 1), (2, 3)) == (1, 2)
+    assert GRID.prefix_count((2, 1)) == 6
+    assert GRID.edge_count((2, 1)) == 7
 
 
 def test_parse_grid_degree():
-    assert parse_grid_degree("2,1") == GridDegree(2, 1)
-    assert parse_grid_degree("(2, 1)") == GridDegree(2, 1)
-    assert parse_grid_degree("aab") == GridDegree(2, 1)
+    assert parse_grid_degree("2,1") == (2, 1)
+    assert parse_grid_degree("(2, 1)") == (2, 1)
+    assert parse_grid_degree("aab") == (2, 1)
     with pytest.raises(WordSyntaxError):
         parse_grid_degree("1,2,3")
 
 
-def test_raw_ops_agree_with_word_ops():
+def test_left_factor_agrees_with_mul():
     for n1 in range(3):
         for m1 in range(5):
             for n2 in range(3):
                 for m2 in range(5):
-                    w1, w2 = BsWord(n1, m1), BsWord(n2, m2)
-                    assert BS.raw_mul(w1.pair, w2.pair) == mul(w1, w2).pair
-                    assert BS.raw_is_prefix(w1.pair, w2.pair) == is_prefix(w1, w2)
-                    lf = BS.raw_left_factor(w2.pair, w1.pair)
+                    w1, w2 = (n1, m1), (n2, m2)
+                    lf = BS.left_factor(w2, w1)
                     if lf is None:
                         assert all(
-                            mul(m, w1) != w2 for m in prefixes(w2)
+                            BS.mul(m, w1) != w2 for m in BS.prefixes(w2)
                         )
                     else:
-                        assert mul(BsWord(*lf), w1) == w2
+                        assert BS.mul(lf, w1) == w2
