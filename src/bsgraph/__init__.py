@@ -29,6 +29,7 @@ from .morphisms import (
     enumerate_morphisms,
     lift_path,
     longest_traversal,
+    normal_form,
     occurrences,
     restrict,
     restrict_shifted,

@@ -1,29 +1,33 @@
 """The category of compatible morphisms and its law-verification sweeps.
 
 Composition follows the uniqueness argument: concatenate traversals of the
-two factors and lift the result.  Verification sweeps exhaustively check
-the category, degree-functor, and factorization laws over every morphism
-lifted from paths up to a length bound, reporting the first counterexample
-when a law fails.
+two factors.  ``compose`` lifts the result to the dense morphism.  The
+verification sweeps exhaustively check the category, degree-functor, and
+factorization laws over every morphism lifted from paths up to a length
+bound, reporting the first counterexample when a law fails.  Inside the
+sweeps a morphism is its shortest traversal, and composing two of them is
+rewriting their concatenation back to normal form (``normal_form``); the
+dense form is built only for the pool, for restriction, and for the
+enumeration oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import DegreeMismatch, NotComposable, UnknownVertex
-from .graphs import ColouredGraph, Path, concat, vertex_path
+from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
 from .morphisms import (
     Morphism,
     enumerate_morphisms,
     identity_morphism,
     lift_path,
+    normal_form,
     restrict,
     restrict_shifted,
     shortest_traversal,
 )
-from .squares import CompleteCollection
+from .squares import CompleteCollection, paths_with_colour_word
 
 # Law suites in the order `verify` runs them by default.
 SUITES = ("category", "functor", "factorization")
@@ -35,7 +39,7 @@ class LambdaContext:
 
     graph: ColouredGraph
     collection: CompleteCollection
-    _compose_memo: dict = field(default_factory=dict, repr=False)
+    # max_len -> (pool, shortest traversals), shared by the suites of one run.
     _pool_memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -57,15 +61,9 @@ def compose(ctx: LambdaContext, mu: Morphism, nu: Morphism) -> Morphism:
     """The unique morphism restricting to mu and (shifted) to nu."""
     if mu.source != nu.range_:
         raise NotComposable(None, f"s(mu) = {mu.source} != r(nu) = {nu.range_}")
-    memo_key = (mu.key(), nu.key())
-    cached = ctx._compose_memo.get(memo_key)
-    if cached is not None:
-        return cached
     x = shortest_traversal(ctx.graph, mu)
     y = shortest_traversal(ctx.graph, nu)
-    result = lift_path(ctx.graph, ctx.collection, concat(x, y))
-    ctx._compose_memo[memo_key] = result
-    return result
+    return lift_path(ctx.graph, ctx.collection, concat(x, y))
 
 
 def factorize(lam: Morphism, w1, w2) -> tuple[Morphism, Morphism]:
@@ -139,55 +137,95 @@ def all_paths(g: ColouredGraph, max_len: int) -> list[Path]:
 
 
 def pool_morphisms(ctx: LambdaContext, max_len: int) -> list[Morphism]:
-    """Distinct morphisms lifted from all paths of length <= max_len."""
-    cached = ctx._pool_memo.get(max_len)
-    if cached is not None:
-        return cached
+    """Distinct morphisms lifted from all paths of length <= max_len,
+    in key order."""
     seen = {}
     for p in all_paths(ctx.graph, max_len):
         lam = lift_path(ctx.graph, ctx.collection, p)
         seen.setdefault(lam.key(), lam)
-    pool = [seen[k] for k in sorted(seen)]
-    ctx._pool_memo[max_len] = pool
-    return pool
+    return [seen[k] for k in sorted(seen)]
 
 
-def _describe(lam: Morphism) -> str:
-    ops = lam.ops
-    return (
-        f"degree {ops.format(lam.degree)} from {lam.range_} to {lam.source}"
-    )
+def require_covered(ctx: LambdaContext) -> None:
+    """Look up every boundary path of the graph, blue-first ones first.
+
+    A rewriting sweep only meets the squares its paths touch, so a missing
+    square elsewhere would go unseen; this raises its ``NotCovered``.
+    """
+    ops = ctx.ops
+    for word, lookup in (
+        (ops.blue_first_word, ctx.collection.lookup_blue),
+        (ops.red_first_word, ctx.collection.lookup_red),
+    ):
+        for boundary in paths_with_colour_word(ctx.graph, word):
+            lookup(boundary)
+
+
+def _sweep_pool(ctx: LambdaContext, max_len: int) -> tuple[list, list]:
+    """The pool and its shortest traversals, built once per context and
+    bound after the coverage check."""
+    cached = ctx._pool_memo.get(max_len)
+    if cached is None:
+        require_covered(ctx)
+        pool = pool_morphisms(ctx, max_len)
+        paths = [shortest_traversal(ctx.graph, lam) for lam in pool]
+        cached = ctx._pool_memo[max_len] = (pool, paths)
+    return cached
+
+
+def _composite(ctx: LambdaContext, x: Path, y: Path) -> Path:
+    """The shortest traversal of the composite of two traversed morphisms."""
+    return normal_form(ctx.graph, ctx.collection, concat(x, y))
+
+
+def _describe(ops, x: Path) -> str:
+    return f"degree {ops.format(path_degree(ops, x))} from {x.range_} to {x.source}"
+
+
+def _by_range(paths: list) -> dict:
+    """Vertex -> indices of the paths with that range, in pool order."""
+    out: dict = {}
+    for i, x in enumerate(paths):
+        out.setdefault(x.range_, []).append(i)
+    return out
 
 
 def verify_category(ctx: LambdaContext, max_len: int) -> VerificationReport:
     """Range/source, associativity, and identity laws over the bounded pool."""
-    pool = pool_morphisms(ctx, max_len)
+    _, pool = _sweep_pool(ctx, max_len)
+    ops = ctx.ops
+    after = _by_range(pool)
     laws = []
 
     rs_instances = 0
     rs_fail = None
-    pairs = []
-    for mu, nu in itertools.product(pool, pool):
-        if mu.source != nu.range_:
-            continue
-        pairs.append((mu, nu))
-        prod = compose(ctx, mu, nu)
-        rs_instances += 1
-        if prod.range_ != mu.range_ or prod.source != nu.source:
-            rs_fail = f"{_describe(mu)} ; {_describe(nu)}"
+    products = {}  # (i, j) -> composite of pool[i] and pool[j]
+    for i, mu in enumerate(pool):
+        for j in after.get(mu.source, ()):
+            nu = pool[j]
+            prod = products[i, j] = _composite(ctx, mu, nu)
+            rs_instances += 1
+            if prod.range_ != mu.range_ or prod.source != nu.source:
+                rs_fail = f"{_describe(ops, mu)} ; {_describe(ops, nu)}"
+                break
+        if rs_fail:
             break
     laws.append(LawResult("range/source of composites", rs_instances, rs_fail is None, rs_fail))
 
     assoc_instances = 0
     assoc_fail = None
-    for lam, mu in pairs:
-        left = compose(ctx, lam, mu)
-        for nu in pool:
-            if mu.source != nu.range_:
-                continue
+    for (i, j), left in products.items():
+        lam, mu = pool[i], pool[j]
+        for k in after.get(mu.source, ()):
+            nu = pool[k]
+            right = products.get((j, k))
+            if right is None:
+                right = _composite(ctx, mu, nu)
             assoc_instances += 1
-            if compose(ctx, left, nu) != compose(ctx, lam, compose(ctx, mu, nu)):
-                assoc_fail = f"{_describe(lam)} ; {_describe(mu)} ; {_describe(nu)}"
+            if _composite(ctx, left, nu) != _composite(ctx, lam, right):
+                assoc_fail = (
+                    f"{_describe(ops, lam)} ; {_describe(ops, mu)} ; {_describe(ops, nu)}"
+                )
                 break
         if assoc_fail:
             break
@@ -198,10 +236,10 @@ def verify_category(ctx: LambdaContext, max_len: int) -> VerificationReport:
     for lam in pool:
         id_instances += 1
         if (
-            compose(ctx, identity(ctx, lam.range_), lam) != lam
-            or compose(ctx, lam, identity(ctx, lam.source)) != lam
+            _composite(ctx, vertex_path(ctx.graph, lam.range_), lam) != lam
+            or _composite(ctx, lam, vertex_path(ctx.graph, lam.source)) != lam
         ):
-            id_fail = _describe(lam)
+            id_fail = _describe(ops, lam)
             break
     laws.append(LawResult("identity laws", id_instances, id_fail is None, id_fail))
     return VerificationReport(laws)
@@ -209,18 +247,22 @@ def verify_category(ctx: LambdaContext, max_len: int) -> VerificationReport:
 
 def verify_functor(ctx: LambdaContext, max_len: int) -> VerificationReport:
     """Degree is multiplicative on composites and trivial on identities."""
-    pool = pool_morphisms(ctx, max_len)
+    _, pool = _sweep_pool(ctx, max_len)
     ops = ctx.ops
+    degrees = [path_degree(ops, x) for x in pool]
+    after = _by_range(pool)
     laws = []
 
     mult_instances = 0
     mult_fail = None
-    for mu, nu in itertools.product(pool, pool):
-        if mu.source != nu.range_:
-            continue
-        mult_instances += 1
-        if compose(ctx, mu, nu).degree != ops.mul(mu.degree, nu.degree):
-            mult_fail = f"{_describe(mu)} ; {_describe(nu)}"
+    for i, mu in enumerate(pool):
+        for j in after.get(mu.source, ()):
+            nu = pool[j]
+            mult_instances += 1
+            if path_degree(ops, _composite(ctx, mu, nu)) != ops.mul(degrees[i], degrees[j]):
+                mult_fail = f"{_describe(ops, mu)} ; {_describe(ops, nu)}"
+                break
+        if mult_fail:
             break
     laws.append(LawResult(
         "degree multiplicative on composites", mult_instances, mult_fail is None, mult_fail
@@ -230,7 +272,7 @@ def verify_functor(ctx: LambdaContext, max_len: int) -> VerificationReport:
     id_fail = None
     for v in ctx.graph.vertices:
         id_instances += 1
-        if identity(ctx, v).degree != ops.identity:
+        if path_degree(ops, vertex_path(ctx.graph, v)) != ops.identity:
             id_fail = f"vertex {v}"
             break
     laws.append(LawResult("identities map to e", id_instances, id_fail is None, id_fail))
@@ -240,19 +282,20 @@ def verify_functor(ctx: LambdaContext, max_len: int) -> VerificationReport:
 def verify_factorization(ctx: LambdaContext, max_len: int) -> VerificationReport:
     """Factor-then-compose returns the morphism, and each split is the
     unique factor pair of its degrees (checked against enumeration)."""
-    pool = pool_morphisms(ctx, max_len)
+    pool, paths = _sweep_pool(ctx, max_len)
     ops = ctx.ops
+    g = ctx.graph
     laws = []
 
     rt_instances = 0
     rt_fail = None
-    for lam in pool:
+    for lam, x in zip(pool, paths):
         for w1 in ops.prefixes(lam.degree):
             w2 = ops.quotient(w1, lam.degree)
             rt_instances += 1
             mu, nu = factorize(lam, w1, w2)
-            if compose(ctx, mu, nu) != lam:
-                rt_fail = f"{_describe(lam)} split at {ops.format(w1)}"
+            if _composite(ctx, shortest_traversal(g, mu), shortest_traversal(g, nu)) != x:
+                rt_fail = f"{_describe(ops, x)} split at {ops.format(w1)}"
                 break
         if rt_fail:
             break
@@ -265,11 +308,14 @@ def verify_factorization(ctx: LambdaContext, max_len: int) -> VerificationReport
     enum_memo: dict = {}
 
     def candidates(w):
+        """Traversals of every enumerated morphism of degree w, undeduplicated."""
         if w not in enum_memo:
-            enum_memo[w] = enumerate_morphisms(ctx.graph, ctx.collection, w)
+            enum_memo[w] = [
+                shortest_traversal(g, m) for m in enumerate_morphisms(g, ctx.collection, w)
+            ]
         return enum_memo[w]
 
-    for lam in pool:
+    for lam, x in zip(pool, paths):
         for w1 in ops.prefixes(lam.degree):
             w2 = ops.quotient(w1, lam.degree)
             uniq_instances += 1
@@ -277,11 +323,11 @@ def verify_factorization(ctx: LambdaContext, max_len: int) -> VerificationReport
                 (mu, nu)
                 for mu in candidates(w1)
                 for nu in candidates(w2)
-                if mu.source == nu.range_ and compose(ctx, mu, nu) == lam
+                if mu.source == nu.range_ and _composite(ctx, mu, nu) == x
             ]
             if len(matches) != 1:
                 uniq_fail = (
-                    f"{_describe(lam)} split at {ops.format(w1)}: "
+                    f"{_describe(ops, x)} split at {ops.format(w1)}: "
                     f"{len(matches)} factor pairs"
                 )
                 break

@@ -38,6 +38,7 @@ def parse_fixture(text: str) -> FixtureFile:
     vertices: list[str] = []
     edges: list[tuple] = []
     square_lines: list[tuple[int, str, dict]] = []
+    square_names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -69,6 +70,11 @@ def parse_fixture(text: str) -> FixtureFile:
                     )
                 slot, edge = item.split("=", 1)
                 slots[slot] = edge
+            if args[0] in square_names:
+                raise FixtureSyntaxError(
+                    f"line {lineno}: duplicate square name {args[0]!r}"
+                )
+            square_names.add(args[0])
             square_lines.append((lineno, args[0], slots))
         else:
             raise FixtureSyntaxError(f"line {lineno}: unknown directive {kind!r}")

@@ -26,13 +26,18 @@ class ModelGraph:
     edges: tuple  # of (degree, letter)
 
 
-def model(ops, w, max_vertices: int = DEFAULT_MAX_VERTICES) -> ModelGraph:
+def check_model_size(ops, w, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
+    """Raise ResourceLimit if the model graph of w has too many vertices."""
     count = ops.prefix_count(w)
     if count > max_vertices:
         raise ResourceLimit(
             f"model graph of {ops.format(w)} has {count} vertices "
             f"(limit {max_vertices})"
         )
+
+
+def model(ops, w, max_vertices: int = DEFAULT_MAX_VERTICES) -> ModelGraph:
+    check_model_size(ops, w, max_vertices)
     vertices = tuple(ops.prefixes(w))
     edges = tuple(
         (z, l)

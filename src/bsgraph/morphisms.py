@@ -8,6 +8,10 @@ assigned by looking the square up in the collection and copying the other
 boundary.  Under a complete collection this reaches a total assignment;
 a failed lookup or a contradictory assignment is surfaced as evidence
 that the collection is not complete for the graph.
+
+A morphism is also fixed by any one of its traversals, and its shortest
+traversal is canonical.  ``normal_form`` computes that traversal from any
+other one by boundary rewriting, without building the dense map.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     ResourceLimit,
 )
 from .graphs import ColouredGraph, Path, path_degree
-from .models import model, square_positions
+from .models import check_model_size, model, square_positions
 from .squares import CompleteCollection, Square, blue_keys, red_keys
 
 
@@ -236,12 +240,52 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
     ops = collection.ops
     if not x.edges:
         return identity_morphism(ops, x.range_)
+    check_model_size(ops, path_degree(ops, x))
     state = _LiftState(g, collection)
     state.set_vertex(ops.identity, x.range_)
     for name in x.edges:
         state.append(name)
     state.assert_total()
     return state.morphism()
+
+
+def normal_form(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Path:
+    """The shortest traversal of the morphism that x traverses.
+
+    Rewrites one square at a time: in BS mode each red-first ``a b b``
+    edge triple becomes its square's blue-first ``b a`` pair, in grid mode
+    each blue-first ``b a`` pair becomes the red-first ``a b`` pair.  The
+    rules do not overlap and each shortens the colour word or moves a red
+    letter left, so every order of rewriting ends at the same normal form:
+    the word with no ``a b b`` factor, resp. ``a^m b^n``.  Letters wait on
+    a stack, so a rewrite only looks again at its neighbours.  A missing
+    square raises ``NotCovered``.
+    """
+    ops = collection.ops
+    if ops.name == "bs":
+        pattern, lookup, keys = ops.red_first_word, collection.lookup_red, blue_keys(ops)
+    else:
+        pattern, lookup, keys = ops.blue_first_word, collection.lookup_blue, red_keys(ops)
+    width = len(pattern)
+    # Everything before the first match is already in normal form.
+    start = "".join(x.colours).find("".join(pattern))
+    if start < 0:
+        return x
+    start += width - 1
+    pattern = list(pattern)
+    names = list(x.edges[:start])
+    colours = list(x.colours[:start])
+    # Edges still to place, next one last; a rewrite pushes its output here.
+    todo = list(zip(reversed(x.edges[start:]), reversed(x.colours[start:])))
+    while todo:
+        name, colour = todo.pop()
+        names.append(name)
+        colours.append(colour)
+        if colour == pattern[-1] and colours[-width:] == pattern:
+            emap = lookup(names[-width:]).emap
+            del names[-width:], colours[-width:]
+            todo.extend((emap[k], k[1]) for k in reversed(keys))
+    return Path(tuple(names), x.range_, x.source, tuple(colours))
 
 
 def check_traverses(g: ColouredGraph, lam: Morphism, x: Path) -> bool:

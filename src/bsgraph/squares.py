@@ -10,12 +10,14 @@ ambient graph are covered exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import ColourMismatch, JunctionMismatch, NotCovered
 from .graphs import ColouredGraph
 from .models import model
 
 
+@cache
 def boundary_keys(ops, colour_word) -> tuple:
     """Domain edge keys (base, letter) read along a boundary colour word."""
     keys = []

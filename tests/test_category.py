@@ -16,8 +16,8 @@ from bsgraph.category import (
     verify_functor,
 )
 from bsgraph.errors import DegreeMismatch, NotComposable, UnknownVertex
-from bsgraph.graphs import validate_path
-from bsgraph.morphisms import Morphism, lift_path, shortest_traversal
+from bsgraph.graphs import Path, validate_path
+from bsgraph.morphisms import lift_path, shortest_traversal
 from bsgraph.words import BS
 
 
@@ -120,23 +120,21 @@ def test_verify_functor_multiplicativity_example(ctx):
 
 
 def test_verify_category_reports_counterexample(ctx, monkeypatch):
-    """Fault injection: corrupting composition must surface a counterexample."""
-    real = category.compose
+    """Fault injection: corrupting the sweep's composite must surface a
+    counterexample."""
+    real = category.normal_form
+    # The other edge of the same colour: g <-> k (blue), f <-> h (red).
+    other = {"g": "k", "k": "g", "f": "h", "h": "f"}
 
-    def corrupted(c, mu, nu):
-        lam = real(c, mu, nu)
-        # swap interior vertex images only, keeping endpoints intact
-        swapped = {
-            z: ("v" if x == "u" else "u")
-            if z not in (BS.identity, lam.degree)
-            else x
-            for z, x in lam.vmap.items()
-        }
-        if swapped == lam.vmap:
-            return lam
-        return Morphism(lam.ops, lam.degree, swapped, dict(lam.emap))
+    def corrupted(g, collection, x):
+        y = real(g, collection, x)
+        if len(y) < 3:
+            return y
+        # swap one interior edge only, keeping the endpoints intact
+        edges = y.edges[:1] + (other[y.edges[1]],) + y.edges[2:]
+        return Path(edges, y.range_, y.source, y.colours)
 
-    monkeypatch.setattr(category, "compose", corrupted)
+    monkeypatch.setattr(category, "normal_form", corrupted)
     report = category.verify_category(ctx, 2)
     assert not report.passed
     failing = [law for law in report.laws if not law.passed]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -123,6 +124,37 @@ def test_verify_small(capsys):
     code, out, _ = invoke(capsys, "verify", E, "--max-len", "2")
     assert code == 0
     assert out.count("pass") == 7 and "FAIL" not in out
+
+
+def test_verify_checks_every_boundary_first(tmp_path, capsys):
+    # The only blue-first path, b r, has no square, and no path a b b
+    # exists, so no path the sweeps compose would ever touch the gap.
+    p = tmp_path / "uncovered.cg"
+    p.write_text("mode bs\nvertex x\nvertex y\nedge b b x x\nedge r a x y\n")
+    code, out, _ = invoke(capsys, "verify", str(p), "--max-len", "1")
+    assert code == 1
+    assert out == "NotCovered: no square with blue-first boundary b r\n"
+    code, out, _ = invoke(capsys, "verify", E_MISSING, "--max-len", "1")
+    assert code == 1
+    assert out == "NotCovered: no square with blue-first boundary k h\n"
+
+
+def test_lift_too_large_exit_2(capsys):
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "lift", E, "--path", " ".join(["g"] * 30 + ["f h"] * 10))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and err.startswith("resource limit:")
+
+
+def test_duplicate_square_name_exit_2(tmp_path, capsys):
+    p = tmp_path / "dup.cg"
+    p.write_text(
+        (FIXTURE_DIR / "example_E.cg").read_text()
+        + "square phi1 eA=h aB=g abB=g eB=k bA=h\n"
+    )
+    code, _, err = invoke(capsys, "check", str(p))
+    assert code == 2
+    assert err == "error: line 12: duplicate square name 'phi1'\n"
 
 
 def test_verify_unknown_suite_exit_2(capsys):

@@ -1,0 +1,115 @@
+"""Boundary rewriting against the lift and the enumeration oracle.
+
+Three independent engines must name the same morphism for every path:
+``normal_form`` (rewriting the path one square at a time),
+``shortest_traversal(lift_path(x))`` (constraint propagation on the model
+graph), and the one enumerated morphism that x traverses (brute force).
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bsgraph.category import LambdaContext, all_paths, compose, pool_morphisms
+from bsgraph.errors import NotCovered
+from bsgraph.fixtures import parse_fixture
+from bsgraph.graphs import concat, path_degree, validate_path
+from bsgraph.morphisms import (
+    check_traverses,
+    enumerate_morphisms,
+    lift_path,
+    normal_form,
+    shortest_traversal,
+)
+from bsgraph.squares import CompleteCollection
+
+
+def _agree(ctx: LambdaContext, paths, enum_memo: dict) -> None:
+    g, coll = ctx.graph, ctx.collection
+    for x in paths:
+        nf = normal_form(g, coll, x)
+        assert nf == shortest_traversal(g, lift_path(g, coll, x)), str(x)
+        w = path_degree(ctx.ops, x)
+        if w not in enum_memo:
+            enum_memo[w] = enumerate_morphisms(g, coll, w)
+        matches = [m for m in enum_memo[w] if check_traverses(g, m, x)]
+        assert len(matches) == 1, str(x)
+        assert shortest_traversal(g, matches[0]) == nf, str(x)
+
+
+@pytest.mark.parametrize("name", ["ctx", "grid_ctx"])
+def test_three_engines_agree_on_fixtures(name, request):
+    ctx = request.getfixturevalue(name)
+    _agree(ctx, all_paths(ctx.graph, 6), {})
+
+
+def _one_vertex(mode: str, perm: list[int]) -> LambdaContext:
+    """One vertex, a blue loop b and red loops r0..r(p-1); the square of
+    r_i pairs its red-first boundary with the blue-first path b r_perm(i)."""
+    colours = {"a": "a", "b": "b"} if mode == "bs" else {"a": "1", "b": "2"}
+    lines = [f"mode {mode}", "vertex x", f"edge b {colours['b']} x x"]
+    lines += [f"edge r{i} {colours['a']} x x" for i in range(len(perm))]
+    for i, j in enumerate(perm):
+        if mode == "bs":
+            lines.append(f"square s{i} eA=r{i} aB=b abB=b eB=b bA=r{j}")
+        else:
+            lines.append(f"square s{i} v1=r{i} e1v2=b v2=b e2v1=r{j}")
+    fx = parse_fixture("\n".join(lines) + "\n")
+    return LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+
+
+@st.composite
+def generated_paths(draw, max_len: int):
+    """A one-vertex complete collection in either mode, and paths in it."""
+    mode = draw(st.sampled_from(["bs", "grid"]))
+    p = draw(st.integers(1, 3))
+    ctx = _one_vertex(mode, draw(st.permutations(range(p))))
+    names = [e.name for e in ctx.graph.edges]
+    paths = draw(st.lists(
+        st.lists(st.sampled_from(names), min_size=1, max_size=max_len), min_size=1, max_size=5
+    ))
+    return ctx, [validate_path(ctx.graph, x) for x in paths]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_paths(4))
+def test_three_engines_agree_on_generated_collections(drawn):
+    ctx, paths = drawn
+    _agree(ctx, paths, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_paths(9))
+def test_normal_form_matches_lift_on_longer_paths(drawn):
+    ctx, paths = drawn
+    g, coll = ctx.graph, ctx.collection
+    for x in paths:
+        assert normal_form(g, coll, x) == shortest_traversal(g, lift_path(g, coll, x))
+
+
+@pytest.mark.parametrize("name", ["ctx", "grid_ctx"])
+def test_dense_compose_agrees_with_rewriting(name, request):
+    ctx = request.getfixturevalue(name)
+    g = ctx.graph
+    pool = pool_morphisms(ctx, 2)
+    pairs = 0
+    for mu in pool:
+        for nu in pool:
+            if mu.source != nu.range_:
+                continue
+            x, y = shortest_traversal(g, mu), shortest_traversal(g, nu)
+            dense = shortest_traversal(g, compose(ctx, mu, nu))
+            assert dense == normal_form(g, ctx.collection, concat(x, y))
+            pairs += 1
+    assert pairs == {"ctx": 98, "grid_ctx": 36}[name]
+
+
+def test_normal_form_reports_missing_square(incomplete_fixture):
+    fx = incomplete_fixture
+    coll = CompleteCollection(fx.ops, tuple(fx.squares))
+    with pytest.raises(NotCovered) as exc:
+        normal_form(fx.graph, coll, validate_path(fx.graph, ["h", "g", "g"]))
+    assert exc.value.boundary == ("h", "g", "g")
+    assert str(exc.value) == "no square with red-first boundary h g g"
