@@ -104,17 +104,16 @@ def cmd_model(args) -> int:
     if args.dot:
         sys.stdout.write(dot.model_to_dot(m))
         return 0
+    label = ops.labels(m.vertices)
     payload = {
-        "degree": ops.format(m.word),
-        "vertices": [ops.format(z) for z in m.vertices],
-        "edges": [
-            {"prefix": ops.format(z), "letter": l} for z, l in m.edges
-        ],
+        "degree": label[m.word],
+        "vertices": [label[z] for z in m.vertices],
+        "edges": [{"prefix": label[z], "letter": l} for z, l in m.edges],
     }
     _emit(
         payload,
         args.json,
-        f"degree {ops.format(m.word)}: {len(m.vertices)} vertices, {len(m.edges)} edges",
+        f"degree {label[m.word]}: {len(m.vertices)} vertices, {len(m.edges)} edges",
     )
     return 0
 
@@ -138,13 +137,13 @@ def cmd_lift(args) -> int:
             return 1
     if args.dot:
         sys.stdout.write(dot.morphism_to_dot(lam))
+    elif args.json:
+        print(lam.json_text())
     else:
-        _emit(
-            lam.to_json(),
-            args.json,
+        print(
             f"degree {ctx.ops.format(lam.degree)}: "
             f"{len(lam.vmap)} vertices, {len(lam.emap)} edges, "
-            f"r={lam.range_} s={lam.source}",
+            f"r={lam.range_} s={lam.source}"
         )
     return 0
 
@@ -154,12 +153,13 @@ def cmd_compose(args) -> int:
     mu = lift_path(ctx.graph, ctx.collection, parse_path(ctx.graph, args.lhs))
     nu = lift_path(ctx.graph, ctx.collection, parse_path(ctx.graph, args.rhs))
     lam = compose(ctx, mu, nu)
-    _emit(
-        lam.to_json(),
-        args.json,
-        f"degree {ctx.ops.format(lam.degree)}: traversal "
-        f"{shortest_traversal(ctx.graph, lam)}",
-    )
+    if args.json:
+        print(lam.json_text())
+    else:
+        print(
+            f"degree {ctx.ops.format(lam.degree)}: traversal "
+            f"{shortest_traversal(ctx.graph, lam)}"
+        )
     return 0
 
 
@@ -169,14 +169,15 @@ def cmd_factorize(args) -> int:
     w1 = ctx.ops.parse(args.at)
     w2 = ctx.ops.quotient(w1, lam.degree)
     mu, nu = factorize(lam, w1, w2)
-    _emit(
-        {"left": mu.to_json(), "right": nu.to_json()},
-        args.json,
-        f"left  degree {ctx.ops.format(mu.degree)}: "
-        f"{shortest_traversal(ctx.graph, mu)}\n"
-        f"right degree {ctx.ops.format(nu.degree)}: "
-        f"{shortest_traversal(ctx.graph, nu)}",
-    )
+    if args.json:
+        print(f'{{\n  "left": {mu.json_text(1)},\n  "right": {nu.json_text(1)}\n}}')
+    else:
+        print(
+            f"left  degree {ctx.ops.format(mu.degree)}: "
+            f"{shortest_traversal(ctx.graph, mu)}\n"
+            f"right degree {ctx.ops.format(nu.degree)}: "
+            f"{shortest_traversal(ctx.graph, nu)}"
+        )
     return 0
 
 
@@ -203,16 +204,19 @@ def cmd_enumerate(args) -> int:
     found = enumerate_morphisms(ctx.graph, ctx.collection, w)
     if args.limit is not None:
         found = found[: args.limit]
-    _emit(
-        {"count": len(found), "morphisms": [m.to_json() for m in found]},
-        args.json,
-        "\n".join(
-            f"[{i}] r={m.range_} s={m.source} "
-            f"traversal {shortest_traversal(ctx.graph, m)}"
-            for i, m in enumerate(found)
+    if args.json:
+        items = ",\n    ".join(m.json_text(2) for m in found)
+        listing = f"[\n    {items}\n  ]" if found else "[]"
+        print(f'{{\n  "count": {len(found)},\n  "morphisms": {listing}\n}}')
+    else:
+        print(
+            "\n".join(
+                f"[{i}] r={m.range_} s={m.source} "
+                f"traversal {shortest_traversal(ctx.graph, m)}"
+                for i, m in enumerate(found)
+            )
+            or "none"
         )
-        or "none",
-    )
     return 0
 
 

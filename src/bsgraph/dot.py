@@ -27,12 +27,12 @@ def graph_to_dot(g: ColouredGraph, name: str = "E") -> str:
 
 def model_to_dot(m: ModelGraph, name: str = "model") -> str:
     """Vertices are labelled with shortest-form words (grid: coordinates)."""
-    fmt = m.ops.format
+    step = m.ops.step
+    label = {z: _quote(s) for z, s in m.ops.labels(m.vertices).items()}
     lines = [f"digraph {name} {{"]
-    lines.extend(f"  {_quote(fmt(z))};" for z in m.vertices)
+    lines.extend(f"  {label[z]};" for z in m.vertices)
     lines.extend(
-        f"  {_quote(fmt(m.ops.step(z, l)))} -> {_quote(fmt(z))} "
-        f"[color={_COLOUR[l]}];"
+        f"  {label[step(z, l)]} -> {label[z]} [color={_COLOUR[l]}];"
         for z, l in m.edges
     )
     lines.append("}")
@@ -41,15 +41,16 @@ def model_to_dot(m: ModelGraph, name: str = "model") -> str:
 
 def morphism_to_dot(lam: Morphism, name: str = "morphism") -> str:
     """The domain model graph, each element labelled with its image."""
-    ops = lam.ops
-    fmt = ops.format
+    step = lam.ops.step
+    vertices = sorted(lam.vmap.items())
+    label = lam.ops.labels([z for z, _ in vertices])
     lines = [f"digraph {name} {{"]
     lines.extend(
-        f"  {_quote(fmt(z))} [label={_quote(fmt(z) + ' -> ' + v)}];"
-        for z, v in sorted(lam.vmap.items())
+        f"  {_quote(label[z])} [label={_quote(label[z] + ' -> ' + v)}];"
+        for z, v in vertices
     )
     lines.extend(
-        f"  {_quote(fmt(ops.step(z, l)))} -> {_quote(fmt(z))} "
+        f"  {_quote(label[step(z, l)])} -> {_quote(label[z])} "
         f"[label={_quote(e)}, color={_COLOUR[l]}];"
         for (z, l), e in sorted(lam.emap.items())
     )

@@ -17,6 +17,8 @@ other one by boundary rewriting, without building the dense map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import (
     Conflict,
@@ -94,6 +96,42 @@ class Morphism:
                 for (z, l), e in sorted(self.emap.items())
             ],
         }
+
+    def json_text(self, level: int = 0) -> str:
+        """``json.dumps(self.to_json(), indent=2)``, written in one pass.
+
+        Every line after the first is indented by ``level`` more steps of
+        two spaces, so the text can sit as a value at that nesting depth
+        of an enclosing ``indent=2`` document.  Names go through the same
+        C string encoder ``json.dumps`` uses; prefix labels come from one
+        ``ops.labels`` table; sort order is that of ``to_json``.
+        """
+        ops = self.ops
+        # Line break plus indentation at depth level, level + 1, ...
+        i0 = "\n" + "  " * level
+        i1, i2, i3, i4 = (i0 + "  " * k for k in range(1, 5))
+        vertices = sorted(self.vmap.items())
+        label = ops.labels([z for z, _ in vertices])
+        quoted = {
+            name: encode_basestring_ascii(name)
+            for name in {*self.vmap.values(), *self.emap.values()}
+        }
+        vertex_items = f",{i2}".join([
+            f'{{{i3}"prefix": "{label[z]}",{i3}"pair": [{i4}{z[0]},{i4}{z[1]}{i3}],'
+            f'{i3}"vertex": {quoted[v]}{i2}}}'
+            for z, v in vertices
+        ])
+        edge_items = f",{i2}".join([
+            f'{{{i3}"prefix": "{label[z]}",{i3}"letter": "{l}",{i3}"edge": {quoted[e]}{i2}}}'
+            for (z, l), e in sorted(self.emap.items())
+        ])
+        edges = f"[{i2}{edge_items}{i1}]" if edge_items else "[]"
+        n, m = self.degree
+        return (
+            f'{{{i1}"mode": "{ops.name}",{i1}"degree": {{{i2}"word": "{label[self.degree]}",'
+            f'{i2}"pair": [{i3}{n},{i3}{m}{i2}]{i1}}},'
+            f'{i1}"vertices": [{i2}{vertex_items}{i1}],{i1}"edges": {edges}{i0}}}'
+        )
 
 
 def identity_morphism(ops, vertex: str) -> Morphism:
@@ -391,6 +429,14 @@ def rewrite_tail(g: ColouredGraph, lam: Morphism, z: Path) -> Path:
     return Path(names, z.range_, z.source, colours)
 
 
+# Search nodes (partial assignments, complete ones included) one
+# enumeration may visit.  Its cost grows exponentially with the domain's
+# edges, which the vertex guard does not bound.  The largest count the
+# test suite, ``verify --max-len 6`` on example_E.cg and the benchmark
+# reach is 590,236 (degree a^3 b^8 over three red loops).
+MAX_SEARCH_NODES = 10**6
+
+
 def enumerate_morphisms(
     g: ColouredGraph,
     collection: CompleteCollection,
@@ -400,8 +446,12 @@ def enumerate_morphisms(
     """Brute-force oracle: every total colour/structure-preserving
     assignment on the model graph of w, filtered to compatible ones.
 
-    Backtracks over domain edges in declaration order; output order is
-    deterministic.  Exponential by design; guarded by max_vertices.
+    Backtracks over domain edges in declaration order, trying ambient
+    edges in declaration order; output order is deterministic.  Squares
+    are checked only on total assignments, so the search itself knows
+    nothing of the collection.  Exponential by design;
+    guarded by max_vertices before the search and by MAX_SEARCH_NODES
+    during it.
     """
     ops = collection.ops
     if ops.prefix_count(w) > max_vertices:
@@ -409,37 +459,67 @@ def enumerate_morphisms(
             f"enumeration domain {ops.format(w)} exceeds {max_vertices} vertices"
         )
     domain = model(ops, w)
-    edge_keys = list(domain.edges)
+    vertices, edge_keys = domain.vertices, domain.edges
+    if not edge_keys:
+        return [identity_morphism(ops, v) for v in g.vertices]
+    # Domain vertices and edges are numbered; images[i] is the ambient
+    # vertex of vertices[i], names[i] the ambient edge of edge_keys[i].
+    vertex_index = {z: i for i, z in enumerate(vertices)}
+    edge_index = {k: i for i, k in enumerate(edge_keys)}
+    # A square's edge names in model-edge order; one reader per occurrence
+    # picks that tuple out of names (a square has at least four edges, so
+    # itemgetter returns a tuple).
+    square_edges = model(ops, ops.square_degree).edges
+    known = {tuple([sq.emap[k] for k in square_edges]) for sq in collection.squares}
+    square_readers = [
+        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in square_edges])
+        for m in square_positions(ops, w)
+    ]
+    # (name, source) of the ambient edges of each colour, by range vertex.
+    candidates: dict = {l: {v: [] for v in g.vertices} for l in "ab"}
+    for e in g.edges:
+        candidates[e.colour][e.range_].append((e.name, e.source))
+    # Per domain edge: its range, its source, whether an earlier edge (or
+    # the identity) already fixed the source, and the candidates by range.
+    levels = []
+    fixed = {vertex_index[ops.identity]}
+    for z, l in edge_keys:
+        t = vertex_index[ops.step(z, l)]
+        levels.append((vertex_index[z], t, t in fixed, candidates[l]))
+        fixed.add(t)
+    last = len(levels)
+    images: list = [None] * len(vertices)
+    names: list = [None] * last
     results: list[Morphism] = []
+    nodes = 0
 
-    def backtrack(i: int, vmap: dict, emap: dict):
-        if i == len(edge_keys):
-            lam = Morphism(ops, w, dict(vmap), dict(emap))
-            if check_compatible(lam, collection):
-                results.append(lam)
+    def backtrack(i: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise ResourceLimit(
+                f"enumeration of {ops.format(w)} passed {MAX_SEARCH_NODES} search nodes"
+            )
+        if i == last:
+            if all(read(names) in known for read in square_readers):
+                results.append(Morphism(
+                    ops, w, dict(zip(vertices, images)), dict(zip(edge_keys, names))
+                ))
             return
-        z, letter = edge_keys[i]
-        target = ops.step(z, letter)
-        for e in g.edges:
-            if e.colour != letter:
-                continue
-            if vmap[z] != e.range_:
-                continue
-            known = vmap.get(target)
-            if known is not None and known != e.source:
-                continue
-            emap[(z, letter)] = e.name
-            had = target in vmap
-            if not had:
-                vmap[target] = e.source
-            backtrack(i + 1, vmap, emap)
-            del emap[(z, letter)]
-            if not had:
-                del vmap[target]
+        r, t, source_fixed, choices = levels[i]
+        if source_fixed:
+            target = images[t]
+            for name, source in choices[images[r]]:
+                if source == target:
+                    names[i] = name
+                    backtrack(i + 1)
+        else:
+            for name, source in choices[images[r]]:
+                names[i] = name
+                images[t] = source
+                backtrack(i + 1)
 
     for v in g.vertices:
-        if not edge_keys:
-            results.append(identity_morphism(ops, v))
-        else:
-            backtrack(0, {ops.identity: v}, {})
+        images[vertex_index[ops.identity]] = v
+        backtrack(0)
     return results

@@ -128,6 +128,26 @@ class BsMonoid:
         return format_letters(BsMonoid.shortest_letters(w))
 
     @staticmethod
+    def labels(zs) -> dict:
+        """``format`` of every degree in zs, in one pass.
+
+        zs must be sorted ascending and closed under prefixes (the vertices
+        of a model graph are).  Each label extends the label of the
+        predecessor that ``shortest_letters`` peels off, which sorts
+        earlier: (n, m-1) by a "b" when m is odd or n is 0, else
+        (n-1, m/2) by an "a".
+        """
+        out = {}
+        for n, m in zs:
+            if m & 1 or not n:
+                out[n, m] = out[n, m - 1] + "b" if m else ""
+            else:
+                out[n, m] = out[n - 1, m >> 1] + "a"
+        if (0, 0) in out:
+            out[0, 0] = "e"
+        return out
+
+    @staticmethod
     def parse(text: str):
         return parse_word(text)
 
@@ -190,6 +210,11 @@ class GridMonoid:
     @staticmethod
     def format(p) -> str:
         return f"({p[0]},{p[1]})"
+
+    @staticmethod
+    def labels(ps) -> dict:
+        """``format`` of every point in ps."""
+        return {p: f"({p[0]},{p[1]})" for p in ps}
 
     @staticmethod
     def parse(text: str):

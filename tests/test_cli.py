@@ -146,6 +146,20 @@ def test_lift_too_large_exit_2(capsys):
     assert code == 2 and err.startswith("resource limit:")
 
 
+def test_enumerate_too_many_search_nodes_exit_2(tmp_path, capsys):
+    # One vertex, one blue loop, ten red loops: a^2 b^8 has only 17 model
+    # vertices, but 10^8 total assignments for the brute-force search.
+    lines = ["mode bs", "vertex x", "edge b b x x"]
+    lines += [f"edge r{i} a x x" for i in range(10)]
+    lines += [f"square s{i} eA=r{i} aB=b abB=b eB=b bA=r{i}" for i in range(10)]
+    p = tmp_path / "loops.cg"
+    p.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "enumerate", str(p), "--degree", "a2 b8")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and err.startswith("resource limit:")
+
+
 def test_duplicate_square_name_exit_2(tmp_path, capsys):
     p = tmp_path / "dup.cg"
     p.write_text(

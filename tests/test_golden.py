@@ -31,6 +31,17 @@ FIXTURES = {
     "grid": ("grid_single_vertex.cg", "rho beta rho", "rho beta", "beta", "1,0", "1,1"),
 }
 
+# key -> (file, compose lhs, compose rhs, split degree); the lifted path is lhs rhs.
+LONG_PATHS = {
+    "E10": ("example_E.cg", "g f k h g", "g f k k h", "bba"),
+    "grid12": (
+        "grid_single_vertex.cg",
+        "rho beta rho beta rho beta",
+        "beta rho beta rho beta rho",
+        "3,2",
+    ),
+}
+
 
 def _cases() -> dict[str, list[str]]:
     cases: dict[str, list[str]] = {}
@@ -78,6 +89,18 @@ def _cases() -> dict[str, list[str]]:
         ],
         "error-grid-negative-degree": ["model", "--word=-1,2", "--mode", "grid"],
     })
+    # Dense morphism JSON: an identity morphism, an empty enumeration, and
+    # long paths whose model graphs have dozens of vertices.
+    e_fx = str(FIXTURE_DIR / "example_E.cg")
+    cases["lift-E-identity-json"] = ["lift", e_fx, "--path", "u", "--json"]
+    cases["enumerate-E-empty-json"] = ["enumerate", e_fx, "--degree", "ba", "--limit", "0", "--json"]
+    for key, (name, lhs, rhs, at) in LONG_PATHS.items():
+        fx = str(FIXTURE_DIR / name)
+        cases[f"lift-{key}-json"] = ["lift", fx, "--path", f"{lhs} {rhs}", "--json"]
+        cases[f"compose-{key}-json"] = ["compose", fx, "--lhs", lhs, "--rhs", rhs, "--json"]
+        cases[f"factorize-{key}-json"] = [
+            "factorize", fx, "--path", f"{lhs} {rhs}", "--at", at, "--json",
+        ]
     return cases
 
 

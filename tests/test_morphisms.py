@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bsgraph.errors import Conflict, NotComposable, NotCovered, PreconditionViolated
+from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import validate_path, vertex_path
 from bsgraph.morphisms import (
     Morphism,
@@ -194,6 +195,72 @@ def test_enumerate_identity_degree(ctx):
 def test_enumerate_contains_worked_example(ctx, example_lam):
     found = enumerate_morphisms(ctx.graph, ctx.collection, (2, 8))
     assert example_lam in found
+
+
+def _enumerate_by_dicts(g, collection, w) -> list[Morphism]:
+    """Reference search: extend vertex/edge dicts one domain edge at a time,
+    trying every ambient edge, and keep the total assignments that
+    check_compatible accepts."""
+    ops = collection.ops
+    edge_keys = model(ops, w).edges
+    results = []
+
+    def backtrack(i, vmap, emap):
+        if i == len(edge_keys):
+            lam = Morphism(ops, w, dict(vmap), dict(emap))
+            if check_compatible(lam, collection):
+                results.append(lam)
+            return
+        z, letter = edge_keys[i]
+        target = ops.step(z, letter)
+        for e in g.edges:
+            if e.colour != letter or vmap[z] != e.range_:
+                continue
+            if vmap.get(target, e.source) != e.source:
+                continue
+            had = target in vmap
+            emap[(z, letter)] = e.name
+            vmap[target] = e.source
+            backtrack(i + 1, vmap, emap)
+            del emap[(z, letter)]
+            if not had:
+                del vmap[target]
+
+    for v in g.vertices:
+        backtrack(0, {ops.identity: v}, {})
+    return results
+
+
+# example_E.cg plus a second blue loop at v and two more red edges into u,
+# one from v and one from u, so most domain edges have several
+# candidates, some with different sources; phi1 and phi2 only.
+BRANCHING = """\
+mode bs
+vertex u
+vertex v
+edge g b u u
+edge k b v v
+edge k2 b v v
+edge f a u v
+edge f2 a u v
+edge f3 a u u
+edge h a v u
+square phi1 eA=f aB=k abB=k eB=g bA=f
+square phi2 eA=h aB=g abB=g eB=k bA=h
+"""
+
+
+def test_enumerate_matches_dict_search(ctx, grid_ctx, incomplete_fixture):
+    branching = parse_fixture(BRANCHING)
+    cases = [
+        (ctx.graph, ctx.collection, (2, 4)),
+        (grid_ctx.graph, grid_ctx.collection, (3, 3)),
+        (incomplete_fixture.graph, CompleteCollection(BS, tuple(incomplete_fixture.squares)), (2, 4)),
+        (branching.graph, CompleteCollection(BS, tuple(branching.squares)), (2, 2)),
+    ]
+    for g, coll, top in cases:
+        for w in model(coll.ops, top).vertices:
+            assert enumerate_morphisms(g, coll, w) == _enumerate_by_dicts(g, coll, w), w
 
 
 def test_unique_lifting_against_oracle(ctx):

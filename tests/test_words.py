@@ -167,6 +167,12 @@ def test_is_prefix_agrees_with_membership(w1, w):
     assert BS.is_prefix(w1, w) == (w1 in BS.prefixes(w))
 
 
+@given(st.sampled_from([BS, GRID]), st.tuples(st.integers(0, 8), st.integers(0, 300)))
+def test_labels_match_format_on_every_prefix(ops, w):
+    zs = ops.prefixes(w)
+    assert ops.labels(zs) == {z: ops.format(z) for z in zs}
+
+
 def test_letter_fold_and_parse_letters():
     assert parse_letters("ba") == ("b", "a")
     assert fold_letters(("b", "a")) == (1, 2)
