@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import dot
-from .category import SUITES, LambdaContext, compose, factorize, verify
+from .category import SUITES, LambdaContext, factorize, verify
 from .errors import (
     BsGraphError,
     Conflict,
@@ -25,7 +25,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .fixtures import load_fixture
-from .graphs import parse_path
+from .graphs import concat, parse_path
 from .models import model
 from .morphisms import (
     check_traverses,
@@ -150,9 +150,13 @@ def cmd_lift(args) -> int:
 
 def cmd_compose(args) -> int:
     fx, ctx = _context(args.fixture)
-    mu = lift_path(ctx.graph, ctx.collection, parse_path(ctx.graph, args.lhs))
-    nu = lift_path(ctx.graph, ctx.collection, parse_path(ctx.graph, args.rhs))
-    lam = compose(ctx, mu, nu)
+    x = parse_path(ctx.graph, args.lhs)
+    y = parse_path(ctx.graph, args.rhs)
+    if x.source != y.range_:
+        raise NotComposable(None, f"s(mu) = {x.source} != r(nu) = {y.range_}")
+    # By unique factorization the lift of the concatenated paths is the
+    # composite of the two sides' lifts.
+    lam = lift_path(ctx.graph, ctx.collection, concat(x, y))
     if args.json:
         print(lam.json_text())
     else:
@@ -201,9 +205,10 @@ def cmd_traversals(args) -> int:
 def cmd_enumerate(args) -> int:
     fx, ctx = _context(args.fixture)
     w = ctx.ops.parse(args.degree)
-    found = enumerate_morphisms(ctx.graph, ctx.collection, w)
-    if args.limit is not None:
-        found = found[: args.limit]
+    # The search stops at a non-negative limit; a negative one keeps its
+    # slice semantics (all but the last -limit) and needs the whole search.
+    limit = args.limit if args.limit is None or args.limit >= 0 else None
+    found = enumerate_morphisms(ctx.graph, ctx.collection, w, limit=limit)[: args.limit]
     if args.json:
         items = ",\n    ".join(m.json_text(2) for m in found)
         listing = f"[\n    {items}\n  ]" if found else "[]"

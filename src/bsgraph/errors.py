@@ -55,8 +55,8 @@ class NotCovered(BsGraphError):
 
 
 class Conflict(BsGraphError):
-    """Constraint propagation derived two different images for one
-    edge or vertex; witnesses a completeness violation."""
+    """A lift does not traverse its own path: the collection pairs one
+    boundary with two squares, which witnesses a completeness violation."""
 
 
 class DegreeMismatch(BsGraphError):

@@ -1,24 +1,30 @@
 """Coloured-graph morphisms out of model graphs, and path lifting.
 
 The central operation turns a path of the ambient graph into the unique
-compatible morphism on the model graph of its degree.  It works by
-constraint propagation: appending an edge extends the domain, and a
-worklist completes every translated square whose one boundary is fully
-assigned by looking the square up in the collection and copying the other
-boundary.  Under a complete collection this reaches a total assignment;
-a failed lookup or a contradictory assignment is surfaced as evidence
-that the collection is not complete for the graph.
+compatible morphism on the model graph of its degree.  A morphism is fixed
+by any one of its traversals (unique factorization), so the path is first
+rewritten, one square boundary at a time, to the longest traversal a^N b^M:
+the model graph's column of red edges out of e and its row of blue edges
+into w.  Each row above is then filled from the row below, one square at a
+time, by reading the red-first boundary in the collection's index.  A
+missing square raises ``NotCovered``; a result that does not traverse the
+input (the collection pairs a boundary with two squares) raises
+``Conflict``.
 
-A morphism is also fixed by any one of its traversals, and its shortest
-traversal is canonical.  ``normal_form`` computes that traversal from any
-other one by boundary rewriting, without building the dense map.
+The shortest traversal is canonical.  ``normal_form`` computes it from any
+other traversal by the same boundary rewriting, without building the
+dense map.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import (
     Conflict,
@@ -29,7 +35,7 @@ from .errors import (
 )
 from .graphs import ColouredGraph, Path, path_degree
 from .models import check_model_size, model, square_positions
-from .squares import CompleteCollection, Square, blue_keys, red_keys
+from .squares import CompleteCollection, Square, red_keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +44,19 @@ class Morphism:
 
     vmap sends each domain vertex (a degree) to an ambient vertex name;
     emap sends each domain edge (degree, letter) to an ambient edge name.
-    Morphisms compare by degree and both maps.
+    Both are stored as read-only views of private copies, so a morphism
+    and its cached ``key()`` never change.  Morphisms compare by degree and
+    both maps.
     """
 
     ops: object
     degree: object
-    vmap: dict
-    emap: dict
+    vmap: Mapping
+    emap: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "vmap", MappingProxyType(dict(self.vmap)))
+        object.__setattr__(self, "emap", MappingProxyType(dict(self.emap)))
 
     @property
     def range_(self) -> str:
@@ -138,153 +150,107 @@ def identity_morphism(ops, vertex: str) -> Morphism:
     return Morphism(ops, ops.identity, {ops.identity: vertex}, {})
 
 
-class _LiftState:
-    """Mutable assignment with square-completion propagation."""
+def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
+    """Rewrite an edge path one square boundary at a time until no factor
+    has the colour word of the boundaries being replaced.
 
-    def __init__(self, g: ColouredGraph, collection: CompleteCollection):
-        self.g = g
-        self.c = collection
-        ops = self.ops = collection.ops
-        self.vmap: dict = {}  # degree -> ambient vertex name
-        self.emap: dict = {}  # (degree, letter) -> ambient edge name
-        self.degree = ops.identity
-        # Square positions already filled and checked; never revisited.
-        self._done: set = set()
-        self._red_keys = red_keys(ops)
-        self._blue_keys = blue_keys(ops)
-        self._unit = {l: ops.step(ops.identity, l) for l in "ab"}
-        # (relative base, letter) pairs that can place an assigned edge
-        # inside a square boundary, for worklist seeding.
-        self._offsets = {
-            l: [k for k in self._red_keys + self._blue_keys if k[1] == l] for l in "ab"
-        }
-
-    def set_vertex(self, z, vertex: str):
-        old = self.vmap.setdefault(z, vertex)
-        if old != vertex:
-            raise Conflict(
-                f"vertex {self.ops.format(z)} forced to both {old!r} and {vertex!r}"
-            )
-
-    def set_edge(self, z, letter: str, name: str, queue: list):
-        key = (z, letter)
-        old = self.emap.get(key)
-        if old is not None:
-            if old != name:
-                raise Conflict(
-                    f"edge ({self.ops.format(z)},{letter}) forced to "
-                    f"both {old!r} and {name!r}"
-                )
-            return
-        edge = self.g.edge(name)
-        self.emap[key] = name
-        self.set_vertex(z, edge.range_)
-        self.set_vertex(self.ops.step(z, letter), edge.source)
-        # Every square that uses this edge on a boundary may now be completable.
-        left_factor = self.ops.left_factor
-        done = self._done
-        for rel, l in self._offsets[letter]:
-            m = left_factor(z, rel)
-            if m is not None and m not in done:
-                queue.append(m)
-
-    def append(self, name: str):
-        """Extend the domain by one letter along the path and re-propagate."""
-        ops = self.ops
-        edge = self.g.edge(name)
-        if self.vmap[self.degree] != edge.range_:
-            raise NotComposable(
-                None,
-                f"edge {name!r} has range {edge.range_!r} but the path is at "
-                f"{self.vmap[self.degree]!r}",
-            )
-        queue: list = []
-        self.degree = ops.step(self.degree, edge.colour)
-        self.set_edge(
-            ops.left_factor(self.degree, self._unit[edge.colour]),
-            edge.colour,
-            name,
-            queue,
-        )
-        self.propagate(queue)
-
-    def propagate(self, queue: list):
-        mul = self.ops.mul
-        is_prefix = self.ops.is_prefix
-        emap_get = self.emap.get
-        done = self._done
-        sq_degree = self.ops.square_degree
-        degree = self.degree
-        red_keys_ = self._red_keys
-        blue_keys_ = self._blue_keys
-        while queue:
-            m = queue.pop()
-            if m in done:
-                continue
-            if not is_prefix(mul(m, sq_degree), degree):
-                continue
-            red = [emap_get((mul(m, rel), l)) for rel, l in red_keys_]
-            blue = [emap_get((mul(m, rel), l)) for rel, l in blue_keys_]
-            if all(red) and not all(blue):
-                self._fill(m, self.c.lookup_red(red), queue)
-                done.add(m)
-            elif all(blue) and not all(red):
-                self._fill(m, self.c.lookup_blue(blue), queue)
-                done.add(m)
-            elif all(red) and all(blue):
-                # Both sides known: the occurrence must be a collection square.
-                sq = self.c.lookup_red(red)
-                if list(sq.blue_boundary()) != blue:
-                    raise Conflict(
-                        f"square at {self.ops.format(m)} pairs {red} with {blue}, "
-                        f"but the collection pairs it with "
-                        f"{list(sq.blue_boundary())}"
-                    )
-                done.add(m)
-
-    def _fill(self, m, square: Square, queue: list):
-        mul = self.ops.mul
-        emap = self.emap
-        for (rel, letter), name in square.emap.items():
-            z = mul(m, rel)
-            old = emap.get((z, letter))
-            if old is None:
-                self.set_edge(z, letter, name, queue)
-            elif old != name:
-                raise Conflict(
-                    f"edge ({self.ops.format(z)},{letter}) forced to "
-                    f"both {old!r} and {name!r}"
-                )
-
-    def morphism(self) -> Morphism:
-        return Morphism(self.ops, self.degree, self.vmap, self.emap)
-
-    def assert_total(self):
-        # Closed-form count first; build the model only to name the gaps.
-        ops = self.ops
-        if len(self.emap) == ops.edge_count(self.degree):
-            return
-        missing = [k for k in model(ops, self.degree).edges if k not in self.emap]
-        pretty = [f"({ops.format(z)},{l})" for z, l in missing]
-        raise Conflict(
-            f"propagation left {len(missing)} domain edges unassigned "
-            f"({', '.join(pretty[:5])}...); the collection cannot be "
-            f"complete for this graph"
-        )
+    With ``to_red`` each blue-first ``b a`` pair becomes the red-first
+    boundary of its square, else each red-first boundary becomes the
+    blue-first ``b a`` pair.  Letters wait on a stack, so a rewrite only
+    looks again at its neighbours.  Returns the new (names, colours) lists,
+    or None when no factor matches.  A missing square raises
+    ``NotCovered``.
+    """
+    ops = collection.ops
+    if to_red:
+        pattern, word = ops.blue_first_word, ops.red_first_word
+        table, lookup, side = collection.blue_to_red, collection.lookup_blue, Square.red_boundary
+    else:
+        pattern, word = ops.red_first_word, ops.blue_first_word
+        table, lookup, side = collection.red_to_blue, collection.lookup_red, Square.blue_boundary
+    width = len(pattern)
+    # Everything before the first match is already rewritten.
+    start = "".join(colours).find("".join(pattern))
+    if start < 0:
+        return None
+    start += width - 1
+    pattern = list(pattern)
+    last = pattern[-1]
+    word = word[::-1]
+    out_names = list(names[:start])
+    out_colours = list(colours[:start])
+    # Edges still to place, next one last; a rewrite pushes its output here.
+    todo = list(zip(reversed(names[start:]), reversed(colours[start:])))
+    while todo:
+        name, colour = todo.pop()
+        out_names.append(name)
+        out_colours.append(colour)
+        if colour == last and out_colours[-width:] == pattern:
+            boundary = tuple(out_names[-width:])
+            other = table.get(boundary) or side(lookup(boundary))
+            del out_names[-width:], out_colours[-width:]
+            todo.extend(zip(reversed(other), word))
+    return out_names, out_colours
 
 
 def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morphism:
-    """The unique compatible morphism traversed by x."""
+    """The unique compatible morphism traversed by x.
+
+    The path is rewritten to the morphism's longest traversal a^N b^M,
+    which is the model graph's column of red edges out of e and its row of
+    blue edges into w.  Every other row of the model graph is then filled
+    from the row below it, one red-first index read per domain square.
+    """
     ops = collection.ops
     if not x.edges:
         return identity_morphism(ops, x.range_)
-    check_model_size(ops, path_degree(ops, x))
-    state = _LiftState(g, collection)
-    state.set_vertex(ops.identity, x.range_)
+    # Colours come from the graph, and every junction is checked.
+    at = x.range_
+    colours = []
     for name in x.edges:
-        state.append(name)
-    state.assert_total()
-    return state.morphism()
+        edge = g.edge(name)
+        if edge.range_ != at:
+            raise NotComposable(
+                None,
+                f"edge {name!r} has range {edge.range_!r} but the path is at {at!r}",
+            )
+        colours.append(edge.colour)
+        at = edge.source
+    n, m = w = reduce(ops.step, colours, ops.identity)
+    check_model_size(ops, w)
+    rewritten = _rewrite(x.edges, colours, collection, to_red=True)
+    names = rewritten[0] if rewritten else x.edges
+    # blue is the row of b(i, j); row i's square at j reads a(i, j) and
+    # b(i+1, 2j), b(i+1, 2j+1) (BS) or b(i+1, j) (grid), and yields the
+    # blue-first pair b(i, j), a(i, j+1).
+    blue = names[n:]
+    edge_of = g.edge
+    vmap = dict(zip(zip(repeat(n), range(m)), [edge_of(b).range_ for b in blue]))
+    vmap[w] = at
+    emap = dict(zip(zip(vmap, repeat("b")), blue))
+    to_blue, lookup = collection.red_to_blue, collection.lookup_red
+    bs = ops.name == "bs"
+    for i in range(n - 1, -1, -1):
+        a = names[i]
+        reds = [a]
+        below, blue = blue, []
+        for tail in zip(below[::2], below[1::2]) if bs else zip(below):
+            boundary = (a, *tail)
+            pair = to_blue.get(boundary) or lookup(boundary).blue_boundary()
+            blue.append(pair[0])
+            a = pair[1]
+            reds.append(a)
+        zs = list(zip(repeat(i), range(len(reds))))
+        vmap.update(zip(zs, [edge_of(r).range_ for r in reds]))
+        emap.update(zip(zip(zs, repeat("a")), reds))
+        emap.update(zip(zip(zs, repeat("b")), blue))
+    lam = Morphism(ops, w, vmap, emap)
+    if not check_traverses(g, lam, x):
+        raise Conflict(
+            f"the lift of {x} does not traverse it; the collection cannot be "
+            f"complete for this graph"
+        )
+    return lam
 
 
 def normal_form(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Path:
@@ -295,34 +261,13 @@ def normal_form(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Pa
     each blue-first ``b a`` pair becomes the red-first ``a b`` pair.  The
     rules do not overlap and each shortens the colour word or moves a red
     letter left, so every order of rewriting ends at the same normal form:
-    the word with no ``a b b`` factor, resp. ``a^m b^n``.  Letters wait on
-    a stack, so a rewrite only looks again at its neighbours.  A missing
+    the word with no ``a b b`` factor, resp. ``a^m b^n``.  A missing
     square raises ``NotCovered``.
     """
-    ops = collection.ops
-    if ops.name == "bs":
-        pattern, lookup, keys = ops.red_first_word, collection.lookup_red, blue_keys(ops)
-    else:
-        pattern, lookup, keys = ops.blue_first_word, collection.lookup_blue, red_keys(ops)
-    width = len(pattern)
-    # Everything before the first match is already in normal form.
-    start = "".join(x.colours).find("".join(pattern))
-    if start < 0:
+    rewritten = _rewrite(x.edges, x.colours, collection, to_red=collection.ops.name != "bs")
+    if rewritten is None:
         return x
-    start += width - 1
-    pattern = list(pattern)
-    names = list(x.edges[:start])
-    colours = list(x.colours[:start])
-    # Edges still to place, next one last; a rewrite pushes its output here.
-    todo = list(zip(reversed(x.edges[start:]), reversed(x.colours[start:])))
-    while todo:
-        name, colour = todo.pop()
-        names.append(name)
-        colours.append(colour)
-        if colour == pattern[-1] and colours[-width:] == pattern:
-            emap = lookup(names[-width:]).emap
-            del names[-width:], colours[-width:]
-            todo.extend((emap[k], k[1]) for k in reversed(keys))
+    names, colours = rewritten
     return Path(tuple(names), x.range_, x.source, tuple(colours))
 
 
@@ -437,11 +382,16 @@ def rewrite_tail(g: ColouredGraph, lam: Morphism, z: Path) -> Path:
 MAX_SEARCH_NODES = 10**6
 
 
+class _LimitReached(Exception):
+    """Unwinds the enumeration search once it has found enough morphisms."""
+
+
 def enumerate_morphisms(
     g: ColouredGraph,
     collection: CompleteCollection,
     w,
     max_vertices: int = 10**4,
+    limit: int | None = None,
 ) -> list[Morphism]:
     """Brute-force oracle: every total colour/structure-preserving
     assignment on the model graph of w, filtered to compatible ones.
@@ -451,7 +401,9 @@ def enumerate_morphisms(
     are checked only on total assignments, so the search itself knows
     nothing of the collection.  Exponential by design;
     guarded by max_vertices before the search and by MAX_SEARCH_NODES
-    during it.
+    during it.  With a non-negative ``limit`` the search stops once it has
+    found that many morphisms, and returns the first ``limit`` of the full
+    list.
     """
     ops = collection.ops
     if ops.prefix_count(w) > max_vertices:
@@ -461,7 +413,9 @@ def enumerate_morphisms(
     domain = model(ops, w)
     vertices, edge_keys = domain.vertices, domain.edges
     if not edge_keys:
-        return [identity_morphism(ops, v) for v in g.vertices]
+        return [identity_morphism(ops, v) for v in g.vertices][:limit]
+    if limit == 0:
+        return []
     # Domain vertices and edges are numbered; images[i] is the ambient
     # vertex of vertices[i], names[i] the ambient edge of edge_keys[i].
     vertex_index = {z: i for i, z in enumerate(vertices)}
@@ -505,6 +459,8 @@ def enumerate_morphisms(
                 results.append(Morphism(
                     ops, w, dict(zip(vertices, images)), dict(zip(edge_keys, names))
                 ))
+                if len(results) == limit:
+                    raise _LimitReached
             return
         r, t, source_fixed, choices = levels[i]
         if source_fixed:
@@ -519,7 +475,10 @@ def enumerate_morphisms(
                 images[t] = source
                 backtrack(i + 1)
 
-    for v in g.vertices:
-        images[vertex_index[ops.identity]] = v
-        backtrack(0)
+    try:
+        for v in g.vertices:
+            images[vertex_index[ops.identity]] = v
+            backtrack(0)
+    except _LimitReached:
+        pass
     return results

@@ -127,7 +127,10 @@ class CompleteCollection:
 
     The indices keep the first square of each boundary; every later list
     entry with the same boundary, renamed copies included, is recorded in
-    duplicate_red / duplicate_blue.
+    duplicate_red / duplicate_blue.  red_to_blue and blue_to_red map each
+    indexed boundary tuple straight to the other boundary of its square,
+    for the lift and rewriting loops; a miss there means the lookup of the
+    same boundary raises ``NotCovered``.
     """
 
     ops: object
@@ -136,6 +139,8 @@ class CompleteCollection:
     index_blue: dict = field(default_factory=dict)
     duplicate_red: list = field(default_factory=list)
     duplicate_blue: list = field(default_factory=list)
+    red_to_blue: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    blue_to_red: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         for sq in self.squares:
@@ -145,10 +150,12 @@ class CompleteCollection:
                 self.duplicate_red.append(red)
             else:
                 self.index_red[red] = sq
+                self.red_to_blue[red] = blue
             if blue in self.index_blue:
                 self.duplicate_blue.append(blue)
             else:
                 self.index_blue[blue] = sq
+                self.blue_to_red[blue] = red
 
     def lookup_red(self, boundary) -> Square:
         boundary = tuple(boundary)

@@ -2,7 +2,7 @@
 
 Everything here works on raw letter strings or by exhaustive search, on
 purpose: none of it shares code with the canonical-pair arithmetic or the
-constraint-propagation lifter it is used to validate.
+lifter it is used to validate.
 """
 
 from __future__ import annotations

@@ -108,6 +108,12 @@ def test_compose_and_factorize(capsys):
     assert data["right"]["degree"]["pair"] == [2, 0]
 
 
+def test_compose_sides_must_meet(capsys):
+    code, out, _ = invoke(capsys, "compose", E, "--lhs", "f", "--rhs", "g")
+    assert code == 1
+    assert out == "NotComposable: s(mu) = v != r(nu) = u\n"
+
+
 def test_traversals(capsys):
     code, out, _ = invoke(capsys, "traversals", E, "--path", "g g f h")
     assert code == 0
@@ -146,7 +152,7 @@ def test_lift_too_large_exit_2(capsys):
     assert code == 2 and err.startswith("resource limit:")
 
 
-def test_enumerate_too_many_search_nodes_exit_2(tmp_path, capsys):
+def _ten_red_loops(tmp_path) -> str:
     # One vertex, one blue loop, ten red loops: a^2 b^8 has only 17 model
     # vertices, but 10^8 total assignments for the brute-force search.
     lines = ["mode bs", "vertex x", "edge b b x x"]
@@ -154,9 +160,22 @@ def test_enumerate_too_many_search_nodes_exit_2(tmp_path, capsys):
     lines += [f"square s{i} eA=r{i} aB=b abB=b eB=b bA=r{i}" for i in range(10)]
     p = tmp_path / "loops.cg"
     p.write_text("\n".join(lines) + "\n")
+    return str(p)
+
+
+def test_enumerate_too_many_search_nodes_exit_2(tmp_path, capsys):
+    p = _ten_red_loops(tmp_path)
     start = time.perf_counter()
-    code, _, err = invoke(capsys, "enumerate", str(p), "--degree", "a2 b8")
+    code, _, err = invoke(capsys, "enumerate", p, "--degree", "a2 b8")
     assert time.perf_counter() - start < 1.0
+    assert code == 2 and err.startswith("resource limit:")
+
+
+def test_enumerate_limit_stops_the_search(tmp_path, capsys):
+    p = _ten_red_loops(tmp_path)
+    code, out, _ = invoke(capsys, "enumerate", p, "--degree", "a2 b8", "--limit", "1", "--json")
+    assert code == 0 and json.loads(out)["count"] == 1
+    code, _, err = invoke(capsys, "enumerate", p, "--degree", "a2 b8", "--json")
     assert code == 2 and err.startswith("resource limit:")
 
 

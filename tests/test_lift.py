@@ -1,0 +1,215 @@
+"""The row-filling lift against the worklist lift it replaced.
+
+``_WorklistLift`` is the earlier engine, kept here as the reference: it
+appends the path one edge at a time and completes every translated square
+whose one boundary is fully assigned, from either side, until nothing
+changes.  The two must give the same morphism on every path of a complete
+collection.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bsgraph.category import LambdaContext, all_paths
+from bsgraph.errors import Conflict, NotComposable, NotCovered
+from bsgraph.fixtures import parse_fixture
+from bsgraph.graphs import path_degree, validate_path
+from bsgraph.models import check_model_size, model
+from bsgraph.morphisms import Morphism, identity_morphism, lift_path
+from bsgraph.squares import CompleteCollection, blue_keys, red_keys
+
+from .test_normal_form import generated_paths
+
+
+class _WorklistLift:
+    """Mutable assignment with square-completion propagation."""
+
+    def __init__(self, g, collection):
+        self.g = g
+        self.c = collection
+        ops = self.ops = collection.ops
+        self.vmap: dict = {}
+        self.emap: dict = {}
+        self.degree = ops.identity
+        self._done: set = set()
+        self._red_keys = red_keys(ops)
+        self._blue_keys = blue_keys(ops)
+        self._unit = {l: ops.step(ops.identity, l) for l in "ab"}
+        # (relative base, letter) pairs that can place an assigned edge
+        # inside a square boundary, for worklist seeding.
+        self._offsets = {
+            l: [k for k in self._red_keys + self._blue_keys if k[1] == l] for l in "ab"
+        }
+
+    def set_vertex(self, z, vertex):
+        old = self.vmap.setdefault(z, vertex)
+        if old != vertex:
+            raise Conflict(f"vertex {self.ops.format(z)} forced to both {old!r} and {vertex!r}")
+
+    def set_edge(self, z, letter, name, queue):
+        old = self.emap.get((z, letter))
+        if old is not None:
+            if old != name:
+                raise Conflict(f"edge ({self.ops.format(z)},{letter}) forced to two edges")
+            return
+        edge = self.g.edge(name)
+        self.emap[(z, letter)] = name
+        self.set_vertex(z, edge.range_)
+        self.set_vertex(self.ops.step(z, letter), edge.source)
+        for rel, _ in self._offsets[letter]:
+            m = self.ops.left_factor(z, rel)
+            if m is not None and m not in self._done:
+                queue.append(m)
+
+    def append(self, name):
+        ops = self.ops
+        edge = self.g.edge(name)
+        if self.vmap[self.degree] != edge.range_:
+            raise NotComposable(None, f"edge {name!r} does not meet the path")
+        queue: list = []
+        self.degree = ops.step(self.degree, edge.colour)
+        z = ops.left_factor(self.degree, self._unit[edge.colour])
+        self.set_edge(z, edge.colour, name, queue)
+        self.propagate(queue)
+
+    def propagate(self, queue):
+        ops = self.ops
+        while queue:
+            m = queue.pop()
+            if m in self._done or not ops.is_prefix(ops.mul(m, ops.square_degree), self.degree):
+                continue
+            red = [self.emap.get((ops.mul(m, rel), l)) for rel, l in self._red_keys]
+            blue = [self.emap.get((ops.mul(m, rel), l)) for rel, l in self._blue_keys]
+            if all(red) and not all(blue):
+                self._fill(m, self.c.lookup_red(red), queue)
+            elif all(blue) and not all(red):
+                self._fill(m, self.c.lookup_blue(blue), queue)
+            elif all(red) and all(blue):
+                if list(self.c.lookup_red(red).blue_boundary()) != blue:
+                    raise Conflict(f"square at {ops.format(m)} is not in the collection")
+            else:
+                continue
+            self._done.add(m)
+
+    def _fill(self, m, square, queue):
+        for (rel, letter), name in square.emap.items():
+            z = self.ops.mul(m, rel)
+            old = self.emap.get((z, letter))
+            if old is None:
+                self.set_edge(z, letter, name, queue)
+            elif old != name:
+                raise Conflict(f"edge ({self.ops.format(z)},{letter}) forced to two edges")
+
+
+def worklist_lift(g, collection, x) -> Morphism:
+    ops = collection.ops
+    if not x.edges:
+        return identity_morphism(ops, x.range_)
+    check_model_size(ops, path_degree(ops, x))
+    state = _WorklistLift(g, collection)
+    state.set_vertex(ops.identity, x.range_)
+    for name in x.edges:
+        state.append(name)
+    if len(state.emap) != len(model(ops, state.degree).edges):
+        raise Conflict("propagation left domain edges unassigned")
+    return Morphism(ops, state.degree, state.vmap, state.emap)
+
+
+def _agree(ctx: LambdaContext, paths) -> None:
+    for x in paths:
+        assert lift_path(ctx.graph, ctx.collection, x) == worklist_lift(
+            ctx.graph, ctx.collection, x
+        ), str(x)
+
+
+@pytest.mark.parametrize("name, max_len", [("ctx", 8), ("grid_ctx", 9)])
+def test_lift_matches_worklist_on_fixtures(name, max_len, request):
+    ctx = request.getfixturevalue(name)
+    _agree(ctx, all_paths(ctx.graph, max_len))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_paths(8))
+def test_lift_matches_worklist_on_one_vertex_collections(drawn):
+    ctx, paths = drawn
+    _agree(ctx, paths)
+
+
+@st.composite
+def multi_vertex_paths(draw):
+    """Two or three vertices with a blue loop b<v> at each, parallel red
+    edges between them, and per (range, source) pair a random permutation
+    pairing each red-first boundary r b b (grid: r b) with a blue-first
+    b r'; plus random walks in that graph."""
+    mode = draw(st.sampled_from(["bs", "grid"]))
+    colours = {"a": "a", "b": "b"} if mode == "bs" else {"a": "1", "b": "2"}
+    vertices = [f"v{i}" for i in range(draw(st.integers(2, 3)))]
+    lines = [f"mode {mode}"] + [f"vertex {v}" for v in vertices]
+    lines += [f"edge b{v} {colours['b']} {v} {v}" for v in vertices]
+    for u in vertices:
+        for v in vertices:
+            reds = [f"r{u}{v}_{k}" for k in range(draw(st.integers(0, 2)))]
+            lines += [f"edge {r} {colours['a']} {u} {v}" for r in reds]
+            for r, s in zip(reds, draw(st.permutations(reds))):
+                if mode == "bs":
+                    lines.append(f"square s{r} eA={r} aB=b{v} abB=b{v} eB=b{u} bA={s}")
+                else:
+                    lines.append(f"square s{r} v1={r} e1v2=b{v} v2=b{u} e2v1={s}")
+    fx = parse_fixture("\n".join(lines) + "\n")
+    ctx = LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    paths = []
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.sampled_from(vertices))
+        names = []
+        for _ in range(draw(st.integers(1, 8))):
+            out = [e for e in fx.graph.edges if e.range_ == at]
+            edge = draw(st.sampled_from(out))
+            names.append(edge.name)
+            at = edge.source
+        paths.append(validate_path(fx.graph, names))
+    return ctx, paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_vertex_paths())
+def test_lift_matches_worklist_on_multi_vertex_collections(drawn):
+    ctx, paths = drawn
+    _agree(ctx, paths)
+
+
+def test_duplicated_red_boundary_is_a_conflict():
+    # Both squares have the red-first boundary r1 b b; S' comes first, so
+    # it owns that boundary in the index, while b r1 belongs to S alone.
+    fx = parse_fixture(
+        "mode bs\nvertex x\nedge b b x x\nedge r1 a x x\nedge r2 a x x\n"
+        "square S' eA=r1 aB=b abB=b eB=b bA=r2\n"
+        "square S eA=r1 aB=b abB=b eB=b bA=r1\n"
+    )
+    coll = CompleteCollection(fx.ops, tuple(fx.squares))
+    x = validate_path(fx.graph, ["b", "r1"])
+    # The worklist lift completes the square from its blue-first side.
+    s = next(sq for sq in fx.squares if sq.name == "S")
+    assert worklist_lift(fx.graph, coll, x).emap == s.emap
+    # Rewriting reaches r1 b b through S; filling reads it back as S'.
+    with pytest.raises(Conflict):
+        lift_path(fx.graph, coll, x)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        # Rewriting k h to the longest traversal needs phi2's blue side.
+        (["k", "h"], "no square with blue-first boundary k h"),
+        # h g g is already longest; filling its row needs phi2's red side.
+        (["h", "g", "g"], "no square with red-first boundary h g g"),
+    ],
+)
+def test_lift_names_the_missing_boundary(incomplete_fixture, names, message):
+    fx = incomplete_fixture
+    coll = CompleteCollection(fx.ops, tuple(fx.squares))
+    with pytest.raises(NotCovered) as exc:
+        lift_path(fx.graph, coll, validate_path(fx.graph, names))
+    assert str(exc.value) == message

@@ -263,6 +263,13 @@ def test_enumerate_matches_dict_search(ctx, grid_ctx, incomplete_fixture):
             assert enumerate_morphisms(g, coll, w) == _enumerate_by_dicts(g, coll, w), w
 
 
+def test_enumerate_limit_is_a_prefix_of_the_full_list(ctx, grid_ctx):
+    for c, w in ((ctx, (1, 2)), (ctx, BS.identity), (grid_ctx, (1, 1))):
+        full = enumerate_morphisms(c.graph, c.collection, w)
+        for k in range(len(full) + 2):
+            assert enumerate_morphisms(c.graph, c.collection, w, limit=k) == full[:k]
+
+
 def test_unique_lifting_against_oracle(ctx):
     """Uniqueness at small scale: each path picks out exactly one
     compatible morphism, the lift."""
@@ -285,6 +292,20 @@ def test_conflict_reported_for_incompatible_seed(ctx, incomplete_fixture):
     coll = CompleteCollection(fx.ops, tuple(fx.squares))
     with pytest.raises((NotCovered, Conflict)):
         lift_path(fx.graph, coll, validate_path(fx.graph, ["k", "k", "h", "f"]))
+
+
+def test_morphism_maps_are_read_only(example_lam):
+    key = example_lam.key()
+    with pytest.raises(TypeError):
+        example_lam.vmap[BS.identity] = "v"
+    with pytest.raises(TypeError):
+        example_lam.emap[(BS.identity, "a")] = "h"
+    # The maps are private copies: changing a dict the morphism was built
+    # from changes neither the morphism nor its cached key.
+    vmap, emap = dict(example_lam.vmap), dict(example_lam.emap)
+    copy = Morphism(BS, example_lam.degree, vmap, emap)
+    vmap[BS.identity] = "v"
+    assert copy == example_lam and copy.key() == key
 
 
 def test_morphism_json_shape(example_lam):

@@ -1,9 +1,9 @@
 """Boundary rewriting against the lift and the enumeration oracle.
 
-Three independent engines must name the same morphism for every path:
-``normal_form`` (rewriting the path one square at a time),
-``shortest_traversal(lift_path(x))`` (constraint propagation on the model
-graph), and the one enumerated morphism that x traverses (brute force).
+Three engines must name the same morphism for every path: ``normal_form``
+(rewriting the path one square at a time), ``shortest_traversal(lift_path(x))``
+(rewriting to the longest traversal, then filling the model graph row by
+row), and the one enumerated morphism that x traverses (brute force).
 """
 
 from __future__ import annotations
