@@ -6,14 +6,16 @@ verification sweeps exhaustively check the category, degree-functor, and
 factorization laws over every morphism lifted from paths up to a length
 bound, reporting the first counterexample when a law fails.  Inside the
 sweeps a morphism is its shortest traversal, and composing two of them is
-rewriting their concatenation back to normal form (``normal_form``); the
-dense form is built only for the pool, for restriction, and for the
-enumeration oracle.
+rewriting their concatenation back to normal form (``normal_form``).  One
+``CompositionTable`` per run names each traversal by an int and rewrites
+each distinct pair once, for all three suites.  The dense form is built
+only for the pool, for restriction, and for the enumeration oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import DegreeMismatch, NotComposable, UnknownVertex
 from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
@@ -173,9 +175,43 @@ def _sweep_pool(ctx: LambdaContext, max_len: int) -> tuple[list, list]:
     return cached
 
 
-def _composite(ctx: LambdaContext, x: Path, y: Path) -> Path:
-    """The shortest traversal of the composite of two traversed morphisms."""
-    return normal_form(ctx.graph, ctx.collection, concat(x, y))
+class CompositionTable:
+    """Interned shortest traversals and their composites, for one run.
+
+    Rewriting terminates and is confluent, so a shortest traversal names
+    its morphism: ``intern`` gives each one, keyed by (range, edges), an
+    int id, and equal morphisms get equal ids.  ``compose`` reads the
+    composite of two ids from a table and rewrites only on a miss, once
+    per distinct pair, with the module's ``normal_form``.
+    """
+
+    def __init__(self, ctx: LambdaContext):
+        self.graph = ctx.graph
+        self.collection = ctx.collection
+        self.paths: list[Path] = []  # id -> shortest traversal
+        self._ids: dict = {}  # (range, edges) -> id
+        # id i -> {id j: id of the composite of i and j}; one small dict
+        # per left factor holds no key tuples, which keeps the table lean.
+        self._products: list[dict] = []
+
+    def intern(self, x: Path) -> int:
+        key = (x.range_, x.edges)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.paths)
+            self.paths.append(x)
+            self._products.append({})
+        return i
+
+    def compose(self, i: int, j: int) -> int:
+        row = self._products[i]
+        k = row.get(j)
+        if k is None:
+            paths = self.paths
+            k = row[j] = self.intern(
+                normal_form(self.graph, self.collection, concat(paths[i], paths[j]))
+            )
+        return k
 
 
 def _describe(ops, x: Path) -> str:
@@ -190,41 +226,56 @@ def _by_range(paths: list) -> dict:
     return out
 
 
-def verify_category(ctx: LambdaContext, max_len: int) -> VerificationReport:
+def _pairs(paths: list, after: dict):
+    """Pool indices (i, j) of every composable pair, in pool order."""
+    for i, x in enumerate(paths):
+        for j in after.get(x.source, ()):
+            yield i, j
+
+
+def _interned_pool(ctx: LambdaContext, max_len: int, table: CompositionTable | None):
+    """The table (a new one if None), the pool, its shortest traversals,
+    and the table id of each traversal, by pool index."""
+    if table is None:
+        table = CompositionTable(ctx)
+    pool, paths = _sweep_pool(ctx, max_len)
+    return table, pool, paths, [table.intern(x) for x in paths]
+
+
+def verify_category(
+    ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
+) -> VerificationReport:
     """Range/source, associativity, and identity laws over the bounded pool."""
-    _, pool = _sweep_pool(ctx, max_len)
+    table, _, paths, ids = _interned_pool(ctx, max_len, table)
+    compose = table.compose
     ops = ctx.ops
-    after = _by_range(pool)
+    after = _by_range(paths)
     laws = []
 
     rs_instances = 0
     rs_fail = None
-    products = {}  # (i, j) -> composite of pool[i] and pool[j]
-    for i, mu in enumerate(pool):
-        for j in after.get(mu.source, ()):
-            nu = pool[j]
-            prod = products[i, j] = _composite(ctx, mu, nu)
-            rs_instances += 1
-            if prod.range_ != mu.range_ or prod.source != nu.source:
-                rs_fail = f"{_describe(ops, mu)} ; {_describe(ops, nu)}"
-                break
-        if rs_fail:
+    for i, j in _pairs(paths, after):
+        rs_instances += 1
+        prod = table.paths[compose(ids[i], ids[j])]
+        if prod.range_ != paths[i].range_ or prod.source != paths[j].source:
+            rs_fail = f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])}"
             break
     laws.append(LawResult("range/source of composites", rs_instances, rs_fail is None, rs_fail))
 
+    # Over the pairs the range/source law composed, the failing one included.
     assoc_instances = 0
     assoc_fail = None
-    for (i, j), left in products.items():
-        lam, mu = pool[i], pool[j]
-        for k in after.get(mu.source, ()):
-            nu = pool[k]
-            right = products.get((j, k))
-            if right is None:
-                right = _composite(ctx, mu, nu)
+    for i, j in islice(_pairs(paths, after), rs_instances):
+        lam, mu = ids[i], ids[j]
+        left = compose(lam, mu)
+        for k in after.get(paths[j].source, ()):
+            nu = ids[k]
             assoc_instances += 1
-            if _composite(ctx, left, nu) != _composite(ctx, lam, right):
+            right = compose(mu, nu)
+            if compose(left, nu) != compose(lam, right):
                 assoc_fail = (
-                    f"{_describe(ops, lam)} ; {_describe(ops, mu)} ; {_describe(ops, nu)}"
+                    f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])} ; "
+                    f"{_describe(ops, paths[k])}"
                 )
                 break
         if assoc_fail:
@@ -233,36 +284,36 @@ def verify_category(ctx: LambdaContext, max_len: int) -> VerificationReport:
 
     id_instances = 0
     id_fail = None
-    for lam in pool:
+    for lam, x in zip(ids, paths):
         id_instances += 1
         if (
-            _composite(ctx, vertex_path(ctx.graph, lam.range_), lam) != lam
-            or _composite(ctx, lam, vertex_path(ctx.graph, lam.source)) != lam
+            compose(table.intern(vertex_path(ctx.graph, x.range_)), lam) != lam
+            or compose(lam, table.intern(vertex_path(ctx.graph, x.source))) != lam
         ):
-            id_fail = _describe(ops, lam)
+            id_fail = _describe(ops, x)
             break
     laws.append(LawResult("identity laws", id_instances, id_fail is None, id_fail))
     return VerificationReport(laws)
 
 
-def verify_functor(ctx: LambdaContext, max_len: int) -> VerificationReport:
+def verify_functor(
+    ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
+) -> VerificationReport:
     """Degree is multiplicative on composites and trivial on identities."""
-    _, pool = _sweep_pool(ctx, max_len)
+    table, _, paths, ids = _interned_pool(ctx, max_len, table)
+    compose = table.compose
     ops = ctx.ops
-    degrees = [path_degree(ops, x) for x in pool]
-    after = _by_range(pool)
+    degrees = [path_degree(ops, x) for x in paths]
+    after = _by_range(paths)
     laws = []
 
     mult_instances = 0
     mult_fail = None
-    for i, mu in enumerate(pool):
-        for j in after.get(mu.source, ()):
-            nu = pool[j]
-            mult_instances += 1
-            if path_degree(ops, _composite(ctx, mu, nu)) != ops.mul(degrees[i], degrees[j]):
-                mult_fail = f"{_describe(ops, mu)} ; {_describe(ops, nu)}"
-                break
-        if mult_fail:
+    for i, j in _pairs(paths, after):
+        mult_instances += 1
+        prod = table.paths[compose(ids[i], ids[j])]
+        if path_degree(ops, prod) != ops.mul(degrees[i], degrees[j]):
+            mult_fail = f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])}"
             break
     laws.append(LawResult(
         "degree multiplicative on composites", mult_instances, mult_fail is None, mult_fail
@@ -279,22 +330,28 @@ def verify_functor(ctx: LambdaContext, max_len: int) -> VerificationReport:
     return VerificationReport(laws)
 
 
-def verify_factorization(ctx: LambdaContext, max_len: int) -> VerificationReport:
+def verify_factorization(
+    ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
+) -> VerificationReport:
     """Factor-then-compose returns the morphism, and each split is the
     unique factor pair of its degrees (checked against enumeration)."""
-    pool, paths = _sweep_pool(ctx, max_len)
+    table, pool, paths, ids = _interned_pool(ctx, max_len, table)
+    compose, intern, interned = table.compose, table.intern, table.paths
     ops = ctx.ops
     g = ctx.graph
     laws = []
 
     rt_instances = 0
     rt_fail = None
-    for lam, x in zip(pool, paths):
+    for lam, x, xid in zip(pool, paths, ids):
         for w1 in ops.prefixes(lam.degree):
             w2 = ops.quotient(w1, lam.degree)
             rt_instances += 1
+            # The split restricts the dense morphism, independently of
+            # rewriting; only composing the factors goes through the table.
             mu, nu = factorize(lam, w1, w2)
-            if _composite(ctx, shortest_traversal(g, mu), shortest_traversal(g, nu)) != x:
+            left, right = intern(shortest_traversal(g, mu)), intern(shortest_traversal(g, nu))
+            if compose(left, right) != xid:
                 rt_fail = f"{_describe(ops, x)} split at {ops.format(w1)}"
                 break
         if rt_fail:
@@ -308,14 +365,16 @@ def verify_factorization(ctx: LambdaContext, max_len: int) -> VerificationReport
     enum_memo: dict = {}
 
     def candidates(w):
-        """Traversals of every enumerated morphism of degree w, undeduplicated."""
+        """Ids of the traversals of every enumerated morphism of degree w,
+        undeduplicated."""
         if w not in enum_memo:
             enum_memo[w] = [
-                shortest_traversal(g, m) for m in enumerate_morphisms(g, ctx.collection, w)
+                intern(shortest_traversal(g, m))
+                for m in enumerate_morphisms(g, ctx.collection, w)
             ]
         return enum_memo[w]
 
-    for lam, x in zip(pool, paths):
+    for lam, x, xid in zip(pool, paths, ids):
         for w1 in ops.prefixes(lam.degree):
             w2 = ops.quotient(w1, lam.degree)
             uniq_instances += 1
@@ -323,7 +382,7 @@ def verify_factorization(ctx: LambdaContext, max_len: int) -> VerificationReport
                 (mu, nu)
                 for mu in candidates(w1)
                 for nu in candidates(w2)
-                if mu.source == nu.range_ and _composite(ctx, mu, nu) == x
+                if interned[mu].source == interned[nu].range_ and compose(mu, nu) == xid
             ]
             if len(matches) != 1:
                 uniq_fail = (
@@ -340,14 +399,18 @@ def verify_factorization(ctx: LambdaContext, max_len: int) -> VerificationReport
 
 
 def verify(ctx: LambdaContext, max_len: int, suites=SUITES) -> VerificationReport:
-    """The named law suites, run in order and merged into one report."""
+    """The named law suites, run in order and merged into one report.
+
+    The suites share one composition table, so a composite one suite has
+    computed is a table read for the next."""
     # Looked up per call, so a rebound suite function is the one that runs.
     run = {
         "category": verify_category,
         "functor": verify_functor,
         "factorization": verify_factorization,
     }
+    table = CompositionTable(ctx)
     laws = []
     for name in suites:
-        laws.extend(run[name](ctx, max_len).laws)
+        laws.extend(run[name](ctx, max_len, table).laws)
     return VerificationReport(laws)

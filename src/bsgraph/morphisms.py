@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graphs import ColouredGraph, Path, path_degree
 from .models import check_model_size, model, square_positions
-from .squares import CompleteCollection, Square, red_keys
+from .squares import CompleteCollection, Square, red_keys, square_edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +342,9 @@ def occurrences(lam: Morphism) -> list[tuple]:
     """(base position, square edge map) of every translated square inside
     lam's domain; the edge map is keyed relative to the square's domain."""
     ops = lam.ops
-    square_edges = model(ops, ops.square_degree).edges
+    edges = square_edges(ops)
     return [
-        (m, {(z, l): lam.emap[(ops.mul(m, z), l)] for (z, l) in square_edges})
+        (m, {(z, l): lam.emap[(ops.mul(m, z), l)] for (z, l) in edges})
         for m in square_positions(ops, lam.degree)
     ]
 
@@ -423,10 +423,10 @@ def enumerate_morphisms(
     # A square's edge names in model-edge order; one reader per occurrence
     # picks that tuple out of names (a square has at least four edges, so
     # itemgetter returns a tuple).
-    square_edges = model(ops, ops.square_degree).edges
-    known = {tuple([sq.emap[k] for k in square_edges]) for sq in collection.squares}
+    edges = square_edges(ops)
+    known = {tuple([sq.emap[k] for k in edges]) for sq in collection.squares}
     square_readers = [
-        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in square_edges])
+        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in edges])
         for m in square_positions(ops, w)
     ]
     # (name, source) of the ambient edges of each colour, by range vertex.

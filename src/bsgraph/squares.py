@@ -28,6 +28,12 @@ def boundary_keys(ops, colour_word) -> tuple:
     return tuple(keys)
 
 
+@cache
+def square_edges(ops) -> tuple:
+    """Domain edge keys (base, letter) of the square's model graph."""
+    return model(ops, ops.square_degree).edges
+
+
 def red_keys(ops) -> tuple:
     return boundary_keys(ops, ops.red_first_word)
 
@@ -59,12 +65,17 @@ def slot_table(ops) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class Square:
-    """Validated square: edge and vertex images on the square's model graph."""
+    """Validated square: edge and vertex images on the square's model graph.
+
+    ``graph`` is the graph the images were validated against, so a check
+    against that same graph need not validate them again.
+    """
 
     name: str
     ops: object
     emap: dict  # (degree, letter) -> edge name
     vmap: dict  # degree -> vertex name
+    graph: ColouredGraph | None = field(default=None, repr=False, compare=False)
 
     def red_boundary(self) -> tuple[str, ...]:
         return tuple(self.emap[k] for k in red_keys(self.ops))
@@ -85,13 +96,13 @@ def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
     Checks colours and that images meet at common vertices, deriving the
     vertex images along the way.
     """
-    domain = model(ops, ops.square_degree)
-    missing = [k for k in domain.edges if k not in images]
+    edges = square_edges(ops)
+    missing = [k for k in edges if k not in images]
     if missing:
         raise JunctionMismatch(f"square {name!r}: missing edge images {missing}")
     emap = {}
     vmap: dict = {}
-    for z, letter in domain.edges:
+    for z, letter in edges:
         edge = g.edge(images[(z, letter)])
         if edge.colour != letter:
             raise ColourMismatch(
@@ -106,7 +117,7 @@ def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
                     f"square {name!r}: vertex {ops.format(vertex_key)} forced "
                     f"to both {old!r} and {value!r}"
                 )
-    return Square(name, ops, emap, vmap)
+    return Square(name, ops, emap, vmap, g)
 
 
 def build_square_slots(g: ColouredGraph, ops, slots: dict, name: str = "") -> Square:
@@ -208,31 +219,37 @@ class CompletenessReport:
 
 def paths_with_colour_word(g: ColouredGraph, colour_word) -> list[tuple[str, ...]]:
     """All composable paths of g whose colour word matches, in declaration order."""
+    # (range, colour) -> edges in declaration order; range None: any range.
+    following: dict = {}
+    for e in g.edges:
+        following.setdefault((None, e.colour), []).append(e)
+        following.setdefault((e.range_, e.colour), []).append(e)
     partial: list[tuple] = [((), None)]
     for letter in colour_word:
-        extended = []
-        for names, tail in partial:
-            for e in g.edges:
-                if e.colour == letter and (tail is None or tail == e.range_):
-                    extended.append((names + (e.name,), e.source))
-        partial = extended
+        partial = [
+            (names + (e.name,), e.source)
+            for names, tail in partial
+            for e in following.get((tail, letter), ())
+        ]
     return [names for names, _ in partial]
 
 
 def check_complete(g: ColouredGraph, ops, squares) -> CompletenessReport:
     """Verify exactly-once coverage of both boundary-path families of g.
 
-    Squares authored against another graph are re-validated here; failures
-    land in the malformed list instead of raising.
+    Squares validated against another graph (or in another mode) are
+    validated again here; failures land in the malformed list instead of
+    raising.
     """
     valid = []
     malformed = []
     for sq in squares:
-        try:
-            build_square(g, ops, sq.emap, sq.name)
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
-            malformed.append(f"{sq.name}: {exc}")
-            continue
+        if sq.graph is not g or sq.ops is not ops:
+            try:
+                build_square(g, ops, sq.emap, sq.name)
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                malformed.append(f"{sq.name}: {exc}")
+                continue
         valid.append(sq)
     coll = CompleteCollection(ops, tuple(valid))
     red_paths = paths_with_colour_word(g, ops.red_first_word)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 import bsgraph.category as category
 from bsgraph.category import (
+    CompositionTable,
     all_paths,
     compose,
     factorize,
@@ -16,9 +18,12 @@ from bsgraph.category import (
     verify_functor,
 )
 from bsgraph.errors import DegreeMismatch, NotComposable, UnknownVertex
-from bsgraph.graphs import Path, validate_path
-from bsgraph.morphisms import lift_path, shortest_traversal
+from bsgraph.graphs import Path, concat, validate_path
+from bsgraph.morphisms import lift_path, normal_form, shortest_traversal
 from bsgraph.words import BS
+
+from .test_lift import multi_vertex_paths
+from .test_normal_form import generated_paths
 
 
 def _lift(ctx, names):
@@ -119,26 +124,113 @@ def test_verify_functor_multiplicativity_example(ctx):
     assert lam.degree == BS.mul((0, 2), (2, 0)) == (2, 8)
 
 
-def test_verify_category_reports_counterexample(ctx, monkeypatch):
-    """Fault injection: corrupting the sweep's composite must surface a
-    counterexample."""
-    real = category.normal_form
-    # The other edge of the same colour: g <-> k (blue), f <-> h (red).
-    other = {"g": "k", "k": "g", "f": "h", "h": "f"}
+# The other edge of the same colour in example_E.cg: g <-> k (blue), f <-> h (red).
+OTHER = {"g": "k", "k": "g", "f": "h", "h": "f"}
+
+
+def _swap_interior_edge(real):
+    """A rewriter that swaps one interior edge of every result of length
+    >= 3 for the other edge of its colour, keeping the endpoints."""
 
     def corrupted(g, collection, x):
         y = real(g, collection, x)
         if len(y) < 3:
             return y
-        # swap one interior edge only, keeping the endpoints intact
-        edges = y.edges[:1] + (other[y.edges[1]],) + y.edges[2:]
+        edges = y.edges[:1] + (OTHER[y.edges[1]],) + y.edges[2:]
         return Path(edges, y.range_, y.source, y.colours)
 
-    monkeypatch.setattr(category, "normal_form", corrupted)
+    return corrupted
+
+
+def _drop_last_edge(real):
+    """A rewriter that loses the last edge of every result of length >= 3,
+    which also changes its degree."""
+
+    def corrupted(g, collection, x):
+        y = real(g, collection, x)
+        if len(y) < 3:
+            return y
+        return Path(y.edges[:-1], y.range_, y.source, y.colours[:-1])
+
+    return corrupted
+
+
+def test_verify_category_reports_counterexample(ctx, monkeypatch):
+    """Fault injection: corrupting the sweep's composite must surface a
+    counterexample."""
+    monkeypatch.setattr(category, "normal_form", _swap_interior_edge(category.normal_form))
     report = category.verify_category(ctx, 2)
     assert not report.passed
     failing = [law for law in report.laws if not law.passed]
     assert failing and all(law.counterexample for law in failing)
+
+
+def test_fault_is_found_after_a_clean_run_on_the_same_context(ctx, monkeypatch):
+    """No composite outlives its run: a rewriter corrupted after a clean
+    run on the same context is called again, and caught."""
+    assert category.verify_category(ctx, 2).passed
+    assert category.verify(ctx, 2).passed
+    monkeypatch.setattr(category, "normal_form", _swap_interior_edge(category.normal_form))
+    assert not category.verify_category(ctx, 2).passed
+    assert not category.verify(ctx, 2).passed
+
+
+def test_fault_fails_every_law_that_composes(ctx, monkeypatch):
+    """Through ``verify`` the suites share one table, so a corrupted
+    rewriter fails the functor and factorization laws as well."""
+    monkeypatch.setattr(category, "normal_form", _drop_last_edge(category.normal_form))
+    report = category.verify(ctx, 3)
+    failing = [law for law in report.laws if not law.passed]
+    assert [law.name for law in failing] == [
+        "range/source of composites",
+        "associativity",
+        "identity laws",
+        "degree multiplicative on composites",
+        "factorize/compose round-trip",
+        "factor pair uniqueness",
+    ]
+    assert all(law.counterexample for law in failing)
+
+
+def _table_matches_rewriting(ctx, max_len: int) -> int:
+    """Every composable pair of pool traversals: the table's composite is
+    the normal form of the concatenation.  Returns the pair count."""
+    g, coll = ctx.graph, ctx.collection
+    table = CompositionTable(ctx)
+    paths = [shortest_traversal(g, lam) for lam in pool_morphisms(ctx, max_len)]
+    ids = [table.intern(x) for x in paths]
+    assert len(set(ids)) == len(ids)
+    by_range: dict = {}
+    for y, j in zip(paths, ids):
+        by_range.setdefault(y.range_, []).append((y, j))
+    pairs = 0
+    for x, i in zip(paths, ids):
+        for y, j in by_range.get(x.source, ()):
+            z = normal_form(g, coll, concat(x, y))
+            k = table.compose(i, j)
+            assert table.paths[k] == z, f"{x} ; {y}"
+            assert table.intern(Path(z.edges, z.range_, z.source, z.colours)) == k
+            pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("name, pairs", [("ctx", 392), ("grid_ctx", 100)])
+def test_table_composites_are_normal_forms_on_fixtures(name, pairs, request):
+    assert _table_matches_rewriting(request.getfixturevalue(name), 3) == pairs
+
+
+@settings(max_examples=20, deadline=None)
+@given(generated_paths(1))
+def test_table_composites_are_normal_forms_on_one_vertex_collections(drawn):
+    ctx, _ = drawn
+    assert _table_matches_rewriting(ctx, 3) > 0
+
+
+@settings(max_examples=6, deadline=None)
+@given(multi_vertex_paths())
+def test_table_composites_are_normal_forms_on_multi_vertex_collections(drawn):
+    ctx, _ = drawn
+    assert _table_matches_rewriting(ctx, 3) > 0
 
 
 def test_empty_graph_passes_vacuously():

@@ -94,6 +94,11 @@ def _cases() -> dict[str, list[str]]:
     e_fx = str(FIXTURE_DIR / "example_E.cg")
     cases["lift-E-identity-json"] = ["lift", e_fx, "--path", "u", "--json"]
     cases["enumerate-E-empty-json"] = ["enumerate", e_fx, "--degree", "ba", "--limit", "0", "--json"]
+    # Larger law sweeps, so every composite the law suites share is pinned.
+    cases["verify-E-len4-json"] = ["verify", e_fx, "--max-len", "4", "--json"]
+    cases["verify-grid-len5-json"] = [
+        "verify", str(FIXTURE_DIR / "grid_single_vertex.cg"), "--max-len", "5", "--json",
+    ]
     for key, (name, lhs, rhs, at) in LONG_PATHS.items():
         fx = str(FIXTURE_DIR / name)
         cases[f"lift-{key}-json"] = ["lift", fx, "--path", f"{lhs} {rhs}", "--json"]

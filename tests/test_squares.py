@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bsgraph.squares as squares
+from bsgraph.cli import run
 from bsgraph.errors import ColourMismatch, JunctionMismatch, NotCovered
+from bsgraph.graphs import build_graph
 from bsgraph.squares import (
     BS_SLOTS,
     CompleteCollection,
@@ -129,3 +134,65 @@ def test_slot_keys_match_square_model():
     domain_edges = set(model(BS, BS.square_degree).edges)
     assert set(BS_SLOTS.values()) == domain_edges
     assert BS_SLOTS["eA"] == (BS.identity, "a")
+
+
+def _paths_by_scan(g, colour_word):
+    """The earlier ``paths_with_colour_word``: every edge is scanned for
+    every partial path.  Kept as the reference for the indexed version."""
+    partial = [((), None)]
+    for letter in colour_word:
+        extended = []
+        for names, tail in partial:
+            for e in g.edges:
+                if e.colour == letter and (tail is None or tail == e.range_):
+                    extended.append((names + (e.name,), e.source))
+        partial = extended
+    return [names for names, _ in partial]
+
+
+@st.composite
+def coloured_graphs(draw):
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from("ab"), st.sampled_from(vertices), st.sampled_from(vertices)),
+        max_size=10,
+    ))
+    return build_graph(vertices, [(f"e{i}", c, r, s) for i, (c, r, s) in enumerate(edges)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(coloured_graphs(), st.lists(st.sampled_from("ab"), max_size=4))
+def test_indexed_boundary_paths_match_the_scan(g, word):
+    for colour_word in (BS.red_first_word, BS.blue_first_word, ("a", "b"), tuple(word)):
+        assert paths_with_colour_word(g, colour_word) == _paths_by_scan(g, colour_word)
+
+
+def test_square_from_another_graph_is_malformed(graph_E, phi1):
+    # The same edge names, but k now runs from u to v: phi1's k k no
+    # longer meets itself.
+    moved = build_graph(
+        ["u", "v"],
+        [("g", "b", "u", "u"), ("k", "b", "u", "v"), ("f", "a", "u", "v"), ("h", "a", "v", "u")],
+    )
+    report = check_complete(moved, BS, [phi1])
+    assert not report.complete
+    assert report.square_count == 0
+    assert [m.split(":")[0] for m in report.malformed] == ["phi1"]
+    # An equal graph that is another object validates again, and passes.
+    same = build_graph(list(graph_E.vertices), [
+        (e.name, e.colour, e.range_, e.source) for e in graph_E.edges
+    ])
+    assert check_complete(same, BS, [phi1]).malformed == []
+
+
+def test_check_validates_each_parsed_square_once(monkeypatch, fixture_dir):
+    calls = []
+    real = squares.build_square
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(squares, "build_square", counted)
+    assert run(["check", str(fixture_dir / "example_E.cg")]) == 0
+    assert calls == ["phi1", "phi2"]
