@@ -9,7 +9,8 @@ sweeps a morphism is its shortest traversal, and composing two of them is
 rewriting their concatenation back to normal form (``normal_form``).  One
 ``CompositionTable`` per run names each traversal by an int and rewrites
 each distinct pair once, for all three suites.  The dense form is built
-only for the pool, for restriction, and for the enumeration oracle.
+only for the pool and for the enumeration oracle: the factorization suite
+reads each split's two traversals straight off the pool morphism.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import DegreeMismatch, NotComposable, UnknownVertex
+from .errors import Conflict, DegreeMismatch, NotComposable, UnknownVertex
 from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
 from .morphisms import (
     Morphism,
@@ -28,6 +29,7 @@ from .morphisms import (
     restrict,
     restrict_shifted,
     shortest_traversal,
+    split_traversals,
 )
 from .squares import CompleteCollection, paths_with_colour_word
 
@@ -149,18 +151,33 @@ def pool_morphisms(ctx: LambdaContext, max_len: int) -> list[Morphism]:
 
 
 def require_covered(ctx: LambdaContext) -> None:
-    """Look up every boundary path of the graph, blue-first ones first.
+    """Look up every boundary path of the graph, blue-first ones first,
+    then require each boundary to belong to one square only.
 
     A rewriting sweep only meets the squares its paths touch, so a missing
-    square elsewhere would go unseen; this raises its ``NotCovered``.
+    or duplicated square elsewhere would go unseen; this raises the
+    ``NotCovered`` of the first missing one, else a ``Conflict`` naming
+    the first duplicated boundary, red-first ones first, in index order.
     """
     ops = ctx.ops
+    coll = ctx.collection
     for word, lookup in (
-        (ops.blue_first_word, ctx.collection.lookup_blue),
-        (ops.red_first_word, ctx.collection.lookup_red),
+        (ops.blue_first_word, coll.lookup_blue),
+        (ops.red_first_word, coll.lookup_red),
     ):
         for boundary in paths_with_colour_word(ctx.graph, word):
             lookup(boundary)
+    for kind, index, duplicates in (
+        ("red-first", coll.index_red, coll.duplicate_red),
+        ("blue-first", coll.index_blue, coll.duplicate_blue),
+    ):
+        if duplicates:
+            repeated = set(duplicates)
+            boundary = next(b for b in index if b in repeated)
+            raise Conflict(
+                f"the {kind} boundary {' '.join(boundary)} belongs to more than "
+                f"one square; the collection cannot be complete for this graph"
+            )
 
 
 def _sweep_pool(ctx: LambdaContext, max_len: int) -> tuple[list, list]:
@@ -245,9 +262,12 @@ def _interned_pool(ctx: LambdaContext, max_len: int, table: CompositionTable | N
 def verify_category(
     ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
-    """Range/source, associativity, and identity laws over the bounded pool."""
+    """Range/source, associativity, and identity laws over the bounded pool.
+
+    Composites are read from the table's rows; ``compose`` runs only on a
+    miss."""
     table, _, paths, ids = _interned_pool(ctx, max_len, table)
-    compose = table.compose
+    compose, products, interned = table.compose, table._products, table.paths
     ops = ctx.ops
     after = _by_range(paths)
     laws = []
@@ -256,7 +276,10 @@ def verify_category(
     rs_fail = None
     for i, j in _pairs(paths, after):
         rs_instances += 1
-        prod = table.paths[compose(ids[i], ids[j])]
+        k = products[ids[i]].get(ids[j])
+        if k is None:
+            k = compose(ids[i], ids[j])
+        prod = interned[k]
         if prod.range_ != paths[i].range_ or prod.source != paths[j].source:
             rs_fail = f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])}"
             break
@@ -267,12 +290,24 @@ def verify_category(
     assoc_fail = None
     for i, j in islice(_pairs(paths, after), rs_instances):
         lam, mu = ids[i], ids[j]
-        left = compose(lam, mu)
+        lam_row, mu_row = products[lam], products[mu]
+        left = lam_row.get(mu)
+        if left is None:
+            left = compose(lam, mu)
+        left_row = products[left]
         for k in after.get(paths[j].source, ()):
             nu = ids[k]
             assoc_instances += 1
-            right = compose(mu, nu)
-            if compose(left, nu) != compose(lam, right):
+            right = mu_row.get(nu)
+            if right is None:
+                right = compose(mu, nu)
+            outer = left_row.get(nu)
+            if outer is None:
+                outer = compose(left, nu)
+            inner = lam_row.get(right)
+            if inner is None:
+                inner = compose(lam, right)
+            if outer != inner:
                 assoc_fail = (
                     f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])} ; "
                     f"{_describe(ops, paths[k])}"
@@ -284,12 +319,16 @@ def verify_category(
 
     id_instances = 0
     id_fail = None
+    unit = {v: table.intern(vertex_path(ctx.graph, v)) for v in ctx.graph.vertices}
     for lam, x in zip(ids, paths):
         id_instances += 1
-        if (
-            compose(table.intern(vertex_path(ctx.graph, x.range_)), lam) != lam
-            or compose(lam, table.intern(vertex_path(ctx.graph, x.source))) != lam
-        ):
+        on_left = products[unit[x.range_]].get(lam)
+        if on_left is None:
+            on_left = compose(unit[x.range_], lam)
+        on_right = products[lam].get(unit[x.source])
+        if on_right is None:
+            on_right = compose(lam, unit[x.source])
+        if on_left != lam or on_right != lam:
             id_fail = _describe(ops, x)
             break
     laws.append(LawResult("identity laws", id_instances, id_fail is None, id_fail))
@@ -301,7 +340,7 @@ def verify_functor(
 ) -> VerificationReport:
     """Degree is multiplicative on composites and trivial on identities."""
     table, _, paths, ids = _interned_pool(ctx, max_len, table)
-    compose = table.compose
+    compose, products, interned = table.compose, table._products, table.paths
     ops = ctx.ops
     degrees = [path_degree(ops, x) for x in paths]
     after = _by_range(paths)
@@ -311,8 +350,10 @@ def verify_functor(
     mult_fail = None
     for i, j in _pairs(paths, after):
         mult_instances += 1
-        prod = table.paths[compose(ids[i], ids[j])]
-        if path_degree(ops, prod) != ops.mul(degrees[i], degrees[j]):
+        k = products[ids[i]].get(ids[j])
+        if k is None:
+            k = compose(ids[i], ids[j])
+        if path_degree(ops, interned[k]) != ops.mul(degrees[i], degrees[j]):
             mult_fail = f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])}"
             break
     laws.append(LawResult(
@@ -334,68 +375,82 @@ def verify_factorization(
     ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
     """Factor-then-compose returns the morphism, and each split is the
-    unique factor pair of its degrees (checked against enumeration)."""
+    unique factor pair of its degrees that enumeration finds.
+
+    Both laws run over the same splits in one pass, each up to its first
+    failure."""
     table, pool, paths, ids = _interned_pool(ctx, max_len, table)
-    compose, intern, interned = table.compose, table.intern, table.paths
+    compose, products, intern, interned = (
+        table.compose, table._products, table.intern, table.paths
+    )
     ops = ctx.ops
     g = ctx.graph
-    laws = []
-
-    rt_instances = 0
-    rt_fail = None
-    for lam, x, xid in zip(pool, paths, ids):
-        for w1 in ops.prefixes(lam.degree):
-            w2 = ops.quotient(w1, lam.degree)
-            rt_instances += 1
-            # The split restricts the dense morphism, independently of
-            # rewriting; only composing the factors goes through the table.
-            mu, nu = factorize(lam, w1, w2)
-            left, right = intern(shortest_traversal(g, mu)), intern(shortest_traversal(g, nu))
-            if compose(left, right) != xid:
-                rt_fail = f"{_describe(ops, x)} split at {ops.format(w1)}"
-                break
-        if rt_fail:
-            break
-    laws.append(LawResult(
-        "factorize/compose round-trip", rt_instances, rt_fail is None, rt_fail
-    ))
-
-    uniq_instances = 0
-    uniq_fail = None
     enum_memo: dict = {}
 
     def candidates(w):
         """Ids of the traversals of every enumerated morphism of degree w,
-        undeduplicated."""
+        undeduplicated, and the same ids grouped by range."""
         if w not in enum_memo:
-            enum_memo[w] = [
+            found = [
                 intern(shortest_traversal(g, m))
                 for m in enumerate_morphisms(g, ctx.collection, w)
             ]
+            by_range: dict = {}
+            for i in found:
+                by_range.setdefault(interned[i].range_, []).append(i)
+            enum_memo[w] = found, by_range
         return enum_memo[w]
 
-    for lam, x, xid in zip(pool, paths, ids):
-        for w1 in ops.prefixes(lam.degree):
-            w2 = ops.quotient(w1, lam.degree)
+    def splits():
+        """(pool index, w1, w2, ids of the two factors) of every split.
+        The factors are read off the dense pool morphism, so the split
+        comes from the lift, independently of rewriting."""
+        for n, lam in enumerate(pool):
+            for w1 in ops.prefixes(lam.degree):
+                w2 = ops.quotient(w1, lam.degree)
+                mu, nu = split_traversals(lam, w1, w2)
+                yield n, w1, w2, intern(mu), intern(nu)
+
+    rt_instances = uniq_instances = 0
+    rt_fail = uniq_fail = None
+    for n, w1, w2, left, right in splits():
+        xid = ids[n]
+        if rt_fail is None:
+            rt_instances += 1
+            k = products[left].get(right)
+            if k is None:
+                k = compose(left, right)
+            if k != xid:
+                rt_fail = f"{_describe(ops, paths[n])} split at {ops.format(w1)}"
+        if uniq_fail is None:
             uniq_instances += 1
-            matches = [
-                (mu, nu)
-                for mu in candidates(w1)
-                for nu in candidates(w2)
-                if interned[mu].source == interned[nu].range_ and compose(mu, nu) == xid
-            ]
+            firsts, _ = candidates(w1)
+            _, seconds = candidates(w2)
+            matches = []
+            for mu in firsts:
+                row = products[mu]
+                for nu in seconds.get(interned[mu].source, ()):
+                    k = row.get(nu)
+                    if k is None:
+                        k = compose(mu, nu)
+                    if k == xid:
+                        matches.append((mu, nu))
             if len(matches) != 1:
                 uniq_fail = (
-                    f"{_describe(ops, x)} split at {ops.format(w1)}: "
+                    f"{_describe(ops, paths[n])} split at {ops.format(w1)}: "
                     f"{len(matches)} factor pairs"
                 )
-                break
-        if uniq_fail:
+            elif matches[0] != (left, right):
+                uniq_fail = (
+                    f"{_describe(ops, paths[n])} split at {ops.format(w1)}: "
+                    f"enumeration's factor pair is not the split"
+                )
+        if rt_fail and uniq_fail:
             break
-    laws.append(LawResult(
-        "factor pair uniqueness", uniq_instances, uniq_fail is None, uniq_fail
-    ))
-    return VerificationReport(laws)
+    return VerificationReport([
+        LawResult("factorize/compose round-trip", rt_instances, rt_fail is None, rt_fail),
+        LawResult("factor pair uniqueness", uniq_instances, uniq_fail is None, uniq_fail),
+    ])
 
 
 def verify(ctx: LambdaContext, max_len: int, suites=SUITES) -> VerificationReport:

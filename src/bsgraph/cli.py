@@ -83,6 +83,9 @@ def cmd_word(args) -> int:
             f"shortest {BS.format(w)}\nlongest {longest_form(w)}\npair {w}",
         )
         return 0
+    if args.w2 is None:
+        print(f"error: word {args.word_op} needs two words", file=sys.stderr)
+        return 2
     w1, w2 = parse_word(args.w1), parse_word(args.w2)
     if args.word_op == "mul":
         w = BS.mul(w1, w2)

@@ -264,10 +264,12 @@ def normal_form(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Pa
     the word with no ``a b b`` factor, resp. ``a^m b^n``.  A missing
     square raises ``NotCovered``.
     """
-    rewritten = _rewrite(x.edges, x.colours, collection, to_red=collection.ops.name != "bs")
-    if rewritten is None:
+    ops = collection.ops
+    to_red = ops.name != "bs"
+    # Most paths of a sweep are normal already: no factor to rewrite.
+    if "".join(ops.blue_first_word if to_red else ops.red_first_word) not in "".join(x.colours):
         return x
-    names, colours = rewritten
+    names, colours = _rewrite(x.edges, x.colours, collection, to_red)
     return Path(tuple(names), x.range_, x.source, tuple(colours))
 
 
@@ -287,24 +289,35 @@ def check_traverses(g: ColouredGraph, lam: Morphism, x: Path) -> bool:
     return True
 
 
-def _read_traversal(g: ColouredGraph, lam: Morphism, letters) -> Path:
+def _read_traversal(lam: Morphism, letters, start=None) -> Path:
+    """The path lam's edge images spell along letters from the domain
+    vertex start (the identity if None)."""
     ops = lam.ops
+    emap, step = lam.emap, ops.step
+    w = ops.identity if start is None else start
+    range_ = lam.vmap[w]
     names = []
-    colours = []
-    w = ops.identity
     for letter in letters:
-        names.append(lam.emap[(w, letter)])
-        colours.append(letter)
-        w = ops.step(w, letter)
-    return Path(tuple(names), lam.range_, lam.source, tuple(colours))
+        names.append(emap[(w, letter)])
+        w = step(w, letter)
+    return Path(tuple(names), range_, lam.vmap[w], tuple(letters))
 
 
 def shortest_traversal(g: ColouredGraph, lam: Morphism) -> Path:
-    return _read_traversal(g, lam, lam.ops.shortest_letters(lam.degree))
+    return _read_traversal(lam, lam.ops.shortest_letters(lam.degree))
 
 
 def longest_traversal(g: ColouredGraph, lam: Morphism) -> Path:
-    return _read_traversal(g, lam, lam.ops.longest_letters(lam.degree))
+    return _read_traversal(lam, lam.ops.longest_letters(lam.degree))
+
+
+def split_traversals(lam: Morphism, w1, w2) -> tuple[Path, Path]:
+    """The shortest traversals of lam's degree-(w1, w2) factor pair,
+    ``restrict(lam, w1)`` and ``restrict_shifted(lam, w1, lam.degree)``,
+    read straight off lam: from e along shortest(w1), then from w1 along
+    shortest(w2).  Builds neither factor nor its model graph."""
+    shortest = lam.ops.shortest_letters
+    return _read_traversal(lam, shortest(w1)), _read_traversal(lam, shortest(w2), w1)
 
 
 def restrict(lam: Morphism, w1) -> Morphism:

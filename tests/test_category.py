@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 import bsgraph.category as category
+import bsgraph.models as models
 from bsgraph.category import (
     CompositionTable,
+    LambdaContext,
     all_paths,
     compose,
     factorize,
@@ -17,13 +21,15 @@ from bsgraph.category import (
     verify_factorization,
     verify_functor,
 )
-from bsgraph.errors import DegreeMismatch, NotComposable, UnknownVertex
+from bsgraph.errors import Conflict, DegreeMismatch, NotComposable, UnknownVertex
+from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import Path, concat, validate_path
-from bsgraph.morphisms import lift_path, normal_form, shortest_traversal
+from bsgraph.morphisms import lift_path, normal_form, shortest_traversal, split_traversals
+from bsgraph.squares import CompleteCollection
 from bsgraph.words import BS
 
 from .test_lift import multi_vertex_paths
-from .test_normal_form import generated_paths
+from .test_normal_form import _one_vertex, generated_paths
 
 
 def _lift(ctx, names):
@@ -231,6 +237,120 @@ def test_table_composites_are_normal_forms_on_one_vertex_collections(drawn):
 def test_table_composites_are_normal_forms_on_multi_vertex_collections(drawn):
     ctx, _ = drawn
     assert _table_matches_rewriting(ctx, 3) > 0
+
+
+def _splits_match_restriction(ctx, max_len: int) -> int:
+    """Every split of every pool morphism: the traversals read off the
+    morphism are the shortest traversals of ``factorize``'s dense factors.
+    Returns the split count."""
+    g, ops = ctx.graph, ctx.ops
+    splits = 0
+    for lam in pool_morphisms(ctx, max_len):
+        for w1 in ops.prefixes(lam.degree):
+            w2 = ops.quotient(w1, lam.degree)
+            mu, nu = factorize(lam, w1, w2)
+            expected = (shortest_traversal(g, mu), shortest_traversal(g, nu))
+            assert split_traversals(lam, w1, w2) == expected, f"{lam.key()} at {w1}"
+            splits += 1
+    return splits
+
+
+@pytest.mark.parametrize("name, splits", [("ctx", 122), ("grid_ctx", 35)])
+def test_splits_are_restrictions_on_fixtures(name, splits, request):
+    assert _splits_match_restriction(request.getfixturevalue(name), 3) == splits
+
+
+@settings(max_examples=20, deadline=None)
+@given(generated_paths(1))
+def test_splits_are_restrictions_on_one_vertex_collections(drawn):
+    ctx, _ = drawn
+    assert _splits_match_restriction(ctx, 3) > 0
+
+
+@settings(max_examples=6, deadline=None)
+@given(multi_vertex_paths())
+def test_splits_are_restrictions_on_multi_vertex_collections(drawn):
+    ctx, _ = drawn
+    assert _splits_match_restriction(ctx, 3) > 0
+
+
+def _swap_first_red_edge_of_right_factor(real):
+    """A splitter whose right factor has its first red edge r0 <-> r1
+    swapped, on a one-vertex collection, where that is still a path."""
+
+    def corrupted(lam, w1, w2):
+        mu, nu = real(lam, w1, w2)
+        if "a" not in nu.colours:
+            return mu, nu
+        i = nu.colours.index("a")
+        swapped = {"r0": "r1", "r1": "r0"}[nu.edges[i]]
+        return mu, Path(nu.edges[:i] + (swapped,) + nu.edges[i + 1:], nu.range_, nu.source, nu.colours)
+
+    return corrupted
+
+
+def test_corrupted_split_fails_round_trip_and_uniqueness(monkeypatch):
+    """Fault injection: a split that is not the pool morphism's own must
+    fail the round-trip law (it composes to another morphism) and the
+    uniqueness law (enumeration's one factor pair is not the split)."""
+    ctx = _one_vertex("bs", [1, 0])
+    assert category.verify(ctx, 2).passed
+    monkeypatch.setattr(
+        category, "split_traversals", _swap_first_red_edge_of_right_factor(split_traversals)
+    )
+    report = category.verify(LambdaContext(ctx.graph, ctx.collection), 2)
+    failing = {law.name: law.counterexample for law in report.laws if not law.passed}
+    assert list(failing) == ["factorize/compose round-trip", "factor pair uniqueness"]
+    assert all(failing.values())
+    assert failing["factor pair uniqueness"].endswith(
+        "enumeration's factor pair is not the split"
+    )
+
+
+def test_verify_builds_model_graphs_only_in_enumeration(ctx, monkeypatch):
+    """Within ``verify`` only the enumeration oracle builds model graphs:
+    splits are read off the pool morphisms, not restricted."""
+    real_model = models.model
+    calls = {"enumeration": 0, "elsewhere": 0}
+    depth = 0
+
+    def counted_model(*args, **kwargs):
+        calls["enumeration" if depth else "elsewhere"] += 1
+        return real_model(*args, **kwargs)
+
+    real_enumerate = category.enumerate_morphisms
+
+    def tracked_enumerate(*args, **kwargs):
+        nonlocal depth
+        depth += 1
+        try:
+            return real_enumerate(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bsgraph") and getattr(module, "model", None) is real_model:
+            monkeypatch.setattr(module, "model", counted_model)
+    monkeypatch.setattr(category, "enumerate_morphisms", tracked_enumerate)
+    assert category.verify(LambdaContext(ctx.graph, ctx.collection), 3).passed
+    assert calls["elsewhere"] == 0
+    assert calls["enumeration"] > 0
+
+
+def test_require_covered_names_the_first_duplicated_boundary():
+    """Every boundary path has a square, but r1 b b, r2 b b, b r2 and b r1
+    each bound two; the first red-first one in index order is named."""
+    fx = parse_fixture(
+        "mode bs\nvertex x\nedge b b x x\nedge r1 a x x\nedge r2 a x x\n"
+        "square A eA=r2 aB=b abB=b eB=b bA=r2\n"
+        "square B eA=r1 aB=b abB=b eB=b bA=r1\n"
+        "square C eA=r1 aB=b abB=b eB=b bA=r2\n"
+        "square D eA=r2 aB=b abB=b eB=b bA=r1\n"
+    )
+    ctx = LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    with pytest.raises(Conflict) as exc:
+        category.require_covered(ctx)
+    assert str(exc.value).startswith("the red-first boundary r2 b b belongs to more than one square")
 
 
 def test_empty_graph_passes_vacuously():

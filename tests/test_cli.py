@@ -84,6 +84,13 @@ def test_word_bad_input_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("op", ["mul", "quotient", "prefix"])
+def test_word_with_one_word_is_a_usage_error(op, capsys):
+    code, out, err = invoke(capsys, "word", op, "a")
+    assert code == 2 and out == ""
+    assert err == f"error: word {op} needs two words\n"
+
+
 def test_quotient_of_non_prefix_is_a_finding(capsys):
     code, out, _ = invoke(capsys, "word", "quotient", "a", "bb")
     assert code == 1 and "NotAPrefix" in out
@@ -143,6 +150,28 @@ def test_verify_checks_every_boundary_first(tmp_path, capsys):
     code, out, _ = invoke(capsys, "verify", E_MISSING, "--max-len", "1")
     assert code == 1
     assert out == "NotCovered: no square with blue-first boundary k h\n"
+
+
+# One vertex, a blue loop and two red loops; r1 b b and b r2 each bound
+# two squares, while every boundary path has a square.
+DUPLICATED = (
+    "mode bs\nvertex x\nedge b b x x\nedge r1 a x x\nedge r2 a x x\n"
+    "square s1 eA=r1 aB=b abB=b eB=b bA=r2\n"
+    "square s2 eA=r1 aB=b abB=b eB=b bA=r1\n"
+    "square s3 eA=r2 aB=b abB=b eB=b bA=r2\n"
+)
+
+
+@pytest.mark.parametrize("max_len", ["1", "2"])
+def test_verify_rejects_duplicated_boundaries(max_len, tmp_path, capsys):
+    p = tmp_path / "duplicated.cg"
+    p.write_text(DUPLICATED)
+    code, out, _ = invoke(capsys, "verify", str(p), "--max-len", max_len)
+    assert code == 1
+    assert out == (
+        "Conflict: the red-first boundary r1 b b belongs to more than one "
+        "square; the collection cannot be complete for this graph\n"
+    )
 
 
 def test_lift_too_large_exit_2(capsys):
