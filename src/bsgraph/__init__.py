@@ -10,8 +10,6 @@ Degrees are plain (N, M) int pairs and edge colours are the letters
 from .category import (
     LambdaContext,
     VerificationReport,
-    compose,
-    factorize,
     identity,
     verify,
     verify_category,
@@ -24,17 +22,13 @@ from .graphs import ColouredGraph, Path, build_graph, validate_path, vertex_path
 from .models import ModelGraph, model
 from .morphisms import (
     Morphism,
-    check_compatible,
     check_traverses,
     enumerate_morphisms,
     lift_path,
     longest_traversal,
     normal_form,
-    occurrences,
-    restrict,
-    restrict_shifted,
-    rewrite_tail,
     shortest_traversal,
+    split_traversals,
 )
 from .squares import (
     CompleteCollection,

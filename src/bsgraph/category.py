@@ -1,24 +1,23 @@
 """The category of compatible morphisms and its law-verification sweeps.
 
-Composition follows the uniqueness argument: concatenate traversals of the
-two factors.  ``compose`` lifts the result to the dense morphism.  The
-verification sweeps exhaustively check the category, degree-functor, and
-factorization laws over every morphism lifted from paths up to a length
-bound, reporting the first counterexample when a law fails.  Inside the
-sweeps a morphism is its shortest traversal, and composing two of them is
-rewriting their concatenation back to normal form (``normal_form``).  One
-``CompositionTable`` per run names each traversal by an int and rewrites
-each distinct pair once, for all three suites.  The dense form is built
-only for the pool and for the enumeration oracle: the factorization suite
-reads each split's two traversals straight off the pool morphism.
+The verification sweeps exhaustively check the category, degree-functor,
+and factorization laws over every morphism lifted from paths up to a
+length bound, reporting the first counterexample when a law fails.  Inside
+the sweeps a morphism is its shortest traversal, and composing two of them
+is rewriting their concatenation back to normal form (``normal_form``).
+One ``CompositionTable`` per run owns the pool, names each traversal by an
+int and rewrites each distinct pair once, for all three suites.  The dense
+form is built only for the pool and for the enumeration oracle: the
+factorization suite reads each split's two traversals straight off the
+pool morphism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
-from .errors import Conflict, DegreeMismatch, NotComposable, UnknownVertex
+from .errors import Conflict, UnknownVertex
 from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
 from .morphisms import (
     Morphism,
@@ -26,8 +25,6 @@ from .morphisms import (
     identity_morphism,
     lift_path,
     normal_form,
-    restrict,
-    restrict_shifted,
     shortest_traversal,
     split_traversals,
 )
@@ -43,8 +40,6 @@ class LambdaContext:
 
     graph: ColouredGraph
     collection: CompleteCollection
-    # max_len -> (pool, shortest traversals), shared by the suites of one run.
-    _pool_memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def ops(self):
@@ -59,25 +54,6 @@ def identity(ctx: LambdaContext, v: str) -> Morphism:
     if v not in ctx.graph.vertex_set:
         raise UnknownVertex(f"unknown vertex {v!r}")
     return identity_morphism(ctx.ops, v)
-
-
-def compose(ctx: LambdaContext, mu: Morphism, nu: Morphism) -> Morphism:
-    """The unique morphism restricting to mu and (shifted) to nu."""
-    if mu.source != nu.range_:
-        raise NotComposable(None, f"s(mu) = {mu.source} != r(nu) = {nu.range_}")
-    x = shortest_traversal(ctx.graph, mu)
-    y = shortest_traversal(ctx.graph, nu)
-    return lift_path(ctx.graph, ctx.collection, concat(x, y))
-
-
-def factorize(lam: Morphism, w1, w2) -> tuple[Morphism, Morphism]:
-    """Split lam at degree w1 into its unique degree-(w1, w2) factor pair."""
-    ops = lam.ops
-    if ops.mul(w1, w2) != lam.degree:
-        raise DegreeMismatch(
-            f"{ops.format(w1)} * {ops.format(w2)} != {ops.format(lam.degree)}"
-        )
-    return restrict(lam, w1), restrict_shifted(lam, w1, lam.degree)
 
 
 @dataclass
@@ -180,31 +156,24 @@ def require_covered(ctx: LambdaContext) -> None:
             )
 
 
-def _sweep_pool(ctx: LambdaContext, max_len: int) -> tuple[list, list]:
-    """The pool and its shortest traversals, built once per context and
-    bound after the coverage check."""
-    cached = ctx._pool_memo.get(max_len)
-    if cached is None:
-        require_covered(ctx)
-        pool = pool_morphisms(ctx, max_len)
-        paths = [shortest_traversal(ctx.graph, lam) for lam in pool]
-        cached = ctx._pool_memo[max_len] = (pool, paths)
-    return cached
-
-
 class CompositionTable:
-    """Interned shortest traversals and their composites, for one run.
+    """The pool, interned shortest traversals and their composites, for
+    one run.
 
     Rewriting terminates and is confluent, so a shortest traversal names
     its morphism: ``intern`` gives each one, keyed by (range, edges), an
     int id, and equal morphisms get equal ids.  ``compose`` reads the
     composite of two ids from a table and rewrites only on a miss, once
-    per distinct pair, with the module's ``normal_form``.
+    per distinct pair, with the module's ``normal_form``.  Nothing here
+    outlives the run: a context kept for a later run gets a new table, so
+    it never sees an old pool or old products.
     """
 
     def __init__(self, ctx: LambdaContext):
+        self.ctx = ctx
         self.graph = ctx.graph
         self.collection = ctx.collection
+        self._pools: dict = {}  # max_len -> (pool, traversals, ids)
         self.paths: list[Path] = []  # id -> shortest traversal
         self._ids: dict = {}  # (range, edges) -> id
         # id i -> {id j: id of the composite of i and j}; one small dict
@@ -219,6 +188,17 @@ class CompositionTable:
             self.paths.append(x)
             self._products.append({})
         return i
+
+    def pool(self, max_len: int) -> tuple[list, list, list]:
+        """The pool of ``max_len``, its shortest traversals and their ids,
+        by pool index; built once, after the coverage check."""
+        cached = self._pools.get(max_len)
+        if cached is None:
+            require_covered(self.ctx)
+            pool = pool_morphisms(self.ctx, max_len)
+            paths = [shortest_traversal(self.graph, lam) for lam in pool]
+            cached = self._pools[max_len] = (pool, paths, [self.intern(x) for x in paths])
+        return cached
 
     def compose(self, i: int, j: int) -> int:
         row = self._products[i]
@@ -250,15 +230,6 @@ def _pairs(paths: list, after: dict):
             yield i, j
 
 
-def _interned_pool(ctx: LambdaContext, max_len: int, table: CompositionTable | None):
-    """The table (a new one if None), the pool, its shortest traversals,
-    and the table id of each traversal, by pool index."""
-    if table is None:
-        table = CompositionTable(ctx)
-    pool, paths = _sweep_pool(ctx, max_len)
-    return table, pool, paths, [table.intern(x) for x in paths]
-
-
 def verify_category(
     ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
@@ -266,7 +237,8 @@ def verify_category(
 
     Composites are read from the table's rows; ``compose`` runs only on a
     miss."""
-    table, _, paths, ids = _interned_pool(ctx, max_len, table)
+    table = table or CompositionTable(ctx)
+    _, paths, ids = table.pool(max_len)
     compose, products, interned = table.compose, table._products, table.paths
     ops = ctx.ops
     after = _by_range(paths)
@@ -339,7 +311,8 @@ def verify_functor(
     ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
     """Degree is multiplicative on composites and trivial on identities."""
-    table, _, paths, ids = _interned_pool(ctx, max_len, table)
+    table = table or CompositionTable(ctx)
+    _, paths, ids = table.pool(max_len)
     compose, products, interned = table.compose, table._products, table.paths
     ops = ctx.ops
     degrees = [path_degree(ops, x) for x in paths]
@@ -379,7 +352,8 @@ def verify_factorization(
 
     Both laws run over the same splits in one pass, each up to its first
     failure."""
-    table, pool, paths, ids = _interned_pool(ctx, max_len, table)
+    table = table or CompositionTable(ctx)
+    pool, paths, ids = table.pool(max_len)
     compose, products, intern, interned = (
         table.compose, table._products, table.intern, table.paths
     )
@@ -456,8 +430,8 @@ def verify_factorization(
 def verify(ctx: LambdaContext, max_len: int, suites=SUITES) -> VerificationReport:
     """The named law suites, run in order and merged into one report.
 
-    The suites share one composition table, so a composite one suite has
-    computed is a table read for the next."""
+    The suites share one composition table, so the pool is built once and
+    a composite one suite has computed is a table read for the next."""
     # Looked up per call, so a rebound suite function is the one that runs.
     run = {
         "category": verify_category,

@@ -12,11 +12,10 @@ import json
 import sys
 
 from . import dot
-from .category import SUITES, LambdaContext, factorize, verify
+from .category import SUITES, LambdaContext, verify
 from .errors import (
     BsGraphError,
     Conflict,
-    DegreeMismatch,
     FixtureSyntaxError,
     NotAPrefix,
     NotComposable,
@@ -33,11 +32,12 @@ from .morphisms import (
     lift_path,
     longest_traversal,
     shortest_traversal,
+    split_traversals,
 )
 from .squares import CompleteCollection, check_complete
 from .words import BS, GRID, longest_form, parse_word
 
-_FINDING = (NotCovered, Conflict, NotAPrefix, NotComposable, DegreeMismatch)
+_FINDING = (NotCovered, Conflict, NotAPrefix, NotComposable)
 _INPUT_ERROR = (FixtureSyntaxError, WordSyntaxError)
 
 
@@ -76,6 +76,9 @@ def cmd_check(args) -> int:
 
 def cmd_word(args) -> int:
     if args.word_op == "normalize":
+        if args.w2 is not None:
+            print("error: word normalize takes one word", file=sys.stderr)
+            return 2
         w = parse_word(args.w1)
         _emit(
             {"shortest": BS.format(w), "longest": longest_form(w), "pair": list(w)},
@@ -175,15 +178,15 @@ def cmd_factorize(args) -> int:
     lam = lift_path(ctx.graph, ctx.collection, parse_path(ctx.graph, args.path))
     w1 = ctx.ops.parse(args.at)
     w2 = ctx.ops.quotient(w1, lam.degree)
-    mu, nu = factorize(lam, w1, w2)
+    x, y = split_traversals(lam, w1, w2)
     if args.json:
-        print(f'{{\n  "left": {mu.json_text(1)},\n  "right": {nu.json_text(1)}\n}}')
+        # Each factor is the unique morphism its traversal lifts to.
+        left, right = (lift_path(ctx.graph, ctx.collection, p).json_text(1) for p in (x, y))
+        print(f'{{\n  "left": {left},\n  "right": {right}\n}}')
     else:
         print(
-            f"left  degree {ctx.ops.format(mu.degree)}: "
-            f"{shortest_traversal(ctx.graph, mu)}\n"
-            f"right degree {ctx.ops.format(nu.degree)}: "
-            f"{shortest_traversal(ctx.graph, nu)}"
+            f"left  degree {ctx.ops.format(w1)}: {x}\n"
+            f"right degree {ctx.ops.format(w2)}: {y}"
         )
     return 0
 

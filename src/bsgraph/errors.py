@@ -59,15 +59,6 @@ class Conflict(BsGraphError):
     boundary with two squares, which witnesses a completeness violation."""
 
 
-class DegreeMismatch(BsGraphError):
-    """A factorization was requested at degrees that do not multiply
-    to the morphism's degree."""
-
-
-class PreconditionViolated(BsGraphError):
-    """An operation's stated precondition does not hold."""
-
-
 class ResourceLimit(BsGraphError):
     """A model graph or enumeration would exceed the configured size bound."""
 

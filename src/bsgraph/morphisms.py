@@ -26,16 +26,10 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import MappingProxyType
 
-from .errors import (
-    Conflict,
-    NotAPrefix,
-    NotComposable,
-    PreconditionViolated,
-    ResourceLimit,
-)
+from .errors import Conflict, NotComposable, ResourceLimit
 from .graphs import ColouredGraph, Path, path_degree
 from .models import check_model_size, model, square_positions
-from .squares import CompleteCollection, Square, red_keys, square_edges
+from .squares import CompleteCollection, Square, square_edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,29 +88,16 @@ class Morphism:
     def __hash__(self):
         return hash(self.key())
 
-    def to_json(self) -> dict:
-        ops = self.ops
-        return {
-            "mode": ops.name,
-            "degree": {"word": ops.format(self.degree), "pair": list(self.degree)},
-            "vertices": [
-                {"prefix": ops.format(z), "pair": list(z), "vertex": v}
-                for z, v in sorted(self.vmap.items())
-            ],
-            "edges": [
-                {"prefix": ops.format(z), "letter": l, "edge": e}
-                for (z, l), e in sorted(self.emap.items())
-            ],
-        }
-
     def json_text(self, level: int = 0) -> str:
-        """``json.dumps(self.to_json(), indent=2)``, written in one pass.
+        """The morphism as an ``indent=2`` JSON object, written in one pass.
 
-        Every line after the first is indented by ``level`` more steps of
-        two spaces, so the text can sit as a value at that nesting depth
-        of an enclosing ``indent=2`` document.  Names go through the same
-        C string encoder ``json.dumps`` uses; prefix labels come from one
-        ``ops.labels`` table; sort order is that of ``to_json``.
+        The object holds the mode, the degree (word and pair), the vertex
+        images sorted by prefix pair, and the edge images sorted by
+        (prefix pair, letter).  Every line after the first is indented by
+        ``level`` more steps of two spaces, so the text can sit as a value
+        at that nesting depth of an enclosing ``indent=2`` document.  Names
+        go through the same C string encoder ``json.dumps`` uses; prefix
+        labels come from one ``ops.labels`` table.
         """
         ops = self.ops
         # Line break plus indentation at depth level, level + 1, ...
@@ -312,79 +293,13 @@ def longest_traversal(g: ColouredGraph, lam: Morphism) -> Path:
 
 
 def split_traversals(lam: Morphism, w1, w2) -> tuple[Path, Path]:
-    """The shortest traversals of lam's degree-(w1, w2) factor pair,
-    ``restrict(lam, w1)`` and ``restrict_shifted(lam, w1, lam.degree)``,
-    read straight off lam: from e along shortest(w1), then from w1 along
-    shortest(w2).  Builds neither factor nor its model graph."""
+    """The shortest traversals of lam's degree-(w1, w2) factor pair, read
+    straight off lam: from e along shortest(w1), then from w1 along
+    shortest(w2).  The factors are lam on the prefixes of w1 and, shifted
+    by w1, on the rest of its domain; this builds neither of them nor its
+    model graph."""
     shortest = lam.ops.shortest_letters
     return _read_traversal(lam, shortest(w1)), _read_traversal(lam, shortest(w2), w1)
-
-
-def restrict(lam: Morphism, w1) -> Morphism:
-    """lam on the model graph of a prefix w1, values unchanged."""
-    ops = lam.ops
-    if not ops.is_prefix(w1, lam.degree):
-        raise NotAPrefix(f"{ops.format(w1)} is not a prefix of {ops.format(lam.degree)}")
-    domain = model(ops, w1)
-    return Morphism(
-        ops,
-        w1,
-        {z: lam.vmap[z] for z in domain.vertices},
-        {k: lam.emap[k] for k in domain.edges},
-    )
-
-
-def restrict_shifted(lam: Morphism, w1, w2) -> Morphism:
-    """The translated restriction to [w1, w2]: z -> lam(w1 * z)."""
-    ops = lam.ops
-    if not ops.is_prefix(w1, w2):
-        raise NotAPrefix(f"{ops.format(w1)} is not a prefix of {ops.format(w2)}")
-    if not ops.is_prefix(w2, lam.degree):
-        raise NotAPrefix(f"{ops.format(w2)} is not a prefix of {ops.format(lam.degree)}")
-    w = ops.quotient(w1, w2)
-    domain = model(ops, w)
-    return Morphism(
-        ops,
-        w,
-        {z: lam.vmap[ops.mul(w1, z)] for z in domain.vertices},
-        {(z, l): lam.emap[(ops.mul(w1, z), l)] for (z, l) in domain.edges},
-    )
-
-
-def occurrences(lam: Morphism) -> list[tuple]:
-    """(base position, square edge map) of every translated square inside
-    lam's domain; the edge map is keyed relative to the square's domain."""
-    ops = lam.ops
-    edges = square_edges(ops)
-    return [
-        (m, {(z, l): lam.emap[(ops.mul(m, z), l)] for (z, l) in edges})
-        for m in square_positions(ops, lam.degree)
-    ]
-
-
-def check_compatible(lam: Morphism, collection: CompleteCollection) -> bool:
-    """True iff every occurring square belongs to the collection."""
-    known = {frozenset(sq.emap.items()) for sq in collection.squares}
-    return all(frozenset(emap.items()) in known for _, emap in occurrences(lam))
-
-
-def rewrite_tail(g: ColouredGraph, lam: Morphism, z: Path) -> Path:
-    """Replace a trailing blue,red edge pair of a traversal by the
-    equal-degree red,blue,blue reading of the same square."""
-    ops = lam.ops
-    if ops.name != "bs":
-        raise PreconditionViolated("rewrite_tail applies to BS-mode morphisms")
-    if len(z.edges) < 2 or z.colours[-2:] != ("b", "a"):
-        raise PreconditionViolated("path must end in a blue then a red edge")
-    if not check_traverses(g, lam, z):
-        raise PreconditionViolated("path does not traverse the morphism")
-    base = ops.identity
-    for colour in z.colours[:-2]:
-        base = ops.step(base, colour)
-    replacement = [lam.emap[(ops.mul(base, rel), l)] for rel, l in red_keys(ops)]
-    names = z.edges[:-2] + tuple(replacement)
-    colours = z.colours[:-2] + tuple(l for _, l in red_keys(ops))
-    return Path(names, z.range_, z.source, colours)
 
 
 # Search nodes (partial assignments, complete ones included) one

@@ -63,33 +63,9 @@ class BsMonoid:
         return (shift, w[1] - (w1[1] << shift))
 
     @staticmethod
-    def left_factor(w, suffix):
-        """The m with m * suffix = w, or None if no such element exists."""
-        n = w[0] - suffix[0]
-        if n < 0:
-            return None
-        rest = w[1] - suffix[1]
-        if rest < 0 or rest & ((1 << suffix[0]) - 1):
-            return None
-        return (n, rest >> suffix[0])
-
-    @staticmethod
     def prefix_count(w) -> int:
         n, m = w
         return sum((m >> (n - i)) + 1 for i in range(n + 1))
-
-    @staticmethod
-    def edge_count(w) -> int:
-        """Number of edges of the model graph of w.
-
-        Row i (prefixes with i a's) holds cap_i + 1 vertices where
-        cap_i = M >> (N - i); it carries cap_i blue edges, and every one
-        of its vertices starts a red edge when i < N.
-        """
-        n, m = w
-        blue = sum(m >> (n - i) for i in range(n + 1))
-        red = sum((m >> (n - i)) + 1 for i in range(n))
-        return blue + red
 
     @staticmethod
     def prefixes(w) -> list:
@@ -182,19 +158,8 @@ class GridMonoid:
         return (q[0] - p[0], q[1] - p[1])
 
     @staticmethod
-    def left_factor(q, suffix):
-        m1, m2 = q[0] - suffix[0], q[1] - suffix[1]
-        if m1 < 0 or m2 < 0:
-            return None
-        return (m1, m2)
-
-    @staticmethod
     def prefix_count(p) -> int:
         return (p[0] + 1) * (p[1] + 1)
-
-    @staticmethod
-    def edge_count(p) -> int:
-        return p[0] * (p[1] + 1) + p[1] * (p[0] + 1)
 
     @staticmethod
     def prefixes(p) -> list:

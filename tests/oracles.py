@@ -1,14 +1,29 @@
-"""Independent brute-force oracles the tests check the library against.
+"""Independent oracles the tests check the library against.
 
-Everything here works on raw letter strings or by exhaustive search, on
-purpose: none of it shares code with the canonical-pair arithmetic or the
-lifter it is used to validate.
+The word oracles work on raw letter strings or by exhaustive search, on
+purpose: none of them shares code with the canonical-pair arithmetic or
+the lifter they are used to validate.
+
+The dense references work on a morphism's vertex and edge maps over its
+model graph: restriction to a prefix and its translated form (the factor
+pair of a split), the squares a morphism's domain holds and the check that
+the collection has each of them, and the JSON object a morphism stands
+for.  They share the degree arithmetic and model graphs with the library,
+but not its split, which reads one traversal at a time, nor its one-pass
+JSON writer.  ``compose`` lifts the concatenated traversals to the dense
+composite, the reference that composing by rewriting is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+
+from bsgraph.errors import NotAPrefix, NotComposable
+from bsgraph.graphs import concat
+from bsgraph.models import model, square_positions
+from bsgraph.morphisms import Morphism, lift_path, shortest_traversal
+from bsgraph.squares import square_edges
 
 ALPHABET = "ab"
 
@@ -97,3 +112,81 @@ def brute_prefixes(pair: tuple[int, int]) -> set[tuple[int, int]]:
                 seen.add(p)
                 queue.append(p)
     return seen
+
+
+# ---------------------------------------------------------- dense references
+
+
+def restrict(lam: Morphism, w1) -> Morphism:
+    """lam on the model graph of a prefix w1, values unchanged."""
+    ops = lam.ops
+    if not ops.is_prefix(w1, lam.degree):
+        raise NotAPrefix(f"{ops.format(w1)} is not a prefix of {ops.format(lam.degree)}")
+    domain = model(ops, w1)
+    return Morphism(
+        ops,
+        w1,
+        {z: lam.vmap[z] for z in domain.vertices},
+        {k: lam.emap[k] for k in domain.edges},
+    )
+
+
+def restrict_shifted(lam: Morphism, w1, w2) -> Morphism:
+    """The translated restriction to [w1, w2]: z -> lam(w1 * z)."""
+    ops = lam.ops
+    if not ops.is_prefix(w1, w2):
+        raise NotAPrefix(f"{ops.format(w1)} is not a prefix of {ops.format(w2)}")
+    if not ops.is_prefix(w2, lam.degree):
+        raise NotAPrefix(f"{ops.format(w2)} is not a prefix of {ops.format(lam.degree)}")
+    w = ops.quotient(w1, w2)
+    domain = model(ops, w)
+    return Morphism(
+        ops,
+        w,
+        {z: lam.vmap[ops.mul(w1, z)] for z in domain.vertices},
+        {(z, l): lam.emap[(ops.mul(w1, z), l)] for (z, l) in domain.edges},
+    )
+
+
+def occurrences(lam: Morphism) -> list[tuple]:
+    """(base position, square edge map) of every translated square inside
+    lam's domain; the edge map is keyed relative to the square's domain."""
+    ops = lam.ops
+    edges = square_edges(ops)
+    return [
+        (m, {(z, l): lam.emap[(ops.mul(m, z), l)] for (z, l) in edges})
+        for m in square_positions(ops, lam.degree)
+    ]
+
+
+def check_compatible(lam: Morphism, collection) -> bool:
+    """True iff every occurring square belongs to the collection."""
+    known = {frozenset(sq.emap.items()) for sq in collection.squares}
+    return all(frozenset(emap.items()) in known for _, emap in occurrences(lam))
+
+
+def morphism_json(lam: Morphism) -> dict:
+    """The JSON object ``Morphism.json_text`` writes, built as a dict."""
+    ops = lam.ops
+    return {
+        "mode": ops.name,
+        "degree": {"word": ops.format(lam.degree), "pair": list(lam.degree)},
+        "vertices": [
+            {"prefix": ops.format(z), "pair": list(z), "vertex": v}
+            for z, v in sorted(lam.vmap.items())
+        ],
+        "edges": [
+            {"prefix": ops.format(z), "letter": l, "edge": e}
+            for (z, l), e in sorted(lam.emap.items())
+        ],
+    }
+
+
+def compose(ctx, mu: Morphism, nu: Morphism) -> Morphism:
+    """The unique morphism restricting to mu and (shifted) to nu: the lift
+    of mu's shortest traversal followed by nu's."""
+    if mu.source != nu.range_:
+        raise NotComposable(None, f"s(mu) = {mu.source} != r(nu) = {nu.range_}")
+    x = shortest_traversal(ctx.graph, mu)
+    y = shortest_traversal(ctx.graph, nu)
+    return lift_path(ctx.graph, ctx.collection, concat(x, y))

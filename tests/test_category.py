@@ -13,21 +13,20 @@ from bsgraph.category import (
     CompositionTable,
     LambdaContext,
     all_paths,
-    compose,
-    factorize,
     identity,
     pool_morphisms,
     verify_category,
     verify_factorization,
     verify_functor,
 )
-from bsgraph.errors import Conflict, DegreeMismatch, NotComposable, UnknownVertex
+from bsgraph.errors import Conflict, NotComposable, UnknownVertex
 from bsgraph.fixtures import parse_fixture
-from bsgraph.graphs import Path, concat, validate_path
+from bsgraph.graphs import Path, concat, validate_path, vertex_path
 from bsgraph.morphisms import lift_path, normal_form, shortest_traversal, split_traversals
 from bsgraph.squares import CompleteCollection
 from bsgraph.words import BS
 
+from .oracles import compose, restrict, restrict_shifted
 from .test_lift import multi_vertex_paths
 from .test_normal_form import _one_vertex, generated_paths
 
@@ -67,8 +66,6 @@ def test_compose_requires_meeting(ctx):
 
 
 def test_compose_restricts_to_factors(ctx):
-    from bsgraph.morphisms import restrict, restrict_shifted
-
     mu = _lift(ctx, ["g", "g"])
     nu = _lift(ctx, ["f", "h"])
     lam = compose(ctx, mu, nu)
@@ -77,34 +74,29 @@ def test_compose_restricts_to_factors(ctx):
 
 
 def test_factorize_examples(ctx, example_lam):
-    mu, nu = factorize(example_lam, (0, 2), (2, 0))
-    assert shortest_traversal(ctx.graph, mu).edges == ("g", "g")
-    assert shortest_traversal(ctx.graph, nu).edges == ("f", "h")
-    left, right = factorize(example_lam, BS.identity, example_lam.degree)
-    assert left == identity(ctx, example_lam.range_)
-    assert right == example_lam
+    x, y = split_traversals(example_lam, (0, 2), (2, 0))
+    assert x.edges == ("g", "g")
+    assert y.edges == ("f", "h")
+    left, right = split_traversals(example_lam, BS.identity, example_lam.degree)
+    assert left == vertex_path(ctx.graph, example_lam.range_)
+    assert right == shortest_traversal(ctx.graph, example_lam)
 
 
 def test_factorize_square_at_b(ctx, phi1):
     sq = _lift(ctx, ["g", "f"])
-    mu, nu = factorize(sq, (0, 1), (1, 0))
-    assert shortest_traversal(ctx.graph, mu).edges == ("g",)
-    assert shortest_traversal(ctx.graph, nu).edges == ("f",)
-
-
-def test_factorize_degree_mismatch(example_lam):
-    with pytest.raises(DegreeMismatch):
-        factorize(example_lam, (1, 0), (1, 0))
+    x, y = split_traversals(sq, (0, 1), (1, 0))
+    assert x.edges == ("g",)
+    assert y.edges == ("f",)
 
 
 def test_example_morphism_has_17_splits(ctx, example_lam):
     splits = [
-        factorize(example_lam, w1, BS.quotient(w1, example_lam.degree))
+        split_traversals(example_lam, w1, BS.quotient(w1, example_lam.degree))
         for w1 in BS.prefixes(example_lam.degree)
     ]
     assert len(splits) == 17
-    for mu, nu in splits:
-        assert compose(ctx, mu, nu) == example_lam
+    for x, y in splits:
+        assert lift_path(ctx.graph, ctx.collection, concat(x, y)) == example_lam
 
 
 def test_all_paths_counts(ctx):
@@ -241,16 +233,19 @@ def test_table_composites_are_normal_forms_on_multi_vertex_collections(drawn):
 
 def _splits_match_restriction(ctx, max_len: int) -> int:
     """Every split of every pool morphism: the traversals read off the
-    morphism are the shortest traversals of ``factorize``'s dense factors.
+    morphism are the shortest traversals of the restricted factors, and
+    each lifts back to its dense factor, as ``factorize --json`` writes it.
     Returns the split count."""
-    g, ops = ctx.graph, ctx.ops
+    g, coll, ops = ctx.graph, ctx.collection, ctx.ops
     splits = 0
     for lam in pool_morphisms(ctx, max_len):
         for w1 in ops.prefixes(lam.degree):
             w2 = ops.quotient(w1, lam.degree)
-            mu, nu = factorize(lam, w1, w2)
-            expected = (shortest_traversal(g, mu), shortest_traversal(g, nu))
-            assert split_traversals(lam, w1, w2) == expected, f"{lam.key()} at {w1}"
+            mu, nu = restrict(lam, w1), restrict_shifted(lam, w1, lam.degree)
+            x, y = split_traversals(lam, w1, w2)
+            where = f"{lam.key()} at {w1}"
+            assert (x, y) == (shortest_traversal(g, mu), shortest_traversal(g, nu)), where
+            assert (lift_path(g, coll, x), lift_path(g, coll, y)) == (mu, nu), where
             splits += 1
     return splits
 
@@ -298,7 +293,7 @@ def test_corrupted_split_fails_round_trip_and_uniqueness(monkeypatch):
     monkeypatch.setattr(
         category, "split_traversals", _swap_first_red_edge_of_right_factor(split_traversals)
     )
-    report = category.verify(LambdaContext(ctx.graph, ctx.collection), 2)
+    report = category.verify(ctx, 2)
     failing = {law.name: law.counterexample for law in report.laws if not law.passed}
     assert list(failing) == ["factorize/compose round-trip", "factor pair uniqueness"]
     assert all(failing.values())
@@ -332,7 +327,7 @@ def test_verify_builds_model_graphs_only_in_enumeration(ctx, monkeypatch):
         if name.startswith("bsgraph") and getattr(module, "model", None) is real_model:
             monkeypatch.setattr(module, "model", counted_model)
     monkeypatch.setattr(category, "enumerate_morphisms", tracked_enumerate)
-    assert category.verify(LambdaContext(ctx.graph, ctx.collection), 3).passed
+    assert category.verify(ctx, 3).passed
     assert calls["elsewhere"] == 0
     assert calls["enumeration"] > 0
 

@@ -91,6 +91,12 @@ def test_word_with_one_word_is_a_usage_error(op, capsys):
     assert err == f"error: word {op} needs two words\n"
 
 
+def test_word_normalize_with_two_words_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "word", "normalize", "a", "b")
+    assert code == 2 and out == ""
+    assert err == "error: word normalize takes one word\n"
+
+
 def test_quotient_of_non_prefix_is_a_finding(capsys):
     code, out, _ = invoke(capsys, "word", "quotient", "a", "bb")
     assert code == 1 and "NotAPrefix" in out

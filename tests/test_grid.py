@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from bsgraph.category import compose, verify
+from bsgraph.category import verify
 from bsgraph.graphs import validate_path, vertex_path
 from bsgraph.morphisms import enumerate_morphisms, identity_morphism, lift_path
 from bsgraph.words import GRID
+
+from .oracles import compose
 
 
 def test_fixture_shape(grid_ctx):

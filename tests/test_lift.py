@@ -24,6 +24,19 @@ from bsgraph.squares import CompleteCollection, blue_keys, red_keys
 from .test_normal_form import generated_paths
 
 
+def left_factor(ops, w, suffix):
+    """The m with m * suffix = w, or None if no such element exists."""
+    n, rest = w[0] - suffix[0], w[1] - suffix[1]
+    if n < 0 or rest < 0:
+        return None
+    if ops.name == "grid":
+        return (n, rest)
+    # BS: m * suffix = (m0 + s0, m1 * 2^s0 + s1).
+    if rest & ((1 << suffix[0]) - 1):
+        return None
+    return (n, rest >> suffix[0])
+
+
 class _WorklistLift:
     """Mutable assignment with square-completion propagation."""
 
@@ -60,7 +73,7 @@ class _WorklistLift:
         self.set_vertex(z, edge.range_)
         self.set_vertex(self.ops.step(z, letter), edge.source)
         for rel, _ in self._offsets[letter]:
-            m = self.ops.left_factor(z, rel)
+            m = left_factor(self.ops, z, rel)
             if m is not None and m not in self._done:
                 queue.append(m)
 
@@ -71,7 +84,7 @@ class _WorklistLift:
             raise NotComposable(None, f"edge {name!r} does not meet the path")
         queue: list = []
         self.degree = ops.step(self.degree, edge.colour)
-        z = ops.left_factor(self.degree, self._unit[edge.colour])
+        z = left_factor(ops, self.degree, self._unit[edge.colour])
         self.set_edge(z, edge.colour, name, queue)
         self.propagate(queue)
 

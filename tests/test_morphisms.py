@@ -1,29 +1,29 @@
-"""Lifting, traversals, restrictions, occurrences, and the enumeration oracle."""
+"""Lifting, traversals, the dense restriction references, and the
+enumeration oracle."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from bsgraph.errors import Conflict, NotComposable, NotCovered, PreconditionViolated
+from bsgraph.errors import Conflict, NotComposable, NotCovered
 from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import validate_path, vertex_path
 from bsgraph.morphisms import (
     Morphism,
-    check_compatible,
     check_traverses,
     enumerate_morphisms,
     identity_morphism,
     lift_path,
     longest_traversal,
-    occurrences,
-    restrict,
-    restrict_shifted,
-    rewrite_tail,
     shortest_traversal,
 )
 from bsgraph.models import model, square_positions
 from bsgraph.squares import CompleteCollection
 from bsgraph.words import BS
+
+from .oracles import check_compatible, occurrences, restrict, restrict_shifted
 
 
 def expected_example_lam(graph):
@@ -154,28 +154,6 @@ def test_check_compatible(ctx, example_lam, phi1):
     assert check_compatible(identity_morphism(BS, "v"), ctx.collection)
     only_phi1 = CompleteCollection(BS, (phi1,))
     assert not check_compatible(example_lam, only_phi1)
-
-
-def test_rewrite_tail(ctx):
-    g = ctx.graph
-    sq1 = lift_path(g, ctx.collection, validate_path(g, ["g", "f"]))
-    out = rewrite_tail(g, sq1, validate_path(g, ["g", "f"]))
-    assert out.edges == ("f", "k", "k")
-    assert check_traverses(g, sq1, out)
-    sq2 = lift_path(g, ctx.collection, validate_path(g, ["k", "h"]))
-    assert rewrite_tail(g, sq2, validate_path(g, ["k", "h"])).edges == ("h", "g", "g")
-    from bsgraph.graphs import path_degree
-
-    assert path_degree(BS, out) == (1, 2)
-
-
-def test_rewrite_tail_preconditions(ctx, example_lam):
-    g = ctx.graph
-    with pytest.raises(PreconditionViolated):
-        rewrite_tail(g, example_lam, validate_path(g, ["f", "h"] + ["g"] * 8))
-    other = lift_path(g, ctx.collection, validate_path(g, ["k", "h"]))
-    with pytest.raises(PreconditionViolated):
-        rewrite_tail(g, other, validate_path(g, ["g", "f"]))
 
 
 def test_enumerate_ba(ctx, phi1, phi2):
@@ -309,7 +287,7 @@ def test_morphism_maps_are_read_only(example_lam):
 
 
 def test_morphism_json_shape(example_lam):
-    data = example_lam.to_json()
+    data = json.loads(example_lam.json_text())
     assert data["mode"] == "bs"
     assert data["degree"]["pair"] == [2, 8]
     assert len(data["vertices"]) == 17

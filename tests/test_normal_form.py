@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgraph.category import LambdaContext, all_paths, compose, pool_morphisms
+from bsgraph.category import LambdaContext, all_paths, pool_morphisms
 from bsgraph.errors import NotCovered
 from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import concat, path_degree, validate_path
@@ -24,6 +24,8 @@ from bsgraph.morphisms import (
     shortest_traversal,
 )
 from bsgraph.squares import CompleteCollection
+
+from .oracles import compose
 
 
 def _agree(ctx: LambdaContext, paths, enum_memo: dict) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from bsgraph.words import (
 )
 
 from .oracles import all_strings, brute_prefixes, fold_pair, minimal_lengths, rewrite_closure
+from .test_lift import left_factor
 
 # M is capped because longest_form materialises M letters.
 words = st.tuples(st.integers(0, 10), st.integers(0, 2**12))
@@ -179,27 +182,12 @@ def test_letter_fold_and_parse_letters():
     assert fold_letters(()) == (0, 0)
 
 
-def test_edge_count_matches_model_edge_predicate():
-    # Cross-check the closed form against direct enumeration.
-    for n in range(4):
-        for m in range(13):
-            w = (n, m)
-            count = sum(
-                1
-                for z in BS.prefixes(w)
-                for l in ("a", "b")
-                if BS.is_prefix(BS.step(z, l), w)
-            )
-            assert BS.edge_count(w) == count
-
-
 def test_grid_arithmetic():
     assert GRID.mul((1, 0), (0, 1)) == (1, 1)
     assert GRID.is_prefix((1, 2), (2, 2))
     assert not GRID.is_prefix((2, 1), (1, 5))
     assert GRID.quotient((1, 1), (2, 3)) == (1, 2)
     assert GRID.prefix_count((2, 1)) == 6
-    assert GRID.edge_count((2, 1)) == 7
 
 
 def test_parse_grid_degree():
@@ -211,15 +199,11 @@ def test_parse_grid_degree():
 
 
 def test_left_factor_agrees_with_mul():
-    for n1 in range(3):
-        for m1 in range(5):
-            for n2 in range(3):
-                for m2 in range(5):
-                    w1, w2 = (n1, m1), (n2, m2)
-                    lf = BS.left_factor(w2, w1)
-                    if lf is None:
-                        assert all(
-                            BS.mul(m, w1) != w2 for m in BS.prefixes(w2)
-                        )
-                    else:
-                        assert BS.mul(lf, w1) == w2
+    """The worklist lift's left division, which only the tests keep."""
+    for ops in (BS, GRID):
+        for w1, w2 in itertools.product(itertools.product(range(3), range(5)), repeat=2):
+            lf = left_factor(ops, w2, w1)
+            if lf is None:
+                assert all(ops.mul(m, w1) != w2 for m in ops.prefixes(w2))
+            else:
+                assert ops.mul(lf, w1) == w2
