@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from types import MappingProxyType
 
 from .errors import Conflict, UnknownVertex
 from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
@@ -156,6 +157,11 @@ def require_covered(ctx: LambdaContext) -> None:
             )
 
 
+# The products row of each id not yet composed on the left: one shared
+# read-only empty map, so an id that is only a right factor costs no dict.
+_NO_PRODUCTS = MappingProxyType({})
+
+
 class CompositionTable:
     """The pool, interned shortest traversals and their composites, for
     one run.
@@ -178,7 +184,7 @@ class CompositionTable:
         self._ids: dict = {}  # (range, edges) -> id
         # id i -> {id j: id of the composite of i and j}; one small dict
         # per left factor holds no key tuples, which keeps the table lean.
-        self._products: list[dict] = []
+        self._products: list = []
 
     def intern(self, x: Path) -> int:
         key = (x.range_, x.edges)
@@ -186,7 +192,7 @@ class CompositionTable:
         if i is None:
             i = self._ids[key] = len(self.paths)
             self.paths.append(x)
-            self._products.append({})
+            self._products.append(_NO_PRODUCTS)
         return i
 
     def pool(self, max_len: int) -> tuple[list, list, list]:
@@ -204,6 +210,8 @@ class CompositionTable:
         row = self._products[i]
         k = row.get(j)
         if k is None:
+            if row is _NO_PRODUCTS:
+                row = self._products[i] = {}
             paths = self.paths
             k = row[j] = self.intern(
                 normal_form(self.graph, self.collection, concat(paths[i], paths[j]))

@@ -40,19 +40,19 @@ def model_to_dot(m: ModelGraph, name: str = "model") -> str:
 
 
 def morphism_to_dot(lam: Morphism, name: str = "morphism") -> str:
-    """The domain model graph, each element labelled with its image."""
+    """The domain model graph, each element labelled with its image; both
+    maps list the model graph's vertices and edges in its order."""
     step = lam.ops.step
-    vertices = sorted(lam.vmap.items())
-    label = lam.ops.labels([z for z, _ in vertices])
+    label = lam.ops.labels(lam.ops.prefixes(lam.degree))
     lines = [f"digraph {name} {{"]
     lines.extend(
         f"  {_quote(label[z])} [label={_quote(label[z] + ' -> ' + v)}];"
-        for z, v in vertices
+        for z, v in lam.vmap.items()
     )
     lines.extend(
         f"  {_quote(label[step(z, l)])} -> {_quote(label[z])} "
         f"[label={_quote(e)}, color={_COLOUR[l]}];"
-        for (z, l), e in sorted(lam.emap.items())
+        for (z, l), e in lam.emap.items()
     )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -86,7 +86,7 @@ def build_graph(vertices, edges) -> ColouredGraph:
     return ColouredGraph(tuple(vs), tuple(es))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """Composable edge sequence, or a single vertex (length 0)."""
 

@@ -4,12 +4,13 @@ The central operation turns a path of the ambient graph into the unique
 compatible morphism on the model graph of its degree.  A morphism is fixed
 by any one of its traversals (unique factorization), so the path is first
 rewritten, one square boundary at a time, to the longest traversal a^N b^M:
-the model graph's column of red edges out of e and its row of blue edges
-into w.  Each row above is then filled from the row below, one square at a
+the model graph's column of red edges out of e and its row N of blue edges
+into w.  Each row i < N is then filled from row i + 1, one square at a
 time, by reading the red-first boundary in the collection's index.  A
 missing square raises ``NotCovered``; a result that does not traverse the
 input (the collection pairs a boundary with two squares) raises
-``Conflict``.
+``Conflict``.  The morphism is stored as those rows, in model order, and
+written out (JSON, DOT, ``key()``) by walking them.
 
 The shortest traversal is canonical.  ``normal_form`` computes it from any
 other traversal by the same boundary rewriting, without building the
@@ -21,10 +22,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from types import MappingProxyType
 
 from .errors import Conflict, NotComposable, ResourceLimit
 from .graphs import ColouredGraph, Path, path_degree
@@ -32,57 +32,146 @@ from .models import check_model_size, model, square_positions
 from .squares import CompleteCollection, Square, square_edges
 
 
-@dataclass(frozen=True, eq=False)
-class Morphism:
-    """Total colour/structure-preserving assignment on a model graph.
+def _in_model_order(reds, blues) -> list:
+    """A row's red and blue items as the model graph orders its edges:
+    a(i, 0), b(i, 0), a(i, 1), ..., a(i, last).  Row N has blue ones only."""
+    if not reds:
+        return list(blues)
+    row = [None] * (len(reds) + len(blues))
+    row[::2], row[1::2] = reds, blues
+    return row
 
-    vmap sends each domain vertex (a degree) to an ambient vertex name;
-    emap sends each domain edge (degree, letter) to an ambient edge name.
-    Both are stored as read-only views of private copies, so a morphism
-    and its cached ``key()`` never change.  Morphisms compare by degree and
-    both maps.
+
+def _rows_reader(vertices):
+    """For the model graph with these vertices, the function that cuts
+    (vrows, arows, brows) out of all vertex images and all edge images,
+    each listed in model order.  Each row is a run of both lists; below the
+    top row its red and blue edges alternate, starting with a red one."""
+    widths = [0] * (vertices[-1][0] + 1)
+    for i, _ in vertices:
+        widths[i] += 1
+    vcuts, acuts, bcuts, v, e = [], [], [], 0, 0
+    for width in widths[:-1]:
+        end = e + 2 * width - 1
+        vcuts.append(slice(v, v + width))
+        acuts.append(slice(e, end, 2))
+        bcuts.append(slice(e + 1, end, 2))
+        v, e = v + width, end
+    vcuts.append(slice(v, None))
+    acuts.append(slice(0, 0))
+    bcuts.append(slice(e, None))
+
+    def read(images, names) -> tuple:
+        # Slices of a tuple are tuples.
+        images, names = tuple(images), tuple(names)
+        return (
+            tuple(map(images.__getitem__, vcuts)),
+            tuple(map(names.__getitem__, acuts)),
+            tuple(map(names.__getitem__, bcuts)),
+        )
+
+    return read
+
+
+class _Images(Mapping):
+    """Read-only view over a morphism's rows: with letters ("v",) its vertex
+    map, keyed by prefix pairs, with ("a", "b") its edge map, keyed by
+    (prefix pair, letter).  Both iterate in model order."""
+
+    def __init__(self, lam, letters: tuple):
+        self._lam, self._letters = lam, letters
+
+    def __getitem__(self, key):
+        hash(key)  # an unhashable key raises TypeError, as in a dict
+        try:
+            (i, j), letter = (key, "v") if self._letters == ("v",) else key
+            if i >= 0 and j >= 0 and letter in self._letters:
+                return getattr(self._lam, letter + "rows")[i][j]
+        except (LookupError, TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        domain = model(self._lam.ops, self._lam.degree)
+        return iter(domain.vertices if self._letters == ("v",) else domain.edges)
+
+    def __len__(self):
+        return sum(len(row) for l in self._letters for row in getattr(self._lam, l + "rows"))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Morphism:
+    """Total colour/structure-preserving assignment on a model graph, kept
+    as its rows i = 0..N of prefix pairs (i, j).
+
+    ``vrows[i][j]`` is the ambient vertex of (i, j); ``arows[i][j]`` and
+    ``brows[i][j]`` are the ambient edges of ((i, j), 'a') and ((i, j), 'b'),
+    and row N has no red edges.  Rows are tuples, so a morphism and its
+    cached ``key()`` never change.  ``vmap`` and ``emap`` are read-only
+    views of the rows.  Morphisms compare by mode, degree and rows.
     """
 
     ops: object
     degree: object
-    vmap: Mapping
-    emap: Mapping
+    vrows: tuple
+    arows: tuple
+    brows: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "vmap", MappingProxyType(dict(self.vmap)))
-        object.__setattr__(self, "emap", MappingProxyType(dict(self.emap)))
+    def __init__(self, ops, degree, vmap, emap):
+        """The morphism with these maps; raises ``ValueError`` unless their
+        keys are exactly the vertices and edges of ``model(ops, degree)``."""
+        domain = model(ops, degree)
+        if set(vmap) != set(domain.vertices) or set(emap) != set(domain.edges):
+            raise ValueError(f"maps not keyed by the model graph of {ops.format(degree)}")
+        images, names = [vmap[z] for z in domain.vertices], [emap[k] for k in domain.edges]
+        vrows, arows, brows = _rows_reader(domain.vertices)(images, names)
+        vars(self).update(ops=ops, degree=degree, vrows=vrows, arows=arows, brows=brows)
+
+    @classmethod
+    def _from_rows(cls, ops, degree, vrows, arows, brows) -> Morphism:
+        """The morphism with these rows, unchecked: they must have the model
+        graph's shape."""
+        lam = object.__new__(cls)
+        vars(lam).update(ops=ops, degree=degree, vrows=vrows, arows=arows, brows=brows)
+        return lam
+
+    @property
+    def vmap(self) -> Mapping:
+        return _Images(self, ("v",))
+
+    @property
+    def emap(self) -> Mapping:
+        return _Images(self, ("a", "b"))
 
     @property
     def range_(self) -> str:
-        return self.vmap[self.ops.identity]
+        return self.vrows[0][0]
 
     @property
     def source(self) -> str:
-        return self.vmap[self.degree]
+        return self.vrows[-1][-1]
 
     def key(self):
-        """Canonical hashable identity, for memo tables and dedup."""
+        """Canonical hashable identity, for memo tables and dedup: mode,
+        degree, and all vertex and all edge images in model order, which
+        sorts like the sorted items of both maps."""
         cached = getattr(self, "_key", None)
-        if cached is not None:
-            return cached
-        key = (
-            self.ops.name,
-            self.degree,
-            tuple(sorted(self.vmap.items())),
-            tuple(sorted(self.emap.items())),
-        )
-        object.__setattr__(self, "_key", key)
-        return key
+        if cached is None:
+            cached = (
+                self.ops.name,
+                self.degree,
+                tuple(chain.from_iterable(self.vrows)),
+                tuple(chain.from_iterable(map(_in_model_order, self.arows, self.brows))),
+            )
+            object.__setattr__(self, "_key", cached)
+        return cached
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
+        return self is other or (
             isinstance(other, Morphism)
             and self.ops.name == other.ops.name
             and self.degree == other.degree
-            and self.vmap == other.vmap
-            and self.emap == other.emap
+            and (self.vrows, self.arows, self.brows) == (other.vrows, other.arows, other.brows)
         )
 
     def __hash__(self):
@@ -91,34 +180,43 @@ class Morphism:
     def json_text(self, level: int = 0) -> str:
         """The morphism as an ``indent=2`` JSON object, written in one pass.
 
-        The object holds the mode, the degree (word and pair), the vertex
-        images sorted by prefix pair, and the edge images sorted by
-        (prefix pair, letter).  Every line after the first is indented by
-        ``level`` more steps of two spaces, so the text can sit as a value
-        at that nesting depth of an enclosing ``indent=2`` document.  Names
-        go through the same C string encoder ``json.dumps`` uses; prefix
-        labels come from one ``ops.labels`` table.
+        The object holds the mode, the degree (word and pair), and the
+        vertex and edge images, each read off the rows in model order.
+        Every line after the first is indented by ``level`` more steps of
+        two spaces, so the text can sit as a value at that nesting depth of
+        an enclosing ``indent=2`` document.  Names go through the same C
+        string encoder ``json.dumps`` uses; prefix labels come from one
+        ``ops.labels`` table.
         """
         ops = self.ops
         # Line break plus indentation at depth level, level + 1, ...
         i0 = "\n" + "  " * level
         i1, i2, i3, i4 = (i0 + "  " * k for k in range(1, 5))
-        vertices = sorted(self.vmap.items())
-        label = ops.labels([z for z, _ in vertices])
+        zs = ops.prefixes(self.degree)
+        label = ops.labels(zs)
         quoted = {
             name: encode_basestring_ascii(name)
-            for name in {*self.vmap.values(), *self.emap.values()}
+            for name in set().union(*self.vrows, *self.arows, *self.brows)
         }
+        # Each item list is joined as soon as it is complete, so no more than
+        # one list of item strings is alive at a time.
         vertex_items = f",{i2}".join([
             f'{{{i3}"prefix": "{label[z]}",{i3}"pair": [{i4}{z[0]},{i4}{z[1]}{i3}],'
             f'{i3}"vertex": {quoted[v]}{i2}}}'
-            for z, v in vertices
+            for z, v in zip(zs, chain.from_iterable(self.vrows))
         ])
-        edge_items = f",{i2}".join([
-            f'{{{i3}"prefix": "{label[z]}",{i3}"letter": "{l}",{i3}"edge": {quoted[e]}{i2}}}'
-            for (z, l), e in sorted(self.emap.items())
-        ])
-        edges = f"[{i2}{edge_items}{i1}]" if edge_items else "[]"
+        # The start of each vertex's edge items; each row is a run of zs.
+        heads = [f'{{{i3}"prefix": "{label[z]}",{i3}"letter": "' for z in zs]
+        edge_items, k = [], 0
+        for verts, reds, blues in zip(self.vrows, self.arows, self.brows):
+            row, k = heads[k:k + len(verts)], k + len(verts)
+            edge_items += _in_model_order(
+                [f'{h}a",{i3}"edge": {quoted[e]}{i2}}}' for h, e in zip(row, reds)],
+                [f'{h}b",{i3}"edge": {quoted[e]}{i2}}}' for h, e in zip(row, blues)],
+            )
+        del heads
+        edges = f"[{i2}" + f",{i2}".join(edge_items) + f"{i1}]" if edge_items else "[]"
+        del edge_items
         n, m = self.degree
         return (
             f'{{{i1}"mode": "{ops.name}",{i1}"degree": {{{i2}"word": "{label[self.degree]}",'
@@ -128,7 +226,7 @@ class Morphism:
 
 
 def identity_morphism(ops, vertex: str) -> Morphism:
-    return Morphism(ops, ops.identity, {ops.identity: vertex}, {})
+    return Morphism._from_rows(ops, ops.identity, ((vertex,),), ((),), ((),))
 
 
 def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
@@ -178,9 +276,9 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
     """The unique compatible morphism traversed by x.
 
     The path is rewritten to the morphism's longest traversal a^N b^M,
-    which is the model graph's column of red edges out of e and its row of
-    blue edges into w.  Every other row of the model graph is then filled
-    from the row below it, one red-first index read per domain square.
+    which is the model graph's column of red edges out of e and its row N
+    of blue edges into w.  Each row i < N is then filled from row i + 1,
+    one red-first index read per domain square; the rows are the morphism.
     """
     ops = collection.ops
     if not x.edges:
@@ -197,18 +295,19 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
             )
         colours.append(edge.colour)
         at = edge.source
-    n, m = w = reduce(ops.step, colours, ops.identity)
+    w = reduce(ops.step, colours, ops.identity)
+    n = w[0]
     check_model_size(ops, w)
     rewritten = _rewrite(x.edges, colours, collection, to_red=True)
     names = rewritten[0] if rewritten else x.edges
-    # blue is the row of b(i, j); row i's square at j reads a(i, j) and
-    # b(i+1, 2j), b(i+1, 2j+1) (BS) or b(i+1, j) (grid), and yields the
-    # blue-first pair b(i, j), a(i, j+1).
-    blue = names[n:]
+    # blue holds the images of row i+1's b(i+1, j); row i's square at j
+    # reads a(i, j) and b(i+1, 2j), b(i+1, 2j+1) (BS) or b(i+1, j) (grid),
+    # and yields the blue-first pair b(i, j), a(i, j+1).
+    blue = tuple(names[n:])
     edge_of = g.edge
-    vmap = dict(zip(zip(repeat(n), range(m)), [edge_of(b).range_ for b in blue]))
-    vmap[w] = at
-    emap = dict(zip(zip(vmap, repeat("b")), blue))
+    vrows = [None] * n + [(*[edge_of(b).range_ for b in blue], at)]
+    arows = [None] * n + [()]
+    brows = [None] * n + [blue]
     to_blue, lookup = collection.red_to_blue, collection.lookup_red
     bs = ops.name == "bs"
     for i in range(n - 1, -1, -1):
@@ -221,11 +320,10 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
             blue.append(pair[0])
             a = pair[1]
             reds.append(a)
-        zs = list(zip(repeat(i), range(len(reds))))
-        vmap.update(zip(zs, [edge_of(r).range_ for r in reds]))
-        emap.update(zip(zip(zs, repeat("a")), reds))
-        emap.update(zip(zip(zs, repeat("b")), blue))
-    lam = Morphism(ops, w, vmap, emap)
+        vrows[i] = tuple([edge_of(r).range_ for r in reds])
+        arows[i] = tuple(reds)
+        brows[i] = blue = tuple(blue)
+    lam = Morphism._from_rows(ops, w, tuple(vrows), tuple(arows), tuple(brows))
     if not check_traverses(g, lam, x):
         raise Conflict(
             f"the lift of {x} does not traverse it; the collection cannot be "
@@ -260,11 +358,11 @@ def check_traverses(g: ColouredGraph, lam: Morphism, x: Path) -> bool:
     if path_degree(ops, x) != lam.degree:
         return False
     if not x.edges:
-        return lam.vmap.get(ops.identity) == x.range_
+        return lam.range_ == x.range_
+    rows = {"a": lam.arows, "b": lam.brows}
     w = ops.identity
-    for name in x.edges:
-        colour = g.edge(name).colour
-        if lam.emap.get((w, colour)) != name:
+    for name, colour in zip(x.edges, x.colours):
+        if rows[colour][w[0]][w[1]] != name:
             return False
         w = ops.step(w, colour)
     return True
@@ -274,14 +372,14 @@ def _read_traversal(lam: Morphism, letters, start=None) -> Path:
     """The path lam's edge images spell along letters from the domain
     vertex start (the identity if None)."""
     ops = lam.ops
-    emap, step = lam.emap, ops.step
+    rows, step = {"a": lam.arows, "b": lam.brows}, ops.step
     w = ops.identity if start is None else start
-    range_ = lam.vmap[w]
+    range_ = lam.vrows[w[0]][w[1]]
     names = []
     for letter in letters:
-        names.append(emap[(w, letter)])
+        names.append(rows[letter][w[0]][w[1]])
         w = step(w, letter)
-    return Path(tuple(names), range_, lam.vmap[w], tuple(letters))
+    return Path(tuple(names), range_, lam.vrows[w[0]][w[1]], tuple(letters))
 
 
 def shortest_traversal(g: ColouredGraph, lam: Morphism) -> Path:
@@ -344,10 +442,12 @@ def enumerate_morphisms(
         return [identity_morphism(ops, v) for v in g.vertices][:limit]
     if limit == 0:
         return []
-    # Domain vertices and edges are numbered; images[i] is the ambient
-    # vertex of vertices[i], names[i] the ambient edge of edge_keys[i].
+    # Domain vertices and edges are numbered in model order; images[i] is
+    # the ambient vertex of vertices[i], names[i] the ambient edge of
+    # edge_keys[i], and read_rows cuts a result's rows out of both.
     vertex_index = {z: i for i, z in enumerate(vertices)}
     edge_index = {k: i for i, k in enumerate(edge_keys)}
+    read_rows = _rows_reader(vertices)
     # A square's edge names in model-edge order; one reader per occurrence
     # picks that tuple out of names (a square has at least four edges, so
     # itemgetter returns a tuple).
@@ -384,9 +484,7 @@ def enumerate_morphisms(
             )
         if i == last:
             if all(read(names) in known for read in square_readers):
-                results.append(Morphism(
-                    ops, w, dict(zip(vertices, images)), dict(zip(edge_keys, names))
-                ))
+                results.append(Morphism._from_rows(ops, w, *read_rows(images, names)))
                 if len(results) == limit:
                     raise _LimitReached
             return

@@ -102,6 +102,7 @@ def _cases() -> dict[str, list[str]]:
     for key, (name, lhs, rhs, at) in LONG_PATHS.items():
         fx = str(FIXTURE_DIR / name)
         cases[f"lift-{key}-json"] = ["lift", fx, "--path", f"{lhs} {rhs}", "--json"]
+        cases[f"lift-{key}-dot"] = ["lift", fx, "--path", f"{lhs} {rhs}", "--dot"]
         cases[f"compose-{key}-json"] = ["compose", fx, "--lhs", lhs, "--rhs", rhs, "--json"]
         cases[f"factorize-{key}-json"] = [
             "factorize", fx, "--path", f"{lhs} {rhs}", "--at", at, "--json",

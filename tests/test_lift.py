@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from bsgraph.category import LambdaContext, all_paths
 from bsgraph.errors import Conflict, NotComposable, NotCovered
 from bsgraph.fixtures import parse_fixture
-from bsgraph.graphs import path_degree, validate_path
+from bsgraph.graphs import path_degree, validate_path, vertex_path
 from bsgraph.models import check_model_size, model
-from bsgraph.morphisms import Morphism, identity_morphism, lift_path
+from bsgraph.morphisms import Morphism, lift_path
 from bsgraph.squares import CompleteCollection, blue_keys, red_keys
 
 from .test_normal_form import generated_paths
@@ -117,10 +117,11 @@ class _WorklistLift:
                 raise Conflict(f"edge ({self.ops.format(z)},{letter}) forced to two edges")
 
 
-def worklist_lift(g, collection, x) -> Morphism:
+def worklist_maps(g, collection, x) -> tuple:
+    """The degree, vertex dict and edge dict the worklist lift assigns."""
     ops = collection.ops
     if not x.edges:
-        return identity_morphism(ops, x.range_)
+        return ops.identity, {ops.identity: x.range_}, {}
     check_model_size(ops, path_degree(ops, x))
     state = _WorklistLift(g, collection)
     state.set_vertex(ops.identity, x.range_)
@@ -128,7 +129,11 @@ def worklist_lift(g, collection, x) -> Morphism:
         state.append(name)
     if len(state.emap) != len(model(ops, state.degree).edges):
         raise Conflict("propagation left domain edges unassigned")
-    return Morphism(ops, state.degree, state.vmap, state.emap)
+    return state.degree, state.vmap, state.emap
+
+
+def worklist_lift(g, collection, x) -> Morphism:
+    return Morphism(collection.ops, *worklist_maps(g, collection, x))
 
 
 def _agree(ctx: LambdaContext, paths) -> None:
@@ -136,6 +141,21 @@ def _agree(ctx: LambdaContext, paths) -> None:
         assert lift_path(ctx.graph, ctx.collection, x) == worklist_lift(
             ctx.graph, ctx.collection, x
         ), str(x)
+
+
+def _maps_agree(ctx: LambdaContext, paths) -> None:
+    """The row lift's vmap and emap equal the worklist lift's dicts, count
+    and iterate like the model graph, and read the rows."""
+    for x in paths:
+        lam = lift_path(ctx.graph, ctx.collection, x)
+        degree, vmap, emap = worklist_maps(ctx.graph, ctx.collection, x)
+        domain = model(ctx.ops, degree)
+        assert lam.degree == degree
+        assert dict(lam.vmap) == vmap and dict(lam.emap) == emap, str(x)
+        assert list(lam.vmap) == list(domain.vertices)
+        assert list(lam.emap) == list(domain.edges)
+        assert len(lam.vmap) == len(domain.vertices) and len(lam.emap) == len(domain.edges)
+        assert list(lam.vmap.values()) == [v for row in lam.vrows for v in row]
 
 
 @pytest.mark.parametrize("name, max_len", [("ctx", 8), ("grid_ctx", 9)])
@@ -191,6 +211,14 @@ def multi_vertex_paths(draw):
 def test_lift_matches_worklist_on_multi_vertex_collections(drawn):
     ctx, paths = drawn
     _agree(ctx, paths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generated_paths(8), multi_vertex_paths()))
+def test_row_maps_match_worklist_dicts_in_model_order(drawn):
+    ctx, paths = drawn
+    g = ctx.graph
+    _maps_agree(ctx, paths + [vertex_path(g, v) for v in g.vertices[:1]])
 
 
 def test_duplicated_red_boundary_is_a_conflict():

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from bsgraph.category import LambdaContext, all_paths, pool_morphisms
 from bsgraph.errors import Conflict, NotComposable, NotCovered
 from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import validate_path, vertex_path
@@ -278,12 +279,126 @@ def test_morphism_maps_are_read_only(example_lam):
         example_lam.vmap[BS.identity] = "v"
     with pytest.raises(TypeError):
         example_lam.emap[(BS.identity, "a")] = "h"
-    # The maps are private copies: changing a dict the morphism was built
-    # from changes neither the morphism nor its cached key.
+    for field in ("vrows", "arows", "brows", "vmap", "emap", "degree"):
+        with pytest.raises(AttributeError):
+            setattr(example_lam, field, ())
+    assert isinstance(example_lam.vrows[0], tuple) and isinstance(example_lam.arows[0], tuple)
+    # The rows are built from the maps: changing a dict the morphism was
+    # built from changes neither the morphism nor its cached key.
     vmap, emap = dict(example_lam.vmap), dict(example_lam.emap)
     copy = Morphism(BS, example_lam.degree, vmap, emap)
     vmap[BS.identity] = "v"
     assert copy == example_lam and copy.key() == key
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(-1, 0), (0, -1), (0, 5), (3, 0), (2, 9), (0,), (0, 0, 0), "e", None, ("0", 0)],
+)
+def test_off_domain_vertex_keys(example_lam, key):
+    # The model graph of a^2 b^8 has rows of 3, 5 and 9 vertices.
+    with pytest.raises(KeyError):
+        example_lam.vmap[key]
+    assert example_lam.vmap.get(key) is None and key not in example_lam.vmap
+
+
+def test_unhashable_keys_raise_type_error_as_in_a_dict(example_lam):
+    for view, key in ((example_lam.vmap, [0, 0]), (example_lam.emap, ([0, 0], "a"))):
+        with pytest.raises(TypeError):
+            view[key]
+        with pytest.raises(TypeError):
+            view.get(key)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ((2, 0), "a"),  # the top row has no red edges
+        ((0, 2), "b"),  # nor has the last vertex of a row a blue one
+        ((2, 8), "b"),
+        ((0, 3), "a"),
+        ((-1, 0), "a"),
+        ((0, 0), "c"),
+        ((0, 0), None),
+        ((0, 0),),
+        (0, 0),
+        "a",
+    ],
+)
+def test_off_domain_edge_keys(example_lam, key):
+    with pytest.raises(KeyError):
+        example_lam.emap[key]
+    assert example_lam.emap.get(key) is None and key not in example_lam.emap
+
+
+@pytest.mark.parametrize("name, max_len", [("ctx", 3), ("grid_ctx", 4)])
+def test_maps_constructor_round_trips(name, max_len, request):
+    ctx = request.getfixturevalue(name)
+    for lam in pool_morphisms(ctx, max_len):
+        again = Morphism(lam.ops, lam.degree, dict(lam.vmap), dict(lam.emap))
+        assert again == lam and hash(again) == hash(lam) and again.key() == lam.key()
+        assert (again.vrows, again.arows, again.brows) == (lam.vrows, lam.arows, lam.brows)
+
+
+def test_maps_constructor_rejects_partial_or_extra_keys(example_lam):
+    vmap, emap = dict(example_lam.vmap), dict(example_lam.emap)
+    degree = example_lam.degree
+    partial_v = {z: v for z, v in vmap.items() if z != (1, 2)}
+    partial_e = {k: e for k, e in emap.items() if k != ((0, 1), "a")}
+    for bad_v, bad_e in [
+        (partial_v, emap),
+        (vmap, partial_e),
+        ({**vmap, (3, 0): "u"}, emap),
+        (vmap, {**emap, ((2, 0), "a"): "f"}),
+        (vmap, {**emap, ((0, 2), "b"): "g"}),
+        ({}, {}),
+    ]:
+        with pytest.raises(ValueError):
+            Morphism(BS, degree, bad_v, bad_e)
+    # The same maps under another degree are off its model graph.
+    with pytest.raises(ValueError):
+        Morphism(BS, (2, 7), vmap, emap)
+
+
+def _old_key(lam):
+    """The key morphisms had as two dicts: sorted items of both maps."""
+    return (
+        lam.ops.name,
+        lam.degree,
+        tuple(sorted(lam.vmap.items())),
+        tuple(sorted(lam.emap.items())),
+    )
+
+
+# Two red and two blue loops on one vertex, every pair commuting: many
+# morphisms of one degree share their vertex images and differ in edges,
+# where the order red and blue edges take in the key decides the sort.
+PARALLEL_LOOPS = "mode grid\nvertex x\n" + "".join(
+    f"edge {e} {c} x x\n" for e, c in (("r0", 1), ("r1", 1), ("b0", 2), ("b1", 2))
+) + "".join(
+    f"square s{r}{b} v1={r} e1v2={b} v2={b} e2v1={r}\n" for r in ("r0", "r1") for b in ("b0", "b1")
+)
+
+
+@pytest.mark.parametrize("name", ["ctx", "grid_ctx", "parallel loops"])
+def test_key_sorts_and_dedups_like_sorted_items(name, request):
+    if name == "parallel loops":
+        fx = parse_fixture(PARALLEL_LOOPS)
+        ctx = LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    else:
+        ctx = request.getfixturevalue(name)
+    ops = ctx.ops
+    lifts = [lift_path(ctx.graph, ctx.collection, p) for p in all_paths(ctx.graph, 3)]
+    enumerated = [
+        m
+        for w in ops.prefixes(ops.mul(ops.square_degree, ops.square_degree))
+        for m in enumerate_morphisms(ctx.graph, ctx.collection, w)
+    ]
+    everything = lifts + enumerated
+    assert sorted(everything, key=Morphism.key) == sorted(everything, key=_old_key)
+    assert len({m.key() for m in everything}) == len({_old_key(m) for m in everything})
+    pool = pool_morphisms(ctx, 3)
+    assert pool == sorted(pool, key=_old_key)
 
 
 def test_morphism_json_shape(example_lam):
