@@ -219,8 +219,10 @@ class CompositionTable:
         return k
 
 
-def _describe(ops, x: Path) -> str:
-    return f"degree {ops.format(path_degree(ops, x))} from {x.range_} to {x.source}"
+def _describe(ops, *xs: Path) -> str:
+    return " ; ".join(
+        f"degree {ops.format(path_degree(ops, x))} from {x.range_} to {x.source}" for x in xs
+    )
 
 
 def _by_range(paths: list) -> dict:
@@ -238,37 +240,42 @@ def _pairs(paths: list, after: dict):
             yield i, j
 
 
+def _law(name: str, instances, counterexample) -> LawResult:
+    """Check one law over its instances in order, up to and including the
+    first one for which ``counterexample(*instance)`` describes a failure."""
+    count = 0
+    for instance in instances:
+        count += 1
+        found = counterexample(*instance)
+        if found:
+            return LawResult(name, count, False, found)
+    return LawResult(name, count, True)
+
+
 def verify_category(
     ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
-    """Range/source, associativity, and identity laws over the bounded pool.
-
-    Composites are read from the table's rows; ``compose`` runs only on a
-    miss."""
+    """Range/source, associativity, and identity laws over the bounded pool."""
     table = table or CompositionTable(ctx)
     _, paths, ids = table.pool(max_len)
     compose, products, interned = table.compose, table._products, table.paths
     ops = ctx.ops
     after = _by_range(paths)
-    laws = []
 
-    rs_instances = 0
-    rs_fail = None
-    for i, j in _pairs(paths, after):
-        rs_instances += 1
-        k = products[ids[i]].get(ids[j])
-        if k is None:
-            k = compose(ids[i], ids[j])
-        prod = interned[k]
+    def range_source(i, j):
+        prod = interned[compose(ids[i], ids[j])]
         if prod.range_ != paths[i].range_ or prod.source != paths[j].source:
-            rs_fail = f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])}"
-            break
-    laws.append(LawResult("range/source of composites", rs_instances, rs_fail is None, rs_fail))
+            return _describe(ops, paths[i], paths[j])
 
-    # Over the pairs the range/source law composed, the failing one included.
+    rs = _law("range/source of composites", _pairs(paths, after), range_source)
+
+    # Associativity is most of verify's instances (95% at max-len 5 on
+    # example_E.cg), so it reads the table's rows inline and calls
+    # ``compose`` only on a miss.  It runs over the pairs the range/source
+    # law composed, the failing one included.
     assoc_instances = 0
     assoc_fail = None
-    for i, j in islice(_pairs(paths, after), rs_instances):
+    for i, j in islice(_pairs(paths, after), rs.instances):
         lam, mu = ids[i], ids[j]
         lam_row, mu_row = products[lam], products[mu]
         left = lam_row.get(mu)
@@ -288,31 +295,20 @@ def verify_category(
             if inner is None:
                 inner = compose(lam, right)
             if outer != inner:
-                assoc_fail = (
-                    f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])} ; "
-                    f"{_describe(ops, paths[k])}"
-                )
+                assoc_fail = _describe(ops, paths[i], paths[j], paths[k])
                 break
         if assoc_fail:
             break
-    laws.append(LawResult("associativity", assoc_instances, assoc_fail is None, assoc_fail))
+    assoc = LawResult("associativity", assoc_instances, assoc_fail is None, assoc_fail)
 
-    id_instances = 0
-    id_fail = None
     unit = {v: table.intern(vertex_path(ctx.graph, v)) for v in ctx.graph.vertices}
-    for lam, x in zip(ids, paths):
-        id_instances += 1
-        on_left = products[unit[x.range_]].get(lam)
-        if on_left is None:
-            on_left = compose(unit[x.range_], lam)
-        on_right = products[lam].get(unit[x.source])
-        if on_right is None:
-            on_right = compose(lam, unit[x.source])
+
+    def identity_law(lam, x):
+        on_left, on_right = compose(unit[x.range_], lam), compose(lam, unit[x.source])
         if on_left != lam or on_right != lam:
-            id_fail = _describe(ops, x)
-            break
-    laws.append(LawResult("identity laws", id_instances, id_fail is None, id_fail))
-    return VerificationReport(laws)
+            return _describe(ops, x)
+
+    return VerificationReport([rs, assoc, _law("identity laws", zip(ids, paths), identity_law)])
 
 
 def verify_functor(
@@ -321,117 +317,81 @@ def verify_functor(
     """Degree is multiplicative on composites and trivial on identities."""
     table = table or CompositionTable(ctx)
     _, paths, ids = table.pool(max_len)
-    compose, products, interned = table.compose, table._products, table.paths
+    compose, interned = table.compose, table.paths
     ops = ctx.ops
     degrees = [path_degree(ops, x) for x in paths]
-    after = _by_range(paths)
-    laws = []
+    pairs = _pairs(paths, _by_range(paths))
 
-    mult_instances = 0
-    mult_fail = None
-    for i, j in _pairs(paths, after):
-        mult_instances += 1
-        k = products[ids[i]].get(ids[j])
-        if k is None:
-            k = compose(ids[i], ids[j])
-        if path_degree(ops, interned[k]) != ops.mul(degrees[i], degrees[j]):
-            mult_fail = f"{_describe(ops, paths[i])} ; {_describe(ops, paths[j])}"
-            break
-    laws.append(LawResult(
-        "degree multiplicative on composites", mult_instances, mult_fail is None, mult_fail
-    ))
+    def multiplicative(i, j):
+        product = path_degree(ops, interned[compose(ids[i], ids[j])])
+        if product != ops.mul(degrees[i], degrees[j]):
+            return _describe(ops, paths[i], paths[j])
 
-    id_instances = 0
-    id_fail = None
-    for v in ctx.graph.vertices:
-        id_instances += 1
+    def identity_degree(v):
         if path_degree(ops, vertex_path(ctx.graph, v)) != ops.identity:
-            id_fail = f"vertex {v}"
-            break
-    laws.append(LawResult("identities map to e", id_instances, id_fail is None, id_fail))
-    return VerificationReport(laws)
+            return f"vertex {v}"
+
+    return VerificationReport([
+        _law("degree multiplicative on composites", pairs, multiplicative),
+        _law("identities map to e", zip(ctx.graph.vertices), identity_degree),
+    ])
 
 
 def verify_factorization(
     ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
     """Factor-then-compose returns the morphism, and each split is the
-    unique factor pair of its degrees that enumeration finds.
-
-    Both laws run over the same splits in one pass, each up to its first
-    failure."""
+    unique factor pair of its degrees that enumeration finds."""
     table = table or CompositionTable(ctx)
     pool, paths, ids = table.pool(max_len)
-    compose, products, intern, interned = (
-        table.compose, table._products, table.intern, table.paths
-    )
+    compose, intern, interned = table.compose, table.intern, table.paths
     ops = ctx.ops
     g = ctx.graph
-    enum_memo: dict = {}
+    enumerated: dict = {}
 
-    def candidates(w):
-        """Ids of the traversals of every enumerated morphism of degree w,
-        undeduplicated, and the same ids grouped by range."""
-        if w not in enum_memo:
-            found = [
-                intern(shortest_traversal(g, m))
-                for m in enumerate_morphisms(g, ctx.collection, w)
-            ]
-            by_range: dict = {}
-            for i in found:
-                by_range.setdefault(interned[i].range_, []).append(i)
-            enum_memo[w] = found, by_range
-        return enum_memo[w]
+    def candidates(w) -> dict:
+        """Range -> ids of the traversals of the morphisms of degree w
+        that enumeration finds, undeduplicated."""
+        if w not in enumerated:
+            by_range = enumerated[w] = {}
+            for m in enumerate_morphisms(g, ctx.collection, w):
+                x = shortest_traversal(g, m)
+                by_range.setdefault(x.range_, []).append(intern(x))
+        return enumerated[w]
 
-    def splits():
-        """(pool index, w1, w2, ids of the two factors) of every split.
-        The factors are read off the dense pool morphism, so the split
-        comes from the lift, independently of rewriting."""
-        for n, lam in enumerate(pool):
-            for w1 in ops.prefixes(lam.degree):
-                w2 = ops.quotient(w1, lam.degree)
-                mu, nu = split_traversals(lam, w1, w2)
-                yield n, w1, w2, intern(mu), intern(nu)
+    # (pool index, w1, w2, left id, right id) of every split, read off the
+    # dense pool morphism, so the split comes from the lift, not rewriting.
+    splits = []
+    for n, lam in enumerate(pool):
+        for w1 in ops.prefixes(lam.degree):
+            w2 = ops.quotient(w1, lam.degree)
+            mu, nu = split_traversals(lam, w1, w2)
+            splits.append((n, w1, w2, intern(mu), intern(nu)))
 
-    rt_instances = uniq_instances = 0
-    rt_fail = uniq_fail = None
-    for n, w1, w2, left, right in splits():
-        xid = ids[n]
-        if rt_fail is None:
-            rt_instances += 1
-            k = products[left].get(right)
-            if k is None:
-                k = compose(left, right)
-            if k != xid:
-                rt_fail = f"{_describe(ops, paths[n])} split at {ops.format(w1)}"
-        if uniq_fail is None:
-            uniq_instances += 1
-            firsts, _ = candidates(w1)
-            _, seconds = candidates(w2)
-            matches = []
-            for mu in firsts:
-                row = products[mu]
-                for nu in seconds.get(interned[mu].source, ()):
-                    k = row.get(nu)
-                    if k is None:
-                        k = compose(mu, nu)
-                    if k == xid:
-                        matches.append((mu, nu))
-            if len(matches) != 1:
-                uniq_fail = (
-                    f"{_describe(ops, paths[n])} split at {ops.format(w1)}: "
-                    f"{len(matches)} factor pairs"
-                )
-            elif matches[0] != (left, right):
-                uniq_fail = (
-                    f"{_describe(ops, paths[n])} split at {ops.format(w1)}: "
-                    f"enumeration's factor pair is not the split"
-                )
-        if rt_fail and uniq_fail:
-            break
+    def round_trip(n, w1, w2, left, right):
+        if compose(left, right) != ids[n]:
+            return f"{_describe(ops, paths[n])} split at {ops.format(w1)}"
+
+    def uniqueness(n, w1, w2, left, right):
+        firsts, seconds = candidates(w1), candidates(w2)
+        matches = [
+            (mu, nu)
+            for group in firsts.values()
+            for mu in group
+            for nu in seconds.get(interned[mu].source, ())
+            if compose(mu, nu) == ids[n]
+        ]
+        if len(matches) != 1:
+            problem = f"{len(matches)} factor pairs"
+        elif matches[0] != (left, right):
+            problem = "enumeration's factor pair is not the split"
+        else:
+            return None
+        return f"{_describe(ops, paths[n])} split at {ops.format(w1)}: {problem}"
+
     return VerificationReport([
-        LawResult("factorize/compose round-trip", rt_instances, rt_fail is None, rt_fail),
-        LawResult("factor pair uniqueness", uniq_instances, uniq_fail is None, uniq_fail),
+        _law("factorize/compose round-trip", splits, round_trip),
+        _law("factor pair uniqueness", splits, uniqueness),
     ])
 
 

@@ -16,12 +16,10 @@ from .category import SUITES, LambdaContext, verify
 from .errors import (
     BsGraphError,
     Conflict,
-    FixtureSyntaxError,
     NotAPrefix,
     NotComposable,
     NotCovered,
     ResourceLimit,
-    WordSyntaxError,
 )
 from .fixtures import load_fixture
 from .graphs import concat, parse_path
@@ -35,19 +33,18 @@ from .morphisms import (
     split_traversals,
 )
 from .squares import CompleteCollection, check_complete
-from .words import BS, GRID, longest_form, parse_word
+from .words import BS, GRID, longest_form, parse_word, printable_pair
 
 _FINDING = (NotCovered, Conflict, NotAPrefix, NotComposable)
-_INPUT_ERROR = (FixtureSyntaxError, WordSyntaxError)
 
 
 def _emit(payload, as_json: bool, text: str):
     print(json.dumps(payload, indent=2) if as_json else text)
 
 
-def _context(path) -> tuple:
+def _context(path) -> LambdaContext:
     fx = load_fixture(path)
-    return fx, LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    return LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
 
 
 def cmd_check(args) -> int:
@@ -80,27 +77,25 @@ def cmd_word(args) -> int:
             print("error: word normalize takes one word", file=sys.stderr)
             return 2
         w = parse_word(args.w1)
+        pair, longest, shortest = printable_pair(w), longest_form(w), BS.format(w)
         _emit(
-            {"shortest": BS.format(w), "longest": longest_form(w), "pair": list(w)},
+            {"shortest": shortest, "longest": longest, "pair": pair},
             args.json,
-            f"shortest {BS.format(w)}\nlongest {longest_form(w)}\npair {w}",
+            f"shortest {shortest}\nlongest {longest}\npair {w}",
         )
         return 0
     if args.w2 is None:
         print(f"error: word {args.word_op} needs two words", file=sys.stderr)
         return 2
     w1, w2 = parse_word(args.w1), parse_word(args.w2)
-    if args.word_op == "mul":
-        w = BS.mul(w1, w2)
-        _emit({"word": BS.format(w), "pair": list(w)}, args.json, BS.format(w))
-        return 0
     if args.word_op == "prefix":
         ok = BS.is_prefix(w1, w2)
         _emit({"prefix": ok}, args.json, "true" if ok else "false")
         return 0
-    # quotient
-    w = BS.quotient(w1, w2)
-    _emit({"word": BS.format(w), "pair": list(w)}, args.json, BS.format(w))
+    w = BS.mul(w1, w2) if args.word_op == "mul" else BS.quotient(w1, w2)
+    word = BS.format(w)
+    # Only the JSON form writes the pair, so only it checks the pair's size.
+    _emit({"word": word, "pair": printable_pair(w)} if args.json else None, args.json, word)
     return 0
 
 
@@ -109,23 +104,23 @@ def cmd_model(args) -> int:
     m = model(ops, ops.parse(args.word))
     if args.dot:
         sys.stdout.write(dot.model_to_dot(m))
-        return 0
-    label = ops.labels(m.vertices)
-    payload = {
-        "degree": label[m.word],
-        "vertices": [label[z] for z in m.vertices],
-        "edges": [{"prefix": label[z], "letter": l} for z, l in m.edges],
-    }
-    _emit(
-        payload,
-        args.json,
-        f"degree {label[m.word]}: {len(m.vertices)} vertices, {len(m.edges)} edges",
-    )
+    elif args.json:
+        label = ops.labels(m.vertices)
+        payload = {
+            "degree": label[m.word],
+            "vertices": [label[z] for z in m.vertices],
+            "edges": [{"prefix": label[z], "letter": l} for z, l in m.edges],
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        # Only the degree is named: labelling every vertex would cost the
+        # sum of their lengths, quadratic in M on the row of b's.
+        print(f"degree {ops.format(m.word)}: {len(m.vertices)} vertices, {len(m.edges)} edges")
     return 0
 
 
 def cmd_lift(args) -> int:
-    fx, ctx = _context(args.fixture)
+    ctx = _context(args.fixture)
     path = parse_path(ctx.graph, args.path)
     lam = lift_path(ctx.graph, ctx.collection, path)
     if args.oracle:
@@ -155,7 +150,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    fx, ctx = _context(args.fixture)
+    ctx = _context(args.fixture)
     x = parse_path(ctx.graph, args.lhs)
     y = parse_path(ctx.graph, args.rhs)
     if x.source != y.range_:
@@ -174,7 +169,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    fx, ctx = _context(args.fixture)
+    ctx = _context(args.fixture)
     lam = lift_path(ctx.graph, ctx.collection, parse_path(ctx.graph, args.path))
     w1 = ctx.ops.parse(args.at)
     w2 = ctx.ops.quotient(w1, lam.degree)
@@ -192,7 +187,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_traversals(args) -> int:
-    fx, ctx = _context(args.fixture)
+    ctx = _context(args.fixture)
     path = parse_path(ctx.graph, args.path)
     lam = lift_path(ctx.graph, ctx.collection, path)
     rows = []
@@ -209,7 +204,7 @@ def cmd_traversals(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    fx, ctx = _context(args.fixture)
+    ctx = _context(args.fixture)
     w = ctx.ops.parse(args.degree)
     # The search stops at a non-negative limit; a negative one keeps its
     # slice semantics (all but the last -limit) and needs the whole search.
@@ -232,7 +227,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fx, ctx = _context(args.fixture)
+    ctx = _context(args.fixture)
     wanted = args.laws.split(",")
     unknown = [w for w in wanted if w not in SUITES]
     if unknown:
@@ -327,19 +322,13 @@ def run(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except _INPUT_ERROR as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _FINDING as exc:
         print(f"{type(exc).__name__}: {exc}")
         return 1
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BsGraphError as exc:
+    except (BsGraphError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,8 @@ def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def graph_to_dot(g: ColouredGraph, name: str = "E") -> str:
-    lines = [f"digraph {name} {{"]
+def graph_to_dot(g: ColouredGraph) -> str:
+    lines = ["digraph E {"]
     lines.extend(f"  {_quote(v)};" for v in g.vertices)
     lines.extend(
         f"  {_quote(e.source)} -> {_quote(e.range_)} "
@@ -25,11 +25,11 @@ def graph_to_dot(g: ColouredGraph, name: str = "E") -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_to_dot(m: ModelGraph, name: str = "model") -> str:
+def model_to_dot(m: ModelGraph) -> str:
     """Vertices are labelled with shortest-form words (grid: coordinates)."""
     step = m.ops.step
     label = {z: _quote(s) for z, s in m.ops.labels(m.vertices).items()}
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph model {"]
     lines.extend(f"  {label[z]};" for z in m.vertices)
     lines.extend(
         f"  {label[step(z, l)]} -> {label[z]} [color={_COLOUR[l]}];"
@@ -39,12 +39,12 @@ def model_to_dot(m: ModelGraph, name: str = "model") -> str:
     return "\n".join(lines) + "\n"
 
 
-def morphism_to_dot(lam: Morphism, name: str = "morphism") -> str:
+def morphism_to_dot(lam: Morphism) -> str:
     """The domain model graph, each element labelled with its image; both
     maps list the model graph's vertices and edges in its order."""
     step = lam.ops.step
     label = lam.ops.labels(lam.ops.prefixes(lam.degree))
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph morphism {"]
     lines.extend(
         f"  {_quote(label[z])} [label={_quote(label[z] + ' -> ' + v)}];"
         for z, v in lam.vmap.items()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimit
 
-DEFAULT_MAX_VERTICES = 10**6
+MAX_VERTICES = 10**6
 
 
 @dataclass(frozen=True)
@@ -26,18 +26,20 @@ class ModelGraph:
     edges: tuple  # of (degree, letter)
 
 
-def check_model_size(ops, w, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
-    """Raise ResourceLimit if the model graph of w has too many vertices."""
-    count = ops.prefix_count(w)
-    if count > max_vertices:
-        raise ResourceLimit(
-            f"model graph of {ops.format(w)} has {count} vertices "
-            f"(limit {max_vertices})"
-        )
+def too_many_vertices(ops, w, limit: int) -> bool:
+    """Whether the model graph of w has more than ``limit`` vertices.  Its
+    rows (i, 0) and (N, j) alone hold N + M + 1 of them, so past that cheap
+    bound the answer comes before ``prefix_count`` sums anything."""
+    return w[0] + w[1] >= limit or ops.prefix_count(w) > limit
 
 
-def model(ops, w, max_vertices: int = DEFAULT_MAX_VERTICES) -> ModelGraph:
-    check_model_size(ops, w, max_vertices)
+def check_model_size(ops, w) -> None:
+    if too_many_vertices(ops, w, MAX_VERTICES):
+        raise ResourceLimit(f"model graph of more than {MAX_VERTICES} vertices")
+
+
+def model(ops, w) -> ModelGraph:
+    check_model_size(ops, w)
     vertices = tuple(ops.prefixes(w))
     edges = tuple(
         (z, l)

@@ -28,7 +28,7 @@ from operator import itemgetter
 
 from .errors import Conflict, NotComposable, ResourceLimit
 from .graphs import ColouredGraph, Path, path_degree
-from .models import check_model_size, model, square_positions
+from .models import check_model_size, model, square_positions, too_many_vertices
 from .squares import CompleteCollection, Square, square_edges
 
 
@@ -406,6 +406,8 @@ def split_traversals(lam: Morphism, w1, w2) -> tuple[Path, Path]:
 # test suite, ``verify --max-len 6`` on example_E.cg and the benchmark
 # reach is 590,236 (degree a^3 b^8 over three red loops).
 MAX_SEARCH_NODES = 10**6
+# Vertices of the model graph one enumeration may search over.
+MAX_ENUMERATION_VERTICES = 10**4
 
 
 class _LimitReached(Exception):
@@ -416,7 +418,6 @@ def enumerate_morphisms(
     g: ColouredGraph,
     collection: CompleteCollection,
     w,
-    max_vertices: int = 10**4,
     limit: int | None = None,
 ) -> list[Morphism]:
     """Brute-force oracle: every total colour/structure-preserving
@@ -425,16 +426,16 @@ def enumerate_morphisms(
     Backtracks over domain edges in declaration order, trying ambient
     edges in declaration order; output order is deterministic.  Squares
     are checked only on total assignments, so the search itself knows
-    nothing of the collection.  Exponential by design;
-    guarded by max_vertices before the search and by MAX_SEARCH_NODES
+    nothing of the collection.  Exponential by design; guarded by
+    MAX_ENUMERATION_VERTICES before the search and by MAX_SEARCH_NODES
     during it.  With a non-negative ``limit`` the search stops once it has
     found that many morphisms, and returns the first ``limit`` of the full
     list.
     """
     ops = collection.ops
-    if ops.prefix_count(w) > max_vertices:
+    if too_many_vertices(ops, w, MAX_ENUMERATION_VERTICES):
         raise ResourceLimit(
-            f"enumeration domain {ops.format(w)} exceeds {max_vertices} vertices"
+            f"enumeration domain of more than {MAX_ENUMERATION_VERTICES} vertices"
         )
     domain = model(ops, w)
     vertices, edge_keys = domain.vertices, domain.edges

@@ -20,11 +20,31 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotAPrefix, WordSyntaxError
+from .errors import NotAPrefix, ResourceLimit, WordSyntaxError
+
+# Letter forms are refused past this many letters, before they are built:
+# words parsed from text, and shortest and longest forms written out.
+MAX_LETTERS = 10**6
+# A pair is written in decimal, so one whose M has more bits than this
+# (about 3,000 digits, inside Python's 4,300-digit int-to-str limit) is
+# refused before it is written.
+MAX_PAIR_BITS = 10_000
+
+
+def _check_letters(count: int, what: str) -> None:
+    if count > MAX_LETTERS:
+        raise ResourceLimit(f"{what} of more than {MAX_LETTERS} letters")
 
 
 def format_letters(letters) -> str:
     return "".join(letters) or "e"
+
+
+def printable_pair(w) -> list:
+    """w as a two-element list, refused if M is too long to print."""
+    if w[1].bit_length() > MAX_PAIR_BITS:
+        raise ResourceLimit(f"pair whose M has more than {MAX_PAIR_BITS} bits")
+    return list(w)
 
 
 _WORD_TOKEN = re.compile(r"([ab])(?:\s*\^?\s*(-?\d+))?")
@@ -78,21 +98,12 @@ class BsMonoid:
 
     @staticmethod
     def shortest_letters(w) -> tuple[str, ...]:
-        """The geodesic word for w, peeled letter by letter from the right."""
+        """The geodesic word for w: (M >> N) b's, then for each of the low
+        N bits of M, most significant first, an a followed by a b if the
+        bit is set.  One pass over the bits, so it is linear in N."""
         n, m = w
-        rev = []
-        while n or m:
-            if m & 1:
-                rev.append("b")
-                m -= 1
-            elif n:
-                rev.append("a")
-                n -= 1
-                m >>= 1
-            else:
-                rev.append("b")
-                m -= 1
-        return tuple(reversed(rev))
+        low = bin(m & ((1 << n) - 1) | 1 << n)[3:]
+        return tuple("b" * (m >> n) + low.replace("0", "a").replace("1", "ab"))
 
     @staticmethod
     def longest_letters(w) -> tuple[str, ...]:
@@ -101,6 +112,8 @@ class BsMonoid:
     @staticmethod
     def format(w) -> str:
         """The shortest form of w, "e" for the identity."""
+        n, m = w
+        _check_letters(n + bin(m & ((1 << n) - 1)).count("1") + (m >> n), "shortest form")
         return format_letters(BsMonoid.shortest_letters(w))
 
     @staticmethod
@@ -190,24 +203,19 @@ BS = BsMonoid()
 GRID = GridMonoid()
 
 
-def fold_letters(letters):
-    w = BS.identity
-    for l in letters:
-        w = BS.step(w, l)
-    return w
-
-
-def parse_letters(text: str) -> tuple[str, ...]:
-    """Expand word text into its letter sequence.
+def parse_word(text: str, ops=BS):
+    """The degree of word text, folded one ``x^k`` token at a time through
+    ``ops.mul`` by (k, 0) or (0, k), so no k-letter list is built.
 
     Accepts raw letter strings ("bbaa"), caret exponents ("a^2 b^8") and
-    the compact dotted form ("a2.b8").  "e" denotes the identity.
+    the compact dotted form ("a2.b8").  "e" denotes the identity.  A word
+    of more than MAX_LETTERS letters is refused.
     """
     cleaned = text.replace(".", " ").strip()
-    if cleaned in ("", "e"):
-        return ()
-    letters: list[str] = []
-    pos = 0
+    w = ops.identity
+    if cleaned == "e":
+        return w
+    letters = pos = 0
     while pos < len(cleaned):
         if cleaned[pos].isspace():
             pos += 1
@@ -215,21 +223,22 @@ def parse_letters(text: str) -> tuple[str, ...]:
         m = _WORD_TOKEN.match(cleaned, pos)
         if not m:
             raise WordSyntaxError(f"bad character {cleaned[pos]!r} in word {text!r}")
+        letter, exponent = m.groups()
         count = 1
-        if m.group(2) is not None:
-            count = int(m.group(2))
+        if exponent is not None:
+            # An exponent past int()'s digit limit is far past MAX_LETTERS.
+            count = int(exponent) if len(exponent) < 4000 else MAX_LETTERS + 1
             if count < 0:
                 raise WordSyntaxError(f"negative exponent in word {text!r}")
-        letters.extend([m.group(1)] * count)
+        letters += count
+        _check_letters(letters, "word")
+        w = ops.mul(w, (count, 0) if letter == "a" else (0, count))
         pos = m.end()
-    return tuple(letters)
-
-
-def parse_word(text: str):
-    return fold_letters(parse_letters(text))
+    return w
 
 
 def longest_form(w) -> str:
+    _check_letters(w[0] + w[1], "longest form")
     return format_letters(BS.longest_letters(w))
 
 
@@ -247,5 +256,4 @@ def parse_grid_degree(text: str):
         if m1 < 0 or m2 < 0:
             raise WordSyntaxError("coordinates must be non-negative")
         return (m1, m2)
-    letters = parse_letters(cleaned)
-    return (letters.count("a"), letters.count("b"))
+    return parse_word(cleaned, GRID)

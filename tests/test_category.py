@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 import sys
 
 import pytest
@@ -26,6 +28,7 @@ from bsgraph.morphisms import lift_path, normal_form, shortest_traversal, split_
 from bsgraph.squares import CompleteCollection
 from bsgraph.words import BS
 
+from .conftest import _context
 from .oracles import compose, restrict, restrict_shifted
 from .test_lift import multi_vertex_paths
 from .test_normal_form import _one_vertex, generated_paths
@@ -302,6 +305,63 @@ def test_corrupted_split_fails_round_trip_and_uniqueness(monkeypatch):
     )
 
 
+FAULT_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "faults.json"
+
+
+def _fault_cases() -> dict:
+    """Case name -> (context, patched name, corruption, suite, max_len):
+    each rewriter fault under ``verify`` and ``verify_category`` at
+    max-len 2 and 3 on example_E.cg, and the corrupted split of
+    ``test_corrupted_split_fails_round_trip_and_uniqueness``."""
+    cases = {}
+    for fault in (_drop_last_edge, _swap_interior_edge):
+        for suite in ("verify", "verify_category"):
+            for max_len in (2, 3):
+                name = f"{suite}-{fault.__name__.strip('_')}-len{max_len}"
+                cases[name] = (
+                    lambda: _context("example_E.cg"), "normal_form", fault, suite, max_len
+                )
+    cases["verify-corrupted-split-len2"] = (
+        lambda: _one_vertex("bs", [1, 0]),
+        "split_traversals",
+        _swap_first_red_edge_of_right_factor,
+        "verify",
+        2,
+    )
+    return cases
+
+
+FAULT_CASES = _fault_cases()
+
+
+def fault_report(case: str) -> dict:
+    """The full JSON report of one fault case, with the fault in place only
+    while its suite runs."""
+    make_ctx, name, fault, suite, max_len = FAULT_CASES[case]
+    ctx = make_ctx()
+    real = getattr(category, name)
+    setattr(category, name, fault(real))
+    try:
+        return getattr(category, suite)(ctx, max_len).to_json()
+    finally:
+        setattr(category, name, real)
+
+
+@pytest.fixture(scope="module")
+def fault_golden() -> dict:
+    return json.loads(FAULT_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_fault_golden_covers_every_case(fault_golden):
+    assert sorted(fault_golden) == sorted(FAULT_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_fault_report_is_pinned(case, fault_golden):
+    """Instance counts and counterexamples of each failing law, exactly."""
+    assert fault_report(case) == fault_golden[case]
+
+
 def test_verify_builds_model_graphs_only_in_enumeration(ctx, monkeypatch):
     """Within ``verify`` only the enumeration oracle builds model graphs:
     splits are read off the pool morphisms, not restricted."""
@@ -365,3 +425,11 @@ def test_report_serialization(ctx):
     assert data["passed"] is True
     assert all(set(l) == {"law", "instances", "passed", "counterexample"} for l in data["laws"])
     assert "pass" in report.to_text()
+
+
+if __name__ == "__main__":
+    # Regenerate the pinned fault reports, only when a report change is
+    # intended:  PYTHONPATH=src python -m tests.test_category
+    recorded = {case: fault_report(case) for case in sorted(FAULT_CASES)}
+    FAULT_GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(recorded)} fault reports to {FAULT_GOLDEN}")

@@ -187,6 +187,25 @@ def test_lift_too_large_exit_2(capsys):
     assert code == 2 and err.startswith("resource limit:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--word", "b a^20000"],
+        ["word", "normalize", "b a^20000"],
+        ["word", "mul", "b a^20000", "b", "--json"],
+        ["model", "--word", "b^20000000"],
+    ],
+)
+def test_huge_degree_is_refused_in_one_short_line(argv, capsys):
+    """Degrees whose pair, letter form or model graph is too large to
+    build or print stop fast, before anything that size is allocated."""
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit:") and err.count("\n") == 1 and len(err) < 100
+
+
 def _ten_red_loops(tmp_path) -> str:
     # One vertex, one blue loop, ten red loops: a^2 b^8 has only 17 model
     # vertices, but 10^8 total assignments for the brute-force search.

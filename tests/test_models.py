@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bsgraph.errors import ResourceLimit
-from bsgraph.models import model, square_positions
+from bsgraph.models import MAX_VERTICES, model, square_positions
 from bsgraph.words import BS, GRID
 
 
@@ -48,8 +48,17 @@ def test_vertex_count_matches_prefix_count():
 
 
 def test_resource_limit():
+    # N + M + 1 vertices lie on the rows (i, 0) and (N, j): refused on
+    # that bound, before any count, however large M is.
+    for w in ((0, MAX_VERTICES), (20000, 1 << 20000)):
+        with pytest.raises(ResourceLimit):
+            model(BS, w)
+    # Inside that bound, refused on the exact count: 1,050,003 vertices.
+    assert BS.prefix_count((2, 600000)) > MAX_VERTICES
     with pytest.raises(ResourceLimit):
-        model(BS, (0, 100), max_vertices=50)
+        model(BS, (2, 600000))
+    with pytest.raises(ResourceLimit):
+        model(GRID, (999, 1000))
 
 
 def test_interval_trivial_cases():

@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsgraph.errors import NotAPrefix, WordSyntaxError
+from bsgraph.errors import NotAPrefix, ResourceLimit, WordSyntaxError
 from bsgraph.words import (
     BS,
     GRID,
-    fold_letters,
+    MAX_LETTERS,
+    MAX_PAIR_BITS,
     longest_form,
     parse_grid_degree,
-    parse_letters,
     parse_word,
+    printable_pair,
 )
 
 from .oracles import all_strings, brute_prefixes, fold_pair, minimal_lengths, rewrite_closure
@@ -176,10 +178,36 @@ def test_labels_match_format_on_every_prefix(ops, w):
     assert ops.labels(zs) == {z: ops.format(z) for z in zs}
 
 
-def test_letter_fold_and_parse_letters():
-    assert parse_letters("ba") == ("b", "a")
-    assert fold_letters(("b", "a")) == (1, 2)
-    assert fold_letters(()) == (0, 0)
+@given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 12)), max_size=6))
+def test_exponent_tokens_fold_like_their_letters(tokens):
+    """x^k folds as ops.mul by (k, 0) or (0, k): the same degree as its k
+    letters one by one, in both modes."""
+    text = " ".join(f"{x}^{k}" for x, k in tokens)
+    letters = "".join(x * k for x, k in tokens)
+    assert parse_word(text) == parse_word(letters) == fold_pair(letters)
+    assert parse_grid_degree(text) == (letters.count("a"), letters.count("b"))
+
+
+def test_letter_forms_and_pairs_are_refused_past_their_limits():
+    assert parse_word(f"b a^{MAX_LETTERS - 1}") == (MAX_LETTERS - 1, 1 << MAX_LETTERS - 1)
+    for text in (f"a^{MAX_LETTERS + 1}", f"b a^{MAX_LETTERS}", "b^" + "9" * 5000):
+        with pytest.raises(ResourceLimit):
+            parse_word(text)
+    with pytest.raises(ResourceLimit):
+        parse_grid_degree(f"b^{MAX_LETTERS} a")
+    # Shortest and longest forms are sized before they are built.
+    w = (MAX_LETTERS - 1, 1 << MAX_LETTERS - 1)
+    start = time.perf_counter()
+    assert len(BS.format(w)) == MAX_LETTERS
+    assert time.perf_counter() - start < 1.0  # one pass over M's bits, not one per letter
+    with pytest.raises(ResourceLimit):
+        BS.format((MAX_LETTERS - 1, 3 << MAX_LETTERS - 1))
+    assert len(longest_form((2, MAX_LETTERS - 2))) == MAX_LETTERS
+    with pytest.raises(ResourceLimit):
+        longest_form((20, 1 << 20))
+    assert printable_pair((3, (1 << MAX_PAIR_BITS) - 1)) == [3, (1 << MAX_PAIR_BITS) - 1]
+    with pytest.raises(ResourceLimit):
+        printable_pair((3, 1 << MAX_PAIR_BITS))
 
 
 def test_grid_arithmetic():
