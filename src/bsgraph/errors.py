@@ -55,8 +55,8 @@ class NotCovered(BsGraphError):
 
 
 class Conflict(BsGraphError):
-    """A lift does not traverse its own path: the collection pairs one
-    boundary with two squares, which witnesses a completeness violation."""
+    """The collection pairs one boundary with two squares, so a lift
+    across it is not unique: a completeness violation."""
 
 
 class ResourceLimit(BsGraphError):

@@ -1,20 +1,20 @@
 """Coloured-graph morphisms out of model graphs, and path lifting.
 
 The central operation turns a path of the ambient graph into the unique
-compatible morphism on the model graph of its degree.  A morphism is fixed
-by any one of its traversals (unique factorization), so the path is first
-rewritten, one square boundary at a time, to the longest traversal a^N b^M:
-the model graph's column of red edges out of e and its row N of blue edges
-into w.  Each row i < N is then filled from row i + 1, one square at a
-time, by reading the red-first boundary in the collection's index.  A
-missing square raises ``NotCovered``; a result that does not traverse the
-input (the collection pairs a boundary with two squares) raises
-``Conflict``.  The morphism is stored as those rows, in model order, and
-written out (JSON, DOT, ``key()``) by walking them.
+compatible morphism on the model graph of its degree.  A complete
+collection fixes that morphism square by square (unique factorization), so
+the lift writes the path's own edges into the model graph's rows and reads
+every other domain square once from the collection's index: top down from
+its blue-first side where it lies left of the path, bottom up from its
+red-first side where it lies right of it.  A missing square raises
+``NotCovered``; a blue-first side that the index pairs with another
+square's red-first side raises ``Conflict``.  The morphism is stored as
+those rows, in model order, and written out (JSON, DOT, ``key()``) by
+walking them.
 
 The shortest traversal is canonical.  ``normal_form`` computes it from any
-other traversal by the same boundary rewriting, without building the
-dense map.
+other traversal by rewriting one square boundary at a time, without
+building the dense map.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
     With ``to_red`` each blue-first ``b a`` pair becomes the red-first
     boundary of its square, else each red-first boundary becomes the
     blue-first ``b a`` pair.  Letters wait on a stack, so a rewrite only
-    looks again at its neighbours.  Returns the new (names, colours) lists,
-    or None when no factor matches.  A missing square raises
+    looks again at its neighbours.  The path must have such a factor.
+    Returns the new (names, colours) lists; a missing square raises
     ``NotCovered``.
     """
     ops = collection.ops
@@ -249,10 +249,7 @@ def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
         table, lookup, side = collection.red_to_blue, collection.lookup_red, Square.blue_boundary
     width = len(pattern)
     # Everything before the first match is already rewritten.
-    start = "".join(colours).find("".join(pattern))
-    if start < 0:
-        return None
-    start += width - 1
+    start = "".join(colours).find("".join(pattern)) + width - 1
     pattern = list(pattern)
     last = pattern[-1]
     word = word[::-1]
@@ -275,10 +272,10 @@ def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
 def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morphism:
     """The unique compatible morphism traversed by x.
 
-    The path is rewritten to the morphism's longest traversal a^N b^M,
-    which is the model graph's column of red edges out of e and its row N
-    of blue edges into w.  Each row i < N is then filled from row i + 1,
-    one red-first index read per domain square; the rows are the morphism.
+    In row i of the model graph the path walks blue edges, then takes the
+    red edge a(i, d) down to row i + 1; its edges go into the rows as they
+    are.  Top down, each square of row i left of a(i, d) is read from its
+    blue-first side; bottom up, each one right of it from its red-first side.
     """
     ops = collection.ops
     if not x.edges:
@@ -296,40 +293,51 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
         colours.append(edge.colour)
         at = edge.source
     w = reduce(ops.step, colours, ops.identity)
-    n = w[0]
     check_model_size(ops, w)
-    rewritten = _rewrite(x.edges, colours, collection, to_red=True)
-    names = rewritten[0] if rewritten else x.edges
-    # blue holds the images of row i+1's b(i+1, j); row i's square at j
-    # reads a(i, j) and b(i+1, 2j), b(i+1, 2j+1) (BS) or b(i+1, j) (grid),
-    # and yields the blue-first pair b(i, j), a(i, j+1).
-    blue = tuple(names[n:])
-    edge_of = g.edge
-    vrows = [None] * n + [(*[edge_of(b).range_ for b in blue], at)]
-    arows = [None] * n + [()]
-    brows = [None] * n + [blue]
-    to_blue, lookup = collection.red_to_blue, collection.lookup_red
-    bs = ops.name == "bs"
-    for i in range(n - 1, -1, -1):
-        a = names[i]
-        reds = [a]
-        below, blue = blue, []
-        for tail in zip(below[::2], below[1::2]) if bs else zip(below):
-            boundary = (a, *tail)
-            pair = to_blue.get(boundary) or lookup(boundary).blue_boundary()
-            blue.append(pair[0])
-            a = pair[1]
+    names, to_red, to_blue = x.edges, collection.blue_to_red, collection.red_to_blue
+    # Top down; blue is row i's blue edges left of its red edge a.
+    arows, brows, blue, start = [], [], [], 0
+    for k in [k for k, c in enumerate(colours) if c == "a"]:
+        blue += names[start:k]
+        a, start = names[k], k + 1
+        reds, below = [a], []
+        for b in reversed(blue):
+            pair = (b, a)
+            red = to_red.get(pair) or collection.lookup_blue(pair).red_boundary()
+            if to_blue[red] != pair:
+                raise Conflict(
+                    f"the blue-first boundary {' '.join(pair)} maps to the red-first boundary "
+                    f"{' '.join(red)}, which belongs to another square; the collection "
+                    f"cannot be complete for this graph"
+                )
+            a = red[0]
             reds.append(a)
-        vrows[i] = tuple([edge_of(r).range_ for r in reds])
+            below += red[:0:-1]  # row i + 1's blue edges, right to left
+        reds.reverse()
+        arows.append(reds)
+        brows.append(blue)
+        blue = below[::-1]
+    blue += names[start:]
+    # Bottom up.  Row i's square at j reads a(i, j) and the blue edges
+    # below it, b(i+1, 2j), b(i+1, 2j+1) (BS) or b(i+1, j) (grid), and
+    # yields b(i, j) and a(i, j+1).
+    range_of = {e.name: e.range_ for e in g.edges}.__getitem__
+    vrows = [None] * len(arows) + [(*map(range_of, blue), at)]
+    brows.append(blue := tuple(blue))
+    bs = ops.name == "bs"
+    for i in range(len(arows) - 1, -1, -1):
+        reds, blues = arows[i], brows[i]
+        a, d = reds[-1], len(blues)
+        for tail in zip(blue[2 * d::2], blue[2 * d + 1::2]) if bs else zip(blue[d:]):
+            boundary = (a,) + tail
+            b, a = to_blue.get(boundary) or collection.lookup_red(boundary).blue_boundary()
+            blues.append(b)
+            reds.append(a)
+        vrows[i] = tuple(map(range_of, reds))
         arows[i] = tuple(reds)
-        brows[i] = blue = tuple(blue)
-    lam = Morphism._from_rows(ops, w, tuple(vrows), tuple(arows), tuple(brows))
-    if not check_traverses(g, lam, x):
-        raise Conflict(
-            f"the lift of {x} does not traverse it; the collection cannot be "
-            f"complete for this graph"
-        )
-    return lam
+        brows[i] = blue = tuple(blues)
+    arows.append(())
+    return Morphism._from_rows(ops, w, tuple(vrows), tuple(arows), tuple(brows))
 
 
 def normal_form(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Path:

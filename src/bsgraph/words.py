@@ -25,6 +25,10 @@ from .errors import NotAPrefix, ResourceLimit, WordSyntaxError
 # Letter forms are refused past this many letters, before they are built:
 # words parsed from text, and shortest and longest forms written out.
 MAX_LETTERS = 10**6
+# Letters in all the vertex labels of one model graph (JSON and DOT).  The
+# largest label set of the tests, golden transcripts and benchmark has
+# 61,777 (b^351, the right factor of a long-paths ``factorize --json``).
+MAX_LABEL_LETTERS = 10**7
 # A pair is written in decimal, so one whose M has more bits than this
 # (about 3,000 digits, inside Python's 4,300-digit int-to-str limit) is
 # refused before it is written.
@@ -120,20 +124,38 @@ class BsMonoid:
     def labels(zs) -> dict:
         """``format`` of every degree in zs, in one pass.
 
-        zs must be sorted ascending and closed under prefixes (the vertices
-        of a model graph are).  Each label extends the label of the
+        zs must be every prefix of the degree zs[-1], ascending (the
+        vertices of its model graph).  Each label extends the label of the
         predecessor that ``shortest_letters`` peels off, which sorts
         earlier: (n, m-1) by a "b" when m is odd or n is 0, else
         (n-1, m/2) by an "a".
+
+        Past MAX_LABEL_LETTERS letters in all, nothing is built.  A label
+        has at most (M >> N) + 2N letters, so few sets need the exact count:
+        row i holds (i, j = q 2^i + r) for j <= M >> (N - i), with labels of
+        q + i + popcount(r) letters, and adds at least i letters in all.
         """
+        n, m = zs[-1]
+        if len(zs) * ((m >> n) + 2 * n + 1) > MAX_LABEL_LETTERS:
+            total = 1  # "e"
+            for i in range(n + 1):
+                last = m >> (n - i)
+                q = last >> i
+                r = last - (q << i)
+                # The sums of j >> i, of i and of popcount (set bits in 0..r).
+                total += i * (last + 1) + q * (r + 1) + (q * (q - 1 + i) << i >> 1) + sum(
+                    (r + 1 >> b + 1 << b) + max(0, (r + 1) % (2 << b) - (1 << b))
+                    for b in range(r.bit_length())
+                )
+                if total > MAX_LABEL_LETTERS:
+                    raise ResourceLimit(f"vertex labels of more than {MAX_LABEL_LETTERS} letters")
         out = {}
         for n, m in zs:
             if m & 1 or not n:
                 out[n, m] = out[n, m - 1] + "b" if m else ""
             else:
                 out[n, m] = out[n - 1, m >> 1] + "a"
-        if (0, 0) in out:
-            out[0, 0] = "e"
+        out[0, 0] = "e"
         return out
 
     @staticmethod

@@ -15,6 +15,10 @@ from .conftest import FIXTURE_DIR
 E = str(FIXTURE_DIR / "example_E.cg")
 E_MISSING = str(FIXTURE_DIR / "example_E_missing_phi2.cg")
 GRID_FX = str(FIXTURE_DIR / "grid_single_vertex.cg")
+BLUE_CYCLE = str(FIXTURE_DIR / "blue_cycle.cg")
+# One vertex, a blue loop and two red loops; r1 b b and b r2 each bound
+# two squares, while every boundary path has a square.
+DUPLICATED = str(FIXTURE_DIR / "duplicated_boundary.cg")
 
 
 def invoke(capsys, *argv):
@@ -158,26 +162,43 @@ def test_verify_checks_every_boundary_first(tmp_path, capsys):
     assert out == "NotCovered: no square with blue-first boundary k h\n"
 
 
-# One vertex, a blue loop and two red loops; r1 b b and b r2 each bound
-# two squares, while every boundary path has a square.
-DUPLICATED = (
-    "mode bs\nvertex x\nedge b b x x\nedge r1 a x x\nedge r2 a x x\n"
-    "square s1 eA=r1 aB=b abB=b eB=b bA=r2\n"
-    "square s2 eA=r1 aB=b abB=b eB=b bA=r1\n"
-    "square s3 eA=r2 aB=b abB=b eB=b bA=r2\n"
-)
-
-
 @pytest.mark.parametrize("max_len", ["1", "2"])
-def test_verify_rejects_duplicated_boundaries(max_len, tmp_path, capsys):
-    p = tmp_path / "duplicated.cg"
-    p.write_text(DUPLICATED)
-    code, out, _ = invoke(capsys, "verify", str(p), "--max-len", max_len)
+def test_verify_rejects_duplicated_boundaries(max_len, capsys):
+    code, out, _ = invoke(capsys, "verify", DUPLICATED, "--max-len", max_len)
     assert code == 1
     assert out == (
         "Conflict: the red-first boundary r1 b b belongs to more than one "
         "square; the collection cannot be complete for this graph\n"
     )
+
+
+def test_lift_across_a_duplicated_boundary_is_a_conflict(capsys):
+    """b b r2 is traversed by three morphisms, so no lift is unique.  The
+    top-down sweep reads the square left of r2 from b r2 (s1, red side
+    r1 b b) and then the one left of that from b r1 (s2), whose red side
+    r1 b b the index pairs with s1's blue side."""
+    code, out, _ = invoke(capsys, "enumerate", DUPLICATED, "--degree", "b b a", "--json")
+    assert code == 0
+    traversed = [
+        m for m in json.loads(out)["morphisms"]
+        if [e["edge"] for e in m["edges"] if (e["prefix"], e["letter"]) in
+            {("e", "b"), ("b", "b"), ("bb", "a")}] == ["b", "b", "r2"]
+    ]
+    assert len(traversed) == 3
+    code, out, _ = invoke(capsys, "lift", DUPLICATED, "--path", "b b r2")
+    assert code == 1
+    assert out == (
+        "Conflict: the blue-first boundary b r1 maps to the red-first boundary r1 b b, "
+        "which belongs to another square; the collection cannot be complete for this graph\n"
+    )
+
+
+def test_blue_cycle_is_complete_and_passes_verify(capsys):
+    code, out, _ = invoke(capsys, "check", BLUE_CYCLE)
+    assert code == 0
+    assert out == "complete: 4 squares, 4 red-first paths, 4 blue-first paths\n"
+    code, out, _ = invoke(capsys, "verify", BLUE_CYCLE, "--max-len", "2")
+    assert code == 0 and out.count("pass ") == 7
 
 
 def test_lift_too_large_exit_2(capsys):
@@ -194,11 +215,15 @@ def test_lift_too_large_exit_2(capsys):
         ["word", "normalize", "b a^20000"],
         ["word", "mul", "b a^20000", "b", "--json"],
         ["model", "--word", "b^20000000"],
+        # Small enough to build, but their labels would run past 10^8 letters.
+        ["model", "--word", "b^20000", "--json"],
+        ["lift", E, "--path", " ".join(["g"] * 60000), "--json"],
     ],
 )
 def test_huge_degree_is_refused_in_one_short_line(argv, capsys):
-    """Degrees whose pair, letter form or model graph is too large to
-    build or print stop fast, before anything that size is allocated."""
+    """Degrees whose pair, letter form, model graph or vertex labels are
+    too large to build or print stop fast, before anything that size is
+    allocated."""
     start = time.perf_counter()
     code, out, err = invoke(capsys, *argv)
     assert time.perf_counter() - start < 1.0

@@ -1,4 +1,4 @@
-"""The row-filling lift against the worklist lift it replaced.
+"""The two-sweep lift against the worklist lift it replaced.
 
 ``_WorklistLift`` is the earlier engine, kept here as the reference: it
 appends the path one edge at a time and completes every translated square
@@ -9,16 +9,18 @@ collection.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgraph.category import LambdaContext, all_paths
 from bsgraph.errors import Conflict, NotComposable, NotCovered
-from bsgraph.fixtures import parse_fixture
+from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import path_degree, validate_path, vertex_path
 from bsgraph.models import check_model_size, model
-from bsgraph.morphisms import Morphism, lift_path
+from bsgraph.morphisms import Morphism, check_traverses, enumerate_morphisms, lift_path
 from bsgraph.squares import CompleteCollection, blue_keys, red_keys
 
 from .test_normal_form import generated_paths
@@ -158,10 +160,50 @@ def _maps_agree(ctx: LambdaContext, paths) -> None:
         assert list(lam.vmap.values()) == [v for row in lam.vrows for v in row]
 
 
+def _walks(g, rng, lengths, count: int) -> list:
+    """count seeded random walks in g, of lengths drawn from lengths."""
+    out_of = {v: [e for e in g.edges if e.range_ == v] for v in g.vertices}
+    paths = []
+    for _ in range(count):
+        at, names = rng.choice(g.vertices), []
+        for _ in range(rng.choice(lengths)):
+            edge = rng.choice(out_of[at])
+            names.append(edge.name)
+            at = edge.source
+        paths.append(validate_path(g, names))
+    return paths
+
+
 @pytest.mark.parametrize("name, max_len", [("ctx", 8), ("grid_ctx", 9)])
 def test_lift_matches_worklist_on_fixtures(name, max_len, request):
     ctx = request.getfixturevalue(name)
     _agree(ctx, all_paths(ctx.graph, max_len))
+
+
+@pytest.mark.parametrize(
+    "name, lengths", [("ctx", range(9, 15)), ("grid_ctx", range(20, 61))], ids=["E", "grid"]
+)
+def test_lift_matches_worklist_on_long_walks(name, lengths, request):
+    ctx = request.getfixturevalue(name)
+    _agree(ctx, _walks(ctx.graph, random.Random(name), lengths, 60))
+
+
+def test_lift_on_blue_cycle_matches_worklist_and_enumeration(fixture_dir):
+    """blue_cycle.cg has blue edges between its two vertices, so no square's
+    blue half is forced by a loop."""
+    fx = load_fixture(fixture_dir / "blue_cycle.cg")
+    ctx = LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    paths = [x for x in all_paths(ctx.graph, 5) if x.edges]
+    assert len(paths) == 726
+    _agree(ctx, paths)
+    found: dict = {}
+    for x in paths:
+        if len(x) <= 4:
+            w = path_degree(ctx.ops, x)
+            if w not in found:
+                found[w] = enumerate_morphisms(ctx.graph, ctx.collection, w)
+            matches = [m for m in found[w] if check_traverses(ctx.graph, m, x)]
+            assert matches == [lift_path(ctx.graph, ctx.collection, x)], str(x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +239,7 @@ def multi_vertex_paths(draw):
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.sampled_from(vertices))
         names = []
-        for _ in range(draw(st.integers(1, 8))):
+        for _ in range(draw(st.integers(1, 14))):
             out = [e for e in fx.graph.edges if e.range_ == at]
             edge = draw(st.sampled_from(out))
             names.append(edge.name)
@@ -234,17 +276,23 @@ def test_duplicated_red_boundary_is_a_conflict():
     # The worklist lift completes the square from its blue-first side.
     s = next(sq for sq in fx.squares if sq.name == "S")
     assert worklist_lift(fx.graph, coll, x).emap == s.emap
-    # Rewriting reaches r1 b b through S; filling reads it back as S'.
-    with pytest.raises(Conflict):
-        lift_path(fx.graph, coll, x)
+    # The top-down sweep reads b r1 as S, whose red side r1 b b the index
+    # pairs with S'.  On b b r1 it meets the same square first, before the
+    # missing r2 b b could be read.
+    for names in (["b", "r1"], ["b", "b", "r1"]):
+        with pytest.raises(Conflict) as exc:
+            lift_path(fx.graph, coll, validate_path(fx.graph, names))
+        assert str(exc.value).startswith(
+            "the blue-first boundary b r1 maps to the red-first boundary r1 b b,"
+        )
 
 
 @pytest.mark.parametrize(
     "names, message",
     [
-        # Rewriting k h to the longest traversal needs phi2's blue side.
+        # The square left of h is read top down from phi2's blue side.
         (["k", "h"], "no square with blue-first boundary k h"),
-        # h g g is already longest; filling its row needs phi2's red side.
+        # The square right of h is read bottom up from phi2's red side.
         (["h", "g", "g"], "no square with red-first boundary h g g"),
     ],
 )

@@ -178,6 +178,21 @@ def test_labels_match_format_on_every_prefix(ops, w):
     assert ops.labels(zs) == {z: ops.format(z) for z in zs}
 
 
+@given(st.tuples(st.integers(0, 8), st.integers(0, 300)))
+def test_labels_are_sized_exactly_before_they_are_built(w):
+    """The letter count the BS label check computes per row is the total
+    length of the labels: a limit of exactly that many letters passes, one
+    fewer is refused."""
+    zs = BS.prefixes(w)
+    total = sum(len(BS.format(z)) for z in zs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("bsgraph.words.MAX_LABEL_LETTERS", total)
+        assert len(BS.labels(zs)) == len(zs)
+        mp.setattr("bsgraph.words.MAX_LABEL_LETTERS", total - 1)
+        with pytest.raises(ResourceLimit):
+            BS.labels(zs)
+
+
 @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 12)), max_size=6))
 def test_exponent_tokens_fold_like_their_letters(tokens):
     """x^k folds as ops.mul by (k, 0) or (0, k): the same degree as its k
