@@ -10,7 +10,6 @@ Degrees are plain (N, M) int pairs and edge colours are the letters
 from .category import (
     LambdaContext,
     VerificationReport,
-    identity,
     verify,
     verify_category,
     verify_factorization,

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
 
-from .errors import Conflict, UnknownVertex
+from .errors import Conflict
 from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
 from .morphisms import (
     Morphism,
     enumerate_morphisms,
-    identity_morphism,
     lift_path,
     normal_form,
     shortest_traversal,
@@ -45,16 +44,6 @@ class LambdaContext:
     @property
     def ops(self):
         return self.collection.ops
-
-    @property
-    def mode(self) -> str:
-        return self.ops.name
-
-
-def identity(ctx: LambdaContext, v: str) -> Morphism:
-    if v not in ctx.graph.vertex_set:
-        raise UnknownVertex(f"unknown vertex {v!r}")
-    return identity_morphism(ctx.ops, v)
 
 
 @dataclass
@@ -177,7 +166,6 @@ class CompositionTable:
 
     def __init__(self, ctx: LambdaContext):
         self.ctx = ctx
-        self.graph = ctx.graph
         self.collection = ctx.collection
         self._pools: dict = {}  # max_len -> (pool, traversals, ids)
         self.paths: list[Path] = []  # id -> shortest traversal
@@ -202,7 +190,7 @@ class CompositionTable:
         if cached is None:
             require_covered(self.ctx)
             pool = pool_morphisms(self.ctx, max_len)
-            paths = [shortest_traversal(self.graph, lam) for lam in pool]
+            paths = [shortest_traversal(lam) for lam in pool]
             cached = self._pools[max_len] = (pool, paths, [self.intern(x) for x in paths])
         return cached
 
@@ -213,9 +201,7 @@ class CompositionTable:
             if row is _NO_PRODUCTS:
                 row = self._products[i] = {}
             paths = self.paths
-            k = row[j] = self.intern(
-                normal_form(self.graph, self.collection, concat(paths[i], paths[j]))
-            )
+            k = row[j] = self.intern(normal_form(self.collection, concat(paths[i], paths[j])))
         return k
 
 
@@ -355,7 +341,7 @@ def verify_factorization(
         if w not in enumerated:
             by_range = enumerated[w] = {}
             for m in enumerate_morphisms(g, ctx.collection, w):
-                x = shortest_traversal(g, m)
+                x = shortest_traversal(m)
                 by_range.setdefault(x.range_, []).append(intern(x))
         return enumerated[w]
 

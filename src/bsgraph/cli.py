@@ -127,7 +127,7 @@ def cmd_lift(args) -> int:
         matches = [
             m
             for m in enumerate_morphisms(ctx.graph, ctx.collection, lam.degree)
-            if check_traverses(ctx.graph, m, path)
+            if check_traverses(m, path)
         ]
         if matches != [lam]:
             print(
@@ -141,9 +141,9 @@ def cmd_lift(args) -> int:
     elif args.json:
         print(lam.json_text())
     else:
+        vertices, edges = sum(map(len, lam.vrows)), sum(map(len, lam.arows + lam.brows))
         print(
-            f"degree {ctx.ops.format(lam.degree)}: "
-            f"{len(lam.vmap)} vertices, {len(lam.emap)} edges, "
+            f"degree {ctx.ops.format(lam.degree)}: {vertices} vertices, {edges} edges, "
             f"r={lam.range_} s={lam.source}"
         )
     return 0
@@ -163,7 +163,7 @@ def cmd_compose(args) -> int:
     else:
         print(
             f"degree {ctx.ops.format(lam.degree)}: traversal "
-            f"{shortest_traversal(ctx.graph, lam)}"
+            f"{shortest_traversal(lam)}"
         )
     return 0
 
@@ -192,9 +192,9 @@ def cmd_traversals(args) -> int:
     lam = lift_path(ctx.graph, ctx.collection, path)
     rows = []
     if not args.longest:
-        rows.append(("shortest", shortest_traversal(ctx.graph, lam)))
+        rows.append(("shortest", shortest_traversal(lam)))
     if not args.shortest:
-        rows.append(("longest", longest_traversal(ctx.graph, lam)))
+        rows.append(("longest", longest_traversal(lam)))
     _emit(
         {kind: str(p) for kind, p in rows},
         args.json,
@@ -218,7 +218,7 @@ def cmd_enumerate(args) -> int:
         print(
             "\n".join(
                 f"[{i}] r={m.range_} s={m.source} "
-                f"traversal {shortest_traversal(ctx.graph, m)}"
+                f"traversal {shortest_traversal(m)}"
                 for i, m in enumerate(found)
             )
             or "none"

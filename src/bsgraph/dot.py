@@ -1,8 +1,7 @@
-"""Graphviz DOT export for ambient graphs, model graphs, and morphisms."""
+"""Graphviz DOT export for model graphs and morphisms."""
 
 from __future__ import annotations
 
-from .graphs import ColouredGraph
 from .models import ModelGraph
 from .morphisms import Morphism
 
@@ -11,18 +10,6 @@ _COLOUR = {"a": "red", "b": "blue"}
 
 def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
-
-
-def graph_to_dot(g: ColouredGraph) -> str:
-    lines = ["digraph E {"]
-    lines.extend(f"  {_quote(v)};" for v in g.vertices)
-    lines.extend(
-        f"  {_quote(e.source)} -> {_quote(e.range_)} "
-        f"[label={_quote(e.name)}, color={_COLOUR[e.colour]}];"
-        for e in g.edges
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def model_to_dot(m: ModelGraph) -> str:
@@ -40,19 +27,23 @@ def model_to_dot(m: ModelGraph) -> str:
 
 
 def morphism_to_dot(lam: Morphism) -> str:
-    """The domain model graph, each element labelled with its image; both
-    maps list the model graph's vertices and edges in its order."""
-    step = lam.ops.step
-    label = lam.ops.labels(lam.ops.prefixes(lam.degree))
+    """The domain model graph, each element labelled with its image, read
+    off the rows: vertices, then edges, in the model graph's order."""
+    step, zs = lam.ops.step, lam.ops.prefixes(lam.degree)
+    label = lam.ops.labels(zs)
+    rows = {"a": lam.arows, "b": lam.brows}
     lines = ["digraph morphism {"]
     lines.extend(
-        f"  {_quote(label[z])} [label={_quote(label[z] + ' -> ' + v)}];"
-        for z, v in lam.vmap.items()
+        f"  {_quote(label[i, j])} [label={_quote(label[i, j] + ' -> ' + lam.vrows[i][j])}];"
+        for i, j in zs
     )
+    # Vertex (i, j) has an edge of colour l iff row i of l's rows reaches j.
     lines.extend(
-        f"  {_quote(label[step(z, l)])} -> {_quote(label[z])} "
-        f"[label={_quote(e)}, color={_COLOUR[l]}];"
-        for (z, l), e in lam.emap.items()
+        f"  {_quote(label[step((i, j), l)])} -> {_quote(label[i, j])} "
+        f"[label={_quote(rows[l][i][j])}, color={_COLOUR[l]}];"
+        for i, j in zs
+        for l in "ab"
+        if j < len(rows[l][i])
     )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,6 @@ building the dense map.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -42,14 +41,12 @@ def _in_model_order(reds, blues) -> list:
     return row
 
 
-def _rows_reader(vertices):
-    """For the model graph with these vertices, the function that cuts
-    (vrows, arows, brows) out of all vertex images and all edge images,
-    each listed in model order.  Each row is a run of both lists; below the
-    top row its red and blue edges alternate, starting with a red one."""
-    widths = [0] * (vertices[-1][0] + 1)
-    for i, _ in vertices:
-        widths[i] += 1
+def _rows_reader(widths):
+    """For the model graph with rows of these widths, the function that
+    cuts (vrows, arows, brows) out of all vertex images and all edge
+    images, each listed in model order.  Each row is a run of both lists;
+    below the top row its red and blue edges alternate, starting with a
+    red one."""
     vcuts, acuts, bcuts, v, e = [], [], [], 0, 0
     for width in widths[:-1]:
         end = e + 2 * width - 1
@@ -62,41 +59,13 @@ def _rows_reader(vertices):
     bcuts.append(slice(e, None))
 
     def read(images, names) -> tuple:
-        # Slices of a tuple are tuples.
-        images, names = tuple(images), tuple(names)
         return (
-            tuple(map(images.__getitem__, vcuts)),
-            tuple(map(names.__getitem__, acuts)),
-            tuple(map(names.__getitem__, bcuts)),
+            [images[cut] for cut in vcuts],
+            [names[cut] for cut in acuts],
+            [names[cut] for cut in bcuts],
         )
 
     return read
-
-
-class _Images(Mapping):
-    """Read-only view over a morphism's rows: with letters ("v",) its vertex
-    map, keyed by prefix pairs, with ("a", "b") its edge map, keyed by
-    (prefix pair, letter).  Both iterate in model order."""
-
-    def __init__(self, lam, letters: tuple):
-        self._lam, self._letters = lam, letters
-
-    def __getitem__(self, key):
-        hash(key)  # an unhashable key raises TypeError, as in a dict
-        try:
-            (i, j), letter = (key, "v") if self._letters == ("v",) else key
-            if i >= 0 and j >= 0 and letter in self._letters:
-                return getattr(self._lam, letter + "rows")[i][j]
-        except (LookupError, TypeError, ValueError):
-            pass
-        raise KeyError(key)
-
-    def __iter__(self):
-        domain = model(self._lam.ops, self._lam.degree)
-        return iter(domain.vertices if self._letters == ("v",) else domain.edges)
-
-    def __len__(self):
-        return sum(len(row) for l in self._letters for row in getattr(self._lam, l + "rows"))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -107,8 +76,8 @@ class Morphism:
     ``vrows[i][j]`` is the ambient vertex of (i, j); ``arows[i][j]`` and
     ``brows[i][j]`` are the ambient edges of ((i, j), 'a') and ((i, j), 'b'),
     and row N has no red edges.  Rows are tuples, so a morphism and its
-    cached ``key()`` never change.  ``vmap`` and ``emap`` are read-only
-    views of the rows.  Morphisms compare by mode, degree and rows.
+    cached ``key()`` never change.  Morphisms compare by mode, degree and
+    rows.
     """
 
     ops: object
@@ -117,31 +86,22 @@ class Morphism:
     arows: tuple
     brows: tuple
 
-    def __init__(self, ops, degree, vmap, emap):
-        """The morphism with these maps; raises ``ValueError`` unless their
-        keys are exactly the vertices and edges of ``model(ops, degree)``."""
-        domain = model(ops, degree)
-        if set(vmap) != set(domain.vertices) or set(emap) != set(domain.edges):
-            raise ValueError(f"maps not keyed by the model graph of {ops.format(degree)}")
-        images, names = [vmap[z] for z in domain.vertices], [emap[k] for k in domain.edges]
-        vrows, arows, brows = _rows_reader(domain.vertices)(images, names)
+    def __init__(self, ops, degree, vrows, arows, brows):
+        """The morphism with these rows, each frozen to a tuple; raises
+        ``ValueError`` unless they have the shape of ``model(ops, degree)``:
+        row i holds its width of vertices, as many red edges (none in row
+        N) and one blue edge fewer."""
+        vrows, arows, brows = (
+            tuple(map(tuple, vrows)), tuple(map(tuple, arows)), tuple(map(tuple, brows))
+        )
+        widths = ops.row_widths(degree)
+        if (
+            list(map(len, vrows)) != widths
+            or list(map(len, arows)) != widths[:-1] + [0]
+            or [len(row) + 1 for row in brows] != widths
+        ):
+            raise ValueError(f"rows not shaped like the model graph of {ops.format(degree)}")
         vars(self).update(ops=ops, degree=degree, vrows=vrows, arows=arows, brows=brows)
-
-    @classmethod
-    def _from_rows(cls, ops, degree, vrows, arows, brows) -> Morphism:
-        """The morphism with these rows, unchecked: they must have the model
-        graph's shape."""
-        lam = object.__new__(cls)
-        vars(lam).update(ops=ops, degree=degree, vrows=vrows, arows=arows, brows=brows)
-        return lam
-
-    @property
-    def vmap(self) -> Mapping:
-        return _Images(self, ("v",))
-
-    @property
-    def emap(self) -> Mapping:
-        return _Images(self, ("a", "b"))
 
     @property
     def range_(self) -> str:
@@ -226,7 +186,7 @@ class Morphism:
 
 
 def identity_morphism(ops, vertex: str) -> Morphism:
-    return Morphism._from_rows(ops, ops.identity, ((vertex,),), ((),), ((),))
+    return Morphism(ops, ops.identity, ((vertex,),), ((),), ((),))
 
 
 def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
@@ -323,7 +283,7 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
     # yields b(i, j) and a(i, j+1).
     range_of = {e.name: e.range_ for e in g.edges}.__getitem__
     vrows = [None] * len(arows) + [(*map(range_of, blue), at)]
-    brows.append(blue := tuple(blue))
+    brows.append(blue)
     bs = ops.name == "bs"
     for i in range(len(arows) - 1, -1, -1):
         reds, blues = arows[i], brows[i]
@@ -334,13 +294,13 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
             blues.append(b)
             reds.append(a)
         vrows[i] = tuple(map(range_of, reds))
-        arows[i] = tuple(reds)
-        brows[i] = blue = tuple(blues)
+        blue = blues
     arows.append(())
-    return Morphism._from_rows(ops, w, tuple(vrows), tuple(arows), tuple(brows))
+    # The constructor freezes the row lists to tuples.
+    return Morphism(ops, w, vrows, arows, brows)
 
 
-def normal_form(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Path:
+def normal_form(collection: CompleteCollection, x: Path) -> Path:
     """The shortest traversal of the morphism that x traverses.
 
     Rewrites one square at a time: in BS mode each red-first ``a b b``
@@ -360,7 +320,7 @@ def normal_form(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Pa
     return Path(tuple(names), x.range_, x.source, tuple(colours))
 
 
-def check_traverses(g: ColouredGraph, lam: Morphism, x: Path) -> bool:
+def check_traverses(lam: Morphism, x: Path) -> bool:
     """True iff degrees match and x reads off lam's edge images in order."""
     ops = lam.ops
     if path_degree(ops, x) != lam.degree:
@@ -390,11 +350,11 @@ def _read_traversal(lam: Morphism, letters, start=None) -> Path:
     return Path(tuple(names), range_, lam.vrows[w[0]][w[1]], tuple(letters))
 
 
-def shortest_traversal(g: ColouredGraph, lam: Morphism) -> Path:
+def shortest_traversal(lam: Morphism) -> Path:
     return _read_traversal(lam, lam.ops.shortest_letters(lam.degree))
 
 
-def longest_traversal(g: ColouredGraph, lam: Morphism) -> Path:
+def longest_traversal(lam: Morphism) -> Path:
     return _read_traversal(lam, lam.ops.longest_letters(lam.degree))
 
 
@@ -456,7 +416,7 @@ def enumerate_morphisms(
     # edge_keys[i], and read_rows cuts a result's rows out of both.
     vertex_index = {z: i for i, z in enumerate(vertices)}
     edge_index = {k: i for i, k in enumerate(edge_keys)}
-    read_rows = _rows_reader(vertices)
+    read_rows = _rows_reader(ops.row_widths(w))
     # A square's edge names in model-edge order; one reader per occurrence
     # picks that tuple out of names (a square has at least four edges, so
     # itemgetter returns a tuple).
@@ -493,7 +453,7 @@ def enumerate_morphisms(
             )
         if i == last:
             if all(read(names) in known for read in square_readers):
-                results.append(Morphism._from_rows(ops, w, *read_rows(images, names)))
+                results.append(Morphism(ops, w, *read_rows(images, names)))
                 if len(results) == limit:
                     raise _LimitReached
             return

@@ -134,7 +134,8 @@ def build_square_slots(g: ColouredGraph, ops, slots: dict, name: str = "") -> Sq
 
 @dataclass
 class CompleteCollection:
-    """Squares plus both boundary-path indices, built eagerly.
+    """Squares plus both boundary-path indices, built eagerly from the
+    squares alone: none of the derived fields is a constructor argument.
 
     The indices keep the first square of each boundary; every later list
     entry with the same boundary, renamed copies included, is recorded in
@@ -146,10 +147,10 @@ class CompleteCollection:
 
     ops: object
     squares: tuple
-    index_red: dict = field(default_factory=dict)
-    index_blue: dict = field(default_factory=dict)
-    duplicate_red: list = field(default_factory=list)
-    duplicate_blue: list = field(default_factory=list)
+    index_red: dict = field(init=False, default_factory=dict)
+    index_blue: dict = field(init=False, default_factory=dict)
+    duplicate_red: list = field(init=False, default_factory=list)
+    duplicate_blue: list = field(init=False, default_factory=list)
     red_to_blue: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     blue_to_red: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 

@@ -87,18 +87,19 @@ class BsMonoid:
         return (shift, w[1] - (w1[1] << shift))
 
     @staticmethod
-    def prefix_count(w) -> int:
+    def row_widths(w) -> list:
+        """How many prefixes (i, j) of w each row i = 0..N holds."""
         n, m = w
-        return sum((m >> (n - i)) + 1 for i in range(n + 1))
+        return [(m >> (n - i)) + 1 for i in range(n + 1)]
+
+    @staticmethod
+    def prefix_count(w) -> int:
+        return sum(BsMonoid.row_widths(w))
 
     @staticmethod
     def prefixes(w) -> list:
         """Every left divisor of w, in ascending pair order."""
-        n, m = w
-        out = []
-        for i in range(n + 1):
-            out.extend((i, j) for j in range((m >> (n - i)) + 1))
-        return out
+        return [(i, j) for i, width in enumerate(BsMonoid.row_widths(w)) for j in range(width)]
 
     @staticmethod
     def shortest_letters(w) -> tuple[str, ...]:
@@ -191,6 +192,10 @@ class GridMonoid:
         if not GridMonoid.is_prefix(p, q):
             raise NotAPrefix(f"{GridMonoid.format(p)} is not <= {GridMonoid.format(q)}")
         return (q[0] - p[0], q[1] - p[1])
+
+    @staticmethod
+    def row_widths(p) -> list:
+        return [p[1] + 1] * (p[0] + 1)
 
     @staticmethod
     def prefix_count(p) -> int:

@@ -5,12 +5,13 @@ purpose: none of them shares code with the canonical-pair arithmetic or
 the lifter they are used to validate.
 
 The dense references work on a morphism's vertex and edge maps over its
-model graph: restriction to a prefix and its translated form (the factor
-pair of a split), the squares a morphism's domain holds and the check that
-the collection has each of them, and the JSON object a morphism stands
-for.  They share the degree arithmetic and model graphs with the library,
-but not its split, which reads one traversal at a time, nor its one-pass
-JSON writer.  ``compose`` lifts the concatenated traversals to the dense
+model graph, the dict form of its rows (``maps``, and ``from_maps`` back):
+restriction to a prefix and its translated form (the factor pair of a
+split), the squares a morphism's domain holds and the check that the
+collection has each of them, and the JSON object a morphism stands for.
+They share the degree arithmetic and model graphs with the library, but
+not its split, which reads one traversal at a time, nor its one-pass JSON
+writer.  ``compose`` lifts the concatenated traversals to the dense
 composite, the reference that composing by rewriting is checked against.
 """
 
@@ -117,17 +118,45 @@ def brute_prefixes(pair: tuple[int, int]) -> set[tuple[int, int]]:
 # ---------------------------------------------------------- dense references
 
 
+def maps(lam: Morphism) -> tuple[dict, dict]:
+    """lam's vertex map, keyed by prefix pairs, and its edge map, keyed by
+    (prefix pair, letter), as two plain dicts in model order."""
+    domain = model(lam.ops, lam.degree)
+    rows = {"a": lam.arows, "b": lam.brows}
+    return (
+        {(i, j): lam.vrows[i][j] for i, j in domain.vertices},
+        {((i, j), l): rows[l][i][j] for (i, j), l in domain.edges},
+    )
+
+
+def from_maps(ops, degree, vmap: dict, emap: dict) -> Morphism:
+    """The morphism with these maps; raises ``ValueError`` unless their
+    keys are exactly the vertices and edges of ``model(ops, degree)``."""
+    domain = model(ops, degree)
+    if set(vmap) != set(domain.vertices) or set(emap) != set(domain.edges):
+        raise ValueError(f"maps not keyed by the model graph of {ops.format(degree)}")
+    rows = range(degree[0] + 1)
+    return Morphism(
+        ops,
+        degree,
+        [[vmap[z] for z in domain.vertices if z[0] == i] for i in rows],
+        [[emap[z, l] for z, l in domain.edges if z[0] == i and l == "a"] for i in rows],
+        [[emap[z, l] for z, l in domain.edges if z[0] == i and l == "b"] for i in rows],
+    )
+
+
 def restrict(lam: Morphism, w1) -> Morphism:
     """lam on the model graph of a prefix w1, values unchanged."""
     ops = lam.ops
     if not ops.is_prefix(w1, lam.degree):
         raise NotAPrefix(f"{ops.format(w1)} is not a prefix of {ops.format(lam.degree)}")
     domain = model(ops, w1)
-    return Morphism(
+    vmap, emap = maps(lam)
+    return from_maps(
         ops,
         w1,
-        {z: lam.vmap[z] for z in domain.vertices},
-        {k: lam.emap[k] for k in domain.edges},
+        {z: vmap[z] for z in domain.vertices},
+        {k: emap[k] for k in domain.edges},
     )
 
 
@@ -140,11 +169,12 @@ def restrict_shifted(lam: Morphism, w1, w2) -> Morphism:
         raise NotAPrefix(f"{ops.format(w2)} is not a prefix of {ops.format(lam.degree)}")
     w = ops.quotient(w1, w2)
     domain = model(ops, w)
-    return Morphism(
+    vmap, emap = maps(lam)
+    return from_maps(
         ops,
         w,
-        {z: lam.vmap[ops.mul(w1, z)] for z in domain.vertices},
-        {(z, l): lam.emap[(ops.mul(w1, z), l)] for (z, l) in domain.edges},
+        {z: vmap[ops.mul(w1, z)] for z in domain.vertices},
+        {(z, l): emap[(ops.mul(w1, z), l)] for (z, l) in domain.edges},
     )
 
 
@@ -153,8 +183,9 @@ def occurrences(lam: Morphism) -> list[tuple]:
     lam's domain; the edge map is keyed relative to the square's domain."""
     ops = lam.ops
     edges = square_edges(ops)
+    _, emap = maps(lam)
     return [
-        (m, {(z, l): lam.emap[(ops.mul(m, z), l)] for (z, l) in edges})
+        (m, {(z, l): emap[(ops.mul(m, z), l)] for (z, l) in edges})
         for m in square_positions(ops, lam.degree)
     ]
 
@@ -168,16 +199,17 @@ def check_compatible(lam: Morphism, collection) -> bool:
 def morphism_json(lam: Morphism) -> dict:
     """The JSON object ``Morphism.json_text`` writes, built as a dict."""
     ops = lam.ops
+    vmap, emap = maps(lam)
     return {
         "mode": ops.name,
         "degree": {"word": ops.format(lam.degree), "pair": list(lam.degree)},
         "vertices": [
             {"prefix": ops.format(z), "pair": list(z), "vertex": v}
-            for z, v in sorted(lam.vmap.items())
+            for z, v in sorted(vmap.items())
         ],
         "edges": [
             {"prefix": ops.format(z), "letter": l, "edge": e}
-            for (z, l), e in sorted(lam.emap.items())
+            for (z, l), e in sorted(emap.items())
         ],
     }
 
@@ -187,6 +219,6 @@ def compose(ctx, mu: Morphism, nu: Morphism) -> Morphism:
     of mu's shortest traversal followed by nu's."""
     if mu.source != nu.range_:
         raise NotComposable(None, f"s(mu) = {mu.source} != r(nu) = {nu.range_}")
-    x = shortest_traversal(ctx.graph, mu)
-    y = shortest_traversal(ctx.graph, nu)
+    x = shortest_traversal(mu)
+    y = shortest_traversal(nu)
     return lift_path(ctx.graph, ctx.collection, concat(x, y))

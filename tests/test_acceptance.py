@@ -27,7 +27,7 @@ from bsgraph.squares import CompleteCollection, check_complete
 from bsgraph.words import BS, parse_word
 
 from .conftest import FIXTURE_DIR
-from .oracles import all_strings, fold_pair, minimal_lengths, rewrite_closure
+from .oracles import all_strings, fold_pair, maps, minimal_lengths, rewrite_closure
 
 E = str(FIXTURE_DIR / "example_E.cg")
 E_MISSING = str(FIXTURE_DIR / "example_E_missing_phi2.cg")
@@ -78,11 +78,12 @@ def test_criterion_2_lift_reproduction(capsys, ctx):
         )
         elapsed = time.perf_counter() - start
         assert lam.degree == (2, 8)
-        assert len(lam.vmap) == 17 and len(lam.emap) == 22
+        vmap, emap = maps(lam)
+        assert len(vmap) == 17 and len(emap) == 22
         # row-wise images: vertices u/v/u, blues g/k/g, reds f/h
-        for z, v in lam.vmap.items():
+        for z, v in vmap.items():
             assert v == ("u", "v", "u")[z[0]]
-        for (z, l), e in lam.emap.items():
+        for (z, l), e in emap.items():
             expected = ("g", "k", "g")[z[0]] if l == "b" else ("f", "h")[z[0]]
             assert e == expected
         assert elapsed < 1.0
@@ -91,8 +92,8 @@ def test_criterion_2_lift_reproduction(capsys, ctx):
 
 def test_criterion_3_traversal_extremes(capsys, ctx, example_lam):
     with criterion(capsys, 3, "shortest/longest traversals witness b2a2 = a2b8") as st:
-        short = shortest_traversal(ctx.graph, example_lam)
-        long = longest_traversal(ctx.graph, example_lam)
+        short = shortest_traversal(example_lam)
+        long = longest_traversal(example_lam)
         assert short.edges == ("g", "g", "f", "h") and len(short) == 4
         assert long.edges == ("f", "h") + ("g",) * 8 and len(long) == 10
         assert path_degree(BS, short) == path_degree(BS, long) == (2, 8)
@@ -109,7 +110,7 @@ def test_criterion_4_oracle_uniqueness(capsys, ctx):
             if w not in enum_memo:
                 enum_memo[w] = enumerate_morphisms(ctx.graph, ctx.collection, w)
             matches = [
-                m for m in enum_memo[w] if check_traverses(ctx.graph, m, path)
+                m for m in enum_memo[w] if check_traverses(m, path)
             ]
             lam = lift_path(ctx.graph, ctx.collection, path)
             assert matches == [lam], str(path)

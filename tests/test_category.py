@@ -15,7 +15,6 @@ from bsgraph.category import (
     CompositionTable,
     LambdaContext,
     all_paths,
-    identity,
     pool_morphisms,
     verify_category,
     verify_factorization,
@@ -24,12 +23,18 @@ from bsgraph.category import (
 from bsgraph.errors import Conflict, NotComposable, UnknownVertex
 from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import Path, concat, validate_path, vertex_path
-from bsgraph.morphisms import lift_path, normal_form, shortest_traversal, split_traversals
+from bsgraph.morphisms import (
+    identity_morphism,
+    lift_path,
+    normal_form,
+    shortest_traversal,
+    split_traversals,
+)
 from bsgraph.squares import CompleteCollection
 from bsgraph.words import BS
 
 from .conftest import _context
-from .oracles import compose, restrict, restrict_shifted
+from .oracles import compose, maps, restrict, restrict_shifted
 from .test_lift import multi_vertex_paths
 from .test_normal_form import _one_vertex, generated_paths
 
@@ -39,17 +44,18 @@ def _lift(ctx, names):
 
 
 def test_identity(ctx):
-    lam_u = identity(ctx, "u")
+    lam_u = lift_path(ctx.graph, ctx.collection, vertex_path(ctx.graph, "u"))
+    assert lam_u == identity_morphism(BS, "u")
     assert lam_u.degree == BS.identity
     assert lam_u.range_ == lam_u.source == "u"
     with pytest.raises(UnknownVertex):
-        identity(ctx, "zz")
+        vertex_path(ctx.graph, "zz")
 
 
 def test_compose_square_from_blue_then_red(ctx, phi1):
     lam = compose(ctx, _lift(ctx, ["g"]), _lift(ctx, ["f"]))
     assert lam.degree == (1, 2)
-    assert lam.emap == phi1.emap
+    assert maps(lam)[1] == phi1.emap
 
 
 def test_compose_reproduces_worked_example(ctx, example_lam):
@@ -59,8 +65,8 @@ def test_compose_reproduces_worked_example(ctx, example_lam):
 
 def test_compose_identity_laws(ctx):
     lam = _lift(ctx, ["g", "g", "f", "h"])
-    assert compose(ctx, identity(ctx, lam.range_), lam) == lam
-    assert compose(ctx, lam, identity(ctx, lam.source)) == lam
+    assert compose(ctx, identity_morphism(BS, lam.range_), lam) == lam
+    assert compose(ctx, lam, identity_morphism(BS, lam.source)) == lam
 
 
 def test_compose_requires_meeting(ctx):
@@ -82,7 +88,7 @@ def test_factorize_examples(ctx, example_lam):
     assert y.edges == ("f", "h")
     left, right = split_traversals(example_lam, BS.identity, example_lam.degree)
     assert left == vertex_path(ctx.graph, example_lam.range_)
-    assert right == shortest_traversal(ctx.graph, example_lam)
+    assert right == shortest_traversal(example_lam)
 
 
 def test_factorize_square_at_b(ctx, phi1):
@@ -133,8 +139,8 @@ def _swap_interior_edge(real):
     """A rewriter that swaps one interior edge of every result of length
     >= 3 for the other edge of its colour, keeping the endpoints."""
 
-    def corrupted(g, collection, x):
-        y = real(g, collection, x)
+    def corrupted(collection, x):
+        y = real(collection, x)
         if len(y) < 3:
             return y
         edges = y.edges[:1] + (OTHER[y.edges[1]],) + y.edges[2:]
@@ -147,8 +153,8 @@ def _drop_last_edge(real):
     """A rewriter that loses the last edge of every result of length >= 3,
     which also changes its degree."""
 
-    def corrupted(g, collection, x):
-        y = real(g, collection, x)
+    def corrupted(collection, x):
+        y = real(collection, x)
         if len(y) < 3:
             return y
         return Path(y.edges[:-1], y.range_, y.source, y.colours[:-1])
@@ -196,9 +202,8 @@ def test_fault_fails_every_law_that_composes(ctx, monkeypatch):
 def _table_matches_rewriting(ctx, max_len: int) -> int:
     """Every composable pair of pool traversals: the table's composite is
     the normal form of the concatenation.  Returns the pair count."""
-    g, coll = ctx.graph, ctx.collection
     table = CompositionTable(ctx)
-    paths = [shortest_traversal(g, lam) for lam in pool_morphisms(ctx, max_len)]
+    paths = [shortest_traversal(lam) for lam in pool_morphisms(ctx, max_len)]
     ids = [table.intern(x) for x in paths]
     assert len(set(ids)) == len(ids)
     by_range: dict = {}
@@ -207,7 +212,7 @@ def _table_matches_rewriting(ctx, max_len: int) -> int:
     pairs = 0
     for x, i in zip(paths, ids):
         for y, j in by_range.get(x.source, ()):
-            z = normal_form(g, coll, concat(x, y))
+            z = normal_form(ctx.collection, concat(x, y))
             k = table.compose(i, j)
             assert table.paths[k] == z, f"{x} ; {y}"
             assert table.intern(Path(z.edges, z.range_, z.source, z.colours)) == k
@@ -247,7 +252,7 @@ def _splits_match_restriction(ctx, max_len: int) -> int:
             mu, nu = restrict(lam, w1), restrict_shifted(lam, w1, lam.degree)
             x, y = split_traversals(lam, w1, w2)
             where = f"{lam.key()} at {w1}"
-            assert (x, y) == (shortest_traversal(g, mu), shortest_traversal(g, nu)), where
+            assert (x, y) == (shortest_traversal(mu), shortest_traversal(nu)), where
             assert (lift_path(g, coll, x), lift_path(g, coll, y)) == (mu, nu), where
             splits += 1
     return splits

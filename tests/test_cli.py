@@ -306,10 +306,3 @@ def test_grid_fixture_round_trip():
     assert fx.mode == "grid"
     text = serialize_fixture(fx)
     assert parse_fixture(text).graph == fx.graph
-
-
-def test_graph_dot_export(graph_E):
-    from bsgraph.dot import graph_to_dot
-
-    out = graph_to_dot(graph_E)
-    assert '"v" -> "u" [label="f", color=red];' in out

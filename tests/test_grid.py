@@ -7,11 +7,11 @@ from bsgraph.graphs import validate_path, vertex_path
 from bsgraph.morphisms import enumerate_morphisms, identity_morphism, lift_path
 from bsgraph.words import GRID
 
-from .oracles import compose
+from .oracles import compose, maps
 
 
 def test_fixture_shape(grid_ctx):
-    assert grid_ctx.mode == "grid"
+    assert grid_ctx.ops.name == "grid"
     assert grid_ctx.graph.vertices == ("w",)
     assert len(grid_ctx.collection.squares) == 1
 
@@ -20,7 +20,8 @@ def test_lift_rho_beta_rho(grid_ctx):
     path = validate_path(grid_ctx.graph, ["rho", "beta", "rho"])
     lam = lift_path(grid_ctx.graph, grid_ctx.collection, path)
     assert lam.degree == (2, 1)
-    assert len(lam.vmap) == 6 and len(lam.emap) == 7
+    vmap, emap = maps(lam)
+    assert len(vmap) == 6 and len(emap) == 7
     found = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, (2, 1))
     assert found == [lam]
 

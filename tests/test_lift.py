@@ -23,6 +23,8 @@ from bsgraph.models import check_model_size, model
 from bsgraph.morphisms import Morphism, check_traverses, enumerate_morphisms, lift_path
 from bsgraph.squares import CompleteCollection, blue_keys, red_keys
 
+from .oracles import from_maps, maps
+
 from .test_normal_form import generated_paths
 
 
@@ -135,7 +137,7 @@ def worklist_maps(g, collection, x) -> tuple:
 
 
 def worklist_lift(g, collection, x) -> Morphism:
-    return Morphism(collection.ops, *worklist_maps(g, collection, x))
+    return from_maps(collection.ops, *worklist_maps(g, collection, x))
 
 
 def _agree(ctx: LambdaContext, paths) -> None:
@@ -146,18 +148,19 @@ def _agree(ctx: LambdaContext, paths) -> None:
 
 
 def _maps_agree(ctx: LambdaContext, paths) -> None:
-    """The row lift's vmap and emap equal the worklist lift's dicts, count
-    and iterate like the model graph, and read the rows."""
+    """The row lift's maps equal the worklist lift's dicts, and its rows
+    and ``key()`` list their images in the model graph's order."""
     for x in paths:
         lam = lift_path(ctx.graph, ctx.collection, x)
         degree, vmap, emap = worklist_maps(ctx.graph, ctx.collection, x)
         domain = model(ctx.ops, degree)
         assert lam.degree == degree
-        assert dict(lam.vmap) == vmap and dict(lam.emap) == emap, str(x)
-        assert list(lam.vmap) == list(domain.vertices)
-        assert list(lam.emap) == list(domain.edges)
-        assert len(lam.vmap) == len(domain.vertices) and len(lam.emap) == len(domain.edges)
-        assert list(lam.vmap.values()) == [v for row in lam.vrows for v in row]
+        assert maps(lam) == (vmap, emap), str(x)
+        assert [v for row in lam.vrows for v in row] == [vmap[z] for z in domain.vertices]
+        assert lam.key()[2:] == (
+            tuple(vmap[z] for z in domain.vertices),
+            tuple(emap[k] for k in domain.edges),
+        )
 
 
 def _walks(g, rng, lengths, count: int) -> list:
@@ -202,7 +205,7 @@ def test_lift_on_blue_cycle_matches_worklist_and_enumeration(fixture_dir):
             w = path_degree(ctx.ops, x)
             if w not in found:
                 found[w] = enumerate_morphisms(ctx.graph, ctx.collection, w)
-            matches = [m for m in found[w] if check_traverses(ctx.graph, m, x)]
+            matches = [m for m in found[w] if check_traverses(m, x)]
             assert matches == [lift_path(ctx.graph, ctx.collection, x)], str(x)
 
 
@@ -275,7 +278,7 @@ def test_duplicated_red_boundary_is_a_conflict():
     x = validate_path(fx.graph, ["b", "r1"])
     # The worklist lift completes the square from its blue-first side.
     s = next(sq for sq in fx.squares if sq.name == "S")
-    assert worklist_lift(fx.graph, coll, x).emap == s.emap
+    assert maps(worklist_lift(fx.graph, coll, x))[1] == s.emap
     # The top-down sweep reads b r1 as S, whose red side r1 b b the index
     # pairs with S'.  On b b r1 it meets the same square first, before the
     # missing r2 b b could be read.

@@ -24,7 +24,14 @@ from bsgraph.models import model, square_positions
 from bsgraph.squares import CompleteCollection
 from bsgraph.words import BS
 
-from .oracles import check_compatible, occurrences, restrict, restrict_shifted
+from .oracles import (
+    check_compatible,
+    from_maps,
+    maps,
+    occurrences,
+    restrict,
+    restrict_shifted,
+)
 
 
 def expected_example_lam(graph):
@@ -38,13 +45,14 @@ def expected_example_lam(graph):
             emap[(z, l)] = ("g", "k", "g")[z[0]]
         else:
             emap[(z, l)] = ("f", "h")[z[0]]
-    return Morphism(BS, w, vmap, emap)
+    return from_maps(BS, w, vmap, emap)
 
 
 def test_lift_ggfh_matches_worked_example(ctx, example_lam):
     assert example_lam.degree == (2, 8)
-    assert len(example_lam.vmap) == 17
-    assert len(example_lam.emap) == 22
+    vmap, emap = maps(example_lam)
+    assert len(vmap) == 17
+    assert len(emap) == 22
     assert example_lam == expected_example_lam(ctx.graph)
     assert (example_lam.range_, example_lam.source) == ("u", "u")
 
@@ -62,7 +70,7 @@ def test_lift_equal_for_square_traversals(ctx):
     assert via_red.degree == (1, 2)
     # it is exactly phi1 viewed as a morphism
     phi1 = next(sq for sq in ctx.collection.squares if sq.name == "phi1")
-    assert via_red.emap == phi1.emap
+    assert maps(via_red)[1] == phi1.emap
 
 
 def test_lift_rejects_non_composable(ctx):
@@ -86,22 +94,22 @@ def test_lift_loop_invariant(ctx):
     for n in range(1, len(names) + 1):
         path = validate_path(ctx.graph, names[:n])
         lam = lift_path(ctx.graph, ctx.collection, path)
-        assert check_traverses(ctx.graph, lam, path)
+        assert check_traverses(lam, path)
 
 
 def test_check_traverses(ctx, example_lam):
     g = ctx.graph
-    assert check_traverses(g, example_lam, validate_path(g, ["g", "g", "f", "h"]))
-    assert check_traverses(g, example_lam, validate_path(g, ["f", "h"] + ["g"] * 8))
-    assert not check_traverses(g, example_lam, validate_path(g, ["g", "g"]))
+    assert check_traverses(example_lam, validate_path(g, ["g", "g", "f", "h"]))
+    assert check_traverses(example_lam, validate_path(g, ["f", "h"] + ["g"] * 8))
+    assert not check_traverses(example_lam, validate_path(g, ["g", "g"]))
     lam_u = identity_morphism(BS, "u")
-    assert check_traverses(g, lam_u, vertex_path(g, "u"))
-    assert not check_traverses(g, lam_u, vertex_path(g, "v"))
+    assert check_traverses(lam_u, vertex_path(g, "u"))
+    assert not check_traverses(lam_u, vertex_path(g, "v"))
 
 
 def test_traversal_extremes(ctx, example_lam):
-    short = shortest_traversal(ctx.graph, example_lam)
-    long = longest_traversal(ctx.graph, example_lam)
+    short = shortest_traversal(example_lam)
+    long = longest_traversal(example_lam)
     assert short.edges == ("g", "g", "f", "h")
     assert long.edges == ("f", "h") + ("g",) * 8
     assert len(short) == 4 and len(long) == 10
@@ -113,17 +121,17 @@ def test_traversal_extremes(ctx, example_lam):
 def test_traversals_traverse_their_morphism(ctx):
     for names in (["g", "f"], ["g", "g", "f", "h"], ["f", "k", "k"]):
         lam = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, names))
-        assert check_traverses(ctx.graph, lam, shortest_traversal(ctx.graph, lam))
-        assert check_traverses(ctx.graph, lam, longest_traversal(ctx.graph, lam))
+        assert check_traverses(lam, shortest_traversal(lam))
+        assert check_traverses(lam, longest_traversal(lam))
 
 
 def test_restrict(ctx, example_lam):
     bottom = restrict(example_lam, (0, 2))
-    assert shortest_traversal(ctx.graph, bottom).edges == ("g", "g")
+    assert shortest_traversal(bottom).edges == ("g", "g")
     assert restrict_shifted(example_lam, BS.identity, example_lam.degree) == example_lam
     top = restrict_shifted(example_lam, (0, 2), (2, 8))
     assert top.degree == (2, 0)
-    assert shortest_traversal(ctx.graph, top).edges == ("f", "h")
+    assert shortest_traversal(top).edges == ("f", "h")
 
 
 def test_restrictions_stay_compatible(ctx, example_lam):
@@ -160,7 +168,7 @@ def test_check_compatible(ctx, example_lam, phi1):
 def test_enumerate_ba(ctx, phi1, phi2):
     found = enumerate_morphisms(ctx.graph, ctx.collection, (1, 2))
     assert len(found) == 2
-    assert {frozenset(m.emap.items()) for m in found} == {
+    assert {frozenset(maps(m)[1].items()) for m in found} == {
         frozenset(phi1.emap.items()),
         frozenset(phi2.emap.items()),
     }
@@ -186,7 +194,7 @@ def _enumerate_by_dicts(g, collection, w) -> list[Morphism]:
 
     def backtrack(i, vmap, emap):
         if i == len(edge_keys):
-            lam = Morphism(ops, w, dict(vmap), dict(emap))
+            lam = from_maps(ops, w, dict(vmap), dict(emap))
             if check_compatible(lam, collection):
                 results.append(lam)
             return
@@ -260,7 +268,7 @@ def test_unique_lifting_against_oracle(ctx):
         matches = [
             m
             for m in enumerate_morphisms(ctx.graph, ctx.collection, path_degree(BS, path))
-            if check_traverses(ctx.graph, m, path)
+            if check_traverses(m, path)
         ]
         assert matches == [lam]
 
@@ -273,22 +281,50 @@ def test_conflict_reported_for_incompatible_seed(ctx, incomplete_fixture):
         lift_path(fx.graph, coll, validate_path(fx.graph, ["k", "k", "h", "f"]))
 
 
+def _row_lists(lam) -> list:
+    """lam's vrows, arows and brows as lists of lists."""
+    return [[list(row) for row in rows] for rows in (lam.vrows, lam.arows, lam.brows)]
+
+
 def test_morphism_maps_are_read_only(example_lam):
     key = example_lam.key()
     with pytest.raises(TypeError):
-        example_lam.vmap[BS.identity] = "v"
+        example_lam.vrows[0][0] = "v"
     with pytest.raises(TypeError):
-        example_lam.emap[(BS.identity, "a")] = "h"
-    for field in ("vrows", "arows", "brows", "vmap", "emap", "degree"):
+        example_lam.arows[0][0] = "h"
+    for field in ("vrows", "arows", "brows", "degree"):
         with pytest.raises(AttributeError):
             setattr(example_lam, field, ())
-    assert isinstance(example_lam.vrows[0], tuple) and isinstance(example_lam.arows[0], tuple)
-    # The rows are built from the maps: changing a dict the morphism was
+    # The constructor freezes the rows: changing a list the morphism was
     # built from changes neither the morphism nor its cached key.
-    vmap, emap = dict(example_lam.vmap), dict(example_lam.emap)
-    copy = Morphism(BS, example_lam.degree, vmap, emap)
-    vmap[BS.identity] = "v"
+    vrows, arows, brows = _row_lists(example_lam)
+    copy = Morphism(BS, example_lam.degree, vrows, arows, brows)
+    vrows[0][0], arows[0][0] = "v", "h"
+    vrows.append(["u"])
     assert copy == example_lam and copy.key() == key
+
+
+def test_rows_constructor_rejects_misshapen_rows(example_lam):
+    # The model graph of a^2 b^8 has rows of 3, 5 and 9 vertices, with 3
+    # and 5 red edges in rows 0 and 1 and 2, 4 and 8 blue edges.
+    vrows, arows, brows = _row_lists(example_lam)
+    degree = example_lam.degree
+    for bad in [
+        (vrows[:1] + [vrows[1][:-1]] + vrows[2:], arows, brows),  # a short row
+        (vrows + [["u"]], arows, brows),  # an extra row
+        (vrows, arows + [["f"]], brows),  # an extra red row
+        (vrows, arows[:2] + [["f"]], brows),  # a red edge on row N
+        (vrows, arows, brows[:2] + [brows[2] + ["g"]]),  # a blue edge past a row's end
+        (vrows, [arows[0] + ["f"]] + arows[1:], brows),  # a red edge past a row's end
+        ([], [], []),
+    ]:
+        with pytest.raises(ValueError):
+            Morphism(BS, degree, *bad)
+    # The right rows under another degree are off its model graph.
+    with pytest.raises(ValueError):
+        Morphism(BS, (2, 7), vrows, arows, brows)
+    with pytest.raises(ValueError):
+        Morphism(BS, (1, 8), vrows, arows, brows)
 
 
 @pytest.mark.parametrize(
@@ -296,18 +332,12 @@ def test_morphism_maps_are_read_only(example_lam):
     [(-1, 0), (0, -1), (0, 5), (3, 0), (2, 9), (0,), (0, 0, 0), "e", None, ("0", 0)],
 )
 def test_off_domain_vertex_keys(example_lam, key):
-    # The model graph of a^2 b^8 has rows of 3, 5 and 9 vertices.
-    with pytest.raises(KeyError):
-        example_lam.vmap[key]
-    assert example_lam.vmap.get(key) is None and key not in example_lam.vmap
-
-
-def test_unhashable_keys_raise_type_error_as_in_a_dict(example_lam):
-    for view, key in ((example_lam.vmap, [0, 0]), (example_lam.emap, ([0, 0], "a"))):
-        with pytest.raises(TypeError):
-            view[key]
-        with pytest.raises(TypeError):
-            view.get(key)
+    # The model graph of a^2 b^8 has rows of 3, 5 and 9 vertices: the key
+    # is none of them, so a vertex map that has it is refused.
+    vmap, emap = maps(example_lam)
+    assert key not in vmap
+    with pytest.raises(ValueError):
+        from_maps(BS, example_lam.degree, {**vmap, key: "u"}, emap)
 
 
 @pytest.mark.parametrize(
@@ -326,22 +356,30 @@ def test_unhashable_keys_raise_type_error_as_in_a_dict(example_lam):
     ],
 )
 def test_off_domain_edge_keys(example_lam, key):
-    with pytest.raises(KeyError):
-        example_lam.emap[key]
-    assert example_lam.emap.get(key) is None and key not in example_lam.emap
+    vmap, emap = maps(example_lam)
+    assert key not in emap
+    with pytest.raises(ValueError):
+        from_maps(BS, example_lam.degree, vmap, {**emap, key: "f"})
 
 
 @pytest.mark.parametrize("name, max_len", [("ctx", 3), ("grid_ctx", 4)])
 def test_maps_constructor_round_trips(name, max_len, request):
     ctx = request.getfixturevalue(name)
     for lam in pool_morphisms(ctx, max_len):
-        again = Morphism(lam.ops, lam.degree, dict(lam.vmap), dict(lam.emap))
-        assert again == lam and hash(again) == hash(lam) and again.key() == lam.key()
-        assert (again.vrows, again.arows, again.brows) == (lam.vrows, lam.arows, lam.brows)
+        # Through the two dicts, and from rows given as lists, which the
+        # constructor freezes to tuples.
+        for again in (
+            from_maps(lam.ops, lam.degree, *maps(lam)),
+            Morphism(lam.ops, lam.degree, *_row_lists(lam)),
+        ):
+            for rows in (again.vrows, again.arows, again.brows):
+                assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert again == lam and hash(again) == hash(lam) and again.key() == lam.key()
+            assert (again.vrows, again.arows, again.brows) == (lam.vrows, lam.arows, lam.brows)
 
 
 def test_maps_constructor_rejects_partial_or_extra_keys(example_lam):
-    vmap, emap = dict(example_lam.vmap), dict(example_lam.emap)
+    vmap, emap = maps(example_lam)
     degree = example_lam.degree
     partial_v = {z: v for z, v in vmap.items() if z != (1, 2)}
     partial_e = {k: e for k, e in emap.items() if k != ((0, 1), "a")}
@@ -354,20 +392,16 @@ def test_maps_constructor_rejects_partial_or_extra_keys(example_lam):
         ({}, {}),
     ]:
         with pytest.raises(ValueError):
-            Morphism(BS, degree, bad_v, bad_e)
+            from_maps(BS, degree, bad_v, bad_e)
     # The same maps under another degree are off its model graph.
     with pytest.raises(ValueError):
-        Morphism(BS, (2, 7), vmap, emap)
+        from_maps(BS, (2, 7), vmap, emap)
 
 
 def _old_key(lam):
     """The key morphisms had as two dicts: sorted items of both maps."""
-    return (
-        lam.ops.name,
-        lam.degree,
-        tuple(sorted(lam.vmap.items())),
-        tuple(sorted(lam.emap.items())),
-    )
+    vmap, emap = maps(lam)
+    return (lam.ops.name, lam.degree, tuple(sorted(vmap.items())), tuple(sorted(emap.items())))
 
 
 # Two red and two blue loops on one vertex, every pair commuting: many

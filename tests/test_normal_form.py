@@ -31,14 +31,14 @@ from .oracles import compose
 def _agree(ctx: LambdaContext, paths, enum_memo: dict) -> None:
     g, coll = ctx.graph, ctx.collection
     for x in paths:
-        nf = normal_form(g, coll, x)
-        assert nf == shortest_traversal(g, lift_path(g, coll, x)), str(x)
+        nf = normal_form(coll, x)
+        assert nf == shortest_traversal(lift_path(g, coll, x)), str(x)
         w = path_degree(ctx.ops, x)
         if w not in enum_memo:
             enum_memo[w] = enumerate_morphisms(g, coll, w)
-        matches = [m for m in enum_memo[w] if check_traverses(g, m, x)]
+        matches = [m for m in enum_memo[w] if check_traverses(m, x)]
         assert len(matches) == 1, str(x)
-        assert shortest_traversal(g, matches[0]) == nf, str(x)
+        assert shortest_traversal(matches[0]) == nf, str(x)
 
 
 @pytest.mark.parametrize("name", ["ctx", "grid_ctx"])
@@ -88,22 +88,21 @@ def test_normal_form_matches_lift_on_longer_paths(drawn):
     ctx, paths = drawn
     g, coll = ctx.graph, ctx.collection
     for x in paths:
-        assert normal_form(g, coll, x) == shortest_traversal(g, lift_path(g, coll, x))
+        assert normal_form(coll, x) == shortest_traversal(lift_path(g, coll, x))
 
 
 @pytest.mark.parametrize("name", ["ctx", "grid_ctx"])
 def test_dense_compose_agrees_with_rewriting(name, request):
     ctx = request.getfixturevalue(name)
-    g = ctx.graph
     pool = pool_morphisms(ctx, 2)
     pairs = 0
     for mu in pool:
         for nu in pool:
             if mu.source != nu.range_:
                 continue
-            x, y = shortest_traversal(g, mu), shortest_traversal(g, nu)
-            dense = shortest_traversal(g, compose(ctx, mu, nu))
-            assert dense == normal_form(g, ctx.collection, concat(x, y))
+            x, y = shortest_traversal(mu), shortest_traversal(nu)
+            dense = shortest_traversal(compose(ctx, mu, nu))
+            assert dense == normal_form(ctx.collection, concat(x, y))
             pairs += 1
     assert pairs == {"ctx": 98, "grid_ctx": 36}[name]
 
@@ -112,6 +111,6 @@ def test_normal_form_reports_missing_square(incomplete_fixture):
     fx = incomplete_fixture
     coll = CompleteCollection(fx.ops, tuple(fx.squares))
     with pytest.raises(NotCovered) as exc:
-        normal_form(fx.graph, coll, validate_path(fx.graph, ["h", "g", "g"]))
+        normal_form(coll, validate_path(fx.graph, ["h", "g", "g"]))
     assert exc.value.boundary == ("h", "g", "g")
     assert str(exc.value) == "no square with red-first boundary h g g"

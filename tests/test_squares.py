@@ -122,6 +122,19 @@ def test_lookup_not_covered(phi1):
     assert exc.value.boundary == ("k", "h")
 
 
+@pytest.mark.parametrize(
+    "field", ["index_red", "index_blue", "duplicate_red", "duplicate_blue"]
+)
+def test_derived_indices_are_not_constructor_arguments(ctx, phi1, field):
+    # Passed in, a prefilled index made a complete collection report its
+    # own boundaries as duplicated.
+    value = [phi1.red_boundary()] if field.startswith("duplicate") else {
+        phi1.red_boundary(): phi1
+    }
+    with pytest.raises(TypeError):
+        CompleteCollection(BS, ctx.collection.squares, **{field: value})
+
+
 def test_malformed_square_reported(grid_ctx, phi1):
     # a bs-mode square validated against the grid graph cannot type-check
     report = check_complete(grid_ctx.graph, BS, [phi1])
