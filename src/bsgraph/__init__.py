@@ -8,7 +8,6 @@ Degrees are plain (N, M) int pairs and edge colours are the letters
 """
 
 from .category import (
-    LambdaContext,
     VerificationReport,
     verify,
     verify_category,

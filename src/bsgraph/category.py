@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
 
-from .errors import Conflict
 from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
 from .morphisms import (
     Morphism,
@@ -28,22 +27,10 @@ from .morphisms import (
     shortest_traversal,
     split_traversals,
 )
-from .squares import CompleteCollection, paths_with_colour_word
+from .squares import CompleteCollection, not_covered, paths_with_colour_word
 
 # Law suites in the order `verify` runs them by default.
 SUITES = ("category", "functor", "factorization")
-
-
-@dataclass
-class LambdaContext:
-    """A graph together with a complete collection; mode comes from ops."""
-
-    graph: ColouredGraph
-    collection: CompleteCollection
-
-    @property
-    def ops(self):
-        return self.collection.ops
 
 
 @dataclass
@@ -106,44 +93,34 @@ def all_paths(g: ColouredGraph, max_len: int) -> list[Path]:
     return out
 
 
-def pool_morphisms(ctx: LambdaContext, max_len: int) -> list[Morphism]:
+def pool_morphisms(collection: CompleteCollection, max_len: int) -> list[Morphism]:
     """Distinct morphisms lifted from all paths of length <= max_len,
     in key order."""
     seen = {}
-    for p in all_paths(ctx.graph, max_len):
-        lam = lift_path(ctx.graph, ctx.collection, p)
+    for p in all_paths(collection.graph, max_len):
+        lam = lift_path(collection, p)
         seen.setdefault(lam.key(), lam)
     return [seen[k] for k in sorted(seen)]
 
 
-def require_covered(ctx: LambdaContext) -> None:
-    """Look up every boundary path of the graph, blue-first ones first,
-    then require each boundary to belong to one square only.
+def require_covered(collection: CompleteCollection) -> None:
+    """Require every boundary path of the graph to have a square,
+    blue-first ones first, then each boundary to belong to one square only.
 
     A rewriting sweep only meets the squares its paths touch, so a missing
     or duplicated square elsewhere would go unseen; this raises the
-    ``NotCovered`` of the first missing one, else a ``Conflict`` naming
-    the first duplicated boundary, red-first ones first, in index order.
+    ``NotCovered`` of the first missing one, else the ``Conflict`` of
+    ``require_unique``.
     """
-    ops = ctx.ops
-    coll = ctx.collection
-    for word, lookup in (
-        (ops.blue_first_word, coll.lookup_blue),
-        (ops.red_first_word, coll.lookup_red),
+    ops = collection.ops
+    for kind, word, table in (
+        ("blue-first", ops.blue_first_word, collection.blue_to_red),
+        ("red-first", ops.red_first_word, collection.red_to_blue),
     ):
-        for boundary in paths_with_colour_word(ctx.graph, word):
-            lookup(boundary)
-    for kind, index, duplicates in (
-        ("red-first", coll.index_red, coll.duplicate_red),
-        ("blue-first", coll.index_blue, coll.duplicate_blue),
-    ):
-        if duplicates:
-            repeated = set(duplicates)
-            boundary = next(b for b in index if b in repeated)
-            raise Conflict(
-                f"the {kind} boundary {' '.join(boundary)} belongs to more than "
-                f"one square; the collection cannot be complete for this graph"
-            )
+        for boundary in paths_with_colour_word(collection.graph, word):
+            if boundary not in table:
+                not_covered(kind, boundary)
+    collection.require_unique()
 
 
 # The products row of each id not yet composed on the left: one shared
@@ -160,13 +137,12 @@ class CompositionTable:
     int id, and equal morphisms get equal ids.  ``compose`` reads the
     composite of two ids from a table and rewrites only on a miss, once
     per distinct pair, with the module's ``normal_form``.  Nothing here
-    outlives the run: a context kept for a later run gets a new table, so
-    it never sees an old pool or old products.
+    outlives the run: a collection kept for a later run gets a new table,
+    so it never sees an old pool or old products.
     """
 
-    def __init__(self, ctx: LambdaContext):
-        self.ctx = ctx
-        self.collection = ctx.collection
+    def __init__(self, collection: CompleteCollection):
+        self.collection = collection
         self._pools: dict = {}  # max_len -> (pool, traversals, ids)
         self.paths: list[Path] = []  # id -> shortest traversal
         self._ids: dict = {}  # (range, edges) -> id
@@ -188,8 +164,8 @@ class CompositionTable:
         by pool index; built once, after the coverage check."""
         cached = self._pools.get(max_len)
         if cached is None:
-            require_covered(self.ctx)
-            pool = pool_morphisms(self.ctx, max_len)
+            require_covered(self.collection)
+            pool = pool_morphisms(self.collection, max_len)
             paths = [shortest_traversal(lam) for lam in pool]
             cached = self._pools[max_len] = (pool, paths, [self.intern(x) for x in paths])
         return cached
@@ -239,13 +215,13 @@ def _law(name: str, instances, counterexample) -> LawResult:
 
 
 def verify_category(
-    ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
+    collection: CompleteCollection, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
     """Range/source, associativity, and identity laws over the bounded pool."""
-    table = table or CompositionTable(ctx)
+    table = table or CompositionTable(collection)
     _, paths, ids = table.pool(max_len)
     compose, products, interned = table.compose, table._products, table.paths
-    ops = ctx.ops
+    ops = collection.ops
     after = _by_range(paths)
 
     def range_source(i, j):
@@ -287,7 +263,8 @@ def verify_category(
             break
     assoc = LawResult("associativity", assoc_instances, assoc_fail is None, assoc_fail)
 
-    unit = {v: table.intern(vertex_path(ctx.graph, v)) for v in ctx.graph.vertices}
+    g = collection.graph
+    unit = {v: table.intern(vertex_path(g, v)) for v in g.vertices}
 
     def identity_law(lam, x):
         on_left, on_right = compose(unit[x.range_], lam), compose(lam, unit[x.source])
@@ -298,13 +275,13 @@ def verify_category(
 
 
 def verify_functor(
-    ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
+    collection: CompleteCollection, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
     """Degree is multiplicative on composites and trivial on identities."""
-    table = table or CompositionTable(ctx)
+    table = table or CompositionTable(collection)
     _, paths, ids = table.pool(max_len)
     compose, interned = table.compose, table.paths
-    ops = ctx.ops
+    ops = collection.ops
     degrees = [path_degree(ops, x) for x in paths]
     pairs = _pairs(paths, _by_range(paths))
 
@@ -314,25 +291,24 @@ def verify_functor(
             return _describe(ops, paths[i], paths[j])
 
     def identity_degree(v):
-        if path_degree(ops, vertex_path(ctx.graph, v)) != ops.identity:
+        if path_degree(ops, vertex_path(collection.graph, v)) != ops.identity:
             return f"vertex {v}"
 
     return VerificationReport([
         _law("degree multiplicative on composites", pairs, multiplicative),
-        _law("identities map to e", zip(ctx.graph.vertices), identity_degree),
+        _law("identities map to e", zip(collection.graph.vertices), identity_degree),
     ])
 
 
 def verify_factorization(
-    ctx: LambdaContext, max_len: int, table: CompositionTable | None = None
+    collection: CompleteCollection, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
     """Factor-then-compose returns the morphism, and each split is the
     unique factor pair of its degrees that enumeration finds."""
-    table = table or CompositionTable(ctx)
+    table = table or CompositionTable(collection)
     pool, paths, ids = table.pool(max_len)
     compose, intern, interned = table.compose, table.intern, table.paths
-    ops = ctx.ops
-    g = ctx.graph
+    ops = collection.ops
     enumerated: dict = {}
 
     def candidates(w) -> dict:
@@ -340,7 +316,7 @@ def verify_factorization(
         that enumeration finds, undeduplicated."""
         if w not in enumerated:
             by_range = enumerated[w] = {}
-            for m in enumerate_morphisms(g, ctx.collection, w):
+            for m in enumerate_morphisms(collection, w):
                 x = shortest_traversal(m)
                 by_range.setdefault(x.range_, []).append(intern(x))
         return enumerated[w]
@@ -381,7 +357,7 @@ def verify_factorization(
     ])
 
 
-def verify(ctx: LambdaContext, max_len: int, suites=SUITES) -> VerificationReport:
+def verify(collection: CompleteCollection, max_len: int, suites=SUITES) -> VerificationReport:
     """The named law suites, run in order and merged into one report.
 
     The suites share one composition table, so the pool is built once and
@@ -392,8 +368,8 @@ def verify(ctx: LambdaContext, max_len: int, suites=SUITES) -> VerificationRepor
         "functor": verify_functor,
         "factorization": verify_factorization,
     }
-    table = CompositionTable(ctx)
+    table = CompositionTable(collection)
     laws = []
     for name in suites:
-        laws.extend(run[name](ctx, max_len, table).laws)
+        laws.extend(run[name](collection, max_len, table).laws)
     return VerificationReport(laws)

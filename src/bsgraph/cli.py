@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import dot
-from .category import SUITES, LambdaContext, verify
+from .category import SUITES, verify
 from .errors import (
     BsGraphError,
     Conflict,
@@ -42,9 +42,9 @@ def _emit(payload, as_json: bool, text: str):
     print(json.dumps(payload, indent=2) if as_json else text)
 
 
-def _context(path) -> LambdaContext:
+def _context(path) -> CompleteCollection:
     fx = load_fixture(path)
-    return LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
 
 
 def cmd_check(args) -> int:
@@ -122,11 +122,11 @@ def cmd_model(args) -> int:
 def cmd_lift(args) -> int:
     ctx = _context(args.fixture)
     path = parse_path(ctx.graph, args.path)
-    lam = lift_path(ctx.graph, ctx.collection, path)
+    lam = lift_path(ctx, path)
     if args.oracle:
         matches = [
             m
-            for m in enumerate_morphisms(ctx.graph, ctx.collection, lam.degree)
+            for m in enumerate_morphisms(ctx, lam.degree)
             if check_traverses(m, path)
         ]
         if matches != [lam]:
@@ -157,7 +157,7 @@ def cmd_compose(args) -> int:
         raise NotComposable(None, f"s(mu) = {x.source} != r(nu) = {y.range_}")
     # By unique factorization the lift of the concatenated paths is the
     # composite of the two sides' lifts.
-    lam = lift_path(ctx.graph, ctx.collection, concat(x, y))
+    lam = lift_path(ctx, concat(x, y))
     if args.json:
         print(lam.json_text())
     else:
@@ -170,13 +170,13 @@ def cmd_compose(args) -> int:
 
 def cmd_factorize(args) -> int:
     ctx = _context(args.fixture)
-    lam = lift_path(ctx.graph, ctx.collection, parse_path(ctx.graph, args.path))
+    lam = lift_path(ctx, parse_path(ctx.graph, args.path))
     w1 = ctx.ops.parse(args.at)
     w2 = ctx.ops.quotient(w1, lam.degree)
     x, y = split_traversals(lam, w1, w2)
     if args.json:
         # Each factor is the unique morphism its traversal lifts to.
-        left, right = (lift_path(ctx.graph, ctx.collection, p).json_text(1) for p in (x, y))
+        left, right = (lift_path(ctx, p).json_text(1) for p in (x, y))
         print(f'{{\n  "left": {left},\n  "right": {right}\n}}')
     else:
         print(
@@ -189,7 +189,7 @@ def cmd_factorize(args) -> int:
 def cmd_traversals(args) -> int:
     ctx = _context(args.fixture)
     path = parse_path(ctx.graph, args.path)
-    lam = lift_path(ctx.graph, ctx.collection, path)
+    lam = lift_path(ctx, path)
     rows = []
     if not args.longest:
         rows.append(("shortest", shortest_traversal(lam)))
@@ -209,7 +209,7 @@ def cmd_enumerate(args) -> int:
     # The search stops at a non-negative limit; a negative one keeps its
     # slice semantics (all but the last -limit) and needs the whole search.
     limit = args.limit if args.limit is None or args.limit >= 0 else None
-    found = enumerate_morphisms(ctx.graph, ctx.collection, w, limit=limit)[: args.limit]
+    found = enumerate_morphisms(ctx, w, limit=limit)[: args.limit]
     if args.json:
         items = ",\n    ".join(m.json_text(2) for m in found)
         listing = f"[\n    {items}\n  ]" if found else "[]"

@@ -55,8 +55,8 @@ class NotCovered(BsGraphError):
 
 
 class Conflict(BsGraphError):
-    """The collection pairs one boundary with two squares, so a lift
-    across it is not unique: a completeness violation."""
+    """A boundary belongs to more than one square of the collection, so
+    lifts are not unique: a completeness violation."""
 
 
 class ResourceLimit(BsGraphError):

@@ -4,13 +4,12 @@ The central operation turns a path of the ambient graph into the unique
 compatible morphism on the model graph of its degree.  A complete
 collection fixes that morphism square by square (unique factorization), so
 the lift writes the path's own edges into the model graph's rows and reads
-every other domain square once from the collection's index: top down from
+every other domain square once from the collection's maps: top down from
 its blue-first side where it lies left of the path, bottom up from its
-red-first side where it lies right of it.  A missing square raises
-``NotCovered``; a blue-first side that the index pairs with another
-square's red-first side raises ``Conflict``.  The morphism is stored as
-those rows, in model order, and written out (JSON, DOT, ``key()``) by
-walking them.
+red-first side where it lies right of it.  A collection with a boundary
+in two squares raises ``Conflict`` before any square is read; a missing
+square raises ``NotCovered``.  The morphism is stored as those rows, in
+model order, and written out (JSON, DOT, ``key()``) by walking them.
 
 The shortest traversal is canonical.  ``normal_form`` computes it from any
 other traversal by rewriting one square boundary at a time, without
@@ -25,10 +24,10 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .errors import Conflict, NotComposable, ResourceLimit
-from .graphs import ColouredGraph, Path, path_degree
+from .errors import NotComposable, ResourceLimit
+from .graphs import Path, path_degree
 from .models import check_model_size, model, square_positions, too_many_vertices
-from .squares import CompleteCollection, Square, square_edges
+from .squares import CompleteCollection, not_covered, square_edges
 
 
 def _in_model_order(reds, blues) -> list:
@@ -203,10 +202,10 @@ def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
     ops = collection.ops
     if to_red:
         pattern, word = ops.blue_first_word, ops.red_first_word
-        table, lookup, side = collection.blue_to_red, collection.lookup_blue, Square.red_boundary
+        table, kind = collection.blue_to_red, "blue-first"
     else:
         pattern, word = ops.red_first_word, ops.blue_first_word
-        table, lookup, side = collection.red_to_blue, collection.lookup_red, Square.blue_boundary
+        table, kind = collection.red_to_blue, "red-first"
     width = len(pattern)
     # Everything before the first match is already rewritten.
     start = "".join(colours).find("".join(pattern)) + width - 1
@@ -223,21 +222,24 @@ def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
         out_colours.append(colour)
         if colour == last and out_colours[-width:] == pattern:
             boundary = tuple(out_names[-width:])
-            other = table.get(boundary) or side(lookup(boundary))
+            other = table.get(boundary) or not_covered(kind, boundary)
             del out_names[-width:], out_colours[-width:]
             todo.extend(zip(reversed(other), word))
     return out_names, out_colours
 
 
-def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morphism:
+def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
     """The unique compatible morphism traversed by x.
 
     In row i of the model graph the path walks blue edges, then takes the
     red edge a(i, d) down to row i + 1; its edges go into the rows as they
     are.  Top down, each square of row i left of a(i, d) is read from its
     blue-first side; bottom up, each one right of it from its red-first side.
+    No boundary is in two squares (``require_unique``), so both sides of a
+    square name that one square.
     """
-    ops = collection.ops
+    collection.require_unique()
+    ops, g = collection.ops, collection.graph
     if not x.edges:
         return identity_morphism(ops, x.range_)
     # Colours come from the graph, and every junction is checked.
@@ -263,13 +265,7 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
         reds, below = [a], []
         for b in reversed(blue):
             pair = (b, a)
-            red = to_red.get(pair) or collection.lookup_blue(pair).red_boundary()
-            if to_blue[red] != pair:
-                raise Conflict(
-                    f"the blue-first boundary {' '.join(pair)} maps to the red-first boundary "
-                    f"{' '.join(red)}, which belongs to another square; the collection "
-                    f"cannot be complete for this graph"
-                )
+            red = to_red.get(pair) or not_covered("blue-first", pair)
             a = red[0]
             reds.append(a)
             below += red[:0:-1]  # row i + 1's blue edges, right to left
@@ -290,7 +286,7 @@ def lift_path(g: ColouredGraph, collection: CompleteCollection, x: Path) -> Morp
         a, d = reds[-1], len(blues)
         for tail in zip(blue[2 * d::2], blue[2 * d + 1::2]) if bs else zip(blue[d:]):
             boundary = (a,) + tail
-            b, a = to_blue.get(boundary) or collection.lookup_red(boundary).blue_boundary()
+            b, a = to_blue.get(boundary) or not_covered("red-first", boundary)
             blues.append(b)
             reds.append(a)
         vrows[i] = tuple(map(range_of, reds))
@@ -383,10 +379,7 @@ class _LimitReached(Exception):
 
 
 def enumerate_morphisms(
-    g: ColouredGraph,
-    collection: CompleteCollection,
-    w,
-    limit: int | None = None,
+    collection: CompleteCollection, w, limit: int | None = None
 ) -> list[Morphism]:
     """Brute-force oracle: every total colour/structure-preserving
     assignment on the model graph of w, filtered to compatible ones.
@@ -400,7 +393,7 @@ def enumerate_morphisms(
     found that many morphisms, and returns the first ``limit`` of the full
     list.
     """
-    ops = collection.ops
+    ops, g = collection.ops, collection.graph
     if too_many_vertices(ops, w, MAX_ENUMERATION_VERTICES):
         raise ResourceLimit(
             f"enumeration domain of more than {MAX_ENUMERATION_VERTICES} vertices"

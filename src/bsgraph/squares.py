@@ -1,4 +1,4 @@
-"""Squares, complete collections, and their boundary-path indices.
+"""Squares, complete collections, and their boundary-path maps.
 
 A square is a morphism from the model graph of the square degree (ab^2 = ba
 in BS mode, (1,1) in grid mode) into the ambient graph.  Each square has a
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import ColourMismatch, JunctionMismatch, NotCovered
+from .errors import ColourMismatch, Conflict, JunctionMismatch, NotCovered
 from .graphs import ColouredGraph
 from .models import model
 
@@ -132,23 +132,27 @@ def build_square_slots(g: ColouredGraph, ops, slots: dict, name: str = "") -> Sq
     return build_square(g, ops, {table[s]: e for s, e in slots.items()}, name)
 
 
+def not_covered(kind: str, boundary):
+    """Raise the ``NotCovered`` of a boundary path, red-first or
+    blue-first by ``kind``, that no square of the collection has."""
+    raise NotCovered(boundary, f"no square with {kind} boundary {' '.join(boundary)}")
+
+
 @dataclass
 class CompleteCollection:
-    """Squares plus both boundary-path indices, built eagerly from the
-    squares alone: none of the derived fields is a constructor argument.
+    """A graph and its squares, with both boundary maps built eagerly from
+    the squares alone: none of the derived fields is a constructor argument.
 
-    The indices keep the first square of each boundary; every later list
+    red_to_blue and blue_to_red map each boundary tuple straight to the
+    other boundary of the first square that has it, for the lift and
+    rewriting loops; a miss there is ``not_covered``.  Every later list
     entry with the same boundary, renamed copies included, is recorded in
-    duplicate_red / duplicate_blue.  red_to_blue and blue_to_red map each
-    indexed boundary tuple straight to the other boundary of its square,
-    for the lift and rewriting loops; a miss there means the lookup of the
-    same boundary raises ``NotCovered``.
+    duplicate_red / duplicate_blue, which ``require_unique`` refuses.
     """
 
+    graph: ColouredGraph = field(repr=False)
     ops: object
     squares: tuple
-    index_red: dict = field(init=False, default_factory=dict)
-    index_blue: dict = field(init=False, default_factory=dict)
     duplicate_red: list = field(init=False, default_factory=list)
     duplicate_blue: list = field(init=False, default_factory=list)
     red_to_blue: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -158,36 +162,29 @@ class CompleteCollection:
         for sq in self.squares:
             red = sq.red_boundary()
             blue = sq.blue_boundary()
-            if red in self.index_red:
+            if red in self.red_to_blue:
                 self.duplicate_red.append(red)
             else:
-                self.index_red[red] = sq
                 self.red_to_blue[red] = blue
-            if blue in self.index_blue:
+            if blue in self.blue_to_red:
                 self.duplicate_blue.append(blue)
             else:
-                self.index_blue[blue] = sq
                 self.blue_to_red[blue] = red
 
-    def lookup_red(self, boundary) -> Square:
-        boundary = tuple(boundary)
-        try:
-            return self.index_red[boundary]
-        except KeyError:
-            raise NotCovered(
-                boundary,
-                f"no square with red-first boundary {' '.join(boundary)}",
-            ) from None
-
-    def lookup_blue(self, boundary) -> Square:
-        boundary = tuple(boundary)
-        try:
-            return self.index_blue[boundary]
-        except KeyError:
-            raise NotCovered(
-                boundary,
-                f"no square with blue-first boundary {' '.join(boundary)}",
-            ) from None
+    def require_unique(self) -> None:
+        """Raise ``Conflict`` naming the first boundary that belongs to
+        more than one square, red-first ones first, in map order."""
+        for kind, table, duplicates in (
+            ("red-first", self.red_to_blue, self.duplicate_red),
+            ("blue-first", self.blue_to_red, self.duplicate_blue),
+        ):
+            if duplicates:
+                repeated = set(duplicates)
+                boundary = next(b for b in table if b in repeated)
+                raise Conflict(
+                    f"the {kind} boundary {' '.join(boundary)} belongs to more than "
+                    f"one square; the collection cannot be complete for this graph"
+                )
 
 
 @dataclass
@@ -252,17 +249,17 @@ def check_complete(g: ColouredGraph, ops, squares) -> CompletenessReport:
                 malformed.append(f"{sq.name}: {exc}")
                 continue
         valid.append(sq)
-    coll = CompleteCollection(ops, tuple(valid))
+    coll = CompleteCollection(g, ops, tuple(valid))
     red_paths = paths_with_colour_word(g, ops.red_first_word)
     blue_paths = paths_with_colour_word(g, ops.blue_first_word)
-    uncovered_red = [p for p in red_paths if p not in coll.index_red]
-    uncovered_blue = [p for p in blue_paths if p not in coll.index_blue]
+    uncovered_red = [p for p in red_paths if p not in coll.red_to_blue]
+    uncovered_blue = [p for p in blue_paths if p not in coll.blue_to_red]
     # Coverage must be exactly once per boundary, counting list entries:
     # a renamed copy of a square still breaks uniqueness.  Report each
-    # repeated boundary once, in order of first appearance (the index order).
+    # repeated boundary once, in order of first appearance (the map order).
     dup_red, dup_blue = set(coll.duplicate_red), set(coll.duplicate_blue)
-    duplicated = [b for b in coll.index_red if b in dup_red]
-    duplicated += [b for b in coll.index_blue if b in dup_blue]
+    duplicated = [b for b in coll.red_to_blue if b in dup_red]
+    duplicated += [b for b in coll.blue_to_red if b in dup_blue]
     ok = not (uncovered_red or uncovered_blue or duplicated or malformed)
     return CompletenessReport(
         "complete" if ok else "incomplete",

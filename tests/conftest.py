@@ -4,7 +4,6 @@ import pathlib
 
 import pytest
 
-from bsgraph.category import LambdaContext
 from bsgraph.fixtures import load_fixture
 from bsgraph.graphs import validate_path
 from bsgraph.morphisms import lift_path
@@ -13,9 +12,9 @@ from bsgraph.squares import CompleteCollection
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def _context(name: str) -> LambdaContext:
+def _context(name: str) -> CompleteCollection:
     fx = load_fixture(FIXTURE_DIR / name)
-    return LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
 
 
 @pytest.fixture(scope="session")
@@ -29,9 +28,9 @@ def example_fixture():
 
 
 @pytest.fixture(scope="session")
-def ctx(example_fixture) -> LambdaContext:
+def ctx(example_fixture) -> CompleteCollection:
     fx = example_fixture
-    return LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
 
 
 @pytest.fixture(scope="session")
@@ -41,20 +40,18 @@ def graph_E(ctx):
 
 @pytest.fixture(scope="session")
 def phi1(ctx):
-    return next(sq for sq in ctx.collection.squares if sq.name == "phi1")
+    return next(sq for sq in ctx.squares if sq.name == "phi1")
 
 
 @pytest.fixture(scope="session")
 def phi2(ctx):
-    return next(sq for sq in ctx.collection.squares if sq.name == "phi2")
+    return next(sq for sq in ctx.squares if sq.name == "phi2")
 
 
 @pytest.fixture(scope="session")
 def example_lam(ctx):
     """The worked-example morphism on the model graph of b^2 a^2."""
-    return lift_path(
-        ctx.graph, ctx.collection, validate_path(ctx.graph, ["g", "g", "f", "h"])
-    )
+    return lift_path(ctx, validate_path(ctx.graph, ["g", "g", "f", "h"]))
 
 
 @pytest.fixture(scope="session")
@@ -63,5 +60,5 @@ def incomplete_fixture():
 
 
 @pytest.fixture(scope="session")
-def grid_ctx() -> LambdaContext:
+def grid_ctx() -> CompleteCollection:
     return _context("grid_single_vertex.cg")

@@ -221,4 +221,4 @@ def compose(ctx, mu: Morphism, nu: Morphism) -> Morphism:
         raise NotComposable(None, f"s(mu) = {mu.source} != r(nu) = {nu.range_}")
     x = shortest_traversal(mu)
     y = shortest_traversal(nu)
-    return lift_path(ctx.graph, ctx.collection, concat(x, y))
+    return lift_path(ctx, concat(x, y))

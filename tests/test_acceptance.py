@@ -73,9 +73,7 @@ def test_criterion_1_fixture_reproduction(capsys, example_fixture):
 def test_criterion_2_lift_reproduction(capsys, ctx):
     with criterion(capsys, 2, "lift of g g f h equals the worked-example morphism") as st:
         start = time.perf_counter()
-        lam = lift_path(
-            ctx.graph, ctx.collection, validate_path(ctx.graph, ["g", "g", "f", "h"])
-        )
+        lam = lift_path(ctx, validate_path(ctx.graph, ["g", "g", "f", "h"]))
         elapsed = time.perf_counter() - start
         assert lam.degree == (2, 8)
         vmap, emap = maps(lam)
@@ -108,11 +106,11 @@ def test_criterion_4_oracle_uniqueness(capsys, ctx):
         for path in all_paths(ctx.graph, 6):
             w = path_degree(BS, path)
             if w not in enum_memo:
-                enum_memo[w] = enumerate_morphisms(ctx.graph, ctx.collection, w)
+                enum_memo[w] = enumerate_morphisms(ctx, w)
             matches = [
                 m for m in enum_memo[w] if check_traverses(m, path)
             ]
-            lam = lift_path(ctx.graph, ctx.collection, path)
+            lam = lift_path(ctx, path)
             assert matches == [lam], str(path)
             checked += 1
         elapsed = time.perf_counter() - start
@@ -172,12 +170,12 @@ def test_criterion_7_grid_cross_check(capsys, grid_ctx):
         for m in range(7):
             for n in range(7 - m):
                 w = (m, n)
-                found = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, w)
+                found = enumerate_morphisms(grid_ctx, w)
                 assert len(found) == 1, (m, n)
                 letters = ["rho"] * m + ["beta"] * n
                 if letters:
                     path = validate_path(grid_ctx.graph, letters)
-                    assert lift_path(grid_ctx.graph, grid_ctx.collection, path) == found[0]
+                    assert lift_path(grid_ctx, path) == found[0]
                 degrees += 1
         assert verify(grid_ctx, 3).passed
         elapsed = time.perf_counter() - start
@@ -192,9 +190,9 @@ def test_criterion_8_negative_paths(capsys, incomplete_fixture):
         assert code == 1
         assert "h g g" in out and "k h" in out
         fx = incomplete_fixture
-        coll = CompleteCollection(fx.ops, tuple(fx.squares))
+        coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
         with pytest.raises(NotCovered) as exc:
-            lift_path(fx.graph, coll, validate_path(fx.graph, ["g", "g", "f", "h"]))
+            lift_path(coll, validate_path(fx.graph, ["g", "g", "f", "h"]))
         assert exc.value.boundary in (("k", "h"), ("h", "g", "g"))
         code = run(["lift", E_MISSING, "--path", "g g f h"])
         out = capsys.readouterr().out

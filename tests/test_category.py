@@ -13,15 +13,14 @@ import bsgraph.category as category
 import bsgraph.models as models
 from bsgraph.category import (
     CompositionTable,
-    LambdaContext,
     all_paths,
     pool_morphisms,
     verify_category,
     verify_factorization,
     verify_functor,
 )
-from bsgraph.errors import Conflict, NotComposable, UnknownVertex
-from bsgraph.fixtures import parse_fixture
+from bsgraph.errors import BsGraphError, Conflict, NotComposable, NotCovered, UnknownVertex
+from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import Path, concat, validate_path, vertex_path
 from bsgraph.morphisms import (
     identity_morphism,
@@ -30,21 +29,21 @@ from bsgraph.morphisms import (
     shortest_traversal,
     split_traversals,
 )
-from bsgraph.squares import CompleteCollection
+from bsgraph.squares import CompleteCollection, check_complete
 from bsgraph.words import BS
 
-from .conftest import _context
+from .conftest import FIXTURE_DIR, _context
 from .oracles import compose, maps, restrict, restrict_shifted
-from .test_lift import multi_vertex_paths
+from .test_lift import DUPLICATED_RED, multi_vertex_paths
 from .test_normal_form import _one_vertex, generated_paths
 
 
 def _lift(ctx, names):
-    return lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, names))
+    return lift_path(ctx, validate_path(ctx.graph, names))
 
 
 def test_identity(ctx):
-    lam_u = lift_path(ctx.graph, ctx.collection, vertex_path(ctx.graph, "u"))
+    lam_u = lift_path(ctx, vertex_path(ctx.graph, "u"))
     assert lam_u == identity_morphism(BS, "u")
     assert lam_u.degree == BS.identity
     assert lam_u.range_ == lam_u.source == "u"
@@ -105,7 +104,7 @@ def test_example_morphism_has_17_splits(ctx, example_lam):
     ]
     assert len(splits) == 17
     for x, y in splits:
-        assert lift_path(ctx.graph, ctx.collection, concat(x, y)) == example_lam
+        assert lift_path(ctx, concat(x, y)) == example_lam
 
 
 def test_all_paths_counts(ctx):
@@ -212,7 +211,7 @@ def _table_matches_rewriting(ctx, max_len: int) -> int:
     pairs = 0
     for x, i in zip(paths, ids):
         for y, j in by_range.get(x.source, ()):
-            z = normal_form(ctx.collection, concat(x, y))
+            z = normal_form(ctx, concat(x, y))
             k = table.compose(i, j)
             assert table.paths[k] == z, f"{x} ; {y}"
             assert table.intern(Path(z.edges, z.range_, z.source, z.colours)) == k
@@ -244,7 +243,7 @@ def _splits_match_restriction(ctx, max_len: int) -> int:
     morphism are the shortest traversals of the restricted factors, and
     each lifts back to its dense factor, as ``factorize --json`` writes it.
     Returns the split count."""
-    g, coll, ops = ctx.graph, ctx.collection, ctx.ops
+    ops = ctx.ops
     splits = 0
     for lam in pool_morphisms(ctx, max_len):
         for w1 in ops.prefixes(lam.degree):
@@ -253,7 +252,7 @@ def _splits_match_restriction(ctx, max_len: int) -> int:
             x, y = split_traversals(lam, w1, w2)
             where = f"{lam.key()} at {w1}"
             assert (x, y) == (shortest_traversal(mu), shortest_traversal(nu)), where
-            assert (lift_path(g, coll, x), lift_path(g, coll, y)) == (mu, nu), where
+            assert (lift_path(ctx, x), lift_path(ctx, y)) == (mu, nu), where
             splits += 1
     return splits
 
@@ -397,28 +396,77 @@ def test_verify_builds_model_graphs_only_in_enumeration(ctx, monkeypatch):
     assert calls["enumeration"] > 0
 
 
+# Every boundary path has a square, but r1 b b, r2 b b, b r2 and b r1 each
+# bound two.
+FOUR_SQUARES = (
+    "mode bs\nvertex x\nedge b b x x\nedge r1 a x x\nedge r2 a x x\n"
+    "square A eA=r2 aB=b abB=b eB=b bA=r2\n"
+    "square B eA=r1 aB=b abB=b eB=b bA=r1\n"
+    "square C eA=r1 aB=b abB=b eB=b bA=r2\n"
+    "square D eA=r2 aB=b abB=b eB=b bA=r1\n"
+)
+
+
 def test_require_covered_names_the_first_duplicated_boundary():
-    """Every boundary path has a square, but r1 b b, r2 b b, b r2 and b r1
-    each bound two; the first red-first one in index order is named."""
-    fx = parse_fixture(
-        "mode bs\nvertex x\nedge b b x x\nedge r1 a x x\nedge r2 a x x\n"
-        "square A eA=r2 aB=b abB=b eB=b bA=r2\n"
-        "square B eA=r1 aB=b abB=b eB=b bA=r1\n"
-        "square C eA=r1 aB=b abB=b eB=b bA=r2\n"
-        "square D eA=r2 aB=b abB=b eB=b bA=r1\n"
-    )
-    ctx = LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    """The first duplicated red-first boundary in map order is named."""
+    fx = parse_fixture(FOUR_SQUARES)
+    ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     with pytest.raises(Conflict) as exc:
         category.require_covered(ctx)
     assert str(exc.value).startswith("the red-first boundary r2 b b belongs to more than one square")
 
 
-def test_empty_graph_passes_vacuously():
-    from bsgraph.category import LambdaContext
-    from bsgraph.graphs import build_graph
-    from bsgraph.squares import CompleteCollection
+def _agreement_cases() -> list:
+    """Every shipped fixture, the inline S'/S and A-D collections, and
+    blue_cycle.cg with each of its squares dropped in turn."""
+    fixtures = {p.stem: load_fixture(p) for p in sorted(FIXTURE_DIR.glob("*.cg"))}
+    fixtures.update({"S'/S": parse_fixture(DUPLICATED_RED), "A-D": parse_fixture(FOUR_SQUARES)})
+    cases = [
+        pytest.param((fx.graph, fx.ops, tuple(fx.squares)), id=name)
+        for name, fx in fixtures.items()
+    ]
+    cycle = fixtures["blue_cycle"]
+    for k, sq in enumerate(cycle.squares):
+        squares = tuple(cycle.squares[:k] + cycle.squares[k + 1:])
+        cases.append(pytest.param((cycle.graph, cycle.ops, squares), id=f"blue_cycle-{sq.name}"))
+    return cases
 
-    empty = LambdaContext(build_graph([], []), CompleteCollection(BS, ()))
+
+@pytest.mark.parametrize("case", _agreement_cases())
+def test_require_covered_agrees_with_check_complete(case):
+    """require_covered raises exactly when check_complete finds an
+    uncovered or duplicated boundary, and names its first blue-first
+    uncovered one, else its first red-first uncovered one, else its first
+    duplicated one."""
+    report = check_complete(*case)
+    coll = CompleteCollection(*case)
+    expected = [
+        (kind, found[0])
+        for kind, found in (
+            (NotCovered, report.uncovered_blue),
+            (NotCovered, report.uncovered_red),
+            (Conflict, report.duplicated),
+        )
+        if found
+    ]
+    if not expected:
+        assert report.complete
+        category.require_covered(coll)
+        return
+    kind, boundary = expected[0]
+    with pytest.raises(BsGraphError) as exc:
+        category.require_covered(coll)
+    assert type(exc.value) is kind
+    if kind is NotCovered:
+        assert exc.value.boundary == boundary
+    else:
+        assert f" boundary {' '.join(boundary)} belongs to more than one square" in str(exc.value)
+
+
+def test_empty_graph_passes_vacuously():
+    from bsgraph.graphs import build_graph
+
+    empty = CompleteCollection(build_graph([], []), BS, ())
     assert verify_category(empty, 3).passed
     assert verify_functor(empty, 3).passed
     assert verify_factorization(empty, 3).passed

@@ -172,11 +172,15 @@ def test_verify_rejects_duplicated_boundaries(max_len, capsys):
     )
 
 
+DUPLICATE_CONFLICT = (
+    "Conflict: the red-first boundary r1 b b belongs to more than one "
+    "square; the collection cannot be complete for this graph\n"
+)
+
+
 def test_lift_across_a_duplicated_boundary_is_a_conflict(capsys):
     """b b r2 is traversed by three morphisms, so no lift is unique.  The
-    top-down sweep reads the square left of r2 from b r2 (s1, red side
-    r1 b b) and then the one left of that from b r1 (s2), whose red side
-    r1 b b the index pairs with s1's blue side."""
+    lift refuses the collection before it reads any square."""
     code, out, _ = invoke(capsys, "enumerate", DUPLICATED, "--degree", "b b a", "--json")
     assert code == 0
     traversed = [
@@ -187,10 +191,41 @@ def test_lift_across_a_duplicated_boundary_is_a_conflict(capsys):
     assert len(traversed) == 3
     code, out, _ = invoke(capsys, "lift", DUPLICATED, "--path", "b b r2")
     assert code == 1
-    assert out == (
-        "Conflict: the blue-first boundary b r1 maps to the red-first boundary r1 b b, "
-        "which belongs to another square; the collection cannot be complete for this graph\n"
-    )
+    assert out == DUPLICATE_CONFLICT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", DUPLICATED, "--path", "r1 b b"],
+        ["lift", DUPLICATED, "--path", "r1 b b", "--oracle"],
+        ["lift", DUPLICATED, "--path", "b r2", "--json"],
+        ["compose", DUPLICATED, "--lhs", "r1", "--rhs", "b b"],
+        ["factorize", DUPLICATED, "--path", "b r2", "--at", "b"],
+        ["traversals", DUPLICATED, "--path", "r1 b b", "--json"],
+        ["lift", DUPLICATED, "--path", "x"],
+    ],
+    ids=["lift", "oracle", "lift-json", "compose", "factorize", "traversals", "vertex"],
+)
+def test_every_lift_refuses_a_duplicated_boundary(argv, capsys):
+    """Each boundary must belong to one square, whether or not the path
+    meets a duplicated one: r1 b b and b r2 each bound two squares, and
+    enumeration finds two morphisms traversed by either path."""
+    assert invoke(capsys, *argv) == (1, DUPLICATE_CONFLICT, "")
+
+
+@pytest.mark.parametrize(
+    "path, keys",
+    [("r1 b b", {("e", "a"), ("a", "b"), ("ab", "b")}), ("b r2", {("e", "b"), ("b", "a")})],
+)
+def test_enumeration_finds_two_lifts_across_a_duplicated_boundary(path, keys, capsys):
+    code, out, _ = invoke(capsys, "enumerate", DUPLICATED, "--degree", "b a", "--json")
+    assert code == 0
+    traversals = [
+        [e["edge"] for e in m["edges"] if (e["prefix"], e["letter"]) in keys]
+        for m in json.loads(out)["morphisms"]
+    ]
+    assert traversals.count(path.split()) == 2
 
 
 def test_blue_cycle_is_complete_and_passes_verify(capsys):

@@ -13,51 +13,43 @@ from .oracles import compose, maps
 def test_fixture_shape(grid_ctx):
     assert grid_ctx.ops.name == "grid"
     assert grid_ctx.graph.vertices == ("w",)
-    assert len(grid_ctx.collection.squares) == 1
+    assert len(grid_ctx.squares) == 1
 
 
 def test_lift_rho_beta_rho(grid_ctx):
     path = validate_path(grid_ctx.graph, ["rho", "beta", "rho"])
-    lam = lift_path(grid_ctx.graph, grid_ctx.collection, path)
+    lam = lift_path(grid_ctx, path)
     assert lam.degree == (2, 1)
     vmap, emap = maps(lam)
     assert len(vmap) == 6 and len(emap) == 7
-    found = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, (2, 1))
+    found = enumerate_morphisms(grid_ctx, (2, 1))
     assert found == [lam]
 
 
 def test_vertex_path_lift(grid_ctx):
-    lam = lift_path(grid_ctx.graph, grid_ctx.collection, vertex_path(grid_ctx.graph, "w"))
+    lam = lift_path(grid_ctx, vertex_path(grid_ctx.graph, "w"))
     assert lam == identity_morphism(GRID, "w")
 
 
 def test_lift_order_independent(grid_ctx):
-    br = lift_path(
-        grid_ctx.graph, grid_ctx.collection, validate_path(grid_ctx.graph, ["beta", "rho"])
-    )
-    rb = lift_path(
-        grid_ctx.graph, grid_ctx.collection, validate_path(grid_ctx.graph, ["rho", "beta"])
-    )
+    br = lift_path(grid_ctx, validate_path(grid_ctx.graph, ["beta", "rho"]))
+    rb = lift_path(grid_ctx, validate_path(grid_ctx.graph, ["rho", "beta"]))
     assert br == rb and br.degree == (1, 1)
 
 
 def test_lambda_is_singleton_up_to_degree_six(grid_ctx):
     for m in range(7):
         for n in range(7 - m):
-            found = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, (m, n))
+            found = enumerate_morphisms(grid_ctx, (m, n))
             assert len(found) == 1, (m, n)
 
 
 def test_composition_is_degree_addition(grid_ctx):
-    mu = lift_path(
-        grid_ctx.graph, grid_ctx.collection, validate_path(grid_ctx.graph, ["rho", "beta"])
-    )
-    nu = lift_path(
-        grid_ctx.graph, grid_ctx.collection, validate_path(grid_ctx.graph, ["beta"])
-    )
+    mu = lift_path(grid_ctx, validate_path(grid_ctx.graph, ["rho", "beta"]))
+    nu = lift_path(grid_ctx, validate_path(grid_ctx.graph, ["beta"]))
     lam = compose(grid_ctx, mu, nu)
     assert lam.degree == (1, 2)
-    only = enumerate_morphisms(grid_ctx.graph, grid_ctx.collection, (1, 2))
+    only = enumerate_morphisms(grid_ctx, (1, 2))
     assert [lam] == only
 
 

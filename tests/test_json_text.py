@@ -8,7 +8,6 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgraph.category import LambdaContext
 from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import validate_path, vertex_path
 from bsgraph.morphisms import enumerate_morphisms, lift_path
@@ -40,9 +39,9 @@ square σ v1=ρ e1v2="β" v2="β" e2v1=ρ
 """
 
 
-def _parsed(text: str) -> LambdaContext:
+def _parsed(text: str) -> CompleteCollection:
     fx = parse_fixture(text)
-    return LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
 
 
 # (context, longest path drawn): BS model graphs grow like 2^length.
@@ -71,7 +70,7 @@ def lifts(draw):
         names.append(edge.name)
         at = edge.source
     path = validate_path(g, names) if names else vertex_path(g, at)
-    return lift_path(g, ctx.collection, path)
+    return lift_path(ctx, path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,7 +81,7 @@ def test_json_text_equals_json_dumps(lam, level):
 
 def test_odd_names_are_escaped():
     ctx = _parsed(ODD_NAMES_BS)
-    lam = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, ["h→𝔥", "γ"]))
+    lam = lift_path(ctx, validate_path(ctx.graph, ["h→𝔥", "γ"]))
     text = lam.json_text()
     assert text == reference(lam, 0)
     assert text.isascii() and '"vertex": "\\u03bd\\"\\\\"' in text
@@ -92,9 +91,8 @@ def test_odd_names_are_escaped():
 
 def test_identity_and_enumerated_morphisms():
     for ctx, _ in CONTEXTS:
-        g = ctx.graph
-        for lam in enumerate_morphisms(g, ctx.collection, ctx.ops.identity):
+        for lam in enumerate_morphisms(ctx, ctx.ops.identity):
             assert lam.json_text(2) == reference(lam, 2)
             assert '"edges": []' in lam.json_text()
-        for lam in enumerate_morphisms(g, ctx.collection, ctx.ops.square_degree):
+        for lam in enumerate_morphisms(ctx, ctx.ops.square_degree):
             assert lam.json_text(2) == reference(lam, 2)

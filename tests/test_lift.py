@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgraph.category import LambdaContext, all_paths
+from bsgraph.category import all_paths
 from bsgraph.errors import Conflict, NotComposable, NotCovered
 from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import path_degree, validate_path, vertex_path
@@ -44,10 +44,15 @@ def left_factor(ops, w, suffix):
 class _WorklistLift:
     """Mutable assignment with square-completion propagation."""
 
-    def __init__(self, g, collection):
-        self.g = g
-        self.c = collection
+    def __init__(self, collection):
+        self.g = collection.graph
         ops = self.ops = collection.ops
+        # Boundary -> the first square with it, built here from the squares
+        # so that the reference shares no index with the lift it checks.
+        self._squares: dict = {"red-first": {}, "blue-first": {}}
+        for sq in collection.squares:
+            self._squares["red-first"].setdefault(sq.red_boundary(), sq)
+            self._squares["blue-first"].setdefault(sq.blue_boundary(), sq)
         self.vmap: dict = {}
         self.emap: dict = {}
         self.degree = ops.identity
@@ -101,15 +106,23 @@ class _WorklistLift:
             red = [self.emap.get((ops.mul(m, rel), l)) for rel, l in self._red_keys]
             blue = [self.emap.get((ops.mul(m, rel), l)) for rel, l in self._blue_keys]
             if all(red) and not all(blue):
-                self._fill(m, self.c.lookup_red(red), queue)
+                self._fill(m, self.square("red-first", red), queue)
             elif all(blue) and not all(red):
-                self._fill(m, self.c.lookup_blue(blue), queue)
+                self._fill(m, self.square("blue-first", blue), queue)
             elif all(red) and all(blue):
-                if list(self.c.lookup_red(red).blue_boundary()) != blue:
+                if list(self.square("red-first", red).blue_boundary()) != blue:
                     raise Conflict(f"square at {ops.format(m)} is not in the collection")
             else:
                 continue
             self._done.add(m)
+
+    def square(self, kind, boundary):
+        """The square with this red-first or blue-first boundary."""
+        boundary = tuple(boundary)
+        sq = self._squares[kind].get(boundary)
+        if sq is None:
+            raise NotCovered(boundary, f"no square with {kind} boundary {' '.join(boundary)}")
+        return sq
 
     def _fill(self, m, square, queue):
         for (rel, letter), name in square.emap.items():
@@ -121,13 +134,13 @@ class _WorklistLift:
                 raise Conflict(f"edge ({self.ops.format(z)},{letter}) forced to two edges")
 
 
-def worklist_maps(g, collection, x) -> tuple:
+def worklist_maps(collection, x) -> tuple:
     """The degree, vertex dict and edge dict the worklist lift assigns."""
     ops = collection.ops
     if not x.edges:
         return ops.identity, {ops.identity: x.range_}, {}
     check_model_size(ops, path_degree(ops, x))
-    state = _WorklistLift(g, collection)
+    state = _WorklistLift(collection)
     state.set_vertex(ops.identity, x.range_)
     for name in x.edges:
         state.append(name)
@@ -136,23 +149,21 @@ def worklist_maps(g, collection, x) -> tuple:
     return state.degree, state.vmap, state.emap
 
 
-def worklist_lift(g, collection, x) -> Morphism:
-    return from_maps(collection.ops, *worklist_maps(g, collection, x))
+def worklist_lift(collection, x) -> Morphism:
+    return from_maps(collection.ops, *worklist_maps(collection, x))
 
 
-def _agree(ctx: LambdaContext, paths) -> None:
+def _agree(ctx: CompleteCollection, paths) -> None:
     for x in paths:
-        assert lift_path(ctx.graph, ctx.collection, x) == worklist_lift(
-            ctx.graph, ctx.collection, x
-        ), str(x)
+        assert lift_path(ctx, x) == worklist_lift(ctx, x), str(x)
 
 
-def _maps_agree(ctx: LambdaContext, paths) -> None:
+def _maps_agree(ctx: CompleteCollection, paths) -> None:
     """The row lift's maps equal the worklist lift's dicts, and its rows
     and ``key()`` list their images in the model graph's order."""
     for x in paths:
-        lam = lift_path(ctx.graph, ctx.collection, x)
-        degree, vmap, emap = worklist_maps(ctx.graph, ctx.collection, x)
+        lam = lift_path(ctx, x)
+        degree, vmap, emap = worklist_maps(ctx, x)
         domain = model(ctx.ops, degree)
         assert lam.degree == degree
         assert maps(lam) == (vmap, emap), str(x)
@@ -195,7 +206,7 @@ def test_lift_on_blue_cycle_matches_worklist_and_enumeration(fixture_dir):
     """blue_cycle.cg has blue edges between its two vertices, so no square's
     blue half is forced by a loop."""
     fx = load_fixture(fixture_dir / "blue_cycle.cg")
-    ctx = LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     paths = [x for x in all_paths(ctx.graph, 5) if x.edges]
     assert len(paths) == 726
     _agree(ctx, paths)
@@ -204,9 +215,9 @@ def test_lift_on_blue_cycle_matches_worklist_and_enumeration(fixture_dir):
         if len(x) <= 4:
             w = path_degree(ctx.ops, x)
             if w not in found:
-                found[w] = enumerate_morphisms(ctx.graph, ctx.collection, w)
+                found[w] = enumerate_morphisms(ctx, w)
             matches = [m for m in found[w] if check_traverses(m, x)]
-            assert matches == [lift_path(ctx.graph, ctx.collection, x)], str(x)
+            assert matches == [lift_path(ctx, x)], str(x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,7 +248,7 @@ def multi_vertex_paths(draw):
                 else:
                     lines.append(f"square s{r} v1={r} e1v2=b{v} v2=b{u} e2v1={s}")
     fx = parse_fixture("\n".join(lines) + "\n")
-    ctx = LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     paths = []
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.sampled_from(vertices))
@@ -266,27 +277,31 @@ def test_row_maps_match_worklist_dicts_in_model_order(drawn):
     _maps_agree(ctx, paths + [vertex_path(g, v) for v in g.vertices[:1]])
 
 
+# Both squares have the red-first boundary r1 b b, and no square has r2 b b.
+DUPLICATED_RED = (
+    "mode bs\nvertex x\nedge b b x x\nedge r1 a x x\nedge r2 a x x\n"
+    "square S' eA=r1 aB=b abB=b eB=b bA=r2\n"
+    "square S eA=r1 aB=b abB=b eB=b bA=r1\n"
+)
+
+
 def test_duplicated_red_boundary_is_a_conflict():
-    # Both squares have the red-first boundary r1 b b; S' comes first, so
-    # it owns that boundary in the index, while b r1 belongs to S alone.
-    fx = parse_fixture(
-        "mode bs\nvertex x\nedge b b x x\nedge r1 a x x\nedge r2 a x x\n"
-        "square S' eA=r1 aB=b abB=b eB=b bA=r2\n"
-        "square S eA=r1 aB=b abB=b eB=b bA=r1\n"
-    )
-    coll = CompleteCollection(fx.ops, tuple(fx.squares))
+    # S' comes first, so it owns r1 b b in the maps, while b r1 belongs to
+    # S alone.
+    fx = parse_fixture(DUPLICATED_RED)
+    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     x = validate_path(fx.graph, ["b", "r1"])
     # The worklist lift completes the square from its blue-first side.
     s = next(sq for sq in fx.squares if sq.name == "S")
-    assert maps(worklist_lift(fx.graph, coll, x))[1] == s.emap
-    # The top-down sweep reads b r1 as S, whose red side r1 b b the index
-    # pairs with S'.  On b b r1 it meets the same square first, before the
-    # missing r2 b b could be read.
+    assert maps(worklist_lift(coll, x))[1] == s.emap
+    # The lift refuses the collection before it reads any square: on b b r1
+    # too, whose square r2 b b is missing.
     for names in (["b", "r1"], ["b", "b", "r1"]):
         with pytest.raises(Conflict) as exc:
-            lift_path(fx.graph, coll, validate_path(fx.graph, names))
-        assert str(exc.value).startswith(
-            "the blue-first boundary b r1 maps to the red-first boundary r1 b b,"
+            lift_path(coll, validate_path(fx.graph, names))
+        assert str(exc.value) == (
+            "the red-first boundary r1 b b belongs to more than one square; "
+            "the collection cannot be complete for this graph"
         )
 
 
@@ -301,7 +316,7 @@ def test_duplicated_red_boundary_is_a_conflict():
 )
 def test_lift_names_the_missing_boundary(incomplete_fixture, names, message):
     fx = incomplete_fixture
-    coll = CompleteCollection(fx.ops, tuple(fx.squares))
+    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     with pytest.raises(NotCovered) as exc:
-        lift_path(fx.graph, coll, validate_path(fx.graph, names))
+        lift_path(coll, validate_path(fx.graph, names))
     assert str(exc.value) == message

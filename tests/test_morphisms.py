@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from bsgraph.category import LambdaContext, all_paths, pool_morphisms
+from bsgraph.category import all_paths, pool_morphisms
 from bsgraph.errors import Conflict, NotComposable, NotCovered
 from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import validate_path, vertex_path
@@ -58,18 +58,18 @@ def test_lift_ggfh_matches_worked_example(ctx, example_lam):
 
 
 def test_lift_vertex_path(ctx):
-    lam = lift_path(ctx.graph, ctx.collection, vertex_path(ctx.graph, "u"))
+    lam = lift_path(ctx, vertex_path(ctx.graph, "u"))
     assert lam == identity_morphism(BS, "u")
     assert lam.degree == BS.identity
 
 
 def test_lift_equal_for_square_traversals(ctx):
-    via_red = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, ["f", "k", "k"]))
-    via_blue = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, ["g", "f"]))
+    via_red = lift_path(ctx, validate_path(ctx.graph, ["f", "k", "k"]))
+    via_blue = lift_path(ctx, validate_path(ctx.graph, ["g", "f"]))
     assert via_red == via_blue
     assert via_red.degree == (1, 2)
     # it is exactly phi1 viewed as a morphism
-    phi1 = next(sq for sq in ctx.collection.squares if sq.name == "phi1")
+    phi1 = next(sq for sq in ctx.squares if sq.name == "phi1")
     assert maps(via_red)[1] == phi1.emap
 
 
@@ -77,14 +77,14 @@ def test_lift_rejects_non_composable(ctx):
     path = validate_path(ctx.graph, ["g"])
     bad = type(path)(("g", "h"), "u", "u", path.colours * 2)  # forged junction
     with pytest.raises(NotComposable):
-        lift_path(ctx.graph, ctx.collection, bad)
+        lift_path(ctx, bad)
 
 
 def test_lift_not_covered_without_phi2(ctx, incomplete_fixture):
     fx = incomplete_fixture
-    coll = CompleteCollection(fx.ops, tuple(fx.squares))
+    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     with pytest.raises(NotCovered) as exc:
-        lift_path(fx.graph, coll, validate_path(fx.graph, ["g", "g", "f", "h"]))
+        lift_path(coll, validate_path(fx.graph, ["g", "g", "f", "h"]))
     assert exc.value.boundary in (("k", "h"), ("h", "g", "g"))
 
 
@@ -93,7 +93,7 @@ def test_lift_loop_invariant(ctx):
     names = ["g", "g", "f", "h", "g", "f"]
     for n in range(1, len(names) + 1):
         path = validate_path(ctx.graph, names[:n])
-        lam = lift_path(ctx.graph, ctx.collection, path)
+        lam = lift_path(ctx, path)
         assert check_traverses(lam, path)
 
 
@@ -120,7 +120,7 @@ def test_traversal_extremes(ctx, example_lam):
 
 def test_traversals_traverse_their_morphism(ctx):
     for names in (["g", "f"], ["g", "g", "f", "h"], ["f", "k", "k"]):
-        lam = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, names))
+        lam = lift_path(ctx, validate_path(ctx.graph, names))
         assert check_traverses(lam, shortest_traversal(lam))
         assert check_traverses(lam, longest_traversal(lam))
 
@@ -136,15 +136,15 @@ def test_restrict(ctx, example_lam):
 
 def test_restrictions_stay_compatible(ctx, example_lam):
     for w1 in BS.prefixes(example_lam.degree):
-        assert check_compatible(restrict(example_lam, w1), ctx.collection)
+        assert check_compatible(restrict(example_lam, w1), ctx)
         assert check_compatible(
-            restrict_shifted(example_lam, w1, example_lam.degree), ctx.collection
+            restrict_shifted(example_lam, w1, example_lam.degree), ctx
         )
 
 
 def test_occurrences(ctx, example_lam, phi1, phi2):
     assert occurrences(identity_morphism(BS, "v")) == []
-    sq_morph = lift_path(ctx.graph, ctx.collection, validate_path(ctx.graph, ["g", "f"]))
+    sq_morph = lift_path(ctx, validate_path(ctx.graph, ["g", "f"]))
     occs = occurrences(sq_morph)
     assert len(occs) == 1 and occs[0][0] == BS.identity
     occs28 = occurrences(example_lam)
@@ -159,14 +159,14 @@ def test_occurrences(ctx, example_lam, phi1, phi2):
 
 
 def test_check_compatible(ctx, example_lam, phi1):
-    assert check_compatible(example_lam, ctx.collection)
-    assert check_compatible(identity_morphism(BS, "v"), ctx.collection)
-    only_phi1 = CompleteCollection(BS, (phi1,))
+    assert check_compatible(example_lam, ctx)
+    assert check_compatible(identity_morphism(BS, "v"), ctx)
+    only_phi1 = CompleteCollection(ctx.graph, BS, (phi1,))
     assert not check_compatible(example_lam, only_phi1)
 
 
 def test_enumerate_ba(ctx, phi1, phi2):
-    found = enumerate_morphisms(ctx.graph, ctx.collection, (1, 2))
+    found = enumerate_morphisms(ctx, (1, 2))
     assert len(found) == 2
     assert {frozenset(maps(m)[1].items()) for m in found} == {
         frozenset(phi1.emap.items()),
@@ -175,20 +175,20 @@ def test_enumerate_ba(ctx, phi1, phi2):
 
 
 def test_enumerate_identity_degree(ctx):
-    found = enumerate_morphisms(ctx.graph, ctx.collection, BS.identity)
+    found = enumerate_morphisms(ctx, BS.identity)
     assert found == [identity_morphism(BS, "u"), identity_morphism(BS, "v")]
 
 
 def test_enumerate_contains_worked_example(ctx, example_lam):
-    found = enumerate_morphisms(ctx.graph, ctx.collection, (2, 8))
+    found = enumerate_morphisms(ctx, (2, 8))
     assert example_lam in found
 
 
-def _enumerate_by_dicts(g, collection, w) -> list[Morphism]:
+def _enumerate_by_dicts(collection, w) -> list[Morphism]:
     """Reference search: extend vertex/edge dicts one domain edge at a time,
     trying every ambient edge, and keep the total assignments that
     check_compatible accepts."""
-    ops = collection.ops
+    ops, g = collection.ops, collection.graph
     edge_keys = model(ops, w).edges
     results = []
 
@@ -238,23 +238,23 @@ square phi2 eA=h aB=g abB=g eB=k bA=h
 
 
 def test_enumerate_matches_dict_search(ctx, grid_ctx, incomplete_fixture):
-    branching = parse_fixture(BRANCHING)
+    missing, branching = incomplete_fixture, parse_fixture(BRANCHING)
     cases = [
-        (ctx.graph, ctx.collection, (2, 4)),
-        (grid_ctx.graph, grid_ctx.collection, (3, 3)),
-        (incomplete_fixture.graph, CompleteCollection(BS, tuple(incomplete_fixture.squares)), (2, 4)),
-        (branching.graph, CompleteCollection(BS, tuple(branching.squares)), (2, 2)),
+        (ctx, (2, 4)),
+        (grid_ctx, (3, 3)),
+        (CompleteCollection(missing.graph, BS, tuple(missing.squares)), (2, 4)),
+        (CompleteCollection(branching.graph, BS, tuple(branching.squares)), (2, 2)),
     ]
-    for g, coll, top in cases:
+    for coll, top in cases:
         for w in model(coll.ops, top).vertices:
-            assert enumerate_morphisms(g, coll, w) == _enumerate_by_dicts(g, coll, w), w
+            assert enumerate_morphisms(coll, w) == _enumerate_by_dicts(coll, w), w
 
 
 def test_enumerate_limit_is_a_prefix_of_the_full_list(ctx, grid_ctx):
     for c, w in ((ctx, (1, 2)), (ctx, BS.identity), (grid_ctx, (1, 1))):
-        full = enumerate_morphisms(c.graph, c.collection, w)
+        full = enumerate_morphisms(c, w)
         for k in range(len(full) + 2):
-            assert enumerate_morphisms(c.graph, c.collection, w, limit=k) == full[:k]
+            assert enumerate_morphisms(c, w, limit=k) == full[:k]
 
 
 def test_unique_lifting_against_oracle(ctx):
@@ -264,10 +264,10 @@ def test_unique_lifting_against_oracle(ctx):
     from bsgraph.graphs import path_degree
 
     for path in all_paths(ctx.graph, 3):
-        lam = lift_path(ctx.graph, ctx.collection, path)
+        lam = lift_path(ctx, path)
         matches = [
             m
-            for m in enumerate_morphisms(ctx.graph, ctx.collection, path_degree(BS, path))
+            for m in enumerate_morphisms(ctx, path_degree(BS, path))
             if check_traverses(m, path)
         ]
         assert matches == [lam]
@@ -276,9 +276,9 @@ def test_unique_lifting_against_oracle(ctx):
 def test_conflict_reported_for_incompatible_seed(ctx, incomplete_fixture):
     """With phi2 missing, some path hits a boundary the collection lacks."""
     fx = incomplete_fixture
-    coll = CompleteCollection(fx.ops, tuple(fx.squares))
+    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     with pytest.raises((NotCovered, Conflict)):
-        lift_path(fx.graph, coll, validate_path(fx.graph, ["k", "k", "h", "f"]))
+        lift_path(coll, validate_path(fx.graph, ["k", "k", "h", "f"]))
 
 
 def _row_lists(lam) -> list:
@@ -418,15 +418,15 @@ PARALLEL_LOOPS = "mode grid\nvertex x\n" + "".join(
 def test_key_sorts_and_dedups_like_sorted_items(name, request):
     if name == "parallel loops":
         fx = parse_fixture(PARALLEL_LOOPS)
-        ctx = LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+        ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     else:
         ctx = request.getfixturevalue(name)
     ops = ctx.ops
-    lifts = [lift_path(ctx.graph, ctx.collection, p) for p in all_paths(ctx.graph, 3)]
+    lifts = [lift_path(ctx, p) for p in all_paths(ctx.graph, 3)]
     enumerated = [
         m
         for w in ops.prefixes(ops.mul(ops.square_degree, ops.square_degree))
-        for m in enumerate_morphisms(ctx.graph, ctx.collection, w)
+        for m in enumerate_morphisms(ctx, w)
     ]
     everything = lifts + enumerated
     assert sorted(everything, key=Morphism.key) == sorted(everything, key=_old_key)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgraph.category import LambdaContext, all_paths, pool_morphisms
+from bsgraph.category import all_paths, pool_morphisms
 from bsgraph.errors import NotCovered
 from bsgraph.fixtures import parse_fixture
 from bsgraph.graphs import concat, path_degree, validate_path
@@ -28,14 +28,13 @@ from bsgraph.squares import CompleteCollection
 from .oracles import compose
 
 
-def _agree(ctx: LambdaContext, paths, enum_memo: dict) -> None:
-    g, coll = ctx.graph, ctx.collection
+def _agree(ctx: CompleteCollection, paths, enum_memo: dict) -> None:
     for x in paths:
-        nf = normal_form(coll, x)
-        assert nf == shortest_traversal(lift_path(g, coll, x)), str(x)
+        nf = normal_form(ctx, x)
+        assert nf == shortest_traversal(lift_path(ctx, x)), str(x)
         w = path_degree(ctx.ops, x)
         if w not in enum_memo:
-            enum_memo[w] = enumerate_morphisms(g, coll, w)
+            enum_memo[w] = enumerate_morphisms(ctx, w)
         matches = [m for m in enum_memo[w] if check_traverses(m, x)]
         assert len(matches) == 1, str(x)
         assert shortest_traversal(matches[0]) == nf, str(x)
@@ -47,7 +46,7 @@ def test_three_engines_agree_on_fixtures(name, request):
     _agree(ctx, all_paths(ctx.graph, 6), {})
 
 
-def _one_vertex(mode: str, perm: list[int]) -> LambdaContext:
+def _one_vertex(mode: str, perm: list[int]) -> CompleteCollection:
     """One vertex, a blue loop b and red loops r0..r(p-1); the square of
     r_i pairs its red-first boundary with the blue-first path b r_perm(i)."""
     colours = {"a": "a", "b": "b"} if mode == "bs" else {"a": "1", "b": "2"}
@@ -59,7 +58,7 @@ def _one_vertex(mode: str, perm: list[int]) -> LambdaContext:
         else:
             lines.append(f"square s{i} v1=r{i} e1v2=b v2=b e2v1=r{j}")
     fx = parse_fixture("\n".join(lines) + "\n")
-    return LambdaContext(fx.graph, CompleteCollection(fx.ops, tuple(fx.squares)))
+    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
 
 
 @st.composite
@@ -86,9 +85,8 @@ def test_three_engines_agree_on_generated_collections(drawn):
 @given(generated_paths(9))
 def test_normal_form_matches_lift_on_longer_paths(drawn):
     ctx, paths = drawn
-    g, coll = ctx.graph, ctx.collection
     for x in paths:
-        assert normal_form(coll, x) == shortest_traversal(lift_path(g, coll, x))
+        assert normal_form(ctx, x) == shortest_traversal(lift_path(ctx, x))
 
 
 @pytest.mark.parametrize("name", ["ctx", "grid_ctx"])
@@ -102,14 +100,14 @@ def test_dense_compose_agrees_with_rewriting(name, request):
                 continue
             x, y = shortest_traversal(mu), shortest_traversal(nu)
             dense = shortest_traversal(compose(ctx, mu, nu))
-            assert dense == normal_form(ctx.collection, concat(x, y))
+            assert dense == normal_form(ctx, concat(x, y))
             pairs += 1
     assert pairs == {"ctx": 98, "grid_ctx": 36}[name]
 
 
 def test_normal_form_reports_missing_square(incomplete_fixture):
     fx = incomplete_fixture
-    coll = CompleteCollection(fx.ops, tuple(fx.squares))
+    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     with pytest.raises(NotCovered) as exc:
         normal_form(coll, validate_path(fx.graph, ["h", "g", "g"]))
     assert exc.value.boundary == ("h", "g", "g")

@@ -1,4 +1,4 @@
-"""Squares, complete collections, and the boundary-path indices."""
+"""Squares, complete collections, and their boundary-path maps."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from bsgraph.squares import (
     CompleteCollection,
     build_square_slots,
     check_complete,
+    not_covered,
     paths_with_colour_word,
 )
 from bsgraph.words import BS
@@ -70,7 +71,7 @@ def test_boundary_path_enumeration(graph_E):
 
 
 def test_check_complete_on_fixture(ctx):
-    report = check_complete(ctx.graph, BS, ctx.collection.squares)
+    report = check_complete(ctx.graph, BS, ctx.squares)
     assert report.complete
     assert report.square_count == 2
     assert report.red_path_count == 2
@@ -86,7 +87,7 @@ def test_check_incomplete_without_phi2(ctx, phi1):
 
 def test_check_duplicate(ctx, graph_E, phi1):
     clone = build_square_slots(graph_E, BS, PHI1, "phi1_again")
-    report = check_complete(graph_E, BS, [phi1, clone, *ctx.collection.squares[1:]])
+    report = check_complete(graph_E, BS, [phi1, clone, *ctx.squares[1:]])
     assert not report.complete
     assert report.duplicated  # the shared boundary paths are reported
 
@@ -100,39 +101,40 @@ def test_duplicates_reported_in_first_appearance_order(ctx, graph_E, phi1, phi2)
 
 
 def test_check_complete_order_independent(ctx, graph_E):
-    sqs = list(ctx.collection.squares)
+    sqs = list(ctx.squares)
     fwd = check_complete(graph_E, BS, sqs).to_json()
     rev = check_complete(graph_E, BS, sqs[::-1]).to_json()
     assert fwd["status"] == rev["status"] == "complete"
 
 
 def test_lookup_round_trip(ctx, phi1, phi2):
-    c = ctx.collection
-    assert c.lookup_red(("f", "k", "k")) == phi1
-    assert c.lookup_blue(("k", "h")) == phi2
-    for sq in c.squares:
-        assert c.lookup_red(sq.red_boundary()) == sq
-        assert c.lookup_blue(sq.blue_boundary()) == sq
+    assert ctx.red_to_blue[("f", "k", "k")] == ("g", "f") == phi1.blue_boundary()
+    assert ctx.blue_to_red[("k", "h")] == ("h", "g", "g") == phi2.red_boundary()
+    assert len(ctx.red_to_blue) == len(ctx.blue_to_red) == len(ctx.squares)
+    for sq in ctx.squares:
+        assert ctx.red_to_blue[sq.red_boundary()] == sq.blue_boundary()
+        assert ctx.blue_to_red[sq.blue_boundary()] == sq.red_boundary()
 
 
-def test_lookup_not_covered(phi1):
-    c = CompleteCollection(BS, (phi1,))
+def test_lookup_not_covered(graph_E, phi1):
+    c = CompleteCollection(graph_E, BS, (phi1,))
     with pytest.raises(NotCovered) as exc:
-        c.lookup_blue(("k", "h"))
+        c.blue_to_red.get(("k", "h")) or not_covered("blue-first", ("k", "h"))
     assert exc.value.boundary == ("k", "h")
+    assert str(exc.value) == "no square with blue-first boundary k h"
 
 
 @pytest.mark.parametrize(
-    "field", ["index_red", "index_blue", "duplicate_red", "duplicate_blue"]
+    "field", ["red_to_blue", "blue_to_red", "duplicate_red", "duplicate_blue"]
 )
 def test_derived_indices_are_not_constructor_arguments(ctx, phi1, field):
-    # Passed in, a prefilled index made a complete collection report its
+    # Passed in, a prefilled map made a complete collection report its
     # own boundaries as duplicated.
     value = [phi1.red_boundary()] if field.startswith("duplicate") else {
-        phi1.red_boundary(): phi1
+        phi1.red_boundary(): phi1.blue_boundary()
     }
     with pytest.raises(TypeError):
-        CompleteCollection(BS, ctx.collection.squares, **{field: value})
+        CompleteCollection(ctx.graph, BS, ctx.squares, **{field: value})
 
 
 def test_malformed_square_reported(grid_ctx, phi1):
