@@ -27,7 +27,7 @@ from .morphisms import (
     shortest_traversal,
     split_traversals,
 )
-from .squares import CompleteCollection, not_covered, paths_with_colour_word
+from .squares import CompleteCollection
 
 # Law suites in the order `verify` runs them by default.
 SUITES = ("category", "functor", "factorization")
@@ -103,26 +103,6 @@ def pool_morphisms(collection: CompleteCollection, max_len: int) -> list[Morphis
     return [seen[k] for k in sorted(seen)]
 
 
-def require_covered(collection: CompleteCollection) -> None:
-    """Require every boundary path of the graph to have a square,
-    blue-first ones first, then each boundary to belong to one square only.
-
-    A rewriting sweep only meets the squares its paths touch, so a missing
-    or duplicated square elsewhere would go unseen; this raises the
-    ``NotCovered`` of the first missing one, else the ``Conflict`` of
-    ``require_unique``.
-    """
-    ops = collection.ops
-    for kind, word, table in (
-        ("blue-first", ops.blue_first_word, collection.blue_to_red),
-        ("red-first", ops.red_first_word, collection.red_to_blue),
-    ):
-        for boundary in paths_with_colour_word(collection.graph, word):
-            if boundary not in table:
-                not_covered(kind, boundary)
-    collection.require_unique()
-
-
 # The products row of each id not yet composed on the left: one shared
 # read-only empty map, so an id that is only a right factor costs no dict.
 _NO_PRODUCTS = MappingProxyType({})
@@ -164,7 +144,7 @@ class CompositionTable:
         by pool index; built once, after the coverage check."""
         cached = self._pools.get(max_len)
         if cached is None:
-            require_covered(self.collection)
+            self.collection.require_covered()
             pool = pool_morphisms(self.collection, max_len)
             paths = [shortest_traversal(lam) for lam in pool]
             cached = self._pools[max_len] = (pool, paths, [self.intern(x) for x in paths])

@@ -44,7 +44,7 @@ def _emit(payload, as_json: bool, text: str):
 
 def _context(path) -> CompleteCollection:
     fx = load_fixture(path)
-    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    return CompleteCollection(fx.graph, fx.ops, fx.squares)
 
 
 def cmd_check(args) -> int:

@@ -107,6 +107,6 @@ def serialize_fixture(fx: FixtureFile) -> str:
     )
     table = slot_table(fx.ops)
     for sq in fx.squares:
-        slots = " ".join(f"{slot}={sq.emap[key]}" for slot, key in table.items())
+        slots = " ".join(f"{slot}={e}" for slot, e in zip(table, sq.red + sq.blue))
         lines.append(f"square {sq.name} {slots}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ from operator import itemgetter
 from .errors import NotComposable, ResourceLimit
 from .graphs import Path, path_degree
 from .models import check_model_size, model, square_positions, too_many_vertices
-from .squares import CompleteCollection, not_covered, square_edges
+from .squares import CompleteCollection, not_covered, slot_table
 
 
 def _in_model_order(reds, blues) -> list:
@@ -410,13 +410,12 @@ def enumerate_morphisms(
     vertex_index = {z: i for i, z in enumerate(vertices)}
     edge_index = {k: i for i, k in enumerate(edge_keys)}
     read_rows = _rows_reader(ops.row_widths(w))
-    # A square's edge names in model-edge order; one reader per occurrence
-    # picks that tuple out of names (a square has at least four edges, so
-    # itemgetter returns a tuple).
-    edges = square_edges(ops)
-    known = {tuple([sq.emap[k] for k in edges]) for sq in collection.squares}
+    # A square's edge names, red-first boundary then blue-first, the
+    # fixture slot order; one reader per occurrence picks that tuple out of
+    # names (a square has at least four edges, so itemgetter returns a tuple).
+    known = {sq.red + sq.blue for sq in collection.squares}
     square_readers = [
-        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in edges])
+        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in slot_table(ops).values()])
         for m in square_positions(ops, w)
     ]
     # (name, source) of the ambient edges of each colour, by range vertex.

@@ -1,10 +1,11 @@
 """Squares, complete collections, and their boundary-path maps.
 
 A square is a morphism from the model graph of the square degree (ab^2 = ba
-in BS mode, (1,1) in grid mode) into the ambient graph.  Each square has a
-red-first boundary path (colour word a,b,b resp. a,b) and a blue-first one
-(b,a); a collection is complete when both families of boundary paths of the
-ambient graph are covered exactly once.
+in BS mode, (1,1) in grid mode) into the ambient graph, and is stored as
+its two boundary paths: the red-first one (colour word a,b,b resp. a,b) and
+the blue-first one (b,a), which together name every edge of the square.  A
+collection is complete when both families of boundary paths of the ambient
+graph are covered exactly once.
 """
 
 from __future__ import annotations
@@ -18,32 +19,14 @@ from .models import model
 
 
 @cache
-def boundary_keys(ops, colour_word) -> tuple:
-    """Domain edge keys (base, letter) read along a boundary colour word."""
-    keys = []
-    base = ops.identity
-    for letter in colour_word:
-        keys.append((base, letter))
-        base = ops.step(base, letter)
-    return tuple(keys)
-
-
-@cache
 def square_edges(ops) -> tuple:
     """Domain edge keys (base, letter) of the square's model graph."""
     return model(ops, ops.square_degree).edges
 
 
-def red_keys(ops) -> tuple:
-    return boundary_keys(ops, ops.red_first_word)
-
-
-def blue_keys(ops) -> tuple:
-    return boundary_keys(ops, ops.blue_first_word)
-
-
 # Named slots of the fixture format, mapped to domain edge keys
 # (base, letter).  A bs slot name spells its base word, then its letter.
+# Slots run along the red-first boundary, then the blue-first one.
 BS_SLOTS = {
     "eA": ((0, 0), "a"),
     "aB": ((1, 0), "b"),
@@ -63,31 +46,19 @@ def slot_table(ops) -> dict:
     return BS_SLOTS if ops.name == "bs" else GRID_SLOTS
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Square:
-    """Validated square: edge and vertex images on the square's model graph.
+    """Validated square: its red-first and blue-first boundaries, as edge
+    names.  Squares compare by boundaries, so a renamed copy is equal.
 
-    ``graph`` is the graph the images were validated against, so a check
-    against that same graph need not validate them again.
+    ``graph`` is the graph the square was validated against, so a check
+    against that same graph need not validate it again.
     """
 
-    name: str
-    ops: object
-    emap: dict  # (degree, letter) -> edge name
-    vmap: dict  # degree -> vertex name
+    name: str = field(compare=False)
+    red: tuple[str, ...]
+    blue: tuple[str, ...]
     graph: ColouredGraph | None = field(default=None, repr=False, compare=False)
-
-    def red_boundary(self) -> tuple[str, ...]:
-        return tuple(self.emap[k] for k in red_keys(self.ops))
-
-    def blue_boundary(self) -> tuple[str, ...]:
-        return tuple(self.emap[k] for k in blue_keys(self.ops))
-
-    def __eq__(self, other):
-        return isinstance(other, Square) and self.emap == other.emap
-
-    def __hash__(self):
-        return hash(frozenset(self.emap.items()))
 
 
 def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
@@ -100,8 +71,7 @@ def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
     missing = [k for k in edges if k not in images]
     if missing:
         raise JunctionMismatch(f"square {name!r}: missing edge images {missing}")
-    emap = {}
-    vmap: dict = {}
+    vertices: dict = {}
     for z, letter in edges:
         edge = g.edge(images[(z, letter)])
         if edge.colour != letter:
@@ -109,15 +79,16 @@ def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
                 f"square {name!r}: slot ({ops.format(z)},{letter}) "
                 f"needs colour {letter} but {edge.name!r} is {edge.colour}"
             )
-        emap[(z, letter)] = edge.name
         for vertex_key, value in ((z, edge.range_), (ops.step(z, letter), edge.source)):
-            old = vmap.setdefault(vertex_key, value)
+            old = vertices.setdefault(vertex_key, value)
             if old != value:
                 raise JunctionMismatch(
                     f"square {name!r}: vertex {ops.format(vertex_key)} forced "
                     f"to both {old!r} and {value!r}"
                 )
-    return Square(name, ops, emap, vmap, g)
+    names = [images[k] for k in slot_table(ops).values()]
+    cut = len(ops.red_first_word)
+    return Square(name, tuple(names[:cut]), tuple(names[cut:]), g)
 
 
 def build_square_slots(g: ColouredGraph, ops, slots: dict, name: str = "") -> Square:
@@ -138,10 +109,11 @@ def not_covered(kind: str, boundary):
     raise NotCovered(boundary, f"no square with {kind} boundary {' '.join(boundary)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompleteCollection:
     """A graph and its squares, with both boundary maps built eagerly from
-    the squares alone: none of the derived fields is a constructor argument.
+    the squares alone: none of the derived fields is a constructor argument,
+    and none takes part in comparison, since they follow from the squares.
 
     red_to_blue and blue_to_red map each boundary tuple straight to the
     other boundary of the first square that has it, for the lift and
@@ -153,15 +125,15 @@ class CompleteCollection:
     graph: ColouredGraph = field(repr=False)
     ops: object
     squares: tuple
-    duplicate_red: list = field(init=False, default_factory=list)
-    duplicate_blue: list = field(init=False, default_factory=list)
+    duplicate_red: list = field(init=False, compare=False, default_factory=list)
+    duplicate_blue: list = field(init=False, compare=False, default_factory=list)
     red_to_blue: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     blue_to_red: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "squares", tuple(self.squares))
         for sq in self.squares:
-            red = sq.red_boundary()
-            blue = sq.blue_boundary()
+            red, blue = sq.red, sq.blue
             if red in self.red_to_blue:
                 self.duplicate_red.append(red)
             else:
@@ -171,20 +143,57 @@ class CompleteCollection:
             else:
                 self.blue_to_red[blue] = red
 
+    def _repeated(self) -> list:
+        """Each boundary that belongs to more than one square, once:
+        red-first ones first, each kind in map order."""
+        red, blue = set(self.duplicate_red), set(self.duplicate_blue)
+        return [b for b in self.red_to_blue if b in red] + [
+            b for b in self.blue_to_red if b in blue
+        ]
+
     def require_unique(self) -> None:
         """Raise ``Conflict`` naming the first boundary that belongs to
         more than one square, red-first ones first, in map order."""
-        for kind, table, duplicates in (
-            ("red-first", self.red_to_blue, self.duplicate_red),
-            ("blue-first", self.blue_to_red, self.duplicate_blue),
-        ):
-            if duplicates:
-                repeated = set(duplicates)
-                boundary = next(b for b in table if b in repeated)
-                raise Conflict(
-                    f"the {kind} boundary {' '.join(boundary)} belongs to more than "
-                    f"one square; the collection cannot be complete for this graph"
-                )
+        if self.duplicate_red or self.duplicate_blue:
+            kind = "red-first" if self.duplicate_red else "blue-first"
+            raise Conflict(
+                f"the {kind} boundary {' '.join(self._repeated()[0])} belongs to more "
+                f"than one square; the collection cannot be complete for this graph"
+            )
+
+    def report(self, malformed=()) -> CompletenessReport:
+        """Exactly-once coverage of both boundary-path families of the graph,
+        counting list entries; ``malformed`` names squares left out of the
+        collection, which make it incomplete."""
+        g, ops = self.graph, self.ops
+        red_paths = paths_with_colour_word(g, ops.red_first_word)
+        blue_paths = paths_with_colour_word(g, ops.blue_first_word)
+        uncovered_red = [p for p in red_paths if p not in self.red_to_blue]
+        uncovered_blue = [p for p in blue_paths if p not in self.blue_to_red]
+        duplicated = self._repeated()
+        ok = not (uncovered_red or uncovered_blue or duplicated or malformed)
+        return CompletenessReport(
+            "complete" if ok else "incomplete",
+            len(self.squares),
+            len(red_paths),
+            len(blue_paths),
+            uncovered_red,
+            uncovered_blue,
+            duplicated,
+            list(malformed),
+        )
+
+    def require_covered(self) -> None:
+        """Raise the ``NotCovered`` of the first boundary path with no square,
+        blue-first ones first, else ``require_unique``'s ``Conflict``.  A
+        rewriting sweep only meets the squares its paths touch, so a missing
+        or duplicated square elsewhere would go unseen."""
+        report = self.report()
+        if report.uncovered_blue:
+            not_covered("blue-first", report.uncovered_blue[0])
+        if report.uncovered_red:
+            not_covered("red-first", report.uncovered_red[0])
+        self.require_unique()
 
 
 @dataclass
@@ -235,39 +244,24 @@ def paths_with_colour_word(g: ColouredGraph, colour_word) -> list[tuple[str, ...
 def check_complete(g: ColouredGraph, ops, squares) -> CompletenessReport:
     """Verify exactly-once coverage of both boundary-path families of g.
 
-    Squares validated against another graph (or in another mode) are
-    validated again here; failures land in the malformed list instead of
-    raising.
+    Squares validated against another graph are validated again here, and
+    squares whose boundaries have another mode's lengths are refused;
+    failures land in the malformed list instead of raising.
     """
-    valid = []
-    malformed = []
+    valid, malformed = [], []
+    shape = (len(ops.red_first_word), len(ops.blue_first_word))
+    slots = slot_table(ops).values()
     for sq in squares:
-        if sq.graph is not g or sq.ops is not ops:
-            try:
-                build_square(g, ops, sq.emap, sq.name)
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                malformed.append(f"{sq.name}: {exc}")
-                continue
+        try:
+            if (len(sq.red), len(sq.blue)) != shape:
+                raise JunctionMismatch(
+                    f"square {sq.name!r}: boundaries of {len(sq.red)} and {len(sq.blue)} "
+                    f"edges, but a {ops.name} square has {shape[0]} and {shape[1]}"
+                )
+            if sq.graph is not g:
+                build_square(g, ops, dict(zip(slots, sq.red + sq.blue)), sq.name)
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            malformed.append(f"{sq.name}: {exc}")
+            continue
         valid.append(sq)
-    coll = CompleteCollection(g, ops, tuple(valid))
-    red_paths = paths_with_colour_word(g, ops.red_first_word)
-    blue_paths = paths_with_colour_word(g, ops.blue_first_word)
-    uncovered_red = [p for p in red_paths if p not in coll.red_to_blue]
-    uncovered_blue = [p for p in blue_paths if p not in coll.blue_to_red]
-    # Coverage must be exactly once per boundary, counting list entries:
-    # a renamed copy of a square still breaks uniqueness.  Report each
-    # repeated boundary once, in order of first appearance (the map order).
-    dup_red, dup_blue = set(coll.duplicate_red), set(coll.duplicate_blue)
-    duplicated = [b for b in coll.red_to_blue if b in dup_red]
-    duplicated += [b for b in coll.blue_to_red if b in dup_blue]
-    ok = not (uncovered_red or uncovered_blue or duplicated or malformed)
-    return CompletenessReport(
-        "complete" if ok else "incomplete",
-        len(valid),
-        len(red_paths),
-        len(blue_paths),
-        uncovered_red,
-        uncovered_blue,
-        duplicated,
-        malformed,
-    )
+    return CompleteCollection(g, ops, tuple(valid)).report(malformed)

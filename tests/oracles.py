@@ -9,6 +9,8 @@ model graph, the dict form of its rows (``maps``, and ``from_maps`` back):
 restriction to a prefix and its translated form (the factor pair of a
 split), the squares a morphism's domain holds and the check that the
 collection has each of them, and the JSON object a morphism stands for.
+A square is likewise read back as the dict form of its two boundaries
+(``square_map``), keyed by the domain edges each boundary walks.
 They share the degree arithmetic and model graphs with the library, but
 not its split, which reads one traversal at a time, nor its one-pass JSON
 writer.  ``compose`` lifts the concatenated traversals to the dense
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import cache
 
 from bsgraph.errors import NotAPrefix, NotComposable
 from bsgraph.graphs import concat
@@ -145,6 +148,31 @@ def from_maps(ops, degree, vmap: dict, emap: dict) -> Morphism:
     )
 
 
+@cache
+def boundary_keys(ops, colour_word) -> tuple:
+    """Domain edge keys (base, letter) read along a boundary colour word."""
+    keys = []
+    base = ops.identity
+    for letter in colour_word:
+        keys.append((base, letter))
+        base = ops.step(base, letter)
+    return tuple(keys)
+
+
+def red_keys(ops) -> tuple:
+    return boundary_keys(ops, ops.red_first_word)
+
+
+def blue_keys(ops) -> tuple:
+    return boundary_keys(ops, ops.blue_first_word)
+
+
+def square_map(ops, sq) -> dict:
+    """The square's edge names keyed by the (base, letter) domain edges of
+    the square's model graph: its red-first boundary, then its blue-first."""
+    return dict(zip(red_keys(ops) + blue_keys(ops), sq.red + sq.blue))
+
+
 def restrict(lam: Morphism, w1) -> Morphism:
     """lam on the model graph of a prefix w1, values unchanged."""
     ops = lam.ops
@@ -192,7 +220,8 @@ def occurrences(lam: Morphism) -> list[tuple]:
 
 def check_compatible(lam: Morphism, collection) -> bool:
     """True iff every occurring square belongs to the collection."""
-    known = {frozenset(sq.emap.items()) for sq in collection.squares}
+    ops = collection.ops
+    known = {frozenset(square_map(ops, sq).items()) for sq in collection.squares}
     return all(frozenset(emap.items()) in known for _, emap in occurrences(lam))
 
 

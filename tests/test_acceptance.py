@@ -58,11 +58,11 @@ def test_criterion_1_fixture_reproduction(capsys, example_fixture):
         assert report.square_count == 2
         assert report.red_path_count == 2
         assert report.blue_path_count == 2
-        assert sorted(sq.red_boundary() for sq in example_fixture.squares) == [
+        assert sorted(sq.red for sq in example_fixture.squares) == [
             ("f", "k", "k"),
             ("h", "g", "g"),
         ]
-        assert sorted(sq.blue_boundary() for sq in example_fixture.squares) == [
+        assert sorted(sq.blue for sq in example_fixture.squares) == [
             ("g", "f"),
             ("k", "h"),
         ]

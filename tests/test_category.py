@@ -33,7 +33,7 @@ from bsgraph.squares import CompleteCollection, check_complete
 from bsgraph.words import BS
 
 from .conftest import FIXTURE_DIR, _context
-from .oracles import compose, maps, restrict, restrict_shifted
+from .oracles import compose, maps, restrict, restrict_shifted, square_map
 from .test_lift import DUPLICATED_RED, multi_vertex_paths
 from .test_normal_form import _one_vertex, generated_paths
 
@@ -54,7 +54,7 @@ def test_identity(ctx):
 def test_compose_square_from_blue_then_red(ctx, phi1):
     lam = compose(ctx, _lift(ctx, ["g"]), _lift(ctx, ["f"]))
     assert lam.degree == (1, 2)
-    assert maps(lam)[1] == phi1.emap
+    assert maps(lam)[1] == square_map(BS, phi1)
 
 
 def test_compose_reproduces_worked_example(ctx, example_lam):
@@ -412,7 +412,7 @@ def test_require_covered_names_the_first_duplicated_boundary():
     fx = parse_fixture(FOUR_SQUARES)
     ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     with pytest.raises(Conflict) as exc:
-        category.require_covered(ctx)
+        ctx.require_covered()
     assert str(exc.value).startswith("the red-first boundary r2 b b belongs to more than one square")
 
 
@@ -451,11 +451,11 @@ def test_require_covered_agrees_with_check_complete(case):
     ]
     if not expected:
         assert report.complete
-        category.require_covered(coll)
+        coll.require_covered()
         return
     kind, boundary = expected[0]
     with pytest.raises(BsGraphError) as exc:
-        category.require_covered(coll)
+        coll.require_covered()
     assert type(exc.value) is kind
     if kind is NotCovered:
         assert exc.value.boundary == boundary

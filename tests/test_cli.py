@@ -328,12 +328,15 @@ def test_deterministic_output(capsys):
 
 
 def test_fixture_round_trip():
-    fx = load_fixture(E)
-    text = serialize_fixture(fx)
-    again = parse_fixture(text)
-    assert serialize_fixture(again) == text
-    assert again.graph == fx.graph
-    assert [sq.emap for sq in again.squares] == [sq.emap for sq in fx.squares]
+    for path in sorted(FIXTURE_DIR.glob("*.cg")):
+        fx = load_fixture(path)
+        text = serialize_fixture(fx)
+        again = parse_fixture(text)
+        assert serialize_fixture(again) == text, path.name
+        assert again.graph == fx.graph
+        assert [(sq.name, sq.red, sq.blue) for sq in again.squares] == [
+            (sq.name, sq.red, sq.blue) for sq in fx.squares
+        ], path.name
 
 
 def test_grid_fixture_round_trip():

@@ -21,9 +21,9 @@ from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import path_degree, validate_path, vertex_path
 from bsgraph.models import check_model_size, model
 from bsgraph.morphisms import Morphism, check_traverses, enumerate_morphisms, lift_path
-from bsgraph.squares import CompleteCollection, blue_keys, red_keys
+from bsgraph.squares import CompleteCollection
 
-from .oracles import from_maps, maps
+from .oracles import blue_keys, from_maps, maps, red_keys, square_map
 
 from .test_normal_form import generated_paths
 
@@ -51,8 +51,8 @@ class _WorklistLift:
         # so that the reference shares no index with the lift it checks.
         self._squares: dict = {"red-first": {}, "blue-first": {}}
         for sq in collection.squares:
-            self._squares["red-first"].setdefault(sq.red_boundary(), sq)
-            self._squares["blue-first"].setdefault(sq.blue_boundary(), sq)
+            self._squares["red-first"].setdefault(sq.red, sq)
+            self._squares["blue-first"].setdefault(sq.blue, sq)
         self.vmap: dict = {}
         self.emap: dict = {}
         self.degree = ops.identity
@@ -110,7 +110,7 @@ class _WorklistLift:
             elif all(blue) and not all(red):
                 self._fill(m, self.square("blue-first", blue), queue)
             elif all(red) and all(blue):
-                if list(self.square("red-first", red).blue_boundary()) != blue:
+                if list(self.square("red-first", red).blue) != blue:
                     raise Conflict(f"square at {ops.format(m)} is not in the collection")
             else:
                 continue
@@ -125,7 +125,7 @@ class _WorklistLift:
         return sq
 
     def _fill(self, m, square, queue):
-        for (rel, letter), name in square.emap.items():
+        for (rel, letter), name in square_map(self.ops, square).items():
             z = self.ops.mul(m, rel)
             old = self.emap.get((z, letter))
             if old is None:
@@ -293,7 +293,7 @@ def test_duplicated_red_boundary_is_a_conflict():
     x = validate_path(fx.graph, ["b", "r1"])
     # The worklist lift completes the square from its blue-first side.
     s = next(sq for sq in fx.squares if sq.name == "S")
-    assert maps(worklist_lift(coll, x))[1] == s.emap
+    assert maps(worklist_lift(coll, x))[1] == square_map(fx.ops, s)
     # The lift refuses the collection before it reads any square: on b b r1
     # too, whose square r2 b b is missing.
     for names in (["b", "r1"], ["b", "b", "r1"]):

@@ -31,6 +31,7 @@ from .oracles import (
     occurrences,
     restrict,
     restrict_shifted,
+    square_map,
 )
 
 
@@ -70,7 +71,7 @@ def test_lift_equal_for_square_traversals(ctx):
     assert via_red.degree == (1, 2)
     # it is exactly phi1 viewed as a morphism
     phi1 = next(sq for sq in ctx.squares if sq.name == "phi1")
-    assert maps(via_red)[1] == phi1.emap
+    assert maps(via_red)[1] == square_map(BS, phi1)
 
 
 def test_lift_rejects_non_composable(ctx):
@@ -150,12 +151,13 @@ def test_occurrences(ctx, example_lam, phi1, phi2):
     occs28 = occurrences(example_lam)
     # one occurrence per square position of (2,8); brute count gives 6
     assert len(occs28) == len(square_positions(BS, (2, 8))) == 6
-    known = {frozenset(phi1.emap.items()): 0, frozenset(phi2.emap.items()): 0}
+    key1, key2 = (frozenset(square_map(BS, phi).items()) for phi in (phi1, phi2))
+    known = {key1: 0, key2: 0}
     for _, emap in occs28:
         known[frozenset(emap.items())] += 1
     # phi1 fills the bottom band twice, phi2 the top band four times
-    assert known[frozenset(phi1.emap.items())] == 2
-    assert known[frozenset(phi2.emap.items())] == 4
+    assert known[key1] == 2
+    assert known[key2] == 4
 
 
 def test_check_compatible(ctx, example_lam, phi1):
@@ -169,8 +171,8 @@ def test_enumerate_ba(ctx, phi1, phi2):
     found = enumerate_morphisms(ctx, (1, 2))
     assert len(found) == 2
     assert {frozenset(maps(m)[1].items()) for m in found} == {
-        frozenset(phi1.emap.items()),
-        frozenset(phi2.emap.items()),
+        frozenset(square_map(BS, phi1).items()),
+        frozenset(square_map(BS, phi2).items()),
     }
 
 

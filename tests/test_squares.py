@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 import bsgraph.squares as squares
 from bsgraph.cli import run
 from bsgraph.errors import ColourMismatch, JunctionMismatch, NotCovered
-from bsgraph.graphs import build_graph
+from bsgraph.fixtures import load_fixture
+from bsgraph.graphs import build_graph, validate_path
 from bsgraph.squares import (
     BS_SLOTS,
     CompleteCollection,
@@ -18,7 +21,7 @@ from bsgraph.squares import (
     not_covered,
     paths_with_colour_word,
 )
-from bsgraph.words import BS
+from bsgraph.words import BS, GRID
 
 PHI1 = {"eA": "f", "aB": "k", "abB": "k", "eB": "g", "bA": "f"}
 PHI2 = {"eA": "h", "aB": "g", "abB": "g", "eB": "k", "bA": "h"}
@@ -27,16 +30,23 @@ PHI2 = {"eA": "h", "aB": "g", "abB": "g", "eB": "k", "bA": "h"}
 def test_build_phi1_phi2(graph_E):
     sq1 = build_square_slots(graph_E, BS, PHI1, "phi1")
     sq2 = build_square_slots(graph_E, BS, PHI2, "phi2")
-    assert sq1.red_boundary() == ("f", "k", "k")
-    assert sq1.blue_boundary() == ("g", "f")
-    assert sq2.red_boundary() == ("h", "g", "g")
-    assert sq2.blue_boundary() == ("k", "h")
+    assert (sq1.red, sq1.blue) == (("f", "k", "k"), ("g", "f"))
+    assert (sq2.red, sq2.blue) == (("h", "g", "g"), ("k", "h"))
 
 
-def test_square_vertex_images(phi1):
-    # phi1 sends e, b |-> u and everything else along the square to v/u
-    assert phi1.vmap[BS.identity] == "u"
-    assert phi1.vmap[BS.square_degree] == "v"
+def test_square_vertex_images(fixture_dir, graph_E, phi1):
+    """Both boundaries of every shipped square are paths with the mode's
+    colour words, from the square's vertex e to its vertex ab^2 = ba."""
+    for path in sorted(fixture_dir.glob("*.cg")):
+        fx = load_fixture(path)
+        for sq in fx.squares:
+            red, blue = validate_path(fx.graph, sq.red), validate_path(fx.graph, sq.blue)
+            assert red.colours == fx.ops.red_first_word, (path.name, sq.name)
+            assert blue.colours == fx.ops.blue_first_word, (path.name, sq.name)
+            assert (red.range_, red.source) == (blue.range_, blue.source), (path.name, sq.name)
+    # phi1 sends e |-> u and ab^2 |-> v
+    x = validate_path(graph_E, phi1.red)
+    assert (x.range_, x.source) == ("u", "v")
 
 
 def test_colour_mismatch(graph_E):
@@ -108,12 +118,12 @@ def test_check_complete_order_independent(ctx, graph_E):
 
 
 def test_lookup_round_trip(ctx, phi1, phi2):
-    assert ctx.red_to_blue[("f", "k", "k")] == ("g", "f") == phi1.blue_boundary()
-    assert ctx.blue_to_red[("k", "h")] == ("h", "g", "g") == phi2.red_boundary()
+    assert ctx.red_to_blue[("f", "k", "k")] == ("g", "f") == phi1.blue
+    assert ctx.blue_to_red[("k", "h")] == ("h", "g", "g") == phi2.red
     assert len(ctx.red_to_blue) == len(ctx.blue_to_red) == len(ctx.squares)
     for sq in ctx.squares:
-        assert ctx.red_to_blue[sq.red_boundary()] == sq.blue_boundary()
-        assert ctx.blue_to_red[sq.blue_boundary()] == sq.red_boundary()
+        assert ctx.red_to_blue[sq.red] == sq.blue
+        assert ctx.blue_to_red[sq.blue] == sq.red
 
 
 def test_lookup_not_covered(graph_E, phi1):
@@ -130,9 +140,7 @@ def test_lookup_not_covered(graph_E, phi1):
 def test_derived_indices_are_not_constructor_arguments(ctx, phi1, field):
     # Passed in, a prefilled map made a complete collection report its
     # own boundaries as duplicated.
-    value = [phi1.red_boundary()] if field.startswith("duplicate") else {
-        phi1.red_boundary(): phi1.blue_boundary()
-    }
+    value = [phi1.red] if field.startswith("duplicate") else {phi1.red: phi1.blue}
     with pytest.raises(TypeError):
         CompleteCollection(ctx.graph, BS, ctx.squares, **{field: value})
 
@@ -141,6 +149,44 @@ def test_malformed_square_reported(grid_ctx, phi1):
     # a bs-mode square validated against the grid graph cannot type-check
     report = check_complete(grid_ctx.graph, BS, [phi1])
     assert report.malformed and not report.complete
+
+
+def test_square_of_the_other_mode_is_malformed(ctx, grid_ctx):
+    """A square's boundary lengths fix its mode: bs squares are never read
+    as grid ones on their own graph, nor grid squares as bs ones."""
+    report = check_complete(ctx.graph, GRID, ctx.squares)
+    assert report.to_json() == {
+        "status": "incomplete",
+        "squares": 0,
+        "red_first_paths": 2,
+        "blue_first_paths": 2,
+        "uncovered_red_first": ["f k", "h g"],
+        "uncovered_blue_first": ["g f", "k h"],
+        "duplicated_boundaries": [],
+        "malformed_squares": [
+            f"{name}: square {name!r}: boundaries of 3 and 2 edges, "
+            "but a grid square has 2 and 2"
+            for name in ("phi1", "phi2")
+        ],
+    }
+    report = check_complete(grid_ctx.graph, BS, grid_ctx.squares)
+    assert report.square_count == 0 and not report.complete
+    assert report.malformed == [
+        "sigma: square 'sigma': boundaries of 2 and 2 edges, but a bs square has 3 and 2"
+    ]
+
+
+def test_collection_is_frozen_and_hashable(ctx, graph_E, phi1, phi2):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.squares = (phi1,)
+    again = CompleteCollection(graph_E, BS, [phi1, phi2])
+    assert again.squares == ctx.squares == (phi1, phi2)
+    assert again == ctx and hash(again) == hash(ctx)
+    # Squares compare by boundaries, so a renamed copy is equal.
+    renamed = build_square_slots(graph_E, BS, PHI1, "phi1_again")
+    assert renamed == phi1 and hash(renamed) == hash(phi1)
+    assert CompleteCollection(graph_E, BS, (renamed, phi2)) == ctx
+    assert CompleteCollection(graph_E, BS, (phi1,)) != ctx
 
 
 def test_slot_keys_match_square_model():
