@@ -15,7 +15,7 @@ from .category import (
     verify_functor,
 )
 from .errors import BsGraphError
-from .fixtures import FixtureFile, load_fixture, parse_fixture, serialize_fixture
+from .fixtures import load_fixture, parse_fixture, serialize_fixture
 from .graphs import ColouredGraph, Path, build_graph, validate_path, vertex_path
 from .models import ModelGraph, model
 from .morphisms import (

@@ -109,26 +109,30 @@ _NO_PRODUCTS = MappingProxyType({})
 
 
 class CompositionTable:
-    """The pool, interned shortest traversals and their composites, for
-    one run.
+    """The pool of one run, interned shortest traversals and their
+    composites.
 
     Rewriting terminates and is confluent, so a shortest traversal names
     its morphism: ``intern`` gives each one, keyed by (range, edges), an
     int id, and equal morphisms get equal ids.  ``compose`` reads the
     composite of two ids from a table and rewrites only on a miss, once
-    per distinct pair, with the module's ``normal_form``.  Nothing here
-    outlives the run: a collection kept for a later run gets a new table,
-    so it never sees an old pool or old products.
+    per distinct pair, with the module's ``normal_form``.  The constructor
+    checks coverage, then builds the pool of ``max_len``, its shortest
+    ``traversals`` and their ``ids``, by pool index.  Nothing here outlives
+    the run: a later run on the same collection gets a new table.
     """
 
-    def __init__(self, collection: CompleteCollection):
+    def __init__(self, collection: CompleteCollection, max_len: int):
+        collection.require_covered()
         self.collection = collection
-        self._pools: dict = {}  # max_len -> (pool, traversals, ids)
         self.paths: list[Path] = []  # id -> shortest traversal
         self._ids: dict = {}  # (range, edges) -> id
         # id i -> {id j: id of the composite of i and j}; one small dict
         # per left factor holds no key tuples, which keeps the table lean.
         self._products: list = []
+        self.pool = pool_morphisms(collection, max_len)
+        self.traversals = [shortest_traversal(lam) for lam in self.pool]
+        self.ids = [self.intern(x) for x in self.traversals]
 
     def intern(self, x: Path) -> int:
         key = (x.range_, x.edges)
@@ -138,17 +142,6 @@ class CompositionTable:
             self.paths.append(x)
             self._products.append(_NO_PRODUCTS)
         return i
-
-    def pool(self, max_len: int) -> tuple[list, list, list]:
-        """The pool of ``max_len``, its shortest traversals and their ids,
-        by pool index; built once, after the coverage check."""
-        cached = self._pools.get(max_len)
-        if cached is None:
-            self.collection.require_covered()
-            pool = pool_morphisms(self.collection, max_len)
-            paths = [shortest_traversal(lam) for lam in pool]
-            cached = self._pools[max_len] = (pool, paths, [self.intern(x) for x in paths])
-        return cached
 
     def compose(self, i: int, j: int) -> int:
         row = self._products[i]
@@ -198,8 +191,8 @@ def verify_category(
     collection: CompleteCollection, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
     """Range/source, associativity, and identity laws over the bounded pool."""
-    table = table or CompositionTable(collection)
-    _, paths, ids = table.pool(max_len)
+    table = table or CompositionTable(collection, max_len)
+    paths, ids = table.traversals, table.ids
     compose, products, interned = table.compose, table._products, table.paths
     ops = collection.ops
     after = _by_range(paths)
@@ -258,8 +251,8 @@ def verify_functor(
     collection: CompleteCollection, max_len: int, table: CompositionTable | None = None
 ) -> VerificationReport:
     """Degree is multiplicative on composites and trivial on identities."""
-    table = table or CompositionTable(collection)
-    _, paths, ids = table.pool(max_len)
+    table = table or CompositionTable(collection, max_len)
+    paths, ids = table.traversals, table.ids
     compose, interned = table.compose, table.paths
     ops = collection.ops
     degrees = [path_degree(ops, x) for x in paths]
@@ -285,8 +278,8 @@ def verify_factorization(
 ) -> VerificationReport:
     """Factor-then-compose returns the morphism, and each split is the
     unique factor pair of its degrees that enumeration finds."""
-    table = table or CompositionTable(collection)
-    pool, paths, ids = table.pool(max_len)
+    table = table or CompositionTable(collection, max_len)
+    paths, ids = table.traversals, table.ids
     compose, intern, interned = table.compose, table.intern, table.paths
     ops = collection.ops
     enumerated: dict = {}
@@ -304,7 +297,7 @@ def verify_factorization(
     # (pool index, w1, w2, left id, right id) of every split, read off the
     # dense pool morphism, so the split comes from the lift, not rewriting.
     splits = []
-    for n, lam in enumerate(pool):
+    for n, lam in enumerate(table.pool):
         for w1 in ops.prefixes(lam.degree):
             w2 = ops.quotient(w1, lam.degree)
             mu, nu = split_traversals(lam, w1, w2)
@@ -348,7 +341,7 @@ def verify(collection: CompleteCollection, max_len: int, suites=SUITES) -> Verif
         "functor": verify_functor,
         "factorization": verify_factorization,
     }
-    table = CompositionTable(collection)
+    table = CompositionTable(collection, max_len)
     laws = []
     for name in suites:
         laws.extend(run[name](collection, max_len, table).laws)

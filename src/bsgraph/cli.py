@@ -32,8 +32,8 @@ from .morphisms import (
     shortest_traversal,
     split_traversals,
 )
-from .squares import CompleteCollection, check_complete
-from .words import BS, GRID, longest_form, parse_word, printable_pair
+from .squares import check_complete
+from .words import BS, MODES, longest_form, parse_word, printable_pair
 
 _FINDING = (NotCovered, Conflict, NotAPrefix, NotComposable)
 
@@ -42,14 +42,20 @@ def _emit(payload, as_json: bool, text: str):
     print(json.dumps(payload, indent=2) if as_json else text)
 
 
-def _context(path) -> CompleteCollection:
-    fx = load_fixture(path)
-    return CompleteCollection(fx.graph, fx.ops, fx.squares)
+def _count(text: str) -> int:
+    """The argparse type of a count option: an int of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {n}")
+    return n
 
 
 def cmd_check(args) -> int:
-    fx = load_fixture(args.fixture)
-    report = check_complete(fx.graph, fx.ops, fx.squares)
+    ctx = load_fixture(args.fixture)
+    report = check_complete(ctx.graph, ctx.ops, ctx.squares)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     elif report.complete:
@@ -100,7 +106,7 @@ def cmd_word(args) -> int:
 
 
 def cmd_model(args) -> int:
-    ops = GRID if args.mode == "grid" else BS
+    ops = MODES[args.mode]
     m = model(ops, ops.parse(args.word))
     if args.dot:
         sys.stdout.write(dot.model_to_dot(m))
@@ -120,7 +126,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    ctx = _context(args.fixture)
+    ctx = load_fixture(args.fixture)
     path = parse_path(ctx.graph, args.path)
     lam = lift_path(ctx, path)
     if args.oracle:
@@ -150,7 +156,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    ctx = _context(args.fixture)
+    ctx = load_fixture(args.fixture)
     x = parse_path(ctx.graph, args.lhs)
     y = parse_path(ctx.graph, args.rhs)
     if x.source != y.range_:
@@ -169,7 +175,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    ctx = _context(args.fixture)
+    ctx = load_fixture(args.fixture)
     lam = lift_path(ctx, parse_path(ctx.graph, args.path))
     w1 = ctx.ops.parse(args.at)
     w2 = ctx.ops.quotient(w1, lam.degree)
@@ -187,7 +193,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_traversals(args) -> int:
-    ctx = _context(args.fixture)
+    ctx = load_fixture(args.fixture)
     path = parse_path(ctx.graph, args.path)
     lam = lift_path(ctx, path)
     rows = []
@@ -204,12 +210,9 @@ def cmd_traversals(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ctx = _context(args.fixture)
+    ctx = load_fixture(args.fixture)
     w = ctx.ops.parse(args.degree)
-    # The search stops at a non-negative limit; a negative one keeps its
-    # slice semantics (all but the last -limit) and needs the whole search.
-    limit = args.limit if args.limit is None or args.limit >= 0 else None
-    found = enumerate_morphisms(ctx, w, limit=limit)[: args.limit]
+    found = enumerate_morphisms(ctx, w, limit=args.limit)
     if args.json:
         items = ",\n    ".join(m.json_text(2) for m in found)
         listing = f"[\n    {items}\n  ]" if found else "[]"
@@ -227,7 +230,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ctx = _context(args.fixture)
+    ctx = load_fixture(args.fixture)
     wanted = args.laws.split(",")
     unknown = [w for w in wanted if w not in SUITES]
     if unknown:
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model", help="build the template graph of a degree")
     p.add_argument("--word", required=True)
-    p.add_argument("--mode", choices=["bs", "grid"], default="bs")
+    p.add_argument("--mode", choices=MODES, default="bs")
     p.add_argument("--dot", action="store_true")
     add_json(p)
     p.set_defaults(func=cmd_model)
@@ -301,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="brute-force all morphisms of a degree")
     p.add_argument("fixture")
     p.add_argument("--degree", required=True)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_count)
     add_json(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the law-verification suites")
     p.add_argument("fixture")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_count, default=4)
     p.add_argument("--laws", default=",".join(SUITES))
     add_json(p)
     p.set_defaults(func=cmd_verify)

@@ -8,33 +8,22 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored):
     square <name> eA=<edge> aB=<edge> abB=<edge> eB=<edge> bA=<edge>   # bs
     square <name> v1=<edge> e1v2=<edge> v2=<edge> e2v1=<edge>          # grid
 
+A file has at most one mode line (bs if none), each square names each slot
+of its mode once, and the file loads as its ``CompleteCollection``.
 Serialization writes the same grammar back in declaration order, so a
 parse/serialize round trip is the identity modulo comments and spacing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FixtureSyntaxError
-from .graphs import ColouredGraph, build_graph
-from .squares import Square, build_square_slots, slot_table
-from .words import BS, GRID
+from .graphs import build_graph
+from .squares import CompleteCollection, build_square_slots, slot_table
+from .words import BS, MODES
 
 
-@dataclass
-class FixtureFile:
-    mode: str
-    graph: ColouredGraph
-    squares: list[Square]
-
-    @property
-    def ops(self):
-        return BS if self.mode == "bs" else GRID
-
-
-def parse_fixture(text: str) -> FixtureFile:
-    mode = "bs"
+def parse_fixture(text: str) -> CompleteCollection:
+    mode = None
     vertices: list[str] = []
     edges: list[tuple] = []
     square_lines: list[tuple[int, str, dict]] = []
@@ -46,8 +35,10 @@ def parse_fixture(text: str) -> FixtureFile:
         tokens = line.split()
         kind, args = tokens[0], tokens[1:]
         if kind == "mode":
-            if len(args) != 1 or args[0] not in ("bs", "grid"):
+            if len(args) != 1 or args[0] not in MODES:
                 raise FixtureSyntaxError(f"line {lineno}: mode must be bs or grid")
+            if mode is not None:
+                raise FixtureSyntaxError(f"line {lineno}: mode given twice")
             mode = args[0]
         elif kind == "vertex":
             if len(args) != 1:
@@ -69,6 +60,8 @@ def parse_fixture(text: str) -> FixtureFile:
                         f"line {lineno}: square slot {item!r} is not slot=edge"
                     )
                 slot, edge = item.split("=", 1)
+                if slot in slots:
+                    raise FixtureSyntaxError(f"line {lineno}: square slot {slot!r} given twice")
                 slots[slot] = edge
             if args[0] in square_names:
                 raise FixtureSyntaxError(
@@ -82,31 +75,29 @@ def parse_fixture(text: str) -> FixtureFile:
         graph = build_graph(vertices, edges)
     except Exception as exc:
         raise FixtureSyntaxError(str(exc)) from exc
-    ops = BS if mode == "bs" else GRID
+    ops = MODES[mode or "bs"]
     squares = []
     for lineno, name, slots in square_lines:
         try:
             squares.append(build_square_slots(graph, ops, slots, name))
         except Exception as exc:
             raise FixtureSyntaxError(f"line {lineno}: {exc}") from exc
-    return FixtureFile(mode, graph, squares)
+    return CompleteCollection(graph, ops, squares)
 
 
-def load_fixture(path) -> FixtureFile:
+def load_fixture(path) -> CompleteCollection:
     with open(path, encoding="utf-8") as fh:
         return parse_fixture(fh.read())
 
 
-def serialize_fixture(fx: FixtureFile) -> str:
-    lines = [f"mode {fx.mode}"]
-    lines.extend(f"vertex {v}" for v in fx.graph.vertices)
-    lines.extend(
-        f"edge {e.name} {e.colour if fx.mode == 'bs' else ('1' if e.colour == 'a' else '2')}"
-        f" {e.range_} {e.source}"
-        for e in fx.graph.edges
-    )
-    table = slot_table(fx.ops)
-    for sq in fx.squares:
+def serialize_fixture(collection: CompleteCollection) -> str:
+    ops, graph = collection.ops, collection.graph
+    token = {"a": "a", "b": "b"} if ops is BS else {"a": "1", "b": "2"}
+    lines = [f"mode {ops.name}"]
+    lines.extend(f"vertex {v}" for v in graph.vertices)
+    lines.extend(f"edge {e.name} {token[e.colour]} {e.range_} {e.source}" for e in graph.edges)
+    table = slot_table(ops)
+    for sq in collection.squares:
         slots = " ".join(f"{slot}={e}" for slot, e in zip(table, sq.red + sq.blue))
         lines.append(f"square {sq.name} {slots}")
     return "\n".join(lines) + "\n"

@@ -317,19 +317,8 @@ def normal_form(collection: CompleteCollection, x: Path) -> Path:
 
 
 def check_traverses(lam: Morphism, x: Path) -> bool:
-    """True iff degrees match and x reads off lam's edge images in order."""
-    ops = lam.ops
-    if path_degree(ops, x) != lam.degree:
-        return False
-    if not x.edges:
-        return lam.range_ == x.range_
-    rows = {"a": lam.arows, "b": lam.brows}
-    w = ops.identity
-    for name, colour in zip(x.edges, x.colours):
-        if rows[colour][w[0]][w[1]] != name:
-            return False
-        w = ops.step(w, colour)
-    return True
+    """True iff degrees match and x reads off lam's images in order."""
+    return path_degree(lam.ops, x) == lam.degree and _read_traversal(lam, x.colours) == x
 
 
 def _read_traversal(lam: Morphism, letters, start=None) -> Path:

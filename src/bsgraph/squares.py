@@ -46,10 +46,10 @@ def slot_table(ops) -> dict:
     return BS_SLOTS if ops.name == "bs" else GRID_SLOTS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Square:
-    """Validated square: its red-first and blue-first boundaries, as edge
-    names.  Squares compare by boundaries, so a renamed copy is equal.
+    """Validated square: its red-first and blue-first boundaries, frozen to
+    tuples of edge names.  Squares compare by boundaries, so a renamed copy is equal.
 
     ``graph`` is the graph the square was validated against, so a check
     against that same graph need not validate it again.
@@ -59,6 +59,9 @@ class Square:
     red: tuple[str, ...]
     blue: tuple[str, ...]
     graph: ColouredGraph | None = field(default=None, repr=False, compare=False)
+
+    def __init__(self, name: str, red, blue, graph: ColouredGraph | None = None):
+        vars(self).update(name=name, red=tuple(red), blue=tuple(blue), graph=graph)
 
 
 def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:

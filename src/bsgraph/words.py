@@ -228,6 +228,8 @@ class GridMonoid:
 
 BS = BsMonoid()
 GRID = GridMonoid()
+# Mode name -> mode object, for fixture files and the CLI.
+MODES = {ops.name: ops for ops in (BS, GRID)}
 
 
 def parse_word(text: str, ops=BS):

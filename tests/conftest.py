@@ -12,11 +12,6 @@ from bsgraph.squares import CompleteCollection
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def _context(name: str) -> CompleteCollection:
-    fx = load_fixture(FIXTURE_DIR / name)
-    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
-
-
 @pytest.fixture(scope="session")
 def fixture_dir() -> pathlib.Path:
     return FIXTURE_DIR
@@ -29,8 +24,7 @@ def example_fixture():
 
 @pytest.fixture(scope="session")
 def ctx(example_fixture) -> CompleteCollection:
-    fx = example_fixture
-    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    return example_fixture
 
 
 @pytest.fixture(scope="session")
@@ -61,4 +55,4 @@ def incomplete_fixture():
 
 @pytest.fixture(scope="session")
 def grid_ctx() -> CompleteCollection:
-    return _context("grid_single_vertex.cg")
+    return load_fixture(FIXTURE_DIR / "grid_single_vertex.cg")

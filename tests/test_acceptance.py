@@ -189,10 +189,9 @@ def test_criterion_8_negative_paths(capsys, incomplete_fixture):
         out = capsys.readouterr().out
         assert code == 1
         assert "h g g" in out and "k h" in out
-        fx = incomplete_fixture
-        coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+        coll = incomplete_fixture
         with pytest.raises(NotCovered) as exc:
-            lift_path(coll, validate_path(fx.graph, ["g", "g", "f", "h"]))
+            lift_path(coll, validate_path(coll.graph, ["g", "g", "f", "h"]))
         assert exc.value.boundary in (("k", "h"), ("h", "g", "g"))
         code = run(["lift", E_MISSING, "--path", "g g f h"])
         out = capsys.readouterr().out

@@ -32,7 +32,7 @@ from bsgraph.morphisms import (
 from bsgraph.squares import CompleteCollection, check_complete
 from bsgraph.words import BS
 
-from .conftest import FIXTURE_DIR, _context
+from .conftest import FIXTURE_DIR
 from .oracles import compose, maps, restrict, restrict_shifted, square_map
 from .test_lift import DUPLICATED_RED, multi_vertex_paths
 from .test_normal_form import _one_vertex, generated_paths
@@ -201,9 +201,8 @@ def test_fault_fails_every_law_that_composes(ctx, monkeypatch):
 def _table_matches_rewriting(ctx, max_len: int) -> int:
     """Every composable pair of pool traversals: the table's composite is
     the normal form of the concatenation.  Returns the pair count."""
-    table = CompositionTable(ctx)
-    paths = [shortest_traversal(lam) for lam in pool_morphisms(ctx, max_len)]
-    ids = [table.intern(x) for x in paths]
+    table = CompositionTable(ctx, max_len)
+    paths, ids = table.traversals, table.ids
     assert len(set(ids)) == len(ids)
     by_range: dict = {}
     for y, j in zip(paths, ids):
@@ -323,7 +322,11 @@ def _fault_cases() -> dict:
             for max_len in (2, 3):
                 name = f"{suite}-{fault.__name__.strip('_')}-len{max_len}"
                 cases[name] = (
-                    lambda: _context("example_E.cg"), "normal_form", fault, suite, max_len
+                    lambda: load_fixture(FIXTURE_DIR / "example_E.cg"),
+                    "normal_form",
+                    fault,
+                    suite,
+                    max_len,
                 )
     cases["verify-corrupted-split-len2"] = (
         lambda: _one_vertex("bs", [1, 0]),
@@ -409,10 +412,8 @@ FOUR_SQUARES = (
 
 def test_require_covered_names_the_first_duplicated_boundary():
     """The first duplicated red-first boundary in map order is named."""
-    fx = parse_fixture(FOUR_SQUARES)
-    ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
     with pytest.raises(Conflict) as exc:
-        ctx.require_covered()
+        parse_fixture(FOUR_SQUARES).require_covered()
     assert str(exc.value).startswith("the red-first boundary r2 b b belongs to more than one square")
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from bsgraph.cli import run
 from bsgraph.fixtures import load_fixture, parse_fixture, serialize_fixture
+from bsgraph.words import GRID
 
 from .conftest import FIXTURE_DIR
 
@@ -304,6 +305,36 @@ def test_duplicate_square_name_exit_2(tmp_path, capsys):
     assert err == "error: line 12: duplicate square name 'phi1'\n"
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("square phi3 eA=f aB=k abB=k eB=g bA=f eA=h", "square slot 'eA' given twice"),
+        ("mode bs", "mode given twice"),
+    ],
+)
+def test_repeated_slot_or_mode_exit_2(tmp_path, capsys, line, error):
+    """A later value never silently replaces an earlier one."""
+    p = tmp_path / "repeated.cg"
+    p.write_text((FIXTURE_DIR / "example_E.cg").read_text() + line + "\n")
+    code, out, err = invoke(capsys, "check", str(p))
+    assert (code, out, err) == (2, "", f"error: line 12: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", E, "--max-len", "-3"],
+        ["enumerate", E, "--degree", "ba", "--limit", "-1"],
+    ],
+)
+def test_negative_count_is_a_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument {argv[-2]}: must be non-negative, not {argv[-1]}\n")
+    code, _, err = invoke(capsys, *argv[:-1], "x")
+    assert code == 2 and err.endswith(f"error: argument {argv[-2]}: invalid int value: 'x'\n")
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     code, _, err = invoke(capsys, "verify", E, "--laws", "nonsense")
     assert code == 2 and "unknown law suite" in err
@@ -341,6 +372,6 @@ def test_fixture_round_trip():
 
 def test_grid_fixture_round_trip():
     fx = load_fixture(GRID_FX)
-    assert fx.mode == "grid"
+    assert fx.ops is GRID
     text = serialize_fixture(fx)
     assert parse_fixture(text).graph == fx.graph

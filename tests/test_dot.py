@@ -7,8 +7,9 @@ import pytest
 
 from bsgraph.category import pool_morphisms
 from bsgraph.dot import morphism_to_dot
+from bsgraph.fixtures import load_fixture
 
-from .conftest import _context
+from .conftest import FIXTURE_DIR
 from .oracles import maps
 
 COLOUR = {"a": "red", "b": "blue"}
@@ -40,7 +41,7 @@ def reference(lam) -> str:
     "name, size", [("example_E.cg", 28), ("grid_single_vertex.cg", 10), ("blue_cycle.cg", 76)]
 )
 def test_morphism_dot_equals_reference_on_the_pool(name, size):
-    ctx = _context(name)
+    ctx = load_fixture(FIXTURE_DIR / name)
     pool = pool_morphisms(ctx, 3)
     assert len(pool) == size
     # The identities, lifted from vertex paths, have no edges at all.

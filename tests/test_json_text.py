@@ -8,12 +8,11 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgraph.fixtures import parse_fixture
+from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import validate_path, vertex_path
 from bsgraph.morphisms import enumerate_morphisms, lift_path
-from bsgraph.squares import CompleteCollection
 
-from .conftest import _context
+from .conftest import FIXTURE_DIR
 from .oracles import morphism_json
 
 # Names with non-ASCII characters, astral-plane characters, quotes and
@@ -39,17 +38,12 @@ square σ v1=ρ e1v2="β" v2="β" e2v1=ρ
 """
 
 
-def _parsed(text: str) -> CompleteCollection:
-    fx = parse_fixture(text)
-    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
-
-
 # (context, longest path drawn): BS model graphs grow like 2^length.
 CONTEXTS = [
-    (_context("example_E.cg"), 8),
-    (_parsed(ODD_NAMES_BS), 8),
-    (_context("grid_single_vertex.cg"), 14),
-    (_parsed(ODD_NAMES_GRID), 14),
+    (load_fixture(FIXTURE_DIR / "example_E.cg"), 8),
+    (parse_fixture(ODD_NAMES_BS), 8),
+    (load_fixture(FIXTURE_DIR / "grid_single_vertex.cg"), 14),
+    (parse_fixture(ODD_NAMES_GRID), 14),
 ]
 
 
@@ -80,7 +74,7 @@ def test_json_text_equals_json_dumps(lam, level):
 
 
 def test_odd_names_are_escaped():
-    ctx = _parsed(ODD_NAMES_BS)
+    ctx = parse_fixture(ODD_NAMES_BS)
     lam = lift_path(ctx, validate_path(ctx.graph, ["h→𝔥", "γ"]))
     text = lam.json_text()
     assert text == reference(lam, 0)

@@ -205,8 +205,7 @@ def test_lift_matches_worklist_on_long_walks(name, lengths, request):
 def test_lift_on_blue_cycle_matches_worklist_and_enumeration(fixture_dir):
     """blue_cycle.cg has blue edges between its two vertices, so no square's
     blue half is forced by a loop."""
-    fx = load_fixture(fixture_dir / "blue_cycle.cg")
-    ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    ctx = load_fixture(fixture_dir / "blue_cycle.cg")
     paths = [x for x in all_paths(ctx.graph, 5) if x.edges]
     assert len(paths) == 726
     _agree(ctx, paths)
@@ -247,18 +246,17 @@ def multi_vertex_paths(draw):
                     lines.append(f"square s{r} eA={r} aB=b{v} abB=b{v} eB=b{u} bA={s}")
                 else:
                     lines.append(f"square s{r} v1={r} e1v2=b{v} v2=b{u} e2v1={s}")
-    fx = parse_fixture("\n".join(lines) + "\n")
-    ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    ctx = parse_fixture("\n".join(lines) + "\n")
     paths = []
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.sampled_from(vertices))
         names = []
         for _ in range(draw(st.integers(1, 14))):
-            out = [e for e in fx.graph.edges if e.range_ == at]
+            out = [e for e in ctx.graph.edges if e.range_ == at]
             edge = draw(st.sampled_from(out))
             names.append(edge.name)
             at = edge.source
-        paths.append(validate_path(fx.graph, names))
+        paths.append(validate_path(ctx.graph, names))
     return ctx, paths
 
 
@@ -288,17 +286,16 @@ DUPLICATED_RED = (
 def test_duplicated_red_boundary_is_a_conflict():
     # S' comes first, so it owns r1 b b in the maps, while b r1 belongs to
     # S alone.
-    fx = parse_fixture(DUPLICATED_RED)
-    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
-    x = validate_path(fx.graph, ["b", "r1"])
+    coll = parse_fixture(DUPLICATED_RED)
+    x = validate_path(coll.graph, ["b", "r1"])
     # The worklist lift completes the square from its blue-first side.
-    s = next(sq for sq in fx.squares if sq.name == "S")
-    assert maps(worklist_lift(coll, x))[1] == square_map(fx.ops, s)
+    s = next(sq for sq in coll.squares if sq.name == "S")
+    assert maps(worklist_lift(coll, x))[1] == square_map(coll.ops, s)
     # The lift refuses the collection before it reads any square: on b b r1
     # too, whose square r2 b b is missing.
     for names in (["b", "r1"], ["b", "b", "r1"]):
         with pytest.raises(Conflict) as exc:
-            lift_path(coll, validate_path(fx.graph, names))
+            lift_path(coll, validate_path(coll.graph, names))
         assert str(exc.value) == (
             "the red-first boundary r1 b b belongs to more than one square; "
             "the collection cannot be complete for this graph"
@@ -315,8 +312,7 @@ def test_duplicated_red_boundary_is_a_conflict():
     ],
 )
 def test_lift_names_the_missing_boundary(incomplete_fixture, names, message):
-    fx = incomplete_fixture
-    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    coll = incomplete_fixture
     with pytest.raises(NotCovered) as exc:
-        lift_path(coll, validate_path(fx.graph, names))
+        lift_path(coll, validate_path(coll.graph, names))
     assert str(exc.value) == message

@@ -82,10 +82,9 @@ def test_lift_rejects_non_composable(ctx):
 
 
 def test_lift_not_covered_without_phi2(ctx, incomplete_fixture):
-    fx = incomplete_fixture
-    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    coll = incomplete_fixture
     with pytest.raises(NotCovered) as exc:
-        lift_path(coll, validate_path(fx.graph, ["g", "g", "f", "h"]))
+        lift_path(coll, validate_path(coll.graph, ["g", "g", "f", "h"]))
     assert exc.value.boundary in (("k", "h"), ("h", "g", "g"))
 
 
@@ -240,12 +239,11 @@ square phi2 eA=h aB=g abB=g eB=k bA=h
 
 
 def test_enumerate_matches_dict_search(ctx, grid_ctx, incomplete_fixture):
-    missing, branching = incomplete_fixture, parse_fixture(BRANCHING)
     cases = [
         (ctx, (2, 4)),
         (grid_ctx, (3, 3)),
-        (CompleteCollection(missing.graph, BS, tuple(missing.squares)), (2, 4)),
-        (CompleteCollection(branching.graph, BS, tuple(branching.squares)), (2, 2)),
+        (incomplete_fixture, (2, 4)),
+        (parse_fixture(BRANCHING), (2, 2)),
     ]
     for coll, top in cases:
         for w in model(coll.ops, top).vertices:
@@ -277,10 +275,9 @@ def test_unique_lifting_against_oracle(ctx):
 
 def test_conflict_reported_for_incompatible_seed(ctx, incomplete_fixture):
     """With phi2 missing, some path hits a boundary the collection lacks."""
-    fx = incomplete_fixture
-    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    coll = incomplete_fixture
     with pytest.raises((NotCovered, Conflict)):
-        lift_path(coll, validate_path(fx.graph, ["k", "k", "h", "f"]))
+        lift_path(coll, validate_path(coll.graph, ["k", "k", "h", "f"]))
 
 
 def _row_lists(lam) -> list:
@@ -419,8 +416,7 @@ PARALLEL_LOOPS = "mode grid\nvertex x\n" + "".join(
 @pytest.mark.parametrize("name", ["ctx", "grid_ctx", "parallel loops"])
 def test_key_sorts_and_dedups_like_sorted_items(name, request):
     if name == "parallel loops":
-        fx = parse_fixture(PARALLEL_LOOPS)
-        ctx = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+        ctx = parse_fixture(PARALLEL_LOOPS)
     else:
         ctx = request.getfixturevalue(name)
     ops = ctx.ops

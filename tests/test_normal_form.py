@@ -57,8 +57,7 @@ def _one_vertex(mode: str, perm: list[int]) -> CompleteCollection:
             lines.append(f"square s{i} eA=r{i} aB=b abB=b eB=b bA=r{j}")
         else:
             lines.append(f"square s{i} v1=r{i} e1v2=b v2=b e2v1=r{j}")
-    fx = parse_fixture("\n".join(lines) + "\n")
-    return CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    return parse_fixture("\n".join(lines) + "\n")
 
 
 @st.composite
@@ -106,9 +105,8 @@ def test_dense_compose_agrees_with_rewriting(name, request):
 
 
 def test_normal_form_reports_missing_square(incomplete_fixture):
-    fx = incomplete_fixture
-    coll = CompleteCollection(fx.graph, fx.ops, tuple(fx.squares))
+    coll = incomplete_fixture
     with pytest.raises(NotCovered) as exc:
-        normal_form(coll, validate_path(fx.graph, ["h", "g", "g"]))
+        normal_form(coll, validate_path(coll.graph, ["h", "g", "g"]))
     assert exc.value.boundary == ("h", "g", "g")
     assert str(exc.value) == "no square with red-first boundary h g g"

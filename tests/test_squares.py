@@ -189,6 +189,35 @@ def test_collection_is_frozen_and_hashable(ctx, graph_E, phi1, phi2):
     assert CompleteCollection(graph_E, BS, (phi1,)) != ctx
 
 
+def _listed(sq) -> squares.Square:
+    """A copy of sq built from lists, with no graph it was validated on."""
+    return squares.Square(sq.name, list(sq.red), list(sq.blue))
+
+
+def test_square_boundaries_are_frozen_to_tuples(fixture_dir, phi1):
+    listed = squares.Square("x", ["f", "k", "k"], ["g", "f"])
+    assert (listed.red, listed.blue) == (("f", "k", "k"), ("g", "f"))
+    assert listed == phi1 and hash(listed) == hash(phi1)
+    # Validated again, list-built squares get the parsed squares' report.
+    for path in sorted(fixture_dir.glob("*.cg")):
+        coll = load_fixture(path)
+        listed = [_listed(sq) for sq in coll.squares]
+        assert check_complete(coll.graph, coll.ops, listed) == check_complete(
+            coll.graph, coll.ops, coll.squares
+        ), path.name
+
+
+def test_load_fixture_is_its_collection(fixture_dir):
+    """A loaded fixture is the collection of its graph and squares."""
+    for path in sorted(fixture_dir.glob("*.cg")):
+        coll = load_fixture(path)
+        assert isinstance(coll, CompleteCollection), path.name
+        parts = CompleteCollection(coll.graph, coll.ops, [_listed(sq) for sq in coll.squares])
+        assert parts == coll, path.name
+        assert parts.red_to_blue == coll.red_to_blue, path.name
+        assert parts.blue_to_red == coll.blue_to_red, path.name
+
+
 def test_slot_keys_match_square_model():
     from bsgraph.models import model
 
