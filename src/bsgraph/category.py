@@ -14,7 +14,7 @@ pool morphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from types import MappingProxyType
 
@@ -33,12 +33,8 @@ from .squares import CompleteCollection
 SUITES = ("category", "functor", "factorization")
 
 
-@dataclass
-class LawResult:
-    name: str
-    instances: int
-    passed: bool
-    counterexample: str | None = None
+class LawResult(namedtuple("LawResult", "name instances passed counterexample", defaults=(None,))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -49,9 +45,8 @@ class LawResult:
         }
 
 
-@dataclass
-class VerificationReport:
-    laws: list[LawResult]
+class VerificationReport(namedtuple("VerificationReport", "laws")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -6,8 +6,9 @@ A path f1 f2 ... fn is composable when s(f_i) = r(f_{i+1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
+from operator import attrgetter
 
 from .errors import (
     BadColour,
@@ -20,30 +21,62 @@ from .errors import (
 _COLOUR_TOKENS = {"a": "a", "1": "a", "b": "b", "2": "b"}
 
 
-@dataclass(frozen=True)
-class Edge:
-    name: str
-    colour: str  # "a" (red) or "b" (blue)
-    range_: str
-    source: str
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ColouredGraph:
+class Frozen:
+    """Base of the immutable value types.  A subclass keeps its attributes
+    in ``__slots__``, sets them in its constructor with ``object.__setattr__``
+    and names as class arguments the ``fields`` its repr prints and those it
+    compares and hashes by (``compare``, by default the ``fields``), as a
+    frozen dataclass would.  Any other assignment, or deletion, raises
+    ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields, compare=None):
+        cls._fields = fields
+        cls._compared = attrgetter(*(compare or fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared(self) == self._compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._compared(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # not imported on any other path
+
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+# colour is "a" (red) or "b" (blue).
+Edge = namedtuple("Edge", "name colour range_ source")
+
+
+class ColouredGraph(Frozen, fields=("vertices", "edges")):
     """Immutable coloured graph with deterministic declaration order.
 
     The edge-name and vertex indices are built from the fields, so they
     exist however the graph is constructed.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    vertex_set: frozenset = field(init=False, repr=False, compare=False)
-    _by_name: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "edges", "vertex_set", "_by_name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_set", frozenset(self.vertices))
-        object.__setattr__(self, "_by_name", {e.name: e for e in self.edges})
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "vertex_set", frozenset(vertices))
+        _set(self, "_by_name", {e.name: e for e in edges})
 
     def edge(self, name: str) -> Edge:
         try:
@@ -86,14 +119,27 @@ def build_graph(vertices, edges) -> ColouredGraph:
     return ColouredGraph(tuple(vs), tuple(es))
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(Frozen, fields=("edges", "range_", "source", "colours")):
     """Composable edge sequence, or a single vertex (length 0)."""
 
-    edges: tuple[str, ...]
-    range_: str
-    source: str
-    colours: tuple[str, ...]
+    __slots__ = ("edges", "range_", "source", "colours")
+
+    def __init__(self, edges: tuple[str, ...], range_: str, source: str, colours: tuple):
+        _set(self, "edges", edges)
+        _set(self, "range_", range_)
+        _set(self, "source", source)
+        _set(self, "colours", colours)
+
+    # Written out: the base's generic field reads take twice as long.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.edges, self.range_, self.source, self.colours) == (
+                other.edges, other.range_, other.source, other.colours
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.edges, self.range_, self.source, self.colours))
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -8,22 +8,16 @@ themselves rather than renamed ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ResourceLimit
 
 MAX_VERTICES = 10**6
 
 
-@dataclass(frozen=True)
-class ModelGraph:
-    """Prefix graph of a degree.  Edges are (base, letter) pairs with
-    r = base, s = base*letter, colour = letter."""
-
-    ops: object
-    word: tuple
-    vertices: tuple
-    edges: tuple  # of (degree, letter)
+# Prefix graph of a degree.  Edges are (base, letter) pairs with
+# r = base, s = base*letter, colour = letter.
+ModelGraph = namedtuple("ModelGraph", "ops word vertices edges")
 
 
 def too_many_vertices(ops, w, limit: int) -> bool:

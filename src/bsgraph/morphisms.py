@@ -18,14 +18,13 @@ building the dense map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import NotComposable, ResourceLimit
-from .graphs import Path, path_degree
+from .graphs import Frozen, Path, _set, path_degree
 from .models import check_model_size, model, square_positions, too_many_vertices
 from .squares import CompleteCollection, not_covered, slot_table
 
@@ -67,8 +66,7 @@ def _rows_reader(widths):
     return read
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Morphism:
+class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
     """Total colour/structure-preserving assignment on a model graph, kept
     as its rows i = 0..N of prefix pairs (i, j).
 
@@ -79,11 +77,7 @@ class Morphism:
     rows.
     """
 
-    ops: object
-    degree: object
-    vrows: tuple
-    arows: tuple
-    brows: tuple
+    __slots__ = ("ops", "degree", "vrows", "arows", "brows", "_key")
 
     def __init__(self, ops, degree, vrows, arows, brows):
         """The morphism with these rows, each frozen to a tuple; raises
@@ -100,7 +94,11 @@ class Morphism:
             or [len(row) + 1 for row in brows] != widths
         ):
             raise ValueError(f"rows not shaped like the model graph of {ops.format(degree)}")
-        vars(self).update(ops=ops, degree=degree, vrows=vrows, arows=arows, brows=brows)
+        _set(self, "ops", ops)
+        _set(self, "degree", degree)
+        _set(self, "vrows", vrows)
+        _set(self, "arows", arows)
+        _set(self, "brows", brows)
 
     @property
     def range_(self) -> str:
@@ -122,7 +120,7 @@ class Morphism:
                 tuple(chain.from_iterable(self.vrows)),
                 tuple(chain.from_iterable(map(_in_model_order, self.arows, self.brows))),
             )
-            object.__setattr__(self, "_key", cached)
+            _set(self, "_key", cached)
         return cached
 
     def __eq__(self, other):
@@ -202,10 +200,10 @@ def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
     ops = collection.ops
     if to_red:
         pattern, word = ops.blue_first_word, ops.red_first_word
-        table, kind = collection.blue_to_red, "blue-first"
+        table, kind = collection._blue_to_red, "blue-first"
     else:
         pattern, word = ops.red_first_word, ops.blue_first_word
-        table, kind = collection.red_to_blue, "red-first"
+        table, kind = collection._red_to_blue, "red-first"
     width = len(pattern)
     # Everything before the first match is already rewritten.
     start = "".join(colours).find("".join(pattern)) + width - 1
@@ -256,7 +254,7 @@ def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
         at = edge.source
     w = reduce(ops.step, colours, ops.identity)
     check_model_size(ops, w)
-    names, to_red, to_blue = x.edges, collection.blue_to_red, collection.red_to_blue
+    names, to_red, to_blue = x.edges, collection._blue_to_red, collection._red_to_blue
     # Top down; blue is row i's blue edges left of its red edge a.
     arows, brows, blue, start = [], [], [], 0
     for k in [k for k, c in enumerate(colours) if c == "a"]:

@@ -10,11 +10,12 @@ graph are covered exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
+from types import MappingProxyType
 
 from .errors import ColourMismatch, Conflict, JunctionMismatch, NotCovered
-from .graphs import ColouredGraph
+from .graphs import ColouredGraph, Frozen, _set
 from .models import model
 
 
@@ -46,8 +47,7 @@ def slot_table(ops) -> dict:
     return BS_SLOTS if ops.name == "bs" else GRID_SLOTS
 
 
-@dataclass(frozen=True, init=False)
-class Square:
+class Square(Frozen, fields=("name", "red", "blue"), compare=("red", "blue")):
     """Validated square: its red-first and blue-first boundaries, frozen to
     tuples of edge names.  Squares compare by boundaries, so a renamed copy is equal.
 
@@ -55,13 +55,13 @@ class Square:
     against that same graph need not validate it again.
     """
 
-    name: str = field(compare=False)
-    red: tuple[str, ...]
-    blue: tuple[str, ...]
-    graph: ColouredGraph | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("name", "red", "blue", "graph")
 
     def __init__(self, name: str, red, blue, graph: ColouredGraph | None = None):
-        vars(self).update(name=name, red=tuple(red), blue=tuple(blue), graph=graph)
+        _set(self, "name", name)
+        _set(self, "red", tuple(red))
+        _set(self, "blue", tuple(blue))
+        _set(self, "graph", graph)
 
 
 def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
@@ -97,12 +97,10 @@ def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
 def build_square_slots(g: ColouredGraph, ops, slots: dict, name: str = "") -> Square:
     """Build a square from the named fixture slots (eA=..., v1=..., ...)."""
     table = slot_table(ops)
-    unknown = set(slots) - set(table)
-    if unknown:
-        raise JunctionMismatch(f"square {name!r}: unknown slots {sorted(unknown)}")
-    missing = set(table) - set(slots)
-    if missing:
-        raise JunctionMismatch(f"square {name!r}: missing slots {sorted(missing)}")
+    if slots.keys() != table.keys():
+        unknown, missing = sorted(slots.keys() - table.keys()), sorted(table.keys() - slots.keys())
+        which = f"unknown slots {unknown}" if unknown else f"missing slots {missing}"
+        raise JunctionMismatch(f"square {name!r}: {which}")
     return build_square(g, ops, {table[s]: e for s, e in slots.items()}, name)
 
 
@@ -112,46 +110,57 @@ def not_covered(kind: str, boundary):
     raise NotCovered(boundary, f"no square with {kind} boundary {' '.join(boundary)}")
 
 
-@dataclass(frozen=True)
-class CompleteCollection:
+class CompleteCollection(
+    Frozen,
+    fields=("ops", "squares", "duplicate_red", "duplicate_blue"),
+    compare=("graph", "ops", "squares"),
+):
     """A graph and its squares, with both boundary maps built eagerly from
     the squares alone: none of the derived fields is a constructor argument,
     and none takes part in comparison, since they follow from the squares.
 
     red_to_blue and blue_to_red map each boundary tuple straight to the
-    other boundary of the first square that has it, for the lift and
-    rewriting loops; a miss there is ``not_covered``.  Every later list
-    entry with the same boundary, renamed copies included, is recorded in
-    duplicate_red / duplicate_blue, which ``require_unique`` refuses.
+    other boundary of the first square that has it; they are read-only
+    views of the dicts the lift and rewriting loops read, where a miss is
+    ``not_covered``.  Every later list entry with the same boundary,
+    renamed copies included, is recorded in the tuples duplicate_red /
+    duplicate_blue, which ``require_unique`` refuses.
     """
 
-    graph: ColouredGraph = field(repr=False)
-    ops: object
-    squares: tuple
-    duplicate_red: list = field(init=False, compare=False, default_factory=list)
-    duplicate_blue: list = field(init=False, compare=False, default_factory=list)
-    red_to_blue: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    blue_to_red: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    __slots__ = ("graph", "ops", "squares", "duplicate_red", "duplicate_blue",
+                 "red_to_blue", "blue_to_red", "_red_to_blue", "_blue_to_red")
+
+    def __init__(self, graph: ColouredGraph, ops, squares):
+        _set(self, "graph", graph)
+        _set(self, "ops", ops)
+        _set(self, "squares", tuple(squares))
+        self.__post_init__()  # a method of its own: bench/tracer.py times it by this name
 
     def __post_init__(self):
-        object.__setattr__(self, "squares", tuple(self.squares))
+        red_to_blue, blue_to_red, duplicate_red, duplicate_blue = {}, {}, [], []
         for sq in self.squares:
             red, blue = sq.red, sq.blue
-            if red in self.red_to_blue:
-                self.duplicate_red.append(red)
+            if red in red_to_blue:
+                duplicate_red.append(red)
             else:
-                self.red_to_blue[red] = blue
-            if blue in self.blue_to_red:
-                self.duplicate_blue.append(blue)
+                red_to_blue[red] = blue
+            if blue in blue_to_red:
+                duplicate_blue.append(blue)
             else:
-                self.blue_to_red[blue] = red
+                blue_to_red[blue] = red
+        _set(self, "_red_to_blue", red_to_blue)
+        _set(self, "_blue_to_red", blue_to_red)
+        _set(self, "red_to_blue", MappingProxyType(red_to_blue))
+        _set(self, "blue_to_red", MappingProxyType(blue_to_red))
+        _set(self, "duplicate_red", tuple(duplicate_red))
+        _set(self, "duplicate_blue", tuple(duplicate_blue))
 
     def _repeated(self) -> list:
         """Each boundary that belongs to more than one square, once:
         red-first ones first, each kind in map order."""
         red, blue = set(self.duplicate_red), set(self.duplicate_blue)
-        return [b for b in self.red_to_blue if b in red] + [
-            b for b in self.blue_to_red if b in blue
+        return [b for b in self._red_to_blue if b in red] + [
+            b for b in self._blue_to_red if b in blue
         ]
 
     def require_unique(self) -> None:
@@ -171,8 +180,8 @@ class CompleteCollection:
         g, ops = self.graph, self.ops
         red_paths = paths_with_colour_word(g, ops.red_first_word)
         blue_paths = paths_with_colour_word(g, ops.blue_first_word)
-        uncovered_red = [p for p in red_paths if p not in self.red_to_blue]
-        uncovered_blue = [p for p in blue_paths if p not in self.blue_to_red]
+        uncovered_red = [p for p in red_paths if p not in self._red_to_blue]
+        uncovered_blue = [p for p in blue_paths if p not in self._blue_to_red]
         duplicated = self._repeated()
         ok = not (uncovered_red or uncovered_blue or duplicated or malformed)
         return CompletenessReport(
@@ -199,16 +208,11 @@ class CompleteCollection:
         self.require_unique()
 
 
-@dataclass
-class CompletenessReport:
-    status: str  # "complete" | "incomplete"
-    square_count: int
-    red_path_count: int
-    blue_path_count: int
-    uncovered_red: list
-    uncovered_blue: list
-    duplicated: list
-    malformed: list
+class CompletenessReport(namedtuple("CompletenessReport", (
+    "status square_count red_path_count blue_path_count "  # status: "complete" | "incomplete"
+    "uncovered_red uncovered_blue duplicated malformed"
+))):
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
