@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import dot
 from .category import SUITES, verify
@@ -241,7 +242,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``run``."""
     parser = argparse.ArgumentParser(
         prog="bsgraph",
         description="Higher-rank graphs over the positive Baumslag-Solitar "
@@ -249,82 +252,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
     p = sub.add_parser("check", help="validate square-collection completeness")
     p.add_argument("fixture")
-    add_json(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("word", help="degree-monoid arithmetic")
     p.add_argument("word_op", choices=["normalize", "mul", "quotient", "prefix"])
     p.add_argument("w1")
     p.add_argument("w2", nargs="?")
-    add_json(p)
-    p.set_defaults(func=cmd_word)
 
     p = sub.add_parser("model", help="build the template graph of a degree")
     p.add_argument("--word", required=True)
     p.add_argument("--mode", choices=MODES, default="bs")
     p.add_argument("--dot", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("lift", help="lift a path to its unique morphism")
     p.add_argument("fixture")
     p.add_argument("--path", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check against enumeration")
     p.add_argument("--dot", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("compose", help="compose the lifts of two paths")
     p.add_argument("fixture")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("factorize", help="split a lifted morphism at a degree")
     p.add_argument("fixture")
     p.add_argument("--path", required=True)
     p.add_argument("--at", required=True, metavar="W1")
-    add_json(p)
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("traversals", help="shortest/longest traversal of a lift")
     p.add_argument("fixture")
     p.add_argument("--path", required=True)
     p.add_argument("--shortest", action="store_true")
     p.add_argument("--longest", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_traversals)
 
     p = sub.add_parser("enumerate", help="brute-force all morphisms of a degree")
     p.add_argument("fixture")
     p.add_argument("--degree", required=True)
     p.add_argument("--limit", type=_count)
-    add_json(p)
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the law-verification suites")
     p.add_argument("fixture")
     p.add_argument("--max-len", type=_count, default=4)
     p.add_argument("--laws", default=",".join(SUITES))
-    add_json(p)
-    p.set_defaults(func=cmd_verify)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        # Looked up per call, so a rebound command function is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except _FINDING as exc:
         print(f"{type(exc).__name__}: {exc}")
         return 1

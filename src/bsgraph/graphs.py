@@ -30,7 +30,8 @@ class Frozen:
     and names as class arguments the ``fields`` its repr prints and those it
     compares and hashes by (``compare``, by default the ``fields``), as a
     frozen dataclass would.  Any other assignment, or deletion, raises
-    ``dataclasses.FrozenInstanceError``.
+    ``dataclasses.FrozenInstanceError``.  A copy or pickle is rebuilt by the
+    constructor, from the ``fields`` or what a subclass's ``__reduce__`` names.
     """
 
     __slots__ = ()
@@ -57,6 +58,9 @@ class Frozen:
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 # colour is "a" (red) or "b" (blue).

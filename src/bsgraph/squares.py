@@ -63,6 +63,9 @@ class Square(Frozen, fields=("name", "red", "blue"), compare=("red", "blue")):
         _set(self, "blue", tuple(blue))
         _set(self, "graph", graph)
 
+    def __reduce__(self):
+        return Square, (self.name, self.red, self.blue, self.graph)
+
 
 def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
     """Validate edge images keyed by (degree, letter) domain edges.
@@ -135,6 +138,9 @@ class CompleteCollection(
         _set(self, "ops", ops)
         _set(self, "squares", tuple(squares))
         self.__post_init__()  # a method of its own: bench/tracer.py times it by this name
+
+    def __reduce__(self):
+        return CompleteCollection, (self.graph, self.ops, self.squares)
 
     def __post_init__(self):
         red_to_blue, blue_to_red, duplicate_red, duplicate_blue = {}, {}, [], []

@@ -64,6 +64,9 @@ class BsMonoid:
     red_first_word = ("a", "b", "b")
     blue_first_word = ("b", "a")
 
+    def __reduce__(self):
+        return "BS"  # copied and pickled by name, so a copy's mode is still BS
+
     @staticmethod
     def mul(w1, w2):
         return (w1[0] + w2[0], (w1[1] << w2[0]) + w2[1])
@@ -133,23 +136,14 @@ class BsMonoid:
 
         Past MAX_LABEL_LETTERS letters in all, nothing is built.  A label
         has at most (M >> N) + 2N letters, so few sets need the exact count:
-        row i holds (i, j = q 2^i + r) for j <= M >> (N - i), with labels of
-        q + i + popcount(r) letters, and adds at least i letters in all.
+        the label of (i, j) has j >> i letters "b", i letters "a" and one
+        more "b" per set bit of j's low i bits, and "e" has one.
         """
         n, m = zs[-1]
         if len(zs) * ((m >> n) + 2 * n + 1) > MAX_LABEL_LETTERS:
-            total = 1  # "e"
-            for i in range(n + 1):
-                last = m >> (n - i)
-                q = last >> i
-                r = last - (q << i)
-                # The sums of j >> i, of i and of popcount (set bits in 0..r).
-                total += i * (last + 1) + q * (r + 1) + (q * (q - 1 + i) << i >> 1) + sum(
-                    (r + 1 >> b + 1 << b) + max(0, (r + 1) % (2 << b) - (1 << b))
-                    for b in range(r.bit_length())
-                )
-                if total > MAX_LABEL_LETTERS:
-                    raise ResourceLimit(f"vertex labels of more than {MAX_LABEL_LETTERS} letters")
+            total = 1 + sum((j >> i) + i + (j & ((1 << i) - 1)).bit_count() for i, j in zs)
+            if total > MAX_LABEL_LETTERS:
+                raise ResourceLimit(f"vertex labels of more than {MAX_LABEL_LETTERS} letters")
         out = {}
         for n, m in zs:
             if m & 1 or not n:
@@ -172,6 +166,9 @@ class GridMonoid:
     square_degree = (1, 1)
     red_first_word = ("a", "b")
     blue_first_word = ("b", "a")
+
+    def __reduce__(self):
+        return "GRID"
 
     @staticmethod
     def mul(p, q):

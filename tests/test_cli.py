@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import bsgraph
+from bsgraph import cli
 from bsgraph.cli import run
 from bsgraph.fixtures import load_fixture, parse_fixture, serialize_fixture
 from bsgraph.words import GRID
 
 from .conftest import FIXTURE_DIR
+from .test_golden import CASES, GOLDEN, transcript
 
 E = str(FIXTURE_DIR / "example_E.cg")
 E_MISSING = str(FIXTURE_DIR / "example_E_missing_phi2.cg")
@@ -375,3 +382,70 @@ def test_grid_fixture_round_trip():
     assert fx.ops is GRID
     text = serialize_fixture(fx)
     assert parse_fixture(text).graph == fx.graph
+
+
+def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this package, with env added."""
+    package_root = pathlib.Path(bsgraph.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(package_root), **env),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_one_parser_serves_every_run(capsys):
+    for argv in (["word", "mul", "b", "a"], ["check", E], ["frobnicate"], ["--help"]):
+        invoke(capsys, *argv)
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    done = _python("-c", """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+import bsgraph.cli
+print(len(built), bsgraph.cli.build_parser.cache_info().misses)
+""")
+    assert (done.returncode, done.stdout) == (0, "0 0\n"), done.stderr
+
+
+def test_run_calls_the_command_function_bound_at_call_time(monkeypatch, capsys):
+    cli.build_parser()  # built before the rebinding, as in a long-lived process
+    seen = []
+    monkeypatch.setattr(cli, "cmd_lift", lambda args: seen.append(args.path) or 7)
+    assert invoke(capsys, "lift", E, "--path", "g f") == (7, "", "")
+    assert seen == ["g f"]
+
+
+def test_a_run_in_a_shared_process_matches_a_fresh_process(monkeypatch):
+    """Each argv gives the same exit code and bytes after other commands
+    in one process as alone in a fresh ``python -m bsgraph.cli``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["verify", E, "--max-len", "-3"],
+        ["check", E],
+        ["frobnicate"],
+        ["lift", E, "--path", "g g f h", "--json"],
+        ["lift", E],
+        [],
+        ["--help"],
+        ["verify", E, "--max-len", "1"],
+        ["lift", "--help"],
+        ["word", "normalize", "bbaa", "--json"],
+        ["verify", E, "--max-len", "-3"],
+    ]
+    for argv in sequence:
+        fresh = _python("-m", "bsgraph.cli", *argv, COLUMNS="80")
+        assert transcript(argv) == {
+            "exit": fresh.returncode, "stdout": fresh.stdout, "stderr": fresh.stderr
+        }, argv
+
+
+def test_golden_transcripts_hold_in_reverse_order():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for case in sorted(CASES, reverse=True):
+        assert transcript(CASES[case]) == golden[case], case

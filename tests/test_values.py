@@ -3,8 +3,10 @@ frozen, and that importing the package leaves ``dataclasses`` out."""
 
 from __future__ import annotations
 
+import copy
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -12,7 +14,8 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import bsgraph
-from bsgraph.category import LawResult, VerificationReport
+from bsgraph.category import LawResult, VerificationReport, all_paths
+from bsgraph.fixtures import load_fixture
 from bsgraph.graphs import ColouredGraph, Edge, Path, build_graph, validate_path
 from bsgraph.models import ModelGraph, model
 from bsgraph.morphisms import Morphism, identity_morphism, lift_path
@@ -140,6 +143,36 @@ def test_collection_internals_are_read_only(ctx, graph_E):
     # The collection still reads as complete and still lifts.
     assert ctx.report().complete
     lift_path(ctx, validate_path(graph_E, ["g", "g", "f", "h"]))
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle{p}": lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+def test_value_types_copy_and_pickle_through_their_constructors(trip, fixture_dir, graph_E):
+    round_trip = ROUND_TRIPS[trip]
+    values = list(all_paths(graph_E, 3))
+    for path in sorted(fixture_dir.glob("*.cg")):
+        coll = load_fixture(path)
+        values += [coll, coll.graph, *coll.squares]
+        values += [lift_path(coll, x) for x in all_paths(coll.graph, 1) if coll.report().complete]
+        again = round_trip(coll)
+        # A mode is its one instance, and a square remembers the graph it was checked on.
+        assert again.ops is coll.ops
+        assert [sq.graph is again.graph for sq in again.squares] == [
+            sq.graph is coll.graph for sq in coll.squares
+        ]
+        assert [sq.name for sq in again.squares] == [sq.name for sq in coll.squares]
+    assert {type(v) for v in values} == {Path, ColouredGraph, Square, CompleteCollection, Morphism}
+    for value in values:
+        again = round_trip(value)
+        assert type(again) is type(value) and _equal_and_same_hash(again, value), value
+        assert repr(again) == repr(value)
 
 
 def test_importing_the_cli_does_not_import_dataclasses():

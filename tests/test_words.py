@@ -13,6 +13,7 @@ from bsgraph.errors import NotAPrefix, ResourceLimit, WordSyntaxError
 from bsgraph.words import (
     BS,
     GRID,
+    MAX_LABEL_LETTERS,
     MAX_LETTERS,
     MAX_PAIR_BITS,
     longest_form,
@@ -180,8 +181,8 @@ def test_labels_match_format_on_every_prefix(ops, w):
 
 @given(st.tuples(st.integers(0, 8), st.integers(0, 300)))
 def test_labels_are_sized_exactly_before_they_are_built(w):
-    """The letter count the BS label check computes per row is the total
-    length of the labels: a limit of exactly that many letters passes, one
+    """The letter count the BS label check computes is the total length of
+    the labels: a limit of exactly that many letters passes, one
     fewer is refused."""
     zs = BS.prefixes(w)
     total = sum(len(BS.format(z)) for z in zs)
@@ -191,6 +192,15 @@ def test_labels_are_sized_exactly_before_they_are_built(w):
         mp.setattr("bsgraph.words.MAX_LABEL_LETTERS", total - 1)
         with pytest.raises(ResourceLimit):
             BS.labels(zs)
+
+
+def test_labels_are_counted_where_the_cheap_bound_is_close():
+    """(20, 217384) has 434,782 vertices and 11,824,644 label letters, so it
+    is refused under the real limit.  Its labels are at most 41 letters, and
+    a pre-bound of 23 letters a vertex would read 9,999,986 and let it pass."""
+    assert MAX_LABEL_LETTERS == 10**7
+    with pytest.raises(ResourceLimit, match="vertex labels"):
+        BS.labels(BS.prefixes((20, 217384)))
 
 
 @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 12)), max_size=6))
