@@ -8,6 +8,7 @@ Degrees are plain (N, M) int pairs and edge colours are the letters
 """
 
 from .category import (
+    CompositionTable,
     VerificationReport,
     verify,
     verify_category,

@@ -6,7 +6,8 @@ length bound, reporting the first counterexample when a law fails.  Inside
 the sweeps a morphism is its shortest traversal, and composing two of them
 is rewriting their concatenation back to normal form (``normal_form``).
 One ``CompositionTable`` per run owns the pool, names each traversal by an
-int and rewrites each distinct pair once, for all three suites.  The dense
+int (pool morphism n is id n) and rewrites each distinct pair once, and
+each suite is a function of that table.  The dense
 form is built only for the pool and for the enumeration oracle: the
 factorization suite reads each split's two traversals straight off the
 pool morphism.
@@ -18,6 +19,7 @@ from collections import namedtuple
 from itertools import islice
 from types import MappingProxyType
 
+from .errors import Conflict
 from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
 from .morphisms import (
     Morphism,
@@ -112,9 +114,10 @@ class CompositionTable:
     int id, and equal morphisms get equal ids.  ``compose`` reads the
     composite of two ids from a table and rewrites only on a miss, once
     per distinct pair, with the module's ``normal_form``.  The constructor
-    checks coverage, then builds the pool of ``max_len``, its shortest
-    ``traversals`` and their ``ids``, by pool index.  Nothing here outlives
-    the run: a later run on the same collection gets a new table.
+    checks coverage, then builds the pool of ``max_len`` and interns the
+    shortest traversal of pool morphism n as id n, so ``paths[:len(pool)]``
+    are the pool's traversals.  Nothing here outlives the run: a later run
+    on the same collection gets a new table.
     """
 
     def __init__(self, collection: CompleteCollection, max_len: int):
@@ -126,8 +129,10 @@ class CompositionTable:
         # per left factor holds no key tuples, which keeps the table lean.
         self._products: list = []
         self.pool = pool_morphisms(collection, max_len)
-        self.traversals = [shortest_traversal(lam) for lam in self.pool]
-        self.ids = [self.intern(x) for x in self.traversals]
+        for n, lam in enumerate(self.pool):
+            x = shortest_traversal(lam)
+            if self.intern(x) != n:
+                raise Conflict(f"two morphisms of the pool have the shortest traversal {x}")
 
     def intern(self, x: Path) -> int:
         key = (x.range_, x.edges)
@@ -182,22 +187,20 @@ def _law(name: str, instances, counterexample) -> LawResult:
     return LawResult(name, count, True)
 
 
-def verify_category(
-    collection: CompleteCollection, max_len: int, table: CompositionTable | None = None
-) -> VerificationReport:
-    """Range/source, associativity, and identity laws over the bounded pool."""
-    table = table or CompositionTable(collection, max_len)
-    paths, ids = table.traversals, table.ids
-    compose, products, interned = table.compose, table._products, table.paths
+def verify_category(table: CompositionTable) -> VerificationReport:
+    """Range/source, associativity, and identity laws over the table's pool."""
+    collection = table.collection
+    paths, compose, products = table.paths, table.compose, table._products
+    pool_paths = paths[:len(table.pool)]
     ops = collection.ops
-    after = _by_range(paths)
+    after = _by_range(pool_paths)
 
     def range_source(i, j):
-        prod = interned[compose(ids[i], ids[j])]
+        prod = paths[compose(i, j)]
         if prod.range_ != paths[i].range_ or prod.source != paths[j].source:
             return _describe(ops, paths[i], paths[j])
 
-    rs = _law("range/source of composites", _pairs(paths, after), range_source)
+    rs = _law("range/source of composites", _pairs(pool_paths, after), range_source)
 
     # Associativity is most of verify's instances (95% at max-len 5 on
     # example_E.cg), so it reads the table's rows inline and calls
@@ -205,25 +208,23 @@ def verify_category(
     # law composed, the failing one included.
     assoc_instances = 0
     assoc_fail = None
-    for i, j in islice(_pairs(paths, after), rs.instances):
-        lam, mu = ids[i], ids[j]
-        lam_row, mu_row = products[lam], products[mu]
-        left = lam_row.get(mu)
+    for i, j in islice(_pairs(pool_paths, after), rs.instances):
+        i_row, j_row = products[i], products[j]
+        left = i_row.get(j)
         if left is None:
-            left = compose(lam, mu)
+            left = compose(i, j)
         left_row = products[left]
         for k in after.get(paths[j].source, ()):
-            nu = ids[k]
             assoc_instances += 1
-            right = mu_row.get(nu)
+            right = j_row.get(k)
             if right is None:
-                right = compose(mu, nu)
-            outer = left_row.get(nu)
+                right = compose(j, k)
+            outer = left_row.get(k)
             if outer is None:
-                outer = compose(left, nu)
-            inner = lam_row.get(right)
+                outer = compose(left, k)
+            inner = i_row.get(right)
             if inner is None:
-                inner = compose(lam, right)
+                inner = compose(i, right)
             if outer != inner:
                 assoc_fail = _describe(ops, paths[i], paths[j], paths[k])
                 break
@@ -234,27 +235,26 @@ def verify_category(
     g = collection.graph
     unit = {v: table.intern(vertex_path(g, v)) for v in g.vertices}
 
-    def identity_law(lam, x):
-        on_left, on_right = compose(unit[x.range_], lam), compose(lam, unit[x.source])
-        if on_left != lam or on_right != lam:
+    def identity_law(i, x):
+        on_left, on_right = compose(unit[x.range_], i), compose(i, unit[x.source])
+        if on_left != i or on_right != i:
             return _describe(ops, x)
 
-    return VerificationReport([rs, assoc, _law("identity laws", zip(ids, paths), identity_law)])
+    identity = _law("identity laws", enumerate(pool_paths), identity_law)
+    return VerificationReport([rs, assoc, identity])
 
 
-def verify_functor(
-    collection: CompleteCollection, max_len: int, table: CompositionTable | None = None
-) -> VerificationReport:
+def verify_functor(table: CompositionTable) -> VerificationReport:
     """Degree is multiplicative on composites and trivial on identities."""
-    table = table or CompositionTable(collection, max_len)
-    paths, ids = table.traversals, table.ids
-    compose, interned = table.compose, table.paths
+    collection = table.collection
+    paths, compose = table.paths, table.compose
+    pool_paths = paths[:len(table.pool)]
     ops = collection.ops
-    degrees = [path_degree(ops, x) for x in paths]
-    pairs = _pairs(paths, _by_range(paths))
+    degrees = [path_degree(ops, x) for x in pool_paths]
+    pairs = _pairs(pool_paths, _by_range(pool_paths))
 
     def multiplicative(i, j):
-        product = path_degree(ops, interned[compose(ids[i], ids[j])])
+        product = path_degree(ops, paths[compose(i, j)])
         if product != ops.mul(degrees[i], degrees[j]):
             return _describe(ops, paths[i], paths[j])
 
@@ -268,14 +268,11 @@ def verify_functor(
     ])
 
 
-def verify_factorization(
-    collection: CompleteCollection, max_len: int, table: CompositionTable | None = None
-) -> VerificationReport:
+def verify_factorization(table: CompositionTable) -> VerificationReport:
     """Factor-then-compose returns the morphism, and each split is the
     unique factor pair of its degrees that enumeration finds."""
-    table = table or CompositionTable(collection, max_len)
-    paths, ids = table.traversals, table.ids
-    compose, intern, interned = table.compose, table.intern, table.paths
+    collection = table.collection
+    paths, compose, intern = table.paths, table.compose, table.intern
     ops = collection.ops
     enumerated: dict = {}
 
@@ -289,7 +286,7 @@ def verify_factorization(
                 by_range.setdefault(x.range_, []).append(intern(x))
         return enumerated[w]
 
-    # (pool index, w1, w2, left id, right id) of every split, read off the
+    # (pool id, w1, w2, left id, right id) of every split, read off the
     # dense pool morphism, so the split comes from the lift, not rewriting.
     splits = []
     for n, lam in enumerate(table.pool):
@@ -299,7 +296,7 @@ def verify_factorization(
             splits.append((n, w1, w2, intern(mu), intern(nu)))
 
     def round_trip(n, w1, w2, left, right):
-        if compose(left, right) != ids[n]:
+        if compose(left, right) != n:
             return f"{_describe(ops, paths[n])} split at {ops.format(w1)}"
 
     def uniqueness(n, w1, w2, left, right):
@@ -308,8 +305,8 @@ def verify_factorization(
             (mu, nu)
             for group in firsts.values()
             for mu in group
-            for nu in seconds.get(interned[mu].source, ())
-            if compose(mu, nu) == ids[n]
+            for nu in seconds.get(paths[mu].source, ())
+            if compose(mu, nu) == n
         ]
         if len(matches) != 1:
             problem = f"{len(matches)} factor pairs"
@@ -326,18 +323,14 @@ def verify_factorization(
 
 
 def verify(collection: CompleteCollection, max_len: int, suites=SUITES) -> VerificationReport:
-    """The named law suites, run in order and merged into one report.
+    """The named law suites, run in order over one composition table and
+    merged into one report.
 
-    The suites share one composition table, so the pool is built once and
-    a composite one suite has computed is a table read for the next."""
-    # Looked up per call, so a rebound suite function is the one that runs.
-    run = {
-        "category": verify_category,
-        "functor": verify_functor,
-        "factorization": verify_factorization,
-    }
+    The pool is built once, and a composite one suite has computed is a
+    table read for the next."""
     table = CompositionTable(collection, max_len)
     laws = []
     for name in suites:
-        laws.extend(run[name](collection, max_len, table).laws)
+        # Looked up per call, so a rebound suite function is the one that runs.
+        laws.extend(globals()[f"verify_{name}"](table).laws)
     return VerificationReport(laws)

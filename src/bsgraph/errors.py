@@ -55,8 +55,9 @@ class NotCovered(BsGraphError):
 
 
 class Conflict(BsGraphError):
-    """A boundary belongs to more than one square of the collection, so
-    lifts are not unique: a completeness violation."""
+    """Lifts are not unique: a boundary belongs to more than one square of
+    the collection (a completeness violation), or two morphisms of a
+    verify pool share a shortest traversal."""
 
 
 class ResourceLimit(BsGraphError):

@@ -72,12 +72,11 @@ class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
 
     ``vrows[i][j]`` is the ambient vertex of (i, j); ``arows[i][j]`` and
     ``brows[i][j]`` are the ambient edges of ((i, j), 'a') and ((i, j), 'b'),
-    and row N has no red edges.  Rows are tuples, so a morphism and its
-    cached ``key()`` never change.  Morphisms compare by mode, degree and
-    rows.
+    and row N has no red edges.  Rows are tuples, so a morphism never
+    changes.  Morphisms compare by mode, degree and rows.
     """
 
-    __slots__ = ("ops", "degree", "vrows", "arows", "brows", "_key")
+    __slots__ = ("ops", "degree", "vrows", "arows", "brows")
 
     def __init__(self, ops, degree, vrows, arows, brows):
         """The morphism with these rows, each frozen to a tuple; raises
@@ -112,16 +111,12 @@ class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
         """Canonical hashable identity, for memo tables and dedup: mode,
         degree, and all vertex and all edge images in model order, which
         sorts like the sorted items of both maps."""
-        cached = getattr(self, "_key", None)
-        if cached is None:
-            cached = (
-                self.ops.name,
-                self.degree,
-                tuple(chain.from_iterable(self.vrows)),
-                tuple(chain.from_iterable(map(_in_model_order, self.arows, self.brows))),
-            )
-            _set(self, "_key", cached)
-        return cached
+        return (
+            self.ops.name,
+            self.degree,
+            tuple(chain.from_iterable(self.vrows)),
+            tuple(chain.from_iterable(map(_in_model_order, self.arows, self.brows))),
+        )
 
     def __eq__(self, other):
         return self is other or (

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 import bsgraph.category as category
 import bsgraph.models as models
 from bsgraph.category import (
+    SUITES,
     CompositionTable,
     all_paths,
     pool_morphisms,
@@ -120,9 +122,10 @@ def test_pool_is_deduplicated(ctx):
 
 
 def test_verify_suites_pass_small(ctx):
-    assert verify_category(ctx, 2).passed
-    assert verify_functor(ctx, 2).passed
-    assert verify_factorization(ctx, 2).passed
+    table = CompositionTable(ctx, 2)
+    assert verify_category(table).passed
+    assert verify_functor(table).passed
+    assert verify_factorization(table).passed
 
 
 def test_verify_functor_multiplicativity_example(ctx):
@@ -165,7 +168,7 @@ def test_verify_category_reports_counterexample(ctx, monkeypatch):
     """Fault injection: corrupting the sweep's composite must surface a
     counterexample."""
     monkeypatch.setattr(category, "normal_form", _swap_interior_edge(category.normal_form))
-    report = category.verify_category(ctx, 2)
+    report = category.verify(ctx, 2, ("category",))
     assert not report.passed
     failing = [law for law in report.laws if not law.passed]
     assert failing and all(law.counterexample for law in failing)
@@ -174,10 +177,10 @@ def test_verify_category_reports_counterexample(ctx, monkeypatch):
 def test_fault_is_found_after_a_clean_run_on_the_same_context(ctx, monkeypatch):
     """No composite outlives its run: a rewriter corrupted after a clean
     run on the same context is called again, and caught."""
-    assert category.verify_category(ctx, 2).passed
+    assert category.verify(ctx, 2, ("category",)).passed
     assert category.verify(ctx, 2).passed
     monkeypatch.setattr(category, "normal_form", _swap_interior_edge(category.normal_form))
-    assert not category.verify_category(ctx, 2).passed
+    assert not category.verify(ctx, 2, ("category",)).passed
     assert not category.verify(ctx, 2).passed
 
 
@@ -202,13 +205,14 @@ def _table_matches_rewriting(ctx, max_len: int) -> int:
     """Every composable pair of pool traversals: the table's composite is
     the normal form of the concatenation.  Returns the pair count."""
     table = CompositionTable(ctx, max_len)
-    paths, ids = table.traversals, table.ids
-    assert len(set(ids)) == len(ids)
+    paths = table.paths[:len(table.pool)]
+    assert paths == [shortest_traversal(lam) for lam in table.pool]
+    assert [table.intern(x) for x in paths] == list(range(len(paths)))
     by_range: dict = {}
-    for y, j in zip(paths, ids):
+    for j, y in enumerate(paths):
         by_range.setdefault(y.range_, []).append((y, j))
     pairs = 0
-    for x, i in zip(paths, ids):
+    for i, x in enumerate(paths):
         for y, j in by_range.get(x.source, ()):
             z = normal_form(ctx, concat(x, y))
             k = table.compose(i, j)
@@ -235,6 +239,37 @@ def test_table_composites_are_normal_forms_on_one_vertex_collections(drawn):
 def test_table_composites_are_normal_forms_on_multi_vertex_collections(drawn):
     ctx, _ = drawn
     assert _table_matches_rewriting(ctx, 3) > 0
+
+
+def test_pool_morphisms_sharing_a_shortest_traversal_conflict(ctx, monkeypatch):
+    """Pool morphism n is id n, so two pool morphisms given one shortest
+    traversal are refused rather than merged into one id."""
+    g = ctx.graph
+    with monkeypatch.context() as patched:
+        patched.setattr(category, "shortest_traversal", lambda lam: vertex_path(g, lam.range_))
+        with pytest.raises(Conflict) as exc:
+            category.verify(ctx, 2)
+    assert str(exc.value) == "two morphisms of the pool have the shortest traversal u"
+    assert category.verify(ctx, 2).passed
+
+
+@pytest.mark.parametrize(
+    "fixture, max_len", [("example_E", 3), ("grid_single_vertex", 3), ("blue_cycle", 2)]
+)
+@pytest.mark.parametrize("fault", [None, _drop_last_edge])
+def test_suite_subsets_report_their_suites_in_order(fixture, max_len, fault, monkeypatch):
+    """Every ordered non-empty subset of the suites reports the laws of
+    each suite run alone, in the subset's order, clean and under a
+    corrupted rewriter."""
+    ctx = load_fixture(FIXTURE_DIR / f"{fixture}.cg")
+    if fault:
+        monkeypatch.setattr(category, "normal_form", fault(category.normal_form))
+    alone = {name: category.verify(ctx, max_len, (name,)).laws for name in SUITES}
+    subsets = [s for r in range(1, len(SUITES) + 1) for s in permutations(SUITES, r)]
+    assert len(subsets) == 15
+    for subset in subsets:
+        expected = [law for name in subset for law in alone[name]]
+        assert category.verify(ctx, max_len, subset).laws == expected, subset
 
 
 def _splits_match_restriction(ctx, max_len: int) -> int:
@@ -312,27 +347,28 @@ FAULT_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "faults.json
 
 
 def _fault_cases() -> dict:
-    """Case name -> (context, patched name, corruption, suite, max_len):
-    each rewriter fault under ``verify`` and ``verify_category`` at
-    max-len 2 and 3 on example_E.cg, and the corrupted split of
+    """Case name -> (context, patched name, corruption, suites, max_len):
+    each rewriter fault under all suites ("verify") and the category suite
+    alone ("verify_category") at max-len 2 and 3 on example_E.cg, and the
+    corrupted split of
     ``test_corrupted_split_fails_round_trip_and_uniqueness``."""
     cases = {}
     for fault in (_drop_last_edge, _swap_interior_edge):
-        for suite in ("verify", "verify_category"):
+        for case, suites in (("verify", SUITES), ("verify_category", ("category",))):
             for max_len in (2, 3):
-                name = f"{suite}-{fault.__name__.strip('_')}-len{max_len}"
+                name = f"{case}-{fault.__name__.strip('_')}-len{max_len}"
                 cases[name] = (
                     lambda: load_fixture(FIXTURE_DIR / "example_E.cg"),
                     "normal_form",
                     fault,
-                    suite,
+                    suites,
                     max_len,
                 )
     cases["verify-corrupted-split-len2"] = (
         lambda: _one_vertex("bs", [1, 0]),
         "split_traversals",
         _swap_first_red_edge_of_right_factor,
-        "verify",
+        SUITES,
         2,
     )
     return cases
@@ -343,13 +379,13 @@ FAULT_CASES = _fault_cases()
 
 def fault_report(case: str) -> dict:
     """The full JSON report of one fault case, with the fault in place only
-    while its suite runs."""
-    make_ctx, name, fault, suite, max_len = FAULT_CASES[case]
+    while its suites run."""
+    make_ctx, name, fault, suites, max_len = FAULT_CASES[case]
     ctx = make_ctx()
     real = getattr(category, name)
     setattr(category, name, fault(real))
     try:
-        return getattr(category, suite)(ctx, max_len).to_json()
+        return category.verify(ctx, max_len, suites).to_json()
     finally:
         setattr(category, name, real)
 
@@ -467,14 +503,14 @@ def test_require_covered_agrees_with_check_complete(case):
 def test_empty_graph_passes_vacuously():
     from bsgraph.graphs import build_graph
 
-    empty = CompleteCollection(build_graph([], []), BS, ())
-    assert verify_category(empty, 3).passed
-    assert verify_functor(empty, 3).passed
-    assert verify_factorization(empty, 3).passed
+    table = CompositionTable(CompleteCollection(build_graph([], []), BS, ()), 3)
+    assert verify_category(table).passed
+    assert verify_functor(table).passed
+    assert verify_factorization(table).passed
 
 
 def test_report_serialization(ctx):
-    report = verify_functor(ctx, 2)
+    report = verify_functor(CompositionTable(ctx, 2))
     data = report.to_json()
     assert data["passed"] is True
     assert all(set(l) == {"law", "instances", "passed", "counterexample"} for l in data["laws"])
