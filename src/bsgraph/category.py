@@ -205,14 +205,12 @@ def verify_category(table: CompositionTable) -> VerificationReport:
     # Associativity is most of verify's instances (95% at max-len 5 on
     # example_E.cg), so it reads the table's rows inline and calls
     # ``compose`` only on a miss.  It runs over the pairs the range/source
-    # law composed, the failing one included.
+    # law composed, the failing one included, so ``i_row[j]`` is there.
     assoc_instances = 0
     assoc_fail = None
     for i, j in islice(_pairs(pool_paths, after), rs.instances):
         i_row, j_row = products[i], products[j]
-        left = i_row.get(j)
-        if left is None:
-            left = compose(i, j)
+        left = i_row[j]
         left_row = products[left]
         for k in after.get(paths[j].source, ()):
             assoc_instances += 1

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from .errors import FixtureSyntaxError
 from .graphs import build_graph
-from .squares import CompleteCollection, build_square_slots, slot_table
-from .words import BS, MODES
+from .squares import CompleteCollection, build_square_slots
+from .words import MODES
 
 
 def parse_fixture(text: str) -> CompleteCollection:
@@ -92,12 +92,11 @@ def load_fixture(path) -> CompleteCollection:
 
 def serialize_fixture(collection: CompleteCollection) -> str:
     ops, graph = collection.ops, collection.graph
-    token = {"a": "a", "b": "b"} if ops is BS else {"a": "1", "b": "2"}
+    token = ops.colour_tokens
     lines = [f"mode {ops.name}"]
     lines.extend(f"vertex {v}" for v in graph.vertices)
     lines.extend(f"edge {e.name} {token[e.colour]} {e.range_} {e.source}" for e in graph.edges)
-    table = slot_table(ops)
     for sq in collection.squares:
-        slots = " ".join(f"{slot}={e}" for slot, e in zip(table, sq.red + sq.blue))
+        slots = " ".join(f"{slot}={e}" for slot, e in zip(ops.slot_names, sq.red + sq.blue))
         lines.append(f"square {sq.name} {slots}")
     return "\n".join(lines) + "\n"

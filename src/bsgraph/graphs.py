@@ -12,6 +12,7 @@ from operator import attrgetter
 
 from .errors import (
     BadColour,
+    BsGraphError,
     DuplicateId,
     NotComposable,
     UnknownEdge,
@@ -182,6 +183,8 @@ def validate_path(g: ColouredGraph, names) -> Path:
 def parse_path(g: ColouredGraph, text: str) -> Path:
     """Space-separated edge names; a bare vertex name is a length-0 path."""
     tokens = text.split()
+    if not tokens:
+        raise BsGraphError("empty path: give edge names or one vertex name")
     if len(tokens) == 1 and tokens[0] in g.vertex_set:
         return vertex_path(g, tokens[0])
     return validate_path(g, tokens)

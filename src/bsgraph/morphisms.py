@@ -18,7 +18,7 @@ building the dense map.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -26,7 +26,7 @@ from operator import itemgetter
 from .errors import NotComposable, ResourceLimit
 from .graphs import Frozen, Path, _set, path_degree
 from .models import check_model_size, model, square_positions, too_many_vertices
-from .squares import CompleteCollection, not_covered, slot_table
+from .squares import CompleteCollection, boundary_edges, not_covered
 
 
 def _in_model_order(reds, blues) -> list:
@@ -117,17 +117,6 @@ class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
             tuple(chain.from_iterable(self.vrows)),
             tuple(chain.from_iterable(map(_in_model_order, self.arows, self.brows))),
         )
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Morphism)
-            and self.ops.name == other.ops.name
-            and self.degree == other.degree
-            and (self.vrows, self.arows, self.brows) == (other.vrows, other.arows, other.brows)
-        )
-
-    def __hash__(self):
-        return hash(self.key())
 
     def json_text(self, level: int = 0) -> str:
         """The morphism as an ``indent=2`` JSON object, written in one pass.
@@ -267,17 +256,17 @@ def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
         brows.append(blue)
         blue = below[::-1]
     blue += names[start:]
-    # Bottom up.  Row i's square at j reads a(i, j) and the blue edges
-    # below it, b(i+1, 2j), b(i+1, 2j+1) (BS) or b(i+1, j) (grid), and
-    # yields b(i, j) and a(i, j+1).
+    # Bottom up.  Row i's square at j reads a(i, j) and the k blue edges
+    # below it, b(i+1, kj) .. b(i+1, kj+k-1) with k = 2 (BS) or 1 (grid),
+    # and yields b(i, j) and a(i, j+1).
     range_of = {e.name: e.range_ for e in g.edges}.__getitem__
     vrows = [None] * len(arows) + [(*map(range_of, blue), at)]
     brows.append(blue)
-    bs = ops.name == "bs"
+    k = ops.square_degree[1]
     for i in range(len(arows) - 1, -1, -1):
         reds, blues = arows[i], brows[i]
         a, d = reds[-1], len(blues)
-        for tail in zip(blue[2 * d::2], blue[2 * d + 1::2]) if bs else zip(blue[d:]):
+        for tail in zip(*(blue[k * d + t::k] for t in range(k))):
             boundary = (a,) + tail
             b, a = to_blue.get(boundary) or not_covered("red-first", boundary)
             blues.append(b)
@@ -289,10 +278,20 @@ def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
     return Morphism(ops, w, vrows, arows, brows)
 
 
+@cache
+def _rewriting(ops) -> tuple:
+    """(to_red, pattern): rewriting goes toward the boundary that spells
+    the square degree's shortest word, red-first if to_red, and replaces
+    the other one, whose colour word is pattern."""
+    to_red = ops.shortest_letters(ops.square_degree) == ops.red_first_word
+    return to_red, "".join(ops.blue_first_word if to_red else ops.red_first_word)
+
+
 def normal_form(collection: CompleteCollection, x: Path) -> Path:
     """The shortest traversal of the morphism that x traverses.
 
-    Rewrites one square at a time: in BS mode each red-first ``a b b``
+    Rewrites one square at a time toward the boundary that spells the
+    square degree's shortest word: in BS mode each red-first ``a b b``
     edge triple becomes its square's blue-first ``b a`` pair, in grid mode
     each blue-first ``b a`` pair becomes the red-first ``a b`` pair.  The
     rules do not overlap and each shortens the colour word or moves a red
@@ -300,10 +299,9 @@ def normal_form(collection: CompleteCollection, x: Path) -> Path:
     the word with no ``a b b`` factor, resp. ``a^m b^n``.  A missing
     square raises ``NotCovered``.
     """
-    ops = collection.ops
-    to_red = ops.name != "bs"
+    to_red, pattern = _rewriting(collection.ops)
     # Most paths of a sweep are normal already: no factor to rewrite.
-    if "".join(ops.blue_first_word if to_red else ops.red_first_word) not in "".join(x.colours):
+    if pattern not in "".join(x.colours):
         return x
     names, colours = _rewrite(x.edges, x.colours, collection, to_red)
     return Path(tuple(names), x.range_, x.source, tuple(colours))
@@ -397,7 +395,7 @@ def enumerate_morphisms(
     # names (a square has at least four edges, so itemgetter returns a tuple).
     known = {sq.red + sq.blue for sq in collection.squares}
     square_readers = [
-        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in slot_table(ops).values()])
+        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in boundary_edges(ops)])
         for m in square_positions(ops, w)
     ]
     # (name, source) of the ambient edges of each colour, by range vertex.

@@ -16,35 +16,21 @@ from types import MappingProxyType
 
 from .errors import ColourMismatch, Conflict, JunctionMismatch, NotCovered
 from .graphs import ColouredGraph, Frozen, _set
-from .models import model
 
 
 @cache
-def square_edges(ops) -> tuple:
-    """Domain edge keys (base, letter) of the square's model graph."""
-    return model(ops, ops.square_degree).edges
-
-
-# Named slots of the fixture format, mapped to domain edge keys
-# (base, letter).  A bs slot name spells its base word, then its letter.
-# Slots run along the red-first boundary, then the blue-first one.
-BS_SLOTS = {
-    "eA": ((0, 0), "a"),
-    "aB": ((1, 0), "b"),
-    "abB": ((1, 1), "b"),
-    "eB": ((0, 0), "b"),
-    "bA": ((0, 1), "a"),
-}
-GRID_SLOTS = {
-    "v1": ((0, 0), "a"),
-    "e1v2": ((1, 0), "b"),
-    "v2": ((0, 0), "b"),
-    "e2v1": ((0, 1), "a"),
-}
-
-
-def slot_table(ops) -> dict:
-    return BS_SLOTS if ops.name == "bs" else GRID_SLOTS
+def boundary_edges(ops) -> tuple:
+    """Domain edges (base, letter) of the square's model graph in boundary
+    order: the red-first word walked from the identity, then the blue-first
+    one.  A square's edge names, red then blue, and its mode's fixture
+    slots follow this order."""
+    edges = []
+    for word in (ops.red_first_word, ops.blue_first_word):
+        z = ops.identity
+        for letter in word:
+            edges.append((z, letter))
+            z = ops.step(z, letter)
+    return tuple(edges)
 
 
 class Square(Frozen, fields=("name", "red", "blue"), compare=("red", "blue")):
@@ -67,19 +53,16 @@ class Square(Frozen, fields=("name", "red", "blue"), compare=("red", "blue")):
         return Square, (self.name, self.red, self.blue, self.graph)
 
 
-def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
-    """Validate edge images keyed by (degree, letter) domain edges.
+def build_square(g: ColouredGraph, ops, names, name: str = "") -> Square:
+    """Validate a square's edge names, given in ``boundary_edges`` order.
 
     Checks colours and that images meet at common vertices, deriving the
-    vertex images along the way.
+    vertex images along the way.  Edges are checked in model order, so of
+    several faults the first in that order is reported.
     """
-    edges = square_edges(ops)
-    missing = [k for k in edges if k not in images]
-    if missing:
-        raise JunctionMismatch(f"square {name!r}: missing edge images {missing}")
     vertices: dict = {}
-    for z, letter in edges:
-        edge = g.edge(images[(z, letter)])
+    for (z, letter), image in sorted(zip(boundary_edges(ops), names, strict=True)):
+        edge = g.edge(image)
         if edge.colour != letter:
             raise ColourMismatch(
                 f"square {name!r}: slot ({ops.format(z)},{letter}) "
@@ -92,19 +75,18 @@ def build_square(g: ColouredGraph, ops, images: dict, name: str = "") -> Square:
                     f"square {name!r}: vertex {ops.format(vertex_key)} forced "
                     f"to both {old!r} and {value!r}"
                 )
-    names = [images[k] for k in slot_table(ops).values()]
     cut = len(ops.red_first_word)
-    return Square(name, tuple(names[:cut]), tuple(names[cut:]), g)
+    return Square(name, names[:cut], names[cut:], g)
 
 
 def build_square_slots(g: ColouredGraph, ops, slots: dict, name: str = "") -> Square:
     """Build a square from the named fixture slots (eA=..., v1=..., ...)."""
-    table = slot_table(ops)
-    if slots.keys() != table.keys():
-        unknown, missing = sorted(slots.keys() - table.keys()), sorted(table.keys() - slots.keys())
+    table = set(ops.slot_names)
+    if slots.keys() != table:
+        unknown, missing = sorted(slots.keys() - table), sorted(table - slots.keys())
         which = f"unknown slots {unknown}" if unknown else f"missing slots {missing}"
         raise JunctionMismatch(f"square {name!r}: {which}")
-    return build_square(g, ops, {table[s]: e for s, e in slots.items()}, name)
+    return build_square(g, ops, [slots[s] for s in ops.slot_names], name)
 
 
 def not_covered(kind: str, boundary):
@@ -263,7 +245,6 @@ def check_complete(g: ColouredGraph, ops, squares) -> CompletenessReport:
     """
     valid, malformed = [], []
     shape = (len(ops.red_first_word), len(ops.blue_first_word))
-    slots = slot_table(ops).values()
     for sq in squares:
         try:
             if (len(sq.red), len(sq.blue)) != shape:
@@ -272,7 +253,7 @@ def check_complete(g: ColouredGraph, ops, squares) -> CompletenessReport:
                     f"edges, but a {ops.name} square has {shape[0]} and {shape[1]}"
                 )
             if sq.graph is not g:
-                build_square(g, ops, dict(zip(slots, sq.red + sq.blue)), sq.name)
+                build_square(g, ops, sq.red + sq.blue, sq.name)
         except Exception as exc:  # noqa: BLE001 - reported, not raised
             malformed.append(f"{sq.name}: {exc}")
             continue

@@ -54,18 +54,36 @@ def printable_pair(w) -> list:
 _WORD_TOKEN = re.compile(r"([ab])(?:\s*\^?\s*(-?\d+))?")
 
 
-class BsMonoid:
+class _Monoid:
+    """What both degree monoids compute the same way.  A mode declares its
+    square by the two boundary words, whose common degree is
+    ``square_degree``; the rest of a mode is its arithmetic and, for the
+    fixture format, ``slot_names`` and ``colour_tokens``."""
+
+    identity = (0, 0)
+
+    def __reduce__(self):
+        return self.name.upper()  # copied and pickled by name: a copy of BS is BS
+
+    def prefix_count(self, w) -> int:
+        return sum(self.row_widths(w))
+
+    def labels(self, zs) -> dict:
+        """``format`` of every degree in zs."""
+        return {z: self.format(z) for z in zs}
+
+
+class BsMonoid(_Monoid):
     """Operations of the BS(2,1)+ degree monoid on (N, M) pairs."""
 
     name = "bs"
-    identity = (0, 0)
     # Degree of one square: the common value of ab^2 and ba.
     square_degree = (1, 2)
     red_first_word = ("a", "b", "b")
     blue_first_word = ("b", "a")
-
-    def __reduce__(self):
-        return "BS"  # copied and pickled by name, so a copy's mode is still BS
+    # A fixture slot spells the base word of its edge, then the edge's letter.
+    slot_names = ("eA", "aB", "abB", "eB", "bA")
+    colour_tokens = {"a": "a", "b": "b"}
 
     @staticmethod
     def mul(w1, w2):
@@ -94,10 +112,6 @@ class BsMonoid:
         """How many prefixes (i, j) of w each row i = 0..N holds."""
         n, m = w
         return [(m >> (n - i)) + 1 for i in range(n + 1)]
-
-    @staticmethod
-    def prefix_count(w) -> int:
-        return sum(BsMonoid.row_widths(w))
 
     @staticmethod
     def prefixes(w) -> list:
@@ -158,17 +172,15 @@ class BsMonoid:
         return parse_word(text)
 
 
-class GridMonoid:
+class GridMonoid(_Monoid):
     """Operations of the (N^2, +) degree monoid, mirroring BsMonoid."""
 
     name = "grid"
-    identity = (0, 0)
     square_degree = (1, 1)
     red_first_word = ("a", "b")
     blue_first_word = ("b", "a")
-
-    def __reduce__(self):
-        return "GRID"
+    slot_names = ("v1", "e1v2", "v2", "e2v1")
+    colour_tokens = {"a": "1", "b": "2"}
 
     @staticmethod
     def mul(p, q):
@@ -195,10 +207,6 @@ class GridMonoid:
         return [p[1] + 1] * (p[0] + 1)
 
     @staticmethod
-    def prefix_count(p) -> int:
-        return (p[0] + 1) * (p[1] + 1)
-
-    @staticmethod
     def prefixes(p) -> list:
         """Every point below p, in ascending pair order."""
         return [(i, j) for i in range(p[0] + 1) for j in range(p[1] + 1)]
@@ -212,11 +220,6 @@ class GridMonoid:
     @staticmethod
     def format(p) -> str:
         return f"({p[0]},{p[1]})"
-
-    @staticmethod
-    def labels(ps) -> dict:
-        """``format`` of every point in ps."""
-        return {p: f"({p[0]},{p[1]})" for p in ps}
 
     @staticmethod
     def parse(text: str):

@@ -27,7 +27,6 @@ from bsgraph.errors import NotAPrefix, NotComposable
 from bsgraph.graphs import concat
 from bsgraph.models import model, square_positions
 from bsgraph.morphisms import Morphism, lift_path, shortest_traversal
-from bsgraph.squares import square_edges
 
 ALPHABET = "ab"
 
@@ -210,7 +209,7 @@ def occurrences(lam: Morphism) -> list[tuple]:
     """(base position, square edge map) of every translated square inside
     lam's domain; the edge map is keyed relative to the square's domain."""
     ops = lam.ops
-    edges = square_edges(ops)
+    edges = model(ops, ops.square_degree).edges
     _, emap = maps(lam)
     return [
         (m, {(z, l): emap[(ops.mul(m, z), l)] for (z, l) in edges})

@@ -21,6 +21,7 @@ from bsgraph.category import (
     verify_factorization,
     verify_functor,
 )
+from bsgraph.cli import run
 from bsgraph.errors import BsGraphError, Conflict, NotComposable, NotCovered, UnknownVertex
 from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import Path, concat, validate_path, vertex_path
@@ -182,6 +183,21 @@ def test_fault_is_found_after_a_clean_run_on_the_same_context(ctx, monkeypatch):
     monkeypatch.setattr(category, "normal_form", _swap_interior_edge(category.normal_form))
     assert not category.verify(ctx, 2, ("category",)).passed
     assert not category.verify(ctx, 2).passed
+
+
+def test_verify_text_prints_each_counterexample(monkeypatch, capsys):
+    """A failing law's text line is followed by its counterexample."""
+    monkeypatch.setattr(category, "normal_form", _drop_last_edge(category.normal_form))
+    argv = ["verify", str(FIXTURE_DIR / "example_E.cg"), "--max-len", "2", "--laws", "category"]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == (
+        "FAIL  range/source of composites  (20 instances)\n"
+        "      counterexample: degree b from u to u ; degree ba from u to v\n"
+        "FAIL  associativity  (17 instances)\n"
+        "      counterexample: degree e from u to u ; degree bb from u to u ; "
+        "degree bb from u to u\n"
+        "pass  identity laws  (14 instances)\n"
+    )
 
 
 def test_fault_fails_every_law_that_composes(ctx, monkeypatch):

@@ -7,7 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
+import tracemalloc
 
 import pytest
 
@@ -66,6 +66,13 @@ def test_lift_json(capsys):
 def test_lift_oracle_flag(capsys):
     code, _, _ = invoke(capsys, "lift", E, "--path", "g f", "--oracle")
     assert code == 0
+
+
+def test_lift_oracle_mismatch_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "enumerate_morphisms", lambda ctx, w: [])
+    code, out, err = invoke(capsys, "lift", E, "--path", "g g f h", "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "oracle mismatch: enumeration found 0 morphisms traversed by the path\n"
 
 
 def test_lift_not_covered_exit_1(capsys):
@@ -236,6 +243,16 @@ def test_enumeration_finds_two_lifts_across_a_duplicated_boundary(path, keys, ca
     assert traversals.count(path.split()) == 2
 
 
+def test_check_lists_duplicated_boundaries(capsys):
+    code, out, err = invoke(capsys, "check", DUPLICATED)
+    assert (code, err) == (1, "")
+    assert out == (
+        "incomplete\n"
+        "  duplicated boundary path: r1 b b\n"
+        "  duplicated boundary path: b r2\n"
+    )
+
+
 def test_blue_cycle_is_complete_and_passes_verify(capsys):
     code, out, _ = invoke(capsys, "check", BLUE_CYCLE)
     assert code == 0
@@ -244,10 +261,28 @@ def test_blue_cycle_is_complete_and_passes_verify(capsys):
     assert code == 0 and out.count("pass ") == 7
 
 
+# Peak memory a refused command may trace.  A million-vertex model graph,
+# or labels past 10^7 letters, would take far more; the largest peak of
+# these refusals is about 7.2 MiB (the rows of a 60,000-edge lift, before
+# its labels are refused).
+REFUSAL_PEAK = 16 * 2**20
+
+
+def invoke_traced(capsys, *argv):
+    """``invoke``, and the peak of the memory traced during the call."""
+    tracemalloc.start()
+    try:
+        result = invoke(capsys, *argv)
+        return (*result, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+
+
 def test_lift_too_large_exit_2(capsys):
-    start = time.perf_counter()
-    code, _, err = invoke(capsys, "lift", E, "--path", " ".join(["g"] * 30 + ["f h"] * 10))
-    assert time.perf_counter() - start < 1.0
+    code, _, err, peak = invoke_traced(
+        capsys, "lift", E, "--path", " ".join(["g"] * 30 + ["f h"] * 10)
+    )
+    assert peak < REFUSAL_PEAK
     assert code == 2 and err.startswith("resource limit:")
 
 
@@ -267,9 +302,8 @@ def test_huge_degree_is_refused_in_one_short_line(argv, capsys):
     """Degrees whose pair, letter form, model graph or vertex labels are
     too large to build or print stop fast, before anything that size is
     allocated."""
-    start = time.perf_counter()
-    code, out, err = invoke(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
+    code, out, err, peak = invoke_traced(capsys, *argv)
+    assert peak < REFUSAL_PEAK
     assert code == 2 and out == ""
     assert err.startswith("resource limit:") and err.count("\n") == 1 and len(err) < 100
 
@@ -286,11 +320,12 @@ def _ten_red_loops(tmp_path) -> str:
 
 
 def test_enumerate_too_many_search_nodes_exit_2(tmp_path, capsys):
+    """The search stops at its node budget, which the message names, long
+    before the 10^8 assignments it would otherwise try."""
     p = _ten_red_loops(tmp_path)
-    start = time.perf_counter()
     code, _, err = invoke(capsys, "enumerate", p, "--degree", "a2 b8")
-    assert time.perf_counter() - start < 1.0
     assert code == 2 and err.startswith("resource limit:")
+    assert err == "resource limit: enumeration of bbaa passed 1000000 search nodes\n"
 
 
 def test_enumerate_limit_stops_the_search(tmp_path, capsys):
@@ -347,6 +382,44 @@ def test_verify_unknown_suite_exit_2(capsys):
     assert code == 2 and "unknown law suite" in err
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("mode x", "mode must be bs or grid"),
+        ("vertex u w", "vertex takes one name"),
+        ("edge z a u", "edge takes name colour range source"),
+        ("square", "square needs a name"),
+        ("square phi3 eA=f aB", "square slot 'aB' is not slot=edge"),
+        ("frobnicate u", "unknown directive 'frobnicate'"),
+        (
+            "square phi3 eA=f aB=k abB=k eB=g bA=h",
+            "square 'phi3': vertex b forced to both 'u' and 'v'",
+        ),
+    ],
+)
+def test_fixture_syntax_error_names_its_line(tmp_path, capsys, line, error):
+    p = tmp_path / "bad.cg"
+    p.write_text((FIXTURE_DIR / "example_E.cg").read_text() + line + "\n")
+    code, out, err = invoke(capsys, "check", str(p))
+    assert (code, out, err) == (2, "", f"error: line 12: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", E, "--path", ""],
+        ["compose", E, "--lhs", "", "--rhs", "f"],
+        ["compose", E, "--lhs", "f", "--rhs", "  "],
+        ["factorize", E, "--path", "", "--at", "e"],
+        ["traversals", E, "--path", ""],
+    ],
+)
+def test_blank_path_is_an_input_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: empty path: give edge names or one vertex name\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = invoke(capsys, "check", "no_such_file.cg")
     assert code == 2 and err
@@ -382,6 +455,9 @@ def test_grid_fixture_round_trip():
     assert fx.ops is GRID
     text = serialize_fixture(fx)
     assert parse_fixture(text).graph == fx.graph
+    # Grid colours are written with the mode's own tokens, 1 and 2.
+    assert text.splitlines()[2:4] == ["edge rho 1 w w", "edge beta 2 w w"]
+    assert text.splitlines()[-1] == "square sigma v1=rho e1v2=beta v2=beta e2v1=rho"
 
 
 def _python(*args: str, **env: str) -> subprocess.CompletedProcess:

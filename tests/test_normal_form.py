@@ -110,3 +110,18 @@ def test_normal_form_reports_missing_square(incomplete_fixture):
         normal_form(coll, validate_path(coll.graph, ["h", "g", "g"]))
     assert exc.value.boundary == ("h", "g", "g")
     assert str(exc.value) == "no square with red-first boundary h g g"
+
+
+@pytest.mark.parametrize(
+    "name, path, normal", [("ctx", "f k k", "g f"), ("grid_ctx", "beta rho", "rho beta")]
+)
+def test_each_mode_rewrites_toward_the_shortest_square_word(name, path, normal, request):
+    """BS rewrites the red-first a b b to the blue-first b a, the shortest
+    word of ab^2 = ba; grid rewrites the blue-first b a to the red-first
+    a b.  The result is normal already."""
+    ctx = request.getfixturevalue(name)
+    ops = ctx.ops
+    y = normal_form(ctx, validate_path(ctx.graph, path.split()))
+    assert str(y) == normal
+    assert y.colours == ops.shortest_letters(ops.square_degree)
+    assert normal_form(ctx, y) == y

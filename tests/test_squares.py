@@ -14,8 +14,8 @@ from bsgraph.errors import ColourMismatch, JunctionMismatch, NotCovered
 from bsgraph.fixtures import load_fixture
 from bsgraph.graphs import build_graph, validate_path
 from bsgraph.squares import (
-    BS_SLOTS,
     CompleteCollection,
+    boundary_edges,
     build_square_slots,
     check_complete,
     not_covered,
@@ -218,12 +218,32 @@ def test_load_fixture_is_its_collection(fixture_dir):
         assert parts.blue_to_red == coll.blue_to_red, path.name
 
 
+# Named fixture slots and the domain edges (base, letter) they fill: the
+# red-first boundary walked from e, then the blue-first one.
+BS_SLOTS = {
+    "eA": ((0, 0), "a"),
+    "aB": ((1, 0), "b"),
+    "abB": ((1, 1), "b"),
+    "eB": ((0, 0), "b"),
+    "bA": ((0, 1), "a"),
+}
+GRID_SLOTS = {
+    "v1": ((0, 0), "a"),
+    "e1v2": ((1, 0), "b"),
+    "v2": ((0, 0), "b"),
+    "e2v1": ((0, 1), "a"),
+}
+
+
 def test_slot_keys_match_square_model():
+    """Each mode's slots, derived from its boundary words, are the literal
+    tables the fixture format documents, and cover the square's model
+    graph, whose edge list is their model order."""
     from bsgraph.models import model
 
-    domain_edges = set(model(BS, BS.square_degree).edges)
-    assert set(BS_SLOTS.values()) == domain_edges
-    assert BS_SLOTS["eA"] == (BS.identity, "a")
+    for ops, slots in ((BS, BS_SLOTS), (GRID, GRID_SLOTS)):
+        assert dict(zip(ops.slot_names, boundary_edges(ops))) == slots, ops.name
+        assert sorted(boundary_edges(ops)) == list(model(ops, ops.square_degree).edges)
 
 
 def _paths_by_scan(g, colour_word):
