@@ -70,23 +70,16 @@ class VerificationReport(namedtuple("VerificationReport", "laws")):
 
 def all_paths(g: ColouredGraph, max_len: int) -> list[Path]:
     """Every composable path of length <= max_len, vertex paths included."""
-    out = [vertex_path(g, v) for v in g.vertices]
-    frontier = out
+    frontier = [vertex_path(g, v) for v in g.vertices]
+    out = list(frontier)
     for _ in range(max_len):
-        extended = []
-        for p in frontier:
-            for e in g.edges:
-                if e.range_ == p.source:
-                    extended.append(
-                        Path(
-                            p.edges + (e.name,),
-                            p.range_ if p.edges else e.range_,
-                            e.source,
-                            p.colours + (e.colour,),
-                        )
-                    )
-        out.extend(extended)
-        frontier = extended
+        frontier = [
+            Path(p.edges + (e.name,), p.range_, e.source, p.colours + (e.colour,))
+            for p in frontier
+            for e in g.edges
+            if e.range_ == p.source
+        ]
+        out += frontier
     return out
 
 

@@ -14,14 +14,7 @@ from functools import cache
 
 from . import dot
 from .category import SUITES, verify
-from .errors import (
-    BsGraphError,
-    Conflict,
-    NotAPrefix,
-    NotComposable,
-    NotCovered,
-    ResourceLimit,
-)
+from .errors import BsGraphError, Conflict, NotAPrefix, NotComposable, NotCovered, ResourceLimit
 from .fixtures import load_fixture
 from .graphs import concat, parse_path
 from .models import model
@@ -112,11 +105,11 @@ def cmd_model(args) -> int:
     if args.dot:
         sys.stdout.write(dot.model_to_dot(m))
     elif args.json:
-        label = ops.labels(m.vertices)
+        label = ops.label_rows(m.word)
         payload = {
-            "degree": label[m.word],
-            "vertices": [label[z] for z in m.vertices],
-            "edges": [{"prefix": label[z], "letter": l} for z, l in m.edges],
+            "degree": label[-1][-1],
+            "vertices": [s for row in label for s in row],
+            "edges": [{"prefix": label[i][j], "letter": l} for (i, j), l in m.edges],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -131,11 +124,7 @@ def cmd_lift(args) -> int:
     path = parse_path(ctx.graph, args.path)
     lam = lift_path(ctx, path)
     if args.oracle:
-        matches = [
-            m
-            for m in enumerate_morphisms(ctx, lam.degree)
-            if check_traverses(m, path)
-        ]
+        matches = [m for m in enumerate_morphisms(ctx, lam.degree) if check_traverses(m, path)]
         if matches != [lam]:
             print(
                 f"oracle mismatch: enumeration found {len(matches)} morphisms "
@@ -168,10 +157,7 @@ def cmd_compose(args) -> int:
     if args.json:
         print(lam.json_text())
     else:
-        print(
-            f"degree {ctx.ops.format(lam.degree)}: traversal "
-            f"{shortest_traversal(lam)}"
-        )
+        print(f"degree {ctx.ops.format(lam.degree)}: traversal {shortest_traversal(lam)}")
     return 0
 
 
@@ -233,6 +219,13 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     ctx = load_fixture(args.fixture)
     wanted = args.laws.split(",")
+    if "" in wanted:
+        print(
+            f"error: empty law suite name in --laws {args.laws!r}; "
+            f"the suites are {', '.join(SUITES)}",
+            file=sys.stderr,
+        )
+        return 2
     unknown = [w for w in wanted if w not in SUITES]
     if unknown:
         print(f"unknown law suite(s): {', '.join(unknown)}", file=sys.stderr)

@@ -46,9 +46,7 @@ def parse_fixture(text: str) -> CompleteCollection:
             vertices.append(args[0])
         elif kind == "edge":
             if len(args) != 4:
-                raise FixtureSyntaxError(
-                    f"line {lineno}: edge takes name colour range source"
-                )
+                raise FixtureSyntaxError(f"line {lineno}: edge takes name colour range source")
             edges.append(tuple(args))
         elif kind == "square":
             if not args:
@@ -64,9 +62,7 @@ def parse_fixture(text: str) -> CompleteCollection:
                     raise FixtureSyntaxError(f"line {lineno}: square slot {slot!r} given twice")
                 slots[slot] = edge
             if args[0] in square_names:
-                raise FixtureSyntaxError(
-                    f"line {lineno}: duplicate square name {args[0]!r}"
-                )
+                raise FixtureSyntaxError(f"line {lineno}: duplicate square name {args[0]!r}")
             square_names.add(args[0])
             square_lines.append((lineno, args[0], slots))
         else:

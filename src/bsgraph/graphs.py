@@ -10,14 +10,7 @@ from collections import namedtuple
 from functools import reduce
 from operator import attrgetter
 
-from .errors import (
-    BadColour,
-    BsGraphError,
-    DuplicateId,
-    NotComposable,
-    UnknownEdge,
-    UnknownVertex,
-)
+from .errors import BadColour, BsGraphError, DuplicateId, NotComposable, UnknownEdge, UnknownVertex
 
 _COLOUR_TOKENS = {"a": "a", "1": "a", "b": "b", "2": "b"}
 
@@ -172,12 +165,7 @@ def validate_path(g: ColouredGraph, names) -> Path:
                 f"s({names[i]}) = {edges[i].source} != "
                 f"r({names[i + 1]}) = {edges[i + 1].range_}",
             )
-    return Path(
-        names,
-        edges[0].range_,
-        edges[-1].source,
-        tuple(e.colour for e in edges),
-    )
+    return Path(names, edges[0].range_, edges[-1].source, tuple(e.colour for e in edges))
 
 
 def parse_path(g: ColouredGraph, text: str) -> Path:

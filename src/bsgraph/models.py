@@ -35,12 +35,7 @@ def check_model_size(ops, w) -> None:
 def model(ops, w) -> ModelGraph:
     check_model_size(ops, w)
     vertices = tuple(ops.prefixes(w))
-    edges = tuple(
-        (z, l)
-        for z in vertices
-        for l in "ab"
-        if ops.is_prefix(ops.step(z, l), w)
-    )
+    edges = tuple((z, l) for z in vertices for l in "ab" if ops.is_prefix(ops.step(z, l), w))
     return ModelGraph(ops, w, vertices, edges)
 
 

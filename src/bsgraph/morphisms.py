@@ -126,43 +126,41 @@ class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
         Every line after the first is indented by ``level`` more steps of
         two spaces, so the text can sit as a value at that nesting depth of
         an enclosing ``indent=2`` document.  Names go through the same C
-        string encoder ``json.dumps`` uses; prefix labels come from one
-        ``ops.labels`` table.
+        string encoder ``json.dumps`` uses; prefix labels come from
+        ``ops.label_rows``, and each vertex's head is shared by its vertex
+        item and its edge items.
         """
-        ops = self.ops
+        ops, q = self.ops, encode_basestring_ascii
         # Line break plus indentation at depth level, level + 1, ...
         i0 = "\n" + "  " * level
         i1, i2, i3, i4 = (i0 + "  " * k for k in range(1, 5))
-        zs = ops.prefixes(self.degree)
-        label = ops.labels(zs)
-        quoted = {
-            name: encode_basestring_ascii(name)
-            for name in set().union(*self.vrows, *self.arows, *self.brows)
-        }
-        # Each item list is joined as soon as it is complete, so no more than
-        # one list of item strings is alive at a time.
-        vertex_items = f",{i2}".join([
-            f'{{{i3}"prefix": "{label[z]}",{i3}"pair": [{i4}{z[0]},{i4}{z[1]}{i3}],'
-            f'{i3}"vertex": {quoted[v]}{i2}}}'
-            for z, v in zip(zs, chain.from_iterable(self.vrows))
-        ])
-        # The start of each vertex's edge items; each row is a run of zs.
-        heads = [f'{{{i3}"prefix": "{label[z]}",{i3}"letter": "' for z in zs]
-        edge_items, k = [], 0
-        for verts, reds, blues in zip(self.vrows, self.arows, self.brows):
-            row, k = heads[k:k + len(verts)], k + len(verts)
-            edge_items += _in_model_order(
-                [f'{h}a",{i3}"edge": {quoted[e]}{i2}}}' for h, e in zip(row, reds)],
-                [f'{h}b",{i3}"edge": {quoted[e]}{i2}}}' for h, e in zip(row, blues)],
-            )
-        del heads
-        edges = f"[{i2}" + f",{i2}".join(edge_items) + f"{i1}]" if edge_items else "[]"
-        del edge_items
+        label = ops.label_rows(self.degree)
+        # The constant pieces of the items, and the rows of items, each
+        # joined as soon as it is written.
+        comma, end, vertex = "," + i2, i2 + "}", i3 + "]," + i3 + '"vertex": '
+        red, blue = ('"letter": "' + l + '",' + i3 + '"edge": ' for l in "ab")
+        vertex_rows, edge_rows = [], []
+        rows = zip(label, self.vrows, self.arows, self.brows)
+        for i, (labels, verts, reds, blues) in enumerate(rows):
+            heads = [f'{{{i3}"prefix": "{s}",{i3}' for s in labels]
+            pair = f'"pair": [{i4}{i},{i4}'
+            vertex_rows.append(comma.join([
+                f"{h}{pair}{j}{vertex}{q(v)}{end}"
+                for j, h, v in zip(range(len(heads)), heads, verts)
+            ]))
+            if reds or blues:
+                edge_rows.append(comma.join(_in_model_order(
+                    [f"{h}{red}{q(e)}{end}" for h, e in zip(heads, reds)],
+                    [f"{h}{blue}{q(e)}{end}" for h, e in zip(heads, blues)],
+                )))
+        vertices = comma.join(vertex_rows)
+        edges = f"[{i2}{comma.join(edge_rows)}{i1}]" if edge_rows else "[]"
+        del vertex_rows, edge_rows
         n, m = self.degree
         return (
-            f'{{{i1}"mode": "{ops.name}",{i1}"degree": {{{i2}"word": "{label[self.degree]}",'
+            f'{{{i1}"mode": "{ops.name}",{i1}"degree": {{{i2}"word": "{label[-1][-1]}",'
             f'{i2}"pair": [{i3}{n},{i3}{m}{i2}]{i1}}},'
-            f'{i1}"vertices": [{i2}{vertex_items}{i1}],{i1}"edges": {edges}{i0}}}'
+            f'{i1}"vertices": [{i2}{vertices}{i1}],{i1}"edges": {edges}{i0}}}'
         )
 
 
@@ -375,9 +373,7 @@ def enumerate_morphisms(
     """
     ops, g = collection.ops, collection.graph
     if too_many_vertices(ops, w, MAX_ENUMERATION_VERTICES):
-        raise ResourceLimit(
-            f"enumeration domain of more than {MAX_ENUMERATION_VERTICES} vertices"
-        )
+        raise ResourceLimit(f"enumeration domain of more than {MAX_ENUMERATION_VERTICES} vertices")
     domain = model(ops, w)
     vertices, edge_keys = domain.vertices, domain.edges
     if not edge_keys:

@@ -53,6 +53,30 @@ class Square(Frozen, fields=("name", "red", "blue"), compare=("red", "blue")):
         return Square, (self.name, self.red, self.blue, self.graph)
 
 
+@cache
+def _square_plan(ops) -> tuple:
+    """``build_square``'s walk for this mode: per domain edge in model order,
+    its index in ``boundary_edges`` order, letter and slot, then for its
+    range and its source corner a number, a label and whether no earlier
+    edge reaches it; and the number of corners."""
+    edges, corners, plan = boundary_edges(ops), {}, []
+    for k in sorted(range(len(edges)), key=edges.__getitem__):
+        z, letter = edges[k]
+        item = [k, letter, f"({ops.format(z)},{letter})"]
+        for v in (z, ops.step(z, letter)):
+            first = v not in corners
+            item += (corners.setdefault(v, len(corners)), ops.format(v), first)
+        plan.append(tuple(item))
+    return tuple(plan), len(corners)
+
+
+def _forced(name: str, corner: str, old: str, value: str):
+    """Raise the ``JunctionMismatch`` of a corner forced to two vertices."""
+    raise JunctionMismatch(
+        f"square {name!r}: vertex {corner} forced to both {old!r} and {value!r}"
+    )
+
+
 def build_square(g: ColouredGraph, ops, names, name: str = "") -> Square:
     """Validate a square's edge names, given in ``boundary_edges`` order.
 
@@ -60,21 +84,24 @@ def build_square(g: ColouredGraph, ops, names, name: str = "") -> Square:
     vertex images along the way.  Edges are checked in model order, so of
     several faults the first in that order is reported.
     """
-    vertices: dict = {}
-    for (z, letter), image in sorted(zip(boundary_edges(ops), names, strict=True)):
-        edge = g.edge(image)
-        if edge.colour != letter:
+    plan, corner_count = _square_plan(ops)
+    if len(names) != len(plan):
+        dict(zip(plan, names, strict=True))  # raises zip's ValueError
+    images = [None] * corner_count
+    for k, letter, slot, r, r_corner, r_first, s, s_corner, s_first in plan:
+        image, colour, range_, source = g.edge(names[k])
+        if colour != letter:
             raise ColourMismatch(
-                f"square {name!r}: slot ({ops.format(z)},{letter}) "
-                f"needs colour {letter} but {edge.name!r} is {edge.colour}"
+                f"square {name!r}: slot {slot} needs colour {letter} but {image!r} is {colour}"
             )
-        for vertex_key, value in ((z, edge.range_), (ops.step(z, letter), edge.source)):
-            old = vertices.setdefault(vertex_key, value)
-            if old != value:
-                raise JunctionMismatch(
-                    f"square {name!r}: vertex {ops.format(vertex_key)} forced "
-                    f"to both {old!r} and {value!r}"
-                )
+        if r_first:
+            images[r] = range_
+        elif images[r] != range_:
+            _forced(name, r_corner, images[r], range_)
+        if s_first:
+            images[s] = source
+        elif images[s] != source:
+            _forced(name, s_corner, images[s], source)
     cut = len(ops.red_first_word)
     return Square(name, names[:cut], names[cut:], g)
 

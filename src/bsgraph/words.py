@@ -68,10 +68,6 @@ class _Monoid:
     def prefix_count(self, w) -> int:
         return sum(self.row_widths(w))
 
-    def labels(self, zs) -> dict:
-        """``format`` of every degree in zs."""
-        return {z: self.format(z) for z in zs}
-
 
 class BsMonoid(_Monoid):
     """Operations of the BS(2,1)+ degree monoid on (N, M) pairs."""
@@ -139,33 +135,36 @@ class BsMonoid(_Monoid):
         return format_letters(BsMonoid.shortest_letters(w))
 
     @staticmethod
-    def labels(zs) -> dict:
-        """``format`` of every degree in zs, in one pass.
+    def label_rows(w) -> list:
+        """``format`` of every vertex of the model graph of w, as rows:
+        ``label_rows(w)[i][j]`` is ``format((i, j))``.
 
-        zs must be every prefix of the degree zs[-1], ascending (the
-        vertices of its model graph).  Each label extends the label of the
-        predecessor that ``shortest_letters`` peels off, which sorts
-        earlier: (n, m-1) by a "b" when m is odd or n is 0, else
-        (n-1, m/2) by an "a".
+        Row i is built from row i - 1 by the predecessor ``shortest_letters``
+        peels off: (i, j) extends (i, j - 1) by a "b" when j is odd or i is 0,
+        else (i - 1, j/2) by an "a".
 
         Past MAX_LABEL_LETTERS letters in all, nothing is built.  A label
-        has at most (M >> N) + 2N letters, so few sets need the exact count:
-        the label of (i, j) has j >> i letters "b", i letters "a" and one
-        more "b" per set bit of j's low i bits, and "e" has one.
+        has at most (M >> N) + 2N letters, so few degrees need the exact
+        count: the label of (i, j) has j >> i letters "b", i letters "a" and
+        one more "b" per set bit of j's low i bits, and "e" has one.
         """
-        n, m = zs[-1]
-        if len(zs) * ((m >> n) + 2 * n + 1) > MAX_LABEL_LETTERS:
+        n, m = w
+        widths = BsMonoid.row_widths(w)
+        if sum(widths) * ((m >> n) + 2 * n + 1) > MAX_LABEL_LETTERS:
+            zs = BsMonoid.prefixes(w)
             total = 1 + sum((j >> i) + i + (j & ((1 << i) - 1)).bit_count() for i, j in zs)
             if total > MAX_LABEL_LETTERS:
                 raise ResourceLimit(f"vertex labels of more than {MAX_LABEL_LETTERS} letters")
-        out = {}
-        for n, m in zs:
-            if m & 1 or not n:
-                out[n, m] = out[n, m - 1] + "b" if m else ""
-            else:
-                out[n, m] = out[n - 1, m >> 1] + "a"
-        out[0, 0] = "e"
-        return out
+        row = ["b" * j for j in range(widths[0])]
+        rows = [row]
+        for width in widths[1:]:
+            evens = [s + "a" for s in row]
+            row = [None] * width
+            row[::2] = evens
+            row[1::2] = [s + "b" for s in evens[: width // 2]]
+            rows.append(row)
+        rows[0][0] = "e"
+        return rows
 
     @staticmethod
     def parse(text: str):
@@ -220,6 +219,10 @@ class GridMonoid(_Monoid):
     @staticmethod
     def format(p) -> str:
         return f"({p[0]},{p[1]})"
+
+    @staticmethod
+    def label_rows(p) -> list:
+        return [[f"({i},{j})" for j in range(p[1] + 1)] for i in range(p[0] + 1)]
 
     @staticmethod
     def parse(text: str):

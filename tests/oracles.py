@@ -10,7 +10,9 @@ restriction to a prefix and its translated form (the factor pair of a
 split), the squares a morphism's domain holds and the check that the
 collection has each of them, and the JSON object a morphism stands for.
 A square is likewise read back as the dict form of its two boundaries
-(``square_map``), keyed by the domain edges each boundary walks.
+(``square_map``), keyed by the domain edges each boundary walks, and
+``reference_square`` validates one by walking those domain edges sorted,
+deriving every step and label on the way.
 They share the degree arithmetic and model graphs with the library, but
 not its split, which reads one traversal at a time, nor its one-pass JSON
 writer.  ``compose`` lifts the concatenated traversals to the dense
@@ -23,10 +25,11 @@ import itertools
 from collections import deque
 from functools import cache
 
-from bsgraph.errors import NotAPrefix, NotComposable
+from bsgraph.errors import ColourMismatch, JunctionMismatch, NotAPrefix, NotComposable
 from bsgraph.graphs import concat
 from bsgraph.models import model, square_positions
 from bsgraph.morphisms import Morphism, lift_path, shortest_traversal
+from bsgraph.squares import Square, boundary_edges
 
 ALPHABET = "ab"
 
@@ -170,6 +173,30 @@ def square_map(ops, sq) -> dict:
     """The square's edge names keyed by the (base, letter) domain edges of
     the square's model graph: its red-first boundary, then its blue-first."""
     return dict(zip(red_keys(ops) + blue_keys(ops), sq.red + sq.blue))
+
+
+def reference_square(g, ops, names, name: str = "") -> Square:
+    """``squares.build_square`` without its per-mode plan: the names
+    zipped with ``boundary_edges`` and sorted into model order, each
+    edge's colour checked, and its range and source recorded under their
+    prefix pairs, where a pair forced to two vertices is a fault."""
+    vertices: dict = {}
+    for (z, letter), image in sorted(zip(boundary_edges(ops), names, strict=True)):
+        edge = g.edge(image)
+        if edge.colour != letter:
+            raise ColourMismatch(
+                f"square {name!r}: slot ({ops.format(z)},{letter}) "
+                f"needs colour {letter} but {edge.name!r} is {edge.colour}"
+            )
+        for vertex_key, value in ((z, edge.range_), (ops.step(z, letter), edge.source)):
+            old = vertices.setdefault(vertex_key, value)
+            if old != value:
+                raise JunctionMismatch(
+                    f"square {name!r}: vertex {ops.format(vertex_key)} forced "
+                    f"to both {old!r} and {value!r}"
+                )
+    cut = len(ops.red_first_word)
+    return Square(name, names[:cut], names[cut:], g)
 
 
 def restrict(lam: Morphism, w1) -> Morphism:

@@ -382,6 +382,16 @@ def test_verify_unknown_suite_exit_2(capsys):
     assert code == 2 and "unknown law suite" in err
 
 
+@pytest.mark.parametrize("laws", ["", "category,", ",functor", "category,,functor"])
+def test_verify_empty_suite_name_exit_2(capsys, laws):
+    code, out, err = invoke(capsys, "verify", E, "--laws", laws)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: empty law suite name in --laws {laws!r}; "
+        "the suites are category, functor, factorization\n"
+    )
+
+
 @pytest.mark.parametrize(
     "line, error",
     [

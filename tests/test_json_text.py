@@ -16,26 +16,29 @@ from .conftest import FIXTURE_DIR
 from .oracles import morphism_json
 
 # Names with non-ASCII characters, astral-plane characters, quotes and
-# backslashes, which the JSON encoder must escape.
+# backslashes, which the JSON encoder must escape, and with "%", "{" and
+# "}", which a writer built on templates or % formatting would misread.
+# One edge name per mode is 200 characters long.
+LONG_BS, LONG_GRID = "γ%{}" * 50, "ρ{0}%" * 40
 ODD_NAMES_BS = """\
 mode bs
 vertex ν"\\
-vertex v
-edge γ b ν"\\ ν"\\
-edge "k" b v v
-edge f\\ a ν"\\ v
-edge h→𝔥 a v ν"\\
-square φ1 eA=f\\ aB="k" abB="k" eB=γ bA=f\\
-square φ2 eA=h→𝔥 aB=γ abB=γ eB="k" bA=h→𝔥
-"""
+vertex v%d{v}
+edge LONG b ν"\\ ν"\\
+edge "k"{}% b v%d{v} v%d{v}
+edge f\\ a ν"\\ v%d{v}
+edge h→𝔥 a v%d{v} ν"\\
+square φ1 eA=f\\ aB="k"{}% abB="k"{}% eB=LONG bA=f\\
+square φ2 eA=h→𝔥 aB=LONG abB=LONG eB="k"{}% bA=h→𝔥
+""".replace("LONG", LONG_BS)
 
 ODD_NAMES_GRID = """\
 mode grid
-vertex ω\\"
-edge ρ 1 ω\\" ω\\"
-edge "β" 2 ω\\" ω\\"
-square σ v1=ρ e1v2="β" v2="β" e2v1=ρ
-"""
+vertex ω\\"%s{}
+edge LONG 1 ω\\"%s{} ω\\"%s{}
+edge "β"{0} 2 ω\\"%s{} ω\\"%s{}
+square σ v1=LONG e1v2="β"{0} v2="β"{0} e2v1=LONG
+""".replace("LONG", LONG_GRID)
 
 
 # (context, longest path drawn): BS model graphs grow like 2^length.
@@ -75,11 +78,22 @@ def test_json_text_equals_json_dumps(lam, level):
 
 def test_odd_names_are_escaped():
     ctx = parse_fixture(ODD_NAMES_BS)
-    lam = lift_path(ctx, validate_path(ctx.graph, ["h→𝔥", "γ"]))
+    lam = lift_path(ctx, validate_path(ctx.graph, ["h→𝔥", LONG_BS, LONG_BS]))
     text = lam.json_text()
     assert text == reference(lam, 0)
     assert text.isascii() and '"vertex": "\\u03bd\\"\\\\"' in text
     assert '"edge": "h\\u2192\\ud835\\udd25"' in text
+    assert '"vertex": "v%d{v}"' in text and '"edge": "\\"k\\"{}%"' in text
+    assert '"edge": "' + LONG_BS.replace("γ", "\\u03b3") + '"' in text
+    assert json.loads(text) == morphism_json(lam)
+
+
+def test_odd_grid_names_are_escaped():
+    ctx = parse_fixture(ODD_NAMES_GRID)
+    lam = lift_path(ctx, validate_path(ctx.graph, [LONG_GRID, '"β"{0}', LONG_GRID]))
+    text = lam.json_text(1)
+    assert text == reference(lam, 1)
+    assert '"vertex": "\\u03c9\\\\\\"%s{}"' in text and '"edge": "\\"\\u03b2\\"{0}"' in text
     assert json.loads(text) == morphism_json(lam)
 
 

@@ -10,18 +10,22 @@ from hypothesis import strategies as st
 
 import bsgraph.squares as squares
 from bsgraph.cli import run
-from bsgraph.errors import ColourMismatch, JunctionMismatch, NotCovered
+from bsgraph.errors import ColourMismatch, JunctionMismatch, NotCovered, UnknownEdge
 from bsgraph.fixtures import load_fixture
 from bsgraph.graphs import build_graph, validate_path
 from bsgraph.squares import (
     CompleteCollection,
     boundary_edges,
+    build_square,
     build_square_slots,
     check_complete,
     not_covered,
     paths_with_colour_word,
 )
 from bsgraph.words import BS, GRID
+
+from .conftest import FIXTURE_DIR
+from .oracles import reference_square
 
 PHI1 = {"eA": "f", "aB": "k", "abB": "k", "eB": "g", "bA": "f"}
 PHI2 = {"eA": "h", "aB": "g", "abB": "g", "eB": "k", "bA": "h"}
@@ -306,3 +310,39 @@ def test_check_validates_each_parsed_square_once(monkeypatch, fixture_dir):
     monkeypatch.setattr(squares, "build_square", counted)
     assert run(["check", str(fixture_dir / "example_E.cg")]) == 0
     assert calls == ["phi1", "phi2"]
+
+
+def _outcome(validate, *args):
+    """What a validator makes of a square: the fields of the ``Square`` it
+    returns, or the type and message of what it raises."""
+    try:
+        sq = validate(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+    return sq, sq.name, sq.red, sq.blue, sq.graph
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURE_DIR.glob("*.cg")))
+def test_build_square_agrees_with_the_reference(fixture):
+    """Every square of every shipped fixture, read in both modes (its
+    first names, repeated as needed, fill the mode's slots), with each
+    slot set to every edge of the graph and to an unknown name, and with
+    one name too few or too many: the planned validator returns the same
+    square, or raises the same exception with the same message, as the
+    reference walk, whichever fault comes first in model order."""
+    ctx = load_fixture(FIXTURE_DIR / fixture)
+    g = ctx.graph
+    images = [e.name for e in g.edges] + ["no such edge"]
+    seen = set()
+    for ops in (BS, GRID):
+        slots = len(ops.slot_names)
+        for sq in ctx.squares:
+            base = list((sq.red + sq.blue) * 2)[:slots]
+            cases = [base[:-1], base + base[:1]]
+            for k in range(slots):
+                cases += [base[:k] + [image] + base[k + 1:] for image in images]
+            for names in cases:
+                got = _outcome(build_square, g, ops, names, sq.name)
+                assert got == _outcome(reference_square, g, ops, names, sq.name), names
+                seen.add(got[0] if isinstance(got[0], type) else "square")
+    assert {"square", ValueError, ColourMismatch, UnknownEdge}.issubset(seen)

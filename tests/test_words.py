@@ -175,8 +175,10 @@ def test_is_prefix_agrees_with_membership(w1, w):
 
 @given(st.sampled_from([BS, GRID]), st.tuples(st.integers(0, 8), st.integers(0, 300)))
 def test_labels_match_format_on_every_prefix(ops, w):
-    zs = ops.prefixes(w)
-    assert ops.labels(zs) == {z: ops.format(z) for z in zs}
+    rows = ops.label_rows(w)
+    assert [len(row) for row in rows] == ops.row_widths(w)
+    for i, j in ops.prefixes(w):
+        assert rows[i][j] == ops.format((i, j))
 
 
 @given(st.tuples(st.integers(0, 8), st.integers(0, 300)))
@@ -184,14 +186,13 @@ def test_labels_are_sized_exactly_before_they_are_built(w):
     """The letter count the BS label check computes is the total length of
     the labels: a limit of exactly that many letters passes, one
     fewer is refused."""
-    zs = BS.prefixes(w)
-    total = sum(len(BS.format(z)) for z in zs)
+    total = sum(len(BS.format(z)) for z in BS.prefixes(w))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("bsgraph.words.MAX_LABEL_LETTERS", total)
-        assert len(BS.labels(zs)) == len(zs)
+        assert sum(map(len, BS.label_rows(w))) == BS.prefix_count(w)
         mp.setattr("bsgraph.words.MAX_LABEL_LETTERS", total - 1)
         with pytest.raises(ResourceLimit):
-            BS.labels(zs)
+            BS.label_rows(w)
 
 
 def test_labels_are_counted_where_the_cheap_bound_is_close():
@@ -200,7 +201,7 @@ def test_labels_are_counted_where_the_cheap_bound_is_close():
     a pre-bound of 23 letters a vertex would read 9,999,986 and let it pass."""
     assert MAX_LABEL_LETTERS == 10**7
     with pytest.raises(ResourceLimit, match="vertex labels"):
-        BS.labels(BS.prefixes((20, 217384)))
+        BS.label_rows((20, 217384))
 
 
 @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 12)), max_size=6))
