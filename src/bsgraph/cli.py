@@ -124,7 +124,8 @@ def cmd_lift(args) -> int:
     path = parse_path(ctx.graph, args.path)
     lam = lift_path(ctx, path)
     if args.oracle:
-        matches = [m for m in enumerate_morphisms(ctx, lam.degree) if check_traverses(m, path)]
+        found = enumerate_morphisms(ctx, lam.degree, through=path)
+        matches = [m for m in found if check_traverses(m, path)]
         if matches != [lam]:
             print(
                 f"oracle mismatch: enumeration found {len(matches)} morphisms "

@@ -342,11 +342,13 @@ def split_traversals(lam: Morphism, w1, w2) -> tuple[Path, Path]:
     return _read_traversal(lam, shortest(w1)), _read_traversal(lam, shortest(w2), w1)
 
 
-# Search nodes (partial assignments, complete ones included) one
-# enumeration may visit.  Its cost grows exponentially with the domain's
-# edges, which the vertex guard does not bound.  The largest count the
-# test suite, ``verify --max-len 6`` on example_E.cg and the benchmark
-# reach is 590,236 (degree a^3 b^8 over three red loops).
+# Search nodes (partial assignments whose closed squares are all in the
+# collection, complete ones included) one enumeration may visit.  Its cost
+# grows exponentially with the domain's edges, which the vertex guard does
+# not bound.  The largest count the test suite, ``verify --max-len 6`` on
+# example_E.cg and the benchmark reach is 36,186 (degree bbaaa on
+# blue_cycle.cg); ``verify --max-len 6`` alone reaches 200, and the
+# benchmark 44 on seed 1.
 MAX_SEARCH_NODES = 10**6
 # Vertices of the model graph one enumeration may search over.
 MAX_ENUMERATION_VERTICES = 10**4
@@ -357,15 +359,21 @@ class _LimitReached(Exception):
 
 
 def enumerate_morphisms(
-    collection: CompleteCollection, w, limit: int | None = None
+    collection: CompleteCollection, w, limit: int | None = None, through: Path | None = None
 ) -> list[Morphism]:
-    """Brute-force oracle: every total colour/structure-preserving
-    assignment on the model graph of w, filtered to compatible ones.
+    """Brute-force oracle: every compatible morphism of degree w, found by
+    backtracking over colour/structure-preserving assignments on its model
+    graph.
 
     Backtracks over domain edges in declaration order, trying ambient
-    edges in declaration order; output order is deterministic.  Squares
-    are checked only on total assignments, so the search itself knows
-    nothing of the collection.  Exponential by design; guarded by
+    edges in declaration order; output order is deterministic.  Each
+    square occurrence is checked against ``collection.squares`` at the
+    level where its last edge is assigned, so only branches without a
+    result are cut; the search never reads the collection's boundary maps
+    or the lift.  With a path ``through`` of the collection's graph it
+    returns only the morphisms that path traverses, in the same order:
+    the identity goes to its range and the domain edges along its colours
+    to its own edges.  Exponential by design; guarded by
     MAX_ENUMERATION_VERTICES before the search and by MAX_SEARCH_NODES
     during it.  With a non-negative ``limit`` the search stops once it has
     found that many morphisms, and returns the first ``limit`` of the full
@@ -374,10 +382,13 @@ def enumerate_morphisms(
     ops, g = collection.ops, collection.graph
     if too_many_vertices(ops, w, MAX_ENUMERATION_VERTICES):
         raise ResourceLimit(f"enumeration domain of more than {MAX_ENUMERATION_VERTICES} vertices")
+    if through is not None and path_degree(ops, through) != w:
+        return []
+    starts = g.vertices if through is None else [through.range_]
     domain = model(ops, w)
     vertices, edge_keys = domain.vertices, domain.edges
     if not edge_keys:
-        return [identity_morphism(ops, v) for v in g.vertices][:limit]
+        return [identity_morphism(ops, v) for v in starts][:limit]
     if limit == 0:
         return []
     # Domain vertices and edges are numbered in model order; images[i] is
@@ -388,23 +399,35 @@ def enumerate_morphisms(
     read_rows = _rows_reader(ops.row_widths(w))
     # A square's edge names, red-first boundary then blue-first, the
     # fixture slot order; one reader per occurrence picks that tuple out of
-    # names (a square has at least four edges, so itemgetter returns a tuple).
+    # names (a square has at least four edges, so itemgetter returns a
+    # tuple), listed under the level of its last edge.
     known = {sq.red + sq.blue for sq in collection.squares}
-    square_readers = [
-        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in boundary_edges(ops)])
-        for m in square_positions(ops, w)
-    ]
+    closing: list = [[] for _ in edge_keys]
+    for m in square_positions(ops, w):
+        slots = [edge_index[(ops.mul(m, z), l)] for z, l in boundary_edges(ops)]
+        closing[max(slots)].append(itemgetter(*slots))
     # (name, source) of the ambient edges of each colour, by range vertex.
+    # A domain edge along the pinned path gets the path's own edge only,
+    # offered at every range: the identity's image (for the first edge) or
+    # the path's edge before it, assigned earlier in model order, has
+    # already put that range in place or cut the branch.
     candidates: dict = {l: {v: [] for v in g.vertices} for l in "ab"}
     for e in g.edges:
         candidates[e.colour][e.range_].append((e.name, e.source))
+    choices = [candidates[l] for _, l in edge_keys]
+    if through is not None:
+        z = ops.identity
+        for name, l in zip(through.edges, through.colours):
+            choices[edge_index[(z, l)]] = dict.fromkeys(g.vertices, [(name, g.edge(name).source)])
+            z = ops.step(z, l)
     # Per domain edge: its range, its source, whether an earlier edge (or
-    # the identity) already fixed the source, and the candidates by range.
+    # the identity) already fixed the source, its candidates by range and
+    # the squares it closes.
     levels = []
     fixed = {vertex_index[ops.identity]}
-    for z, l in edge_keys:
+    for (z, l), options, closes in zip(edge_keys, choices, closing):
         t = vertex_index[ops.step(z, l)]
-        levels.append((vertex_index[z], t, t in fixed, candidates[l]))
+        levels.append((vertex_index[z], t, t in fixed, options, closes))
         fixed.add(t)
     last = len(levels)
     images: list = [None] * len(vertices)
@@ -420,26 +443,23 @@ def enumerate_morphisms(
                 f"enumeration of {ops.format(w)} passed {MAX_SEARCH_NODES} search nodes"
             )
         if i == last:
-            if all(read(names) in known for read in square_readers):
-                results.append(Morphism(ops, w, *read_rows(images, names)))
-                if len(results) == limit:
-                    raise _LimitReached
+            results.append(Morphism(ops, w, *read_rows(images, names)))
+            if len(results) == limit:
+                raise _LimitReached
             return
-        r, t, source_fixed, choices = levels[i]
-        if source_fixed:
-            target = images[t]
-            for name, source in choices[images[r]]:
-                if source == target:
-                    names[i] = name
-                    backtrack(i + 1)
-        else:
-            for name, source in choices[images[r]]:
-                names[i] = name
-                images[t] = source
+        r, t, source_fixed, options, closes = levels[i]
+        for name, source in options[images[r]]:
+            if source_fixed and source != images[t]:
+                continue
+            names[i], images[t] = name, source
+            for read in closes:
+                if read(names) not in known:
+                    break
+            else:
                 backtrack(i + 1)
 
     try:
-        for v in g.vertices:
+        for v in starts:
             images[vertex_index[ops.identity]] = v
             backtrack(0)
     except _LimitReached:

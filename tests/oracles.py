@@ -17,6 +17,11 @@ They share the degree arithmetic and model graphs with the library, but
 not its split, which reads one traversal at a time, nor its one-pass JSON
 writer.  ``compose`` lifts the concatenated traversals to the dense
 composite, the reference that composing by rewriting is checked against.
+
+``enumerate_leaf_checked`` is the enumeration oracle's search before it
+pruned: every colour/structure-preserving assignment, with the squares
+checked only once an assignment is total.  The pruned search must return
+its list, in its order.
 """
 
 from __future__ import annotations
@@ -24,11 +29,18 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cache
+from operator import itemgetter
 
 from bsgraph.errors import ColourMismatch, JunctionMismatch, NotAPrefix, NotComposable
 from bsgraph.graphs import concat
 from bsgraph.models import model, square_positions
-from bsgraph.morphisms import Morphism, lift_path, shortest_traversal
+from bsgraph.morphisms import (
+    Morphism,
+    _rows_reader,
+    identity_morphism,
+    lift_path,
+    shortest_traversal,
+)
 from bsgraph.squares import Square, boundary_edges
 
 ALPHABET = "ab"
@@ -277,3 +289,53 @@ def compose(ctx, mu: Morphism, nu: Morphism) -> Morphism:
     x = shortest_traversal(mu)
     y = shortest_traversal(nu)
     return lift_path(ctx, concat(x, y))
+
+
+def enumerate_leaf_checked(collection, w) -> list[Morphism]:
+    """Every compatible morphism of degree w: backtracking over domain
+    edges in declaration order, trying ambient edges in declaration order,
+    and keeping a total assignment when every square occurrence in it is
+    one of the collection's squares.  No search budget: keep w small."""
+    ops, g = collection.ops, collection.graph
+    domain = model(ops, w)
+    vertices, edge_keys = domain.vertices, domain.edges
+    if not edge_keys:
+        return [identity_morphism(ops, v) for v in g.vertices]
+    vertex_index = {z: i for i, z in enumerate(vertices)}
+    edge_index = {k: i for i, k in enumerate(edge_keys)}
+    read_rows = _rows_reader(ops.row_widths(w))
+    known = {sq.red + sq.blue for sq in collection.squares}
+    square_readers = [
+        itemgetter(*[edge_index[(ops.mul(m, z), l)] for z, l in boundary_edges(ops)])
+        for m in square_positions(ops, w)
+    ]
+    candidates: dict = {l: {v: [] for v in g.vertices} for l in "ab"}
+    for e in g.edges:
+        candidates[e.colour][e.range_].append((e.name, e.source))
+    levels = []
+    fixed = {vertex_index[ops.identity]}
+    for z, l in edge_keys:
+        t = vertex_index[ops.step(z, l)]
+        levels.append((vertex_index[z], t, t in fixed, candidates[l]))
+        fixed.add(t)
+    images: list = [None] * len(vertices)
+    names: list = [None] * len(levels)
+    results: list[Morphism] = []
+
+    def backtrack(i: int):
+        if i == len(levels):
+            if all(read(names) in known for read in square_readers):
+                results.append(Morphism(ops, w, *read_rows(images, names)))
+            return
+        r, t, source_fixed, choices = levels[i]
+        for name, source in choices[images[r]]:
+            if source_fixed and source != images[t]:
+                continue
+            names[i] = name
+            images[t] = source
+            backtrack(i + 1)
+
+    for v in g.vertices:
+        images[vertex_index[ops.identity]] = v
+        backtrack(0)
+    return results

@@ -69,7 +69,7 @@ def test_lift_oracle_flag(capsys):
 
 
 def test_lift_oracle_mismatch_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "enumerate_morphisms", lambda ctx, w: [])
+    monkeypatch.setattr(cli, "enumerate_morphisms", lambda ctx, w, through=None: [])
     code, out, err = invoke(capsys, "lift", E, "--path", "g g f h", "--oracle")
     assert (code, out) == (1, "")
     assert err == "oracle mismatch: enumeration found 0 morphisms traversed by the path\n"
@@ -156,6 +156,24 @@ def test_traversals(capsys):
 def test_enumerate(capsys):
     code, out, _ = invoke(capsys, "enumerate", E, "--degree", "ba", "--json")
     assert code == 0 and json.loads(out)["count"] == 2
+
+
+def test_enumeration_rejects_squares_as_they_close(capsys):
+    """bbaaa on blue_cycle.cg has 16 morphisms among more than 10^6
+    colour-preserving partial maps; checking each square as soon as its
+    last edge is assigned keeps the search far inside its node budget."""
+    code, out, _ = invoke(capsys, "enumerate", BLUE_CYCLE, "--degree", "bbaaa", "--json")
+    assert code == 0 and json.loads(out)["count"] == 16
+    code, out, err = invoke(capsys, "lift", BLUE_CYCLE, "--path", "b1 b2 r1 r1 r1", "--oracle")
+    assert (code, err) == (0, "")
+    assert out == "degree bbaaa: 34 vertices, 47 edges, r=u s=u\n"
+    # The factorization suite enumerates every pool degree, bbaaa among
+    # them at max-len 5.
+    code, out, _ = invoke(capsys, "verify", BLUE_CYCLE, "--max-len", "5", "--laws", "factorization")
+    assert (code, out) == (0, (
+        "pass  factorize/compose round-trip  (7578 instances)\n"
+        "pass  factor pair uniqueness  (7578 instances)\n"
+    ))
 
 
 def test_verify_small(capsys):
