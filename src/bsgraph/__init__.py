@@ -1,10 +1,15 @@
 """Higher-rank graphs over the positive Baumslag-Solitar monoid.
 
 Builds the category of compatible coloured-graph morphisms out of a
-2-coloured directed graph with a complete collection of squares, in two
-modes: degrees in BS(2,1)+ (relation ab^2 = ba) and degrees in N^2.
-Degrees are plain (N, M) int pairs and edge colours are the letters
-'a' (red) and 'b' (blue); the mode objects BS and GRID hold the arithmetic.
+2-coloured directed graph with a complete collection of squares.  Degrees
+are plain (N, M) int pairs, standing for a^N b^M in the monoid with
+ab^k = ba, and multiply by the one law
+
+    (N1, M1) * (N2, M2) = (N1 + N2, M1 * k^N2 + M2).
+
+Edge colours are the letters 'a' (red) and 'b' (blue).  The two modes are
+the mode objects BS, the positive Baumslag-Solitar monoid BS(2,1)+, and
+GRID, N^2 = BS(1,1)+; ``words`` holds their one arithmetic.
 """
 
 from .category import (

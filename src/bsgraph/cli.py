@@ -278,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("traversals", help="shortest/longest traversal of a lift")
     p.add_argument("fixture")
     p.add_argument("--path", required=True)
-    p.add_argument("--shortest", action="store_true")
-    p.add_argument("--longest", action="store_true")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--shortest", action="store_true")
+    only.add_argument("--longest", action="store_true")
 
     p = sub.add_parser("enumerate", help="brute-force all morphisms of a degree")
     p.add_argument("fixture")

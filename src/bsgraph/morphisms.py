@@ -255,8 +255,8 @@ def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
         blue = below[::-1]
     blue += names[start:]
     # Bottom up.  Row i's square at j reads a(i, j) and the k blue edges
-    # below it, b(i+1, kj) .. b(i+1, kj+k-1) with k = 2 (BS) or 1 (grid),
-    # and yields b(i, j) and a(i, j+1).
+    # below it, b(i+1, kj) .. b(i+1, kj+k-1), where the square degree is
+    # (1, k), and yields b(i, j) and a(i, j+1).
     range_of = {e.name: e.range_ for e in g.edges}.__getitem__
     vrows = [None] * len(arows) + [(*map(range_of, blue), at)]
     brows.append(blue)

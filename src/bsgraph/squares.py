@@ -1,8 +1,8 @@
 """Squares, complete collections, and their boundary-path maps.
 
-A square is a morphism from the model graph of the square degree (ab^2 = ba
-in BS mode, (1,1) in grid mode) into the ambient graph, and is stored as
-its two boundary paths: the red-first one (colour word a,b,b resp. a,b) and
+A square is a morphism from the model graph of the square degree (the
+common degree of ab^k and ba) into the ambient graph, and is stored as its
+two boundary paths: the red-first one (colour word ``red_first_word``) and
 the blue-first one (b,a), which together name every edge of the square.  A
 collection is complete when both families of boundary paths of the ambient
 graph are covered exactly once.

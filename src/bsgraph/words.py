@@ -1,19 +1,19 @@
-"""Exact arithmetic in the two degree monoids.
+"""Exact arithmetic in the degree monoid BS(k,1)+, for k = 1 and k = 2.
 
 A degree is a plain ``(N, M)`` int pair and a letter is the string ``'a'``
 (red) or ``'b'`` (blue).  The mode objects ``BS`` and ``GRID`` carry the
 operations on those pairs.
 
 The positive Baumslag-Solitar monoid on generators a, b with the relation
-ab^2 = ba has a canonical normal form a^N b^M, and multiplication
+ab^k = ba has a canonical normal form a^N b^M, and multiplication
 
-    (N1, M1) * (N2, M2) = (N1 + N2, M1 * 2^N2 + M2)
+    (N1, M1) * (N2, M2) = (N1 + N2, M1 * k^N2 + M2)
 
-since every b pushed past an a doubles.  The exponent M is kept as a
-Python int because it grows exponentially in word length.
-
-The grid monoid is plain (N^2, +) with componentwise order; it drives the
-2-coloured grid specialization through the same interface.
+since every b pushed past an a becomes k of them.  k is a power of two,
+k = 2^shift, so M is only ever shifted, never multiplied or divided.  BS
+is shift 1 (ab^2 = ba); GRID is shift 0, where a and b commute and the
+monoid is N^2 under addition.  M is kept as a Python int because in BS
+mode it grows exponentially in word length.
 """
 
 from __future__ import annotations
@@ -54,65 +54,68 @@ def printable_pair(w) -> list:
 _WORD_TOKEN = re.compile(r"([ab])(?:\s*\^?\s*(-?\d+))?")
 
 
-class _Monoid:
-    """What both degree monoids compute the same way.  A mode declares its
-    square by the two boundary words, whose common degree is
-    ``square_degree``; the rest of a mode is its arithmetic and, for the
-    fixture format, ``slot_names`` and ``colour_tokens``."""
+class BsMonoid:
+    """The degree monoid BS(k,1)+ on (N, M) pairs, k = 2^shift.
 
-    identity = (0, 0)
-
-    def __reduce__(self):
-        return self.name.upper()  # copied and pickled by name: a copy of BS is BS
-
-    def prefix_count(self, w) -> int:
-        return sum(self.row_widths(w))
-
-
-class BsMonoid(_Monoid):
-    """Operations of the BS(2,1)+ degree monoid on (N, M) pairs."""
+    A mode declares its square by the two boundary words, a b^k and b a,
+    whose common degree is ``square_degree`` = (1, k); the rest of a mode
+    is this arithmetic, its written forms and, for the fixture format,
+    ``slot_names`` and ``colour_tokens``.  This class is BS itself, the
+    shift-1 case, and its written forms are BS's geodesics.
+    """
 
     name = "bs"
-    # Degree of one square: the common value of ab^2 and ba.
-    square_degree = (1, 2)
-    red_first_word = ("a", "b", "b")
+    shift = 1
+    identity = (0, 0)
     blue_first_word = ("b", "a")
     # A fixture slot spells the base word of its edge, then the edge's letter.
     slot_names = ("eA", "aB", "abB", "eB", "bA")
     colour_tokens = {"a": "a", "b": "b"}
+    not_a_prefix = "{} is not a prefix of {}"
 
-    @staticmethod
-    def mul(w1, w2):
-        return (w1[0] + w2[0], (w1[1] << w2[0]) + w2[1])
+    def __init__(self):
+        k = 1 << self.shift
+        # Degree of one square: the common value of ab^k and ba.
+        self.square_degree = (1, k)
+        self.red_first_word = ("a",) + ("b",) * k
 
-    @staticmethod
-    def step(w, letter: str):
+    def __reduce__(self):
+        return self.name.upper()  # copied and pickled by name: a copy of BS is BS
+
+    def mul(self, w1, w2):
+        return (w1[0] + w2[0], (w1[1] << self.shift * w2[0]) + w2[1])
+
+    def step(self, w, letter: str):
         if letter == "a":
-            return (w[0] + 1, w[1] << 1)
+            return (w[0] + 1, w[1] << self.shift)
         return (w[0], w[1] + 1)
 
-    @staticmethod
-    def is_prefix(w1, w) -> bool:
-        return w1[0] <= w[0] and (w1[1] << (w[0] - w1[0])) <= w[1]
+    def is_prefix(self, w1, w) -> bool:
+        return w1[0] <= w[0] and (w1[1] << self.shift * (w[0] - w1[0])) <= w[1]
 
-    @staticmethod
-    def quotient(w1, w):
+    def quotient(self, w1, w):
         """The unique w'' with w1 * w'' = w."""
-        if not BsMonoid.is_prefix(w1, w):
-            raise NotAPrefix(f"{BsMonoid.format(w1)} is not a prefix of {BsMonoid.format(w)}")
-        shift = w[0] - w1[0]
-        return (shift, w[1] - (w1[1] << shift))
+        if not self.is_prefix(w1, w):
+            raise NotAPrefix(self.not_a_prefix.format(self.format(w1), self.format(w)))
+        n = w[0] - w1[0]
+        return (n, w[1] - (w1[1] << self.shift * n))
 
-    @staticmethod
-    def row_widths(w) -> list:
+    def row_widths(self, w) -> list:
         """How many prefixes (i, j) of w each row i = 0..N holds."""
         n, m = w
-        return [(m >> (n - i)) + 1 for i in range(n + 1)]
+        shift = self.shift
+        return [(m >> shift * (n - i)) + 1 for i in range(n + 1)]
+
+    def prefixes(self, w) -> list:
+        """Every left divisor of w, in ascending pair order."""
+        return [(i, j) for i, width in enumerate(self.row_widths(w)) for j in range(width)]
+
+    def prefix_count(self, w) -> int:
+        return sum(self.row_widths(w))
 
     @staticmethod
-    def prefixes(w) -> list:
-        """Every left divisor of w, in ascending pair order."""
-        return [(i, j) for i, width in enumerate(BsMonoid.row_widths(w)) for j in range(width)]
+    def longest_letters(w) -> tuple[str, ...]:
+        return ("a",) * w[0] + ("b",) * w[1]
 
     @staticmethod
     def shortest_letters(w) -> tuple[str, ...]:
@@ -123,19 +126,13 @@ class BsMonoid(_Monoid):
         low = bin(m & ((1 << n) - 1) | 1 << n)[3:]
         return tuple("b" * (m >> n) + low.replace("0", "a").replace("1", "ab"))
 
-    @staticmethod
-    def longest_letters(w) -> tuple[str, ...]:
-        return ("a",) * w[0] + ("b",) * w[1]
-
-    @staticmethod
-    def format(w) -> str:
+    def format(self, w) -> str:
         """The shortest form of w, "e" for the identity."""
         n, m = w
         _check_letters(n + bin(m & ((1 << n) - 1)).count("1") + (m >> n), "shortest form")
-        return format_letters(BsMonoid.shortest_letters(w))
+        return format_letters(self.shortest_letters(w))
 
-    @staticmethod
-    def label_rows(w) -> list:
+    def label_rows(self, w) -> list:
         """``format`` of every vertex of the model graph of w, as rows:
         ``label_rows(w)[i][j]`` is ``format((i, j))``.
 
@@ -149,9 +146,9 @@ class BsMonoid(_Monoid):
         one more "b" per set bit of j's low i bits, and "e" has one.
         """
         n, m = w
-        widths = BsMonoid.row_widths(w)
+        widths = self.row_widths(w)
         if sum(widths) * ((m >> n) + 2 * n + 1) > MAX_LABEL_LETTERS:
-            zs = BsMonoid.prefixes(w)
+            zs = self.prefixes(w)
             total = 1 + sum((j >> i) + i + (j & ((1 << i) - 1)).bit_count() for i, j in zs)
             if total > MAX_LABEL_LETTERS:
                 raise ResourceLimit(f"vertex labels of more than {MAX_LABEL_LETTERS} letters")
@@ -171,50 +168,17 @@ class BsMonoid(_Monoid):
         return parse_word(text)
 
 
-class GridMonoid(_Monoid):
-    """Operations of the (N^2, +) degree monoid, mirroring BsMonoid."""
+class GridMonoid(BsMonoid):
+    """N^2 = BS(1,1)+, the shift-0 case: the arithmetic is BsMonoid's, and
+    only the written forms differ.  Degrees are written as coordinates,
+    and the one geodesic of a degree is a^N b^M."""
 
     name = "grid"
-    square_degree = (1, 1)
-    red_first_word = ("a", "b")
-    blue_first_word = ("b", "a")
+    shift = 0
     slot_names = ("v1", "e1v2", "v2", "e2v1")
     colour_tokens = {"a": "1", "b": "2"}
-
-    @staticmethod
-    def mul(p, q):
-        return (p[0] + q[0], p[1] + q[1])
-
-    @staticmethod
-    def step(p, letter: str):
-        if letter == "a":
-            return (p[0] + 1, p[1])
-        return (p[0], p[1] + 1)
-
-    @staticmethod
-    def is_prefix(p, q) -> bool:
-        return p[0] <= q[0] and p[1] <= q[1]
-
-    @staticmethod
-    def quotient(p, q):
-        if not GridMonoid.is_prefix(p, q):
-            raise NotAPrefix(f"{GridMonoid.format(p)} is not <= {GridMonoid.format(q)}")
-        return (q[0] - p[0], q[1] - p[1])
-
-    @staticmethod
-    def row_widths(p) -> list:
-        return [p[1] + 1] * (p[0] + 1)
-
-    @staticmethod
-    def prefixes(p) -> list:
-        """Every point below p, in ascending pair order."""
-        return [(i, j) for i in range(p[0] + 1) for j in range(p[1] + 1)]
-
-    @staticmethod
-    def shortest_letters(p) -> tuple[str, ...]:
-        return ("a",) * p[0] + ("b",) * p[1]
-
-    longest_letters = shortest_letters
+    not_a_prefix = "{} is not <= {}"
+    shortest_letters = staticmethod(BsMonoid.longest_letters)
 
     @staticmethod
     def format(p) -> str:

@@ -46,16 +46,17 @@ from bsgraph.squares import Square, boundary_edges
 ALPHABET = "ab"
 
 
-def fold_pair(s: str) -> tuple[int, int]:
+def fold_pair(s: str, k: int = 2) -> tuple[int, int]:
     """Fold a letter string to its (N, M) pair one letter at a time.
 
     Uses only the defining facts a = (1,0), b = (0,1) appended on the
-    right, i.e. appending a doubles M, appending b adds one.
+    right in the monoid with ab^k = ba, i.e. appending a multiplies M by k,
+    appending b adds one.  k = 2 is BS, k = 1 the grid.
     """
     n = m = 0
     for ch in s:
         if ch == "a":
-            n, m = n + 1, 2 * m
+            n, m = n + 1, k * m
         elif ch == "b":
             m += 1
         else:
@@ -108,13 +109,13 @@ def minimal_lengths(max_len: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def brute_prefixes(pair: tuple[int, int]) -> set[tuple[int, int]]:
+def brute_prefixes(pair: tuple[int, int], k: int = 2) -> set[tuple[int, int]]:
     """Left divisors of a pair, by peeling single letters off the right.
 
     z is a prefix of w iff w = z, or w ends (as a monoid element) in a
     letter whose removal leaves something z is a prefix of.  Removing a
     trailing b from (n, m) gives (n, m-1); removing a trailing a is only
-    possible when m is even and gives (n-1, m/2).
+    possible when k divides m and gives (n-1, m/k).
     """
     seen = {pair}
     queue = deque([pair])
@@ -123,8 +124,8 @@ def brute_prefixes(pair: tuple[int, int]) -> set[tuple[int, int]]:
         parents = []
         if m > 0:
             parents.append((n, m - 1))
-        if n > 0 and m % 2 == 0:
-            parents.append((n - 1, m // 2))
+        if n > 0 and m % k == 0:
+            parents.append((n - 1, m // k))
         for p in parents:
             if p not in seen:
                 seen.add(p)

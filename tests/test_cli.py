@@ -153,6 +153,14 @@ def test_traversals(capsys):
     assert "longest f h g g g g g g g g" in out
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_traversals_shortest_and_longest_together_is_a_usage_error(json_flag, capsys):
+    argv = ["traversals", E, "--path", "g g f h", "--shortest", "--longest", *json_flag]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --longest: not allowed with argument --shortest\n")
+
+
 def test_enumerate(capsys):
     code, out, _ = invoke(capsys, "enumerate", E, "--degree", "ba", "--json")
     assert code == 0 and json.loads(out)["count"] == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,8 @@ from bsgraph.words import (
     MAX_LABEL_LETTERS,
     MAX_LETTERS,
     MAX_PAIR_BITS,
+    BsMonoid,
+    GridMonoid,
     longest_form,
     parse_grid_degree,
     parse_word,
@@ -30,6 +33,9 @@ words = st.tuples(st.integers(0, 10), st.integers(0, 2**12))
 big_words = st.tuples(st.integers(0, 10), st.integers(0, 2**60))
 small_words = st.tuples(st.integers(0, 4), st.integers(0, 32))
 letter_strings = st.text(alphabet="ab", max_size=10)
+modes = st.sampled_from([BS, GRID])
+# The k of each mode's relation ab^k = ba, for the string oracles.
+K = {"bs": 2, "grid": 1}
 
 
 def test_multiplication_law_examples():
@@ -61,21 +67,40 @@ def test_negative_exponents_rejected():
         parse_grid_degree("0,-1")
 
 
-@given(letter_strings)
-def test_fold_matches_string_oracle(s):
-    assert parse_word(s) == fold_pair(s)
+@given(modes, letter_strings)
+def test_fold_matches_string_oracle(ops, s):
+    pair = fold_pair(s, K[ops.name])
+    assert parse_word(s, ops) == pair
+    assert reduce(ops.step, s, ops.identity) == pair
 
 
-@given(big_words, big_words, big_words)
-def test_associativity(x, y, z):
-    assert BS.mul(BS.mul(x, y), z) == BS.mul(x, BS.mul(y, z))
+@pytest.mark.parametrize("ops", [BS, GRID])
+def test_square_degree_is_the_fold_of_both_boundary_words(ops):
+    k = K[ops.name]
+    red, blue = ("".join(word) for word in (ops.red_first_word, ops.blue_first_word))
+    assert fold_pair(red, k) == fold_pair(blue, k) == ops.square_degree == (1, k)
 
 
-@given(words)
-def test_identity(w):
-    e = (0, 0)
-    assert BS.mul(e, w) == w
-    assert BS.mul(w, e) == w
+def test_the_arithmetic_is_written_once():
+    """GRID is the shift-0 case of BsMonoid: it inherits every operation on
+    pairs and declares only its written forms."""
+    shared = {"mul", "step", "is_prefix", "quotient", "row_widths", "prefixes", "prefix_count"}
+    assert shared <= vars(BsMonoid).keys()
+    assert not shared & vars(GridMonoid).keys()
+    assert (BS.shift, GRID.shift) == (1, 0)
+
+
+@given(modes, big_words, big_words, big_words)
+def test_associativity(ops, x, y, z):
+    assert ops.mul(ops.mul(x, y), z) == ops.mul(x, ops.mul(y, z))
+
+
+@given(modes, words)
+def test_identity(ops, w):
+    e = ops.identity
+    assert e == (0, 0)
+    assert ops.mul(e, w) == w
+    assert ops.mul(w, e) == w
 
 
 @given(words)
@@ -84,12 +109,12 @@ def test_normal_form_round_trips(w):
     assert parse_word(longest_form(w)) == w
 
 
-@given(words, words)
-def test_prefix_quotient_cancels(w1, w2):
-    w = BS.mul(w1, w2)
-    assert BS.is_prefix(w1, w)
-    assert BS.quotient(w1, w) == w2
-    assert BS.mul(w1, BS.quotient(w1, w)) == w
+@given(modes, words, words)
+def test_prefix_quotient_cancels(ops, w1, w2):
+    w = ops.mul(w1, w2)
+    assert ops.is_prefix(w1, w)
+    assert ops.quotient(w1, w) == w2
+    assert ops.mul(w1, ops.quotient(w1, w)) == w
 
 
 def test_prefix_examples():
@@ -160,20 +185,18 @@ def test_prefixes_examples():
 
 
 def test_prefix_count_matches_brute_enumeration():
-    for n in range(5):
-        for m in range(17):
-            w = (n, m)
-            expected = brute_prefixes(w)
-            assert set(BS.prefixes(w)) == expected
-            assert BS.prefix_count(w) == len(expected)
+    for ops, n, m in itertools.product((BS, GRID), range(5), range(17)):
+        expected = brute_prefixes((n, m), K[ops.name])
+        assert ops.prefixes((n, m)) == sorted(expected)
+        assert ops.prefix_count((n, m)) == len(expected)
 
 
-@given(small_words, small_words)
-def test_is_prefix_agrees_with_membership(w1, w):
-    assert BS.is_prefix(w1, w) == (w1 in BS.prefixes(w))
+@given(modes, small_words, small_words)
+def test_is_prefix_agrees_with_membership(ops, w1, w):
+    assert ops.is_prefix(w1, w) == (w1 in ops.prefixes(w))
 
 
-@given(st.sampled_from([BS, GRID]), st.tuples(st.integers(0, 8), st.integers(0, 300)))
+@given(modes, st.tuples(st.integers(0, 8), st.integers(0, 300)))
 def test_labels_match_format_on_every_prefix(ops, w):
     rows = ops.label_rows(w)
     assert [len(row) for row in rows] == ops.row_widths(w)
@@ -241,6 +264,8 @@ def test_grid_arithmetic():
     assert GRID.is_prefix((1, 2), (2, 2))
     assert not GRID.is_prefix((2, 1), (1, 5))
     assert GRID.quotient((1, 1), (2, 3)) == (1, 2)
+    with pytest.raises(NotAPrefix, match=r"^\(0,1\) is not <= \(1,0\)$"):
+        GRID.quotient((0, 1), (1, 0))
     assert GRID.prefix_count((2, 1)) == 6
 
 
