@@ -227,6 +227,10 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
+    twice = next((w for i, w in enumerate(wanted) if w in wanted[:i]), None)
+    if twice is not None:
+        print(f"error: law suite {twice!r} given twice in --laws {args.laws!r}", file=sys.stderr)
+        return 2
     unknown = [w for w in wanted if w not in SUITES]
     if unknown:
         print(f"unknown law suite(s): {', '.join(unknown)}", file=sys.stderr)
@@ -257,13 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="build the template graph of a degree")
     p.add_argument("--word", required=True)
     p.add_argument("--mode", choices=MODES, default="bs")
-    p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("lift", help="lift a path to its unique morphism")
     p.add_argument("fixture")
     p.add_argument("--path", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check against enumeration")
-    p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("compose", help="compose the lifts of two paths")
     p.add_argument("fixture")
@@ -291,7 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixture")
     p.add_argument("--max-len", type=_count, default=4)
     p.add_argument("--laws", default=",".join(SUITES))
-    for p in sub.choices.values():
+    for name, p in sub.choices.items():
+        if name in ("model", "lift"):
+            # DOT is the other output format: one or the other, not both.
+            p = p.add_mutually_exclusive_group()
+            p.add_argument("--dot", action="store_true")
         p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 

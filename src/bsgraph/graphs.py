@@ -128,17 +128,6 @@ class Path(Frozen, fields=("edges", "range_", "source", "colours")):
         _set(self, "source", source)
         _set(self, "colours", colours)
 
-    # Written out: the base's generic field reads take twice as long.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.edges, self.range_, self.source, self.colours) == (
-                other.edges, other.range_, other.source, other.colours
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.edges, self.range_, self.source, self.colours))
-
     def __len__(self) -> int:
         return len(self.edges)
 

@@ -168,46 +168,6 @@ def identity_morphism(ops, vertex: str) -> Morphism:
     return Morphism(ops, ops.identity, ((vertex,),), ((),), ((),))
 
 
-def _rewrite(names, colours, collection: CompleteCollection, to_red: bool):
-    """Rewrite an edge path one square boundary at a time until no factor
-    has the colour word of the boundaries being replaced.
-
-    With ``to_red`` each blue-first ``b a`` pair becomes the red-first
-    boundary of its square, else each red-first boundary becomes the
-    blue-first ``b a`` pair.  Letters wait on a stack, so a rewrite only
-    looks again at its neighbours.  The path must have such a factor.
-    Returns the new (names, colours) lists; a missing square raises
-    ``NotCovered``.
-    """
-    ops = collection.ops
-    if to_red:
-        pattern, word = ops.blue_first_word, ops.red_first_word
-        table, kind = collection._blue_to_red, "blue-first"
-    else:
-        pattern, word = ops.red_first_word, ops.blue_first_word
-        table, kind = collection._red_to_blue, "red-first"
-    width = len(pattern)
-    # Everything before the first match is already rewritten.
-    start = "".join(colours).find("".join(pattern)) + width - 1
-    pattern = list(pattern)
-    last = pattern[-1]
-    word = word[::-1]
-    out_names = list(names[:start])
-    out_colours = list(colours[:start])
-    # Edges still to place, next one last; a rewrite pushes its output here.
-    todo = list(zip(reversed(names[start:]), reversed(colours[start:])))
-    while todo:
-        name, colour = todo.pop()
-        out_names.append(name)
-        out_colours.append(colour)
-        if colour == last and out_colours[-width:] == pattern:
-            boundary = tuple(out_names[-width:])
-            other = table.get(boundary) or not_covered(kind, boundary)
-            del out_names[-width:], out_colours[-width:]
-            todo.extend(zip(reversed(other), word))
-    return out_names, out_colours
-
-
 def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
     """The unique compatible morphism traversed by x.
 
@@ -277,12 +237,16 @@ def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
 
 
 @cache
-def _rewriting(ops) -> tuple:
-    """(to_red, pattern): rewriting goes toward the boundary that spells
-    the square degree's shortest word, red-first if to_red, and replaces
-    the other one, whose colour word is pattern."""
-    to_red = ops.shortest_letters(ops.square_degree) == ops.red_first_word
-    return to_red, "".join(ops.blue_first_word if to_red else ops.red_first_word)
+def _rule(ops) -> tuple:
+    """The mode's rewriting rule, derived from its two boundary words:
+    (the colour word to replace, the word it becomes, the collection's map
+    from one to the other, the replaced boundary's ``NotCovered`` label).
+    Rewriting goes toward the boundary that spells the square degree's
+    shortest word."""
+    red, blue = ops.red_first_word, ops.blue_first_word
+    if ops.shortest_letters(ops.square_degree) == red:
+        return "".join(blue), red, "_blue_to_red", "blue-first"
+    return "".join(red), blue, "_red_to_blue", "red-first"
 
 
 def normal_form(collection: CompleteCollection, x: Path) -> Path:
@@ -294,14 +258,32 @@ def normal_form(collection: CompleteCollection, x: Path) -> Path:
     each blue-first ``b a`` pair becomes the red-first ``a b`` pair.  The
     rules do not overlap and each shortens the colour word or moves a red
     letter left, so every order of rewriting ends at the same normal form:
-    the word with no ``a b b`` factor, resp. ``a^m b^n``.  A missing
+    the word with no ``a b b`` factor, resp. ``a^m b^n``.  Letters wait on
+    a stack, so a rewrite only looks again at its neighbours.  A missing
     square raises ``NotCovered``.
     """
-    to_red, pattern = _rewriting(collection.ops)
-    # Most paths of a sweep are normal already: no factor to rewrite.
-    if pattern not in "".join(x.colours):
+    pattern, word, table, kind = _rule(collection.ops)
+    # Everything before the first match is normal already, and most paths
+    # of a sweep have no match at all.
+    width = len(pattern)
+    start = "".join(x.colours).find(pattern)
+    if start < 0:
         return x
-    names, colours = _rewrite(x.edges, x.colours, collection, to_red)
+    start += width - 1
+    table, last = getattr(collection, table), pattern[-1]
+    pattern, word = list(pattern), word[::-1]
+    names, colours = list(x.edges[:start]), list(x.colours[:start])
+    # Edges still to place, next one last; a rewrite pushes its output here.
+    todo = list(zip(reversed(x.edges[start:]), reversed(x.colours[start:])))
+    while todo:
+        name, colour = todo.pop()
+        names.append(name)
+        colours.append(colour)
+        if colour == last and colours[-width:] == pattern:
+            boundary = tuple(names[-width:])
+            other = table.get(boundary) or not_covered(kind, boundary)
+            del names[-width:], colours[-width:]
+            todo.extend(zip(reversed(other), word))
     return Path(tuple(names), x.range_, x.source, tuple(colours))
 
 

@@ -161,6 +161,17 @@ def test_traversals_shortest_and_longest_together_is_a_usage_error(json_flag, ca
     assert err.endswith("error: argument --longest: not allowed with argument --shortest\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [["lift", E, "--path", "g f"], ["model", "--word", "ba"]], ids=["lift", "model"]
+)
+@pytest.mark.parametrize("flags", [["--dot", "--json"], ["--json", "--dot"]])
+def test_dot_and_json_together_is_a_usage_error(argv, flags, capsys):
+    code, out, err = invoke(capsys, *argv, *flags)
+    assert (code, out) == (2, "")
+    first, second = flags
+    assert err.endswith(f"error: argument {second}: not allowed with argument {first}\n")
+
+
 def test_enumerate(capsys):
     code, out, _ = invoke(capsys, "enumerate", E, "--degree", "ba", "--json")
     assert code == 0 and json.loads(out)["count"] == 2
@@ -416,6 +427,14 @@ def test_verify_empty_suite_name_exit_2(capsys, laws):
         f"error: empty law suite name in --laws {laws!r}; "
         "the suites are category, functor, factorization\n"
     )
+
+
+@pytest.mark.parametrize("laws", ["category,category", "functor,category,functor"])
+def test_verify_repeated_suite_name_exit_2(capsys, laws):
+    code, out, err = invoke(capsys, "verify", E, "--laws", laws)
+    assert (code, out) == (2, "")
+    suite = laws.split(",")[-1]
+    assert err == f"error: law suite {suite!r} given twice in --laws {laws!r}\n"
 
 
 @pytest.mark.parametrize(

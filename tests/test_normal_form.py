@@ -112,6 +112,18 @@ def test_normal_form_reports_missing_square(incomplete_fixture):
     assert str(exc.value) == "no square with red-first boundary h g g"
 
 
+def test_normal_form_reports_missing_grid_square(fixture_dir):
+    """Grid mode rewrites blue-first boundaries, and names them so."""
+    text = (fixture_dir / "grid_single_vertex.cg").read_text()
+    coll = parse_fixture("".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("square")
+    ))
+    with pytest.raises(NotCovered) as exc:
+        normal_form(coll, validate_path(coll.graph, ["beta", "rho"]))
+    assert exc.value.boundary == ("beta", "rho")
+    assert str(exc.value) == "no square with blue-first boundary beta rho"
+
+
 @pytest.mark.parametrize(
     "name, path, normal", [("ctx", "f k k", "g f"), ("grid_ctx", "beta rho", "rho beta")]
 )
