@@ -4,9 +4,10 @@ The verification sweeps exhaustively check the category, degree-functor,
 and factorization laws over every morphism lifted from paths up to a
 length bound, reporting the first counterexample when a law fails.  Inside
 the sweeps a morphism is its shortest traversal, and composing two of them
-is rewriting their concatenation back to normal form (``normal_form``).
+is rewriting their concatenation back to normal form (``normal_form``),
+which only has work where the two normal forms meet (``composite``).
 One ``CompositionTable`` per run owns the pool, names each traversal by an
-int (pool morphism n is id n) and rewrites each distinct pair once, and
+int (pool morphism n is id n) and composes each distinct pair once, and
 each suite is a function of that table.  The dense
 form is built only for the pool and for the enumeration oracle: the
 factorization suite reads each split's two traversals straight off the
@@ -17,12 +18,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import islice
+from math import inf
 from types import MappingProxyType
 
 from .errors import Conflict
-from .graphs import ColouredGraph, Path, concat, path_degree, vertex_path
+from .graphs import ColouredGraph, Path, path_degree, vertex_path
 from .morphisms import (
     Morphism,
+    _rule,
     enumerate_morphisms,
     lift_path,
     normal_form,
@@ -105,22 +108,32 @@ class CompositionTable:
     Rewriting terminates and is confluent, so a shortest traversal names
     its morphism: ``intern`` gives each one, keyed by (range, edges), an
     int id, and equal morphisms get equal ids.  ``compose`` reads the
-    composite of two ids from a table and rewrites only on a miss, once
-    per distinct pair, with the module's ``normal_form``.  The constructor
-    checks coverage, then builds the pool of ``max_len`` and interns the
-    shortest traversal of pool morphism n as id n, so ``paths[:len(pool)]``
-    are the pool's traversals.  Nothing here outlives the run: a later run
-    on the same collection gets a new table.
+    composite of two ids from a table and, on a miss, builds it with the
+    module's ``composite`` and interns it only if its (range, edges) is
+    new.  ``runs[i]`` is the length of the leading run of the rewriting
+    rule's last letter in ``paths[i]``, where ``composite`` splits a right
+    factor, and ``reach[i]`` the shortest such run that ``paths[i]`` on the
+    left rewrites with (``inf`` if none does).  The constructor checks
+    coverage, then builds the pool of ``max_len`` and interns the shortest
+    traversal of pool morphism n as id n, so ``paths[:len(pool)]`` are the
+    pool's traversals.  Nothing here outlives the run: a later run on the
+    same collection gets a new table.
     """
 
     def __init__(self, collection: CompleteCollection, max_len: int):
         collection.require_covered()
         self.collection = collection
         self.paths: list[Path] = []  # id -> shortest traversal
+        self.keys: list = []  # id -> (range, edges)
+        self.runs: list[int] = []  # id -> length of its leading run
+        self.reach: list = []  # id -> shortest run it rewrites with
         self._ids: dict = {}  # (range, edges) -> id
         # id i -> {id j: id of the composite of i and j}; one small dict
         # per left factor holds no key tuples, which keeps the table lean.
         self._products: list = []
+        # (id i, run edges) -> the normal form of paths[i] followed by them.
+        self._heads: dict = {}
+        self._pattern = _rule(collection.ops)[0]
         self.pool = pool_morphisms(collection, max_len)
         for n, lam in enumerate(self.pool):
             x = shortest_traversal(lam)
@@ -130,11 +143,27 @@ class CompositionTable:
     def intern(self, x: Path) -> int:
         key = (x.range_, x.edges)
         i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.paths)
-            self.paths.append(x)
-            self._products.append(_NO_PRODUCTS)
+        return self._add(key, x) if i is None else i
+
+    def _add(self, key: tuple, x: Path) -> int:
+        i = self._ids[key] = len(self.paths)
+        self.paths.append(x)
+        self.keys.append(key)
+        # The pattern is one letter and then a run of its last letter, so a
+        # run on the right completes it only after x's first letter and
+        # trailing run.
+        pattern, word = self._pattern, "".join(x.colours)
+        body = word.rstrip(pattern[-1])
+        self.runs.append(len(word) - len(word.lstrip(pattern[-1])))
+        trail = len(word) - len(body)
+        self.reach.append(len(pattern) - 1 - trail if body.endswith(pattern[0]) else inf)
+        self._products.append(_NO_PRODUCTS)
         return i
+
+    def row(self, i: int):
+        """Id j -> id of the composite of i and j, for every j composed
+        with i on the right so far; read it, do not change it."""
+        return self._products[i]
 
     def compose(self, i: int, j: int) -> int:
         row = self._products[i]
@@ -142,9 +171,41 @@ class CompositionTable:
         if k is None:
             if row is _NO_PRODUCTS:
                 row = self._products[i] = {}
-            paths = self.paths
-            k = row[j] = self.intern(normal_form(self.collection, concat(paths[i], paths[j])))
+            edges, range_, source, colours = composite(self, i, j)
+            key = (range_, edges)
+            k = self._ids.get(key)
+            if k is None:
+                k = self._add(key, Path(edges, range_, source, colours))
+            row[j] = k
         return k
+
+
+def composite(table: CompositionTable, i: int, j: int) -> tuple:
+    """The composite of ids i and j as the fields (edges, range_, source,
+    colours) of the normal form of their concatenation x·y.
+
+    x and y are normal, so a rewrite can only start at the junction, and
+    it reaches into y no further than y's leading run of the rule's last
+    letter (``b`` in BS mode, ``a`` in grid mode): the rule's pattern is
+    one letter and then a run of that last letter, and the rest of y starts
+    with another letter.  So nf(x·y) = nf(x·run)·rest.  Without a run, or
+    with one too short to complete the pattern at x's end (``reach``), the
+    composite is the concatenation; otherwise the head nf(x·run) is
+    rewritten once per (i, run edges) and kept in the table.
+    """
+    x, y = table.paths[i], table.paths[j]
+    q = table.runs[j]
+    if q < table.reach[i]:
+        return x.edges + y.edges, x.range_, y.source, x.colours + y.colours
+    run = y.edges[:q]
+    head = table._heads.get((i, run))
+    if head is None:
+        collection = table.collection
+        to = collection.graph.edge(run[-1]).source
+        head = table._heads[(i, run)] = normal_form(
+            collection, Path(x.edges + run, x.range_, to, x.colours + y.colours[:q])
+        )
+    return head.edges + y.edges[q:], x.range_, y.source, head.colours + y.colours[q:]
 
 
 def _describe(ops, *xs: Path) -> str:
@@ -183,7 +244,7 @@ def _law(name: str, instances, counterexample) -> LawResult:
 def verify_category(table: CompositionTable) -> VerificationReport:
     """Range/source, associativity, and identity laws over the table's pool."""
     collection = table.collection
-    paths, compose, products = table.paths, table.compose, table._products
+    paths, keys, compose, row = table.paths, table.keys, table.compose, table.row
     pool_paths = paths[:len(table.pool)]
     ops = collection.ops
     after = _by_range(pool_paths)
@@ -196,15 +257,16 @@ def verify_category(table: CompositionTable) -> VerificationReport:
     rs = _law("range/source of composites", _pairs(pool_paths, after), range_source)
 
     # Associativity is most of verify's instances (95% at max-len 5 on
-    # example_E.cg), so it reads the table's rows inline and calls
-    # ``compose`` only on a miss.  It runs over the pairs the range/source
-    # law composed, the failing one included, so ``i_row[j]`` is there.
+    # example_E.cg) and its triple products are most of its composites, so
+    # it compares them as (range, edges): read from the table's rows where
+    # the pair was composed, else built by ``composite`` and not interned.
+    # It runs over the pairs the range/source law composed, the failing
+    # one included, and each j·k is such a pair.
     assoc_instances = 0
     assoc_fail = None
     for i, j in islice(_pairs(pool_paths, after), rs.instances):
-        i_row, j_row = products[i], products[j]
-        left = i_row[j]
-        left_row = products[left]
+        left = compose(i, j)
+        i_row, j_row, left_row = row(i), row(j), row(left)
         for k in after.get(paths[j].source, ()):
             assoc_instances += 1
             right = j_row.get(k)
@@ -212,10 +274,16 @@ def verify_category(table: CompositionTable) -> VerificationReport:
                 right = compose(j, k)
             outer = left_row.get(k)
             if outer is None:
-                outer = compose(left, k)
+                edges, range_, _, _ = composite(table, left, k)
+                outer = (range_, edges)
+            else:
+                outer = keys[outer]
             inner = i_row.get(right)
             if inner is None:
-                inner = compose(i, right)
+                edges, range_, _, _ = composite(table, i, right)
+                inner = (range_, edges)
+            else:
+                inner = keys[inner]
             if outer != inner:
                 assoc_fail = _describe(ops, paths[i], paths[j], paths[k])
                 break

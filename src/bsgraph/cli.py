@@ -233,7 +233,11 @@ def cmd_verify(args) -> int:
         return 2
     unknown = [w for w in wanted if w not in SUITES]
     if unknown:
-        print(f"unknown law suite(s): {', '.join(unknown)}", file=sys.stderr)
+        print(
+            f"error: unknown law suite(s): {', '.join(unknown)}; "
+            f"the suites are {', '.join(SUITES)}",
+            file=sys.stderr,
+        )
         return 2
     report = verify(ctx, args.max_len, wanted)
     _emit(report.to_json(), args.json, report.to_text())

@@ -324,13 +324,14 @@ def split_traversals(lam: Morphism, w1, w2) -> tuple[Path, Path]:
     return _read_traversal(lam, shortest(w1)), _read_traversal(lam, shortest(w2), w1)
 
 
-# Search nodes (partial assignments whose closed squares are all in the
-# collection, complete ones included) one enumeration may visit.  Its cost
-# grows exponentially with the domain's edges, which the vertex guard does
-# not bound.  The largest count the test suite, ``verify --max-len 6`` on
-# example_E.cg and the benchmark reach is 36,186 (degree bbaaa on
-# blue_cycle.cg); ``verify --max-len 6`` alone reaches 200, and the
-# benchmark 44 on seed 1.
+# Search nodes (partial assignments each of whose squares agrees with some
+# square of the collection on the edges assigned so far, complete ones
+# included) one enumeration may visit.  Its cost grows exponentially with
+# the domain's edges, which the vertex guard does not bound.  The largest
+# count the test suite, ``verify --max-len 6`` on example_E.cg and the
+# benchmark reach is 2,133 (degree baaa on a generated three-vertex
+# collection); degree bbaaa on blue_cycle.cg takes 622, ``verify --max-len
+# 6`` alone reaches 200, and the benchmark 23 on seed 1.
 MAX_SEARCH_NODES = 10**6
 # Vertices of the model graph one enumeration may search over.
 MAX_ENUMERATION_VERTICES = 10**4
@@ -350,9 +351,10 @@ def enumerate_morphisms(
     Backtracks over domain edges in declaration order, trying ambient
     edges in declaration order; output order is deterministic.  Each
     square occurrence is checked against ``collection.squares`` at the
-    level where its last edge is assigned, so only branches without a
-    result are cut; the search never reads the collection's boundary maps
-    or the lift.  With a path ``through`` of the collection's graph it
+    level of each of its edges, on the edges assigned so far, so only
+    branches without a result are cut, each as soon as none of the
+    squares fits it; the search never reads the collection's boundary
+    maps or the lift.  With a path ``through`` of the collection's graph it
     returns only the morphisms that path traverses, in the same order:
     the identity goes to its range and the domain edges along its colours
     to its own edges.  Exponential by design; guarded by
@@ -380,14 +382,24 @@ def enumerate_morphisms(
     edge_index = {k: i for i, k in enumerate(edge_keys)}
     read_rows = _rows_reader(ops.row_widths(w))
     # A square's edge names, red-first boundary then blue-first, the
-    # fixture slot order; one reader per occurrence picks that tuple out of
-    # names (a square has at least four edges, so itemgetter returns a
-    # tuple), listed under the level of its last edge.
-    known = {sq.red + sq.blue for sq in collection.squares}
+    # fixture slot order.  Each occurrence is checked at the level of each
+    # of its edges: the ones assigned so far must be those some square has
+    # in the same slots, so a branch is cut as soon as no square can close
+    # it.  A check is a reader of those slots of names and the set of what
+    # the squares hold there; the same itemgetter reads both, so one slot
+    # gives a name and several a tuple.
+    known = [sq.red + sq.blue for sq in collection.squares]
+    allowed: dict = {}
     closing: list = [[] for _ in edge_keys]
     for m in square_positions(ops, w):
         slots = [edge_index[(ops.mul(m, z), l)] for z, l in boundary_edges(ops)]
-        closing[max(slots)].append(itemgetter(*slots))
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        for n in range(1, len(order) + 1):
+            kept = tuple(sorted(order[:n]))
+            if kept not in allowed:
+                allowed[kept] = set(map(itemgetter(*kept), known))
+            read = itemgetter(*[slots[k] for k in kept])
+            closing[slots[order[n - 1]]].append((read, allowed[kept]))
     # (name, source) of the ambient edges of each colour, by range vertex.
     # A domain edge along the pinned path gets the path's own edge only,
     # offered at every range: the identity's image (for the first edge) or
@@ -434,8 +446,8 @@ def enumerate_morphisms(
             if source_fixed and source != images[t]:
                 continue
             names[i], images[t] = name, source
-            for read in closes:
-                if read(names) not in known:
+            for read, seen in closes:
+                if read(names) not in seen:
                     break
             else:
                 backtrack(i + 1)

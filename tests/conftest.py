@@ -56,3 +56,8 @@ def incomplete_fixture():
 @pytest.fixture(scope="session")
 def grid_ctx() -> CompleteCollection:
     return load_fixture(FIXTURE_DIR / "grid_single_vertex.cg")
+
+
+@pytest.fixture(scope="session")
+def blue_cycle_ctx() -> CompleteCollection:
+    return load_fixture(FIXTURE_DIR / "blue_cycle.cg")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -26,6 +27,7 @@ from bsgraph.errors import BsGraphError, Conflict, NotComposable, NotCovered, Un
 from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import Path, concat, validate_path, vertex_path
 from bsgraph.morphisms import (
+    _rule,
     identity_morphism,
     lift_path,
     normal_form,
@@ -33,7 +35,7 @@ from bsgraph.morphisms import (
     split_traversals,
 )
 from bsgraph.squares import CompleteCollection, check_complete
-from bsgraph.words import BS
+from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
 from .oracles import compose, maps, restrict, restrict_shifted, square_map
@@ -139,28 +141,27 @@ OTHER = {"g": "k", "k": "g", "f": "h", "h": "f"}
 
 
 def _swap_interior_edge(real):
-    """A rewriter that swaps one interior edge of every result of length
+    """A composite that swaps one interior edge of every result of length
     >= 3 for the other edge of its colour, keeping the endpoints."""
 
-    def corrupted(collection, x):
-        y = real(collection, x)
-        if len(y) < 3:
-            return y
-        edges = y.edges[:1] + (OTHER[y.edges[1]],) + y.edges[2:]
-        return Path(edges, y.range_, y.source, y.colours)
+    def corrupted(table, i, j):
+        edges, range_, source, colours = real(table, i, j)
+        if len(edges) < 3:
+            return edges, range_, source, colours
+        return edges[:1] + (OTHER[edges[1]],) + edges[2:], range_, source, colours
 
     return corrupted
 
 
 def _drop_last_edge(real):
-    """A rewriter that loses the last edge of every result of length >= 3,
+    """A composite that loses the last edge of every result of length >= 3,
     which also changes its degree."""
 
-    def corrupted(collection, x):
-        y = real(collection, x)
-        if len(y) < 3:
-            return y
-        return Path(y.edges[:-1], y.range_, y.source, y.colours[:-1])
+    def corrupted(table, i, j):
+        edges, range_, source, colours = real(table, i, j)
+        if len(edges) < 3:
+            return edges, range_, source, colours
+        return edges[:-1], range_, source, colours[:-1]
 
     return corrupted
 
@@ -168,7 +169,7 @@ def _drop_last_edge(real):
 def test_verify_category_reports_counterexample(ctx, monkeypatch):
     """Fault injection: corrupting the sweep's composite must surface a
     counterexample."""
-    monkeypatch.setattr(category, "normal_form", _swap_interior_edge(category.normal_form))
+    monkeypatch.setattr(category, "composite", _swap_interior_edge(category.composite))
     report = category.verify(ctx, 2, ("category",))
     assert not report.passed
     failing = [law for law in report.laws if not law.passed]
@@ -176,18 +177,18 @@ def test_verify_category_reports_counterexample(ctx, monkeypatch):
 
 
 def test_fault_is_found_after_a_clean_run_on_the_same_context(ctx, monkeypatch):
-    """No composite outlives its run: a rewriter corrupted after a clean
+    """No composite outlives its run: a composite corrupted after a clean
     run on the same context is called again, and caught."""
     assert category.verify(ctx, 2, ("category",)).passed
     assert category.verify(ctx, 2).passed
-    monkeypatch.setattr(category, "normal_form", _swap_interior_edge(category.normal_form))
+    monkeypatch.setattr(category, "composite", _swap_interior_edge(category.composite))
     assert not category.verify(ctx, 2, ("category",)).passed
     assert not category.verify(ctx, 2).passed
 
 
 def test_verify_text_prints_each_counterexample(monkeypatch, capsys):
     """A failing law's text line is followed by its counterexample."""
-    monkeypatch.setattr(category, "normal_form", _drop_last_edge(category.normal_form))
+    monkeypatch.setattr(category, "composite", _drop_last_edge(category.composite))
     argv = ["verify", str(FIXTURE_DIR / "example_E.cg"), "--max-len", "2", "--laws", "category"]
     assert run(argv) == 1
     assert capsys.readouterr().out == (
@@ -202,8 +203,8 @@ def test_verify_text_prints_each_counterexample(monkeypatch, capsys):
 
 def test_fault_fails_every_law_that_composes(ctx, monkeypatch):
     """Through ``verify`` the suites share one table, so a corrupted
-    rewriter fails the functor and factorization laws as well."""
-    monkeypatch.setattr(category, "normal_form", _drop_last_edge(category.normal_form))
+    composite fails the functor and factorization laws as well."""
+    monkeypatch.setattr(category, "composite", _drop_last_edge(category.composite))
     report = category.verify(ctx, 3)
     failing = [law for law in report.laws if not law.passed]
     assert [law.name for law in failing] == [
@@ -217,6 +218,14 @@ def test_fault_fails_every_law_that_composes(ctx, monkeypatch):
     assert all(law.counterexample for law in failing)
 
 
+def _by_range(paths: list) -> dict:
+    """Vertex -> (path, id) of the paths with that range, in id order."""
+    out: dict = {}
+    for j, y in enumerate(paths):
+        out.setdefault(y.range_, []).append((y, j))
+    return out
+
+
 def _table_matches_rewriting(ctx, max_len: int) -> int:
     """Every composable pair of pool traversals: the table's composite is
     the normal form of the concatenation.  Returns the pair count."""
@@ -224,9 +233,7 @@ def _table_matches_rewriting(ctx, max_len: int) -> int:
     paths = table.paths[:len(table.pool)]
     assert paths == [shortest_traversal(lam) for lam in table.pool]
     assert [table.intern(x) for x in paths] == list(range(len(paths)))
-    by_range: dict = {}
-    for j, y in enumerate(paths):
-        by_range.setdefault(y.range_, []).append((y, j))
+    by_range = _by_range(paths)
     pairs = 0
     for i, x in enumerate(paths):
         for y, j in by_range.get(x.source, ()):
@@ -238,9 +245,37 @@ def _table_matches_rewriting(ctx, max_len: int) -> int:
     return pairs
 
 
-@pytest.mark.parametrize("name, pairs", [("ctx", 392), ("grid_ctx", 100)])
+def _junctions_match_rewriting(ctx, max_len: int) -> int:
+    """Once every pair of pool ids is composed, every interned id on the
+    left (pool traversal or pair product, like the left factors of
+    associativity's triple products) and every composable pool id on the
+    right: ``composite`` is the normal form of the whole concatenation.
+    Returns the number of such products."""
+    table = CompositionTable(ctx, max_len)
+    by_range = _by_range(table.paths[:len(table.pool)])
+    for i, x in enumerate(table.paths[:len(table.pool)]):
+        for _, j in by_range.get(x.source, ()):
+            table.compose(i, j)
+    assert len(table.paths) > len(table.pool)
+    products = 0
+    for i, x in enumerate(list(table.paths)):
+        for y, j in by_range.get(x.source, ()):
+            z = normal_form(ctx, concat(x, y))
+            assert category.composite(table, i, j) == (z.edges, z.range_, z.source, z.colours)
+            products += 1
+    return products
+
+
+@pytest.mark.parametrize("name, pairs", [("ctx", 392), ("grid_ctx", 100), ("blue_cycle_ctx", 2888)])
 def test_table_composites_are_normal_forms_on_fixtures(name, pairs, request):
     assert _table_matches_rewriting(request.getfixturevalue(name), 3) == pairs
+
+
+@pytest.mark.parametrize(
+    "name, products", [("ctx", 2212), ("grid_ctx", 280), ("blue_cycle_ctx", 61788)]
+)
+def test_composites_at_the_junction_are_normal_forms_on_fixtures(name, products, request):
+    assert _junctions_match_rewriting(request.getfixturevalue(name), 3) == products
 
 
 @settings(max_examples=20, deadline=None)
@@ -248,6 +283,7 @@ def test_table_composites_are_normal_forms_on_fixtures(name, pairs, request):
 def test_table_composites_are_normal_forms_on_one_vertex_collections(drawn):
     ctx, _ = drawn
     assert _table_matches_rewriting(ctx, 3) > 0
+    assert _junctions_match_rewriting(ctx, 2) > 0
 
 
 @settings(max_examples=6, deadline=None)
@@ -255,6 +291,64 @@ def test_table_composites_are_normal_forms_on_one_vertex_collections(drawn):
 def test_table_composites_are_normal_forms_on_multi_vertex_collections(drawn):
     ctx, _ = drawn
     assert _table_matches_rewriting(ctx, 3) > 0
+    assert _junctions_match_rewriting(ctx, 2) > 0
+
+
+@pytest.mark.parametrize("ops, last", [(BS, "b"), (GRID, "a")])
+def test_rewrite_pattern_is_a_letter_then_a_run_of_the_last(ops, last):
+    """The junction lemma behind ``composite``: a pattern that is one
+    letter and then a run of its last letter can only match across the
+    junction of two normal forms within the right one's leading run of
+    that letter."""
+    pattern = _rule(ops)[0]
+    assert pattern[-1] == last != pattern[0]
+    assert pattern == pattern[0] + last * (len(pattern) - 1)
+
+
+@pytest.mark.parametrize("name", ["ctx", "grid_ctx", "blue_cycle_ctx"])
+def test_composite_calls_normal_form_only_where_it_rewrites(name, request, monkeypatch):
+    """Without a run on the right, or with one too short to complete the
+    pattern at the left factor's end, the composite is the concatenation:
+    every head ``normal_form`` sees has something to rewrite."""
+    rewrote = []
+
+    def counted(collection, x):
+        y = normal_form(collection, x)
+        rewrote.append(y is not x)
+        return y
+
+    monkeypatch.setattr(category, "normal_form", counted)
+    assert category.verify(request.getfixturevalue(name), 3).passed
+    assert rewrote and all(rewrote)
+
+
+def test_table_interns_only_pool_traversals_and_pair_products(ctx):
+    """Associativity compares its triple products without interning them:
+    after the category suite every interned id is a pool traversal or the
+    composite of two pool ids."""
+    table = CompositionTable(ctx, 3)
+    assert verify_category(table).passed
+    pool_paths = table.paths[:len(table.pool)]
+    products = {
+        normal_form(ctx, concat(x, y)) for x in pool_paths for y in pool_paths if x.source == y.range_
+    }
+    assert len(table.paths) > len(pool_paths)
+    assert all(x in products for x in table.paths[len(pool_paths):])
+
+
+def test_category_suite_memory_on_blue_cycle():
+    """The category suite keeps the pair products and the heads it
+    rewrote, not the triple products of associativity: on blue_cycle.cg at
+    max-len 3 it peaks below 6 MiB of traced memory (17.7 MiB when every
+    triple product was interned)."""
+    ctx = load_fixture(FIXTURE_DIR / "blue_cycle.cg")
+    tracemalloc.start()
+    try:
+        assert category.verify(ctx, 3, ("category",)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_pool_morphisms_sharing_a_shortest_traversal_conflict(ctx, monkeypatch):
@@ -276,10 +370,10 @@ def test_pool_morphisms_sharing_a_shortest_traversal_conflict(ctx, monkeypatch):
 def test_suite_subsets_report_their_suites_in_order(fixture, max_len, fault, monkeypatch):
     """Every ordered non-empty subset of the suites reports the laws of
     each suite run alone, in the subset's order, clean and under a
-    corrupted rewriter."""
+    corrupted composite."""
     ctx = load_fixture(FIXTURE_DIR / f"{fixture}.cg")
     if fault:
-        monkeypatch.setattr(category, "normal_form", fault(category.normal_form))
+        monkeypatch.setattr(category, "composite", fault(category.composite))
     alone = {name: category.verify(ctx, max_len, (name,)).laws for name in SUITES}
     subsets = [s for r in range(1, len(SUITES) + 1) for s in permutations(SUITES, r)]
     assert len(subsets) == 15
@@ -364,7 +458,7 @@ FAULT_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "faults.json
 
 def _fault_cases() -> dict:
     """Case name -> (context, patched name, corruption, suites, max_len):
-    each rewriter fault under all suites ("verify") and the category suite
+    each composite fault under all suites ("verify") and the category suite
     alone ("verify_category") at max-len 2 and 3 on example_E.cg, and the
     corrupted split of
     ``test_corrupted_split_fails_round_trip_and_uniqueness``."""
@@ -375,7 +469,7 @@ def _fault_cases() -> dict:
                 name = f"{case}-{fault.__name__.strip('_')}-len{max_len}"
                 cases[name] = (
                     lambda: load_fixture(FIXTURE_DIR / "example_E.cg"),
-                    "normal_form",
+                    "composite",
                     fault,
                     suites,
                     max_len,

@@ -346,11 +346,14 @@ def test_huge_degree_is_refused_in_one_short_line(argv, capsys):
 
 
 def _ten_red_loops(tmp_path) -> str:
-    # One vertex, one blue loop, ten red loops: a^2 b^8 has only 17 model
-    # vertices, but 10^8 total assignments for the brute-force search.
+    # One vertex, one blue loop, ten red loops and a square for each pair
+    # of them: a^2 b^8 has only 17 model vertices, but each of its 10^8
+    # assignments is a compatible morphism, so no search can cut a branch.
     lines = ["mode bs", "vertex x", "edge b b x x"]
     lines += [f"edge r{i} a x x" for i in range(10)]
-    lines += [f"square s{i} eA=r{i} aB=b abB=b eB=b bA=r{i}" for i in range(10)]
+    lines += [
+        f"square s{i}_{j} eA=r{i} aB=b abB=b eB=b bA=r{j}" for i in range(10) for j in range(10)
+    ]
     p = tmp_path / "loops.cg"
     p.write_text("\n".join(lines) + "\n")
     return str(p)
@@ -415,8 +418,14 @@ def test_negative_count_is_a_usage_error(capsys, argv):
 
 
 def test_verify_unknown_suite_exit_2(capsys):
-    code, _, err = invoke(capsys, "verify", E, "--laws", "nonsense")
-    assert code == 2 and "unknown law suite" in err
+    """One error line names every unknown suite, in the order given."""
+    for laws, named in (("nonsense", "nonsense"), ("category,bogus,functor,x", "bogus, x")):
+        code, out, err = invoke(capsys, "verify", E, "--laws", laws)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: unknown law suite(s): {named}; "
+            "the suites are category, functor, factorization\n"
+        )
 
 
 @pytest.mark.parametrize("laws", ["", "category,", ",functor", "category,,functor"])
