@@ -6,22 +6,21 @@ length bound, reporting the first counterexample when a law fails.  Inside
 the sweeps a morphism is its shortest traversal, and composing two of them
 is rewriting their concatenation back to normal form (``normal_form``),
 which only has work where the two normal forms meet (``composite``).
-One ``CompositionTable`` per run owns the pool, names each traversal by an
-int (pool morphism n is id n) and composes each distinct pair once, and
-each suite is a function of that table.  The dense
-form is built only for the pool and for the enumeration oracle: the
-factorization suite reads each split's two traversals straight off the
-pool morphism.
+One ``CompositionTable`` per run owns the pool and its composable pairs,
+names each traversal by an int (pool morphism n is id n) and composes
+each distinct pair once, and each suite is a function of that table.
+The dense form is built only for the pool and for the enumeration
+oracle: the factorization suite reads each split's two traversals
+straight off the pool morphism.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from itertools import islice
 from math import inf
-from types import MappingProxyType
 
-from .errors import Conflict
+from .errors import BsGraphError, Conflict
 from .graphs import ColouredGraph, Path, path_degree, vertex_path
 from .morphisms import (
     Morphism,
@@ -96,11 +95,6 @@ def pool_morphisms(collection: CompleteCollection, max_len: int) -> list[Morphis
     return [seen[k] for k in sorted(seen)]
 
 
-# The products row of each id not yet composed on the left: one shared
-# read-only empty map, so an id that is only a right factor costs no dict.
-_NO_PRODUCTS = MappingProxyType({})
-
-
 class CompositionTable:
     """The pool of one run, interned shortest traversals and their
     composites.
@@ -116,8 +110,9 @@ class CompositionTable:
     left rewrites with (``inf`` if none does).  The constructor checks
     coverage, then builds the pool of ``max_len`` and interns the shortest
     traversal of pool morphism n as id n, so ``paths[:len(pool)]`` are the
-    pool's traversals.  Nothing here outlives the run: a later run on the
-    same collection gets a new table.
+    pool's traversals, and ``after`` maps each vertex to the pool ids with
+    that range, in pool order.  Nothing here outlives the run: a later run
+    on the same collection gets a new table.
     """
 
     def __init__(self, collection: CompleteCollection, max_len: int):
@@ -128,17 +123,20 @@ class CompositionTable:
         self.runs: list[int] = []  # id -> length of its leading run
         self.reach: list = []  # id -> shortest run it rewrites with
         self._ids: dict = {}  # (range, edges) -> id
-        # id i -> {id j: id of the composite of i and j}; one small dict
-        # per left factor holds no key tuples, which keeps the table lean.
-        self._products: list = []
+        # id i -> {id j: id of the composite of i and j}, made when i is
+        # first composed on the left; one small dict per left factor holds
+        # no key tuples, which keeps the table lean.
+        self._products: dict = defaultdict(dict)
         # (id i, run edges) -> the normal form of paths[i] followed by them.
         self._heads: dict = {}
         self._pattern = _rule(collection.ops)[0]
         self.pool = pool_morphisms(collection, max_len)
+        self.after: dict = {}  # vertex -> pool ids with that range
         for n, lam in enumerate(self.pool):
             x = shortest_traversal(lam)
             if self.intern(x) != n:
                 raise Conflict(f"two morphisms of the pool have the shortest traversal {x}")
+            self.after.setdefault(x.range_, []).append(n)
 
     def intern(self, x: Path) -> int:
         key = (x.range_, x.edges)
@@ -157,20 +155,24 @@ class CompositionTable:
         self.runs.append(len(word) - len(word.lstrip(pattern[-1])))
         trail = len(word) - len(body)
         self.reach.append(len(pattern) - 1 - trail if body.endswith(pattern[0]) else inf)
-        self._products.append(_NO_PRODUCTS)
         return i
+
+    def pairs(self):
+        """Pool ids (i, j) of every composable pair, in pool order."""
+        paths, after = self.paths, self.after
+        for i in range(len(self.pool)):
+            for j in after.get(paths[i].source, ()):
+                yield i, j
 
     def row(self, i: int):
         """Id j -> id of the composite of i and j, for every j composed
         with i on the right so far; read it, do not change it."""
-        return self._products[i]
+        return self._products.get(i, {})
 
     def compose(self, i: int, j: int) -> int:
         row = self._products[i]
         k = row.get(j)
         if k is None:
-            if row is _NO_PRODUCTS:
-                row = self._products[i] = {}
             edges, range_, source, colours = composite(self, i, j)
             key = (range_, edges)
             k = self._ids.get(key)
@@ -214,21 +216,6 @@ def _describe(ops, *xs: Path) -> str:
     )
 
 
-def _by_range(paths: list) -> dict:
-    """Vertex -> indices of the paths with that range, in pool order."""
-    out: dict = {}
-    for i, x in enumerate(paths):
-        out.setdefault(x.range_, []).append(i)
-    return out
-
-
-def _pairs(paths: list, after: dict):
-    """Pool indices (i, j) of every composable pair, in pool order."""
-    for i, x in enumerate(paths):
-        for j in after.get(x.source, ()):
-            yield i, j
-
-
 def _law(name: str, instances, counterexample) -> LawResult:
     """Check one law over its instances in order, up to and including the
     first one for which ``counterexample(*instance)`` describes a failure."""
@@ -245,16 +232,14 @@ def verify_category(table: CompositionTable) -> VerificationReport:
     """Range/source, associativity, and identity laws over the table's pool."""
     collection = table.collection
     paths, keys, compose, row = table.paths, table.keys, table.compose, table.row
-    pool_paths = paths[:len(table.pool)]
     ops = collection.ops
-    after = _by_range(pool_paths)
 
     def range_source(i, j):
         prod = paths[compose(i, j)]
         if prod.range_ != paths[i].range_ or prod.source != paths[j].source:
             return _describe(ops, paths[i], paths[j])
 
-    rs = _law("range/source of composites", _pairs(pool_paths, after), range_source)
+    rs = _law("range/source of composites", table.pairs(), range_source)
 
     # Associativity is most of verify's instances (95% at max-len 5 on
     # example_E.cg) and its triple products are most of its composites, so
@@ -264,10 +249,10 @@ def verify_category(table: CompositionTable) -> VerificationReport:
     # one included, and each j·k is such a pair.
     assoc_instances = 0
     assoc_fail = None
-    for i, j in islice(_pairs(pool_paths, after), rs.instances):
+    for i, j in islice(table.pairs(), rs.instances):
         left = compose(i, j)
         i_row, j_row, left_row = row(i), row(j), row(left)
-        for k in after.get(paths[j].source, ()):
+        for k in table.after.get(paths[j].source, ()):
             assoc_instances += 1
             right = j_row.get(k)
             if right is None:
@@ -299,7 +284,7 @@ def verify_category(table: CompositionTable) -> VerificationReport:
         if on_left != i or on_right != i:
             return _describe(ops, x)
 
-    identity = _law("identity laws", enumerate(pool_paths), identity_law)
+    identity = _law("identity laws", enumerate(paths[:len(table.pool)]), identity_law)
     return VerificationReport([rs, assoc, identity])
 
 
@@ -307,10 +292,8 @@ def verify_functor(table: CompositionTable) -> VerificationReport:
     """Degree is multiplicative on composites and trivial on identities."""
     collection = table.collection
     paths, compose = table.paths, table.compose
-    pool_paths = paths[:len(table.pool)]
     ops = collection.ops
-    degrees = [path_degree(ops, x) for x in pool_paths]
-    pairs = _pairs(pool_paths, _by_range(pool_paths))
+    degrees = [lam.degree for lam in table.pool]
 
     def multiplicative(i, j):
         product = path_degree(ops, paths[compose(i, j)])
@@ -322,7 +305,7 @@ def verify_functor(table: CompositionTable) -> VerificationReport:
             return f"vertex {v}"
 
     return VerificationReport([
-        _law("degree multiplicative on composites", pairs, multiplicative),
+        _law("degree multiplicative on composites", table.pairs(), multiplicative),
         _law("identities map to e", zip(collection.graph.vertices), identity_degree),
     ])
 
@@ -386,7 +369,14 @@ def verify(collection: CompleteCollection, max_len: int, suites=SUITES) -> Verif
     merged into one report.
 
     The pool is built once, and a composite one suite has computed is a
-    table read for the next."""
+    table read for the next.  An unknown suite name raises
+    ``BsGraphError`` before any path is lifted."""
+    suites = list(suites)
+    unknown = [name for name in suites if name not in SUITES]
+    if unknown:
+        raise BsGraphError(
+            f"unknown law suite(s): {', '.join(unknown)}; the suites are {', '.join(SUITES)}"
+        )
     table = CompositionTable(collection, max_len)
     laws = []
     for name in suites:

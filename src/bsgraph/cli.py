@@ -19,7 +19,6 @@ from .fixtures import load_fixture
 from .graphs import concat, parse_path
 from .models import model
 from .morphisms import (
-    check_traverses,
     enumerate_morphisms,
     lift_path,
     longest_traversal,
@@ -124,11 +123,11 @@ def cmd_lift(args) -> int:
     path = parse_path(ctx.graph, args.path)
     lam = lift_path(ctx, path)
     if args.oracle:
+        # Pinned to the path, enumeration finds only what the path traverses.
         found = enumerate_morphisms(ctx, lam.degree, through=path)
-        matches = [m for m in found if check_traverses(m, path)]
-        if matches != [lam]:
+        if found != [lam]:
             print(
-                f"oracle mismatch: enumeration found {len(matches)} morphisms "
+                f"oracle mismatch: enumeration found {len(found)} morphisms "
                 f"traversed by the path",
                 file=sys.stderr,
             )
@@ -230,14 +229,6 @@ def cmd_verify(args) -> int:
     twice = next((w for i, w in enumerate(wanted) if w in wanted[:i]), None)
     if twice is not None:
         print(f"error: law suite {twice!r} given twice in --laws {args.laws!r}", file=sys.stderr)
-        return 2
-    unknown = [w for w in wanted if w not in SUITES]
-    if unknown:
-        print(
-            f"error: unknown law suite(s): {', '.join(unknown)}; "
-            f"the suites are {', '.join(SUITES)}",
-            file=sys.stderr,
-        )
         return 2
     report = verify(ctx, args.max_len, wanted)
     _emit(report.to_json(), args.json, report.to_text())

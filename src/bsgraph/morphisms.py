@@ -337,10 +337,6 @@ MAX_SEARCH_NODES = 10**6
 MAX_ENUMERATION_VERTICES = 10**4
 
 
-class _LimitReached(Exception):
-    """Unwinds the enumeration search once it has found enough morphisms."""
-
-
 def enumerate_morphisms(
     collection: CompleteCollection, w, limit: int | None = None, through: Path | None = None
 ) -> list[Morphism]:
@@ -349,19 +345,20 @@ def enumerate_morphisms(
     graph.
 
     Backtracks over domain edges in declaration order, trying ambient
-    edges in declaration order; output order is deterministic.  Each
-    square occurrence is checked against ``collection.squares`` at the
-    level of each of its edges, on the edges assigned so far, so only
-    branches without a result are cut, each as soon as none of the
-    squares fits it; the search never reads the collection's boundary
-    maps or the lift.  With a path ``through`` of the collection's graph it
-    returns only the morphisms that path traverses, in the same order:
-    the identity goes to its range and the domain edges along its colours
-    to its own edges.  Exponential by design; guarded by
-    MAX_ENUMERATION_VERTICES before the search and by MAX_SEARCH_NODES
-    during it.  With a non-negative ``limit`` the search stops once it has
-    found that many morphisms, and returns the first ``limit`` of the full
-    list.
+    edges in declaration order; output order is deterministic.  The search
+    keeps its own stack, one level per domain edge, so its depth is not
+    bounded by Python's recursion limit.  Each square occurrence is
+    checked against ``collection.squares`` at the level of each of its
+    edges, on the edges assigned so far, so only branches without a
+    result are cut, each as soon as none of the squares fits it; the
+    search never reads the collection's boundary maps or the lift.  With
+    a path ``through`` of the collection's graph it returns only the
+    morphisms that path traverses, in the same order: the identity goes
+    to its range and the domain edges along its colours to its own edges.
+    Exponential by design; guarded by MAX_ENUMERATION_VERTICES before the
+    search and by MAX_SEARCH_NODES during it.  With a non-negative
+    ``limit`` the search stops once it has found that many morphisms, and
+    returns the first ``limit`` of the full list.
     """
     ops, g = collection.ops, collection.graph
     if too_many_vertices(ops, w, MAX_ENUMERATION_VERTICES):
@@ -414,48 +411,53 @@ def enumerate_morphisms(
         for name, l in zip(through.edges, through.colours):
             choices[edge_index[(z, l)]] = dict.fromkeys(g.vertices, [(name, g.edge(name).source)])
             z = ops.step(z, l)
-    # Per domain edge: its range, its source, whether an earlier edge (or
-    # the identity) already fixed the source, its candidates by range and
-    # the squares it closes.
-    levels = []
+    # Per domain edge: its range and its candidates by range (picks); its
+    # source, whether an earlier edge (or the identity) already fixed the
+    # source, and the squares it closes (checks).
+    picks, checks = [], []
     fixed = {vertex_index[ops.identity]}
     for (z, l), options, closes in zip(edge_keys, choices, closing):
         t = vertex_index[ops.step(z, l)]
-        levels.append((vertex_index[z], t, t in fixed, options, closes))
+        picks.append((vertex_index[z], options))
+        checks.append((t, t in fixed, closes))
         fixed.add(t)
-    last = len(levels)
+    last = len(picks)
     images: list = [None] * len(vertices)
     names: list = [None] * last
     results: list[Morphism] = []
     nodes = 0
-
-    def backtrack(i: int):
-        nonlocal nodes
+    too_many = f"enumeration of {ops.format(w)} passed {MAX_SEARCH_NODES} search nodes"
+    # Per level of the current branch, its candidates not tried yet.
+    untried: list = [None] * last
+    for v in starts:
+        images[vertex_index[ops.identity]] = v
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
-            raise ResourceLimit(
-                f"enumeration of {ops.format(w)} passed {MAX_SEARCH_NODES} search nodes"
-            )
-        if i == last:
-            results.append(Morphism(ops, w, *read_rows(images, names)))
-            if len(results) == limit:
-                raise _LimitReached
-            return
-        r, t, source_fixed, options, closes = levels[i]
-        for name, source in options[images[r]]:
-            if source_fixed and source != images[t]:
-                continue
-            names[i], images[t] = name, source
-            for read, seen in closes:
-                if read(names) not in seen:
-                    break
+            raise ResourceLimit(too_many)
+        i = 0
+        untried[0] = iter(picks[0][1][v])  # edge 0 leaves the identity
+        while i >= 0:
+            t, source_fixed, closes = checks[i]
+            for name, source in untried[i]:
+                if source_fixed and source != images[t]:
+                    continue
+                names[i], images[t] = name, source
+                for read, seen in closes:
+                    if read(names) not in seen:
+                        break
+                else:
+                    # A new node: one level down, or a result.
+                    nodes += 1
+                    if nodes > MAX_SEARCH_NODES:
+                        raise ResourceLimit(too_many)
+                    if i + 1 < last:
+                        i += 1
+                        r, options = picks[i]
+                        untried[i] = iter(options[images[r]])
+                        break
+                    results.append(Morphism(ops, w, *read_rows(images, names)))
+                    if len(results) == limit:
+                        return results
             else:
-                backtrack(i + 1)
-
-    try:
-        for v in starts:
-            images[vertex_index[ops.identity]] = v
-            backtrack(0)
-    except _LimitReached:
-        pass
+                i -= 1
     return results

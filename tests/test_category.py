@@ -336,6 +336,61 @@ def test_table_interns_only_pool_traversals_and_pair_products(ctx):
     assert all(x in products for x in table.paths[len(pool_paths):])
 
 
+def test_table_pairs_are_the_composable_pool_pairs_in_pool_order(ctx):
+    table = CompositionTable(ctx, 3)
+    paths = table.paths[:len(table.pool)]
+    assert table.after == {
+        v: [j for j, y in enumerate(paths) if y.range_ == v] for v in ctx.graph.vertices
+    }
+    assert list(table.pairs()) == [
+        (i, j) for i, x in enumerate(paths) for j, y in enumerate(paths) if x.source == y.range_
+    ]
+
+
+@pytest.mark.parametrize("name, max_len", [("ctx", 3), ("grid_ctx", 3), ("blue_cycle_ctx", 2)])
+def test_products_rows_are_made_for_left_factors_only(name, max_len, request):
+    """After all three suites the table holds a products row for exactly
+    the ids composed on the left; every other id reads an empty row."""
+    table = CompositionTable(request.getfixturevalue(name), max_len)
+    left = set()
+    compose = table.compose
+
+    def recorded(i, j):
+        left.add(i)
+        return compose(i, j)
+
+    table.compose = recorded
+    for suite in (verify_category, verify_functor, verify_factorization):
+        assert suite(table).passed
+    assert set(table._products) == left
+    assert {i for i in range(len(table.paths)) if table.row(i)} == left
+    assert len(left) < len(table.paths)
+
+
+def test_verify_refuses_an_unknown_suite_before_lifting(ctx, monkeypatch):
+    """The library checks suite names itself, with the CLI's message, and
+    lifts no path of the pool first."""
+
+    def no_lift(collection, x):
+        raise AssertionError(f"lifted {x} before checking the suite names")
+
+    monkeypatch.setattr(category, "lift_path", no_lift)
+    with pytest.raises(BsGraphError) as exc:
+        category.verify(ctx, 2, ["bogus"])
+    assert type(exc.value) is BsGraphError
+    assert str(exc.value) == (
+        "unknown law suite(s): bogus; the suites are category, functor, factorization"
+    )
+
+
+def test_verify_reads_a_generator_of_suites_once(ctx):
+    report = category.verify(ctx, 2, (name for name in ["functor"]))
+    assert [law.name for law in report.laws] == [
+        "degree multiplicative on composites",
+        "identities map to e",
+    ]
+
+
 def test_category_suite_memory_on_blue_cycle():
     """The category suite keeps the pair products and the heads it
     rewrote, not the triple products of associativity: on blue_cycle.cg at

@@ -15,7 +15,8 @@ import bsgraph
 from bsgraph import cli
 from bsgraph.cli import run
 from bsgraph.fixtures import load_fixture, parse_fixture, serialize_fixture
-from bsgraph.words import GRID
+from bsgraph.morphisms import MAX_ENUMERATION_VERTICES
+from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
 from .test_golden import CASES, GOLDEN, transcript
@@ -343,6 +344,26 @@ def test_huge_degree_is_refused_in_one_short_line(argv, capsys):
     assert peak < REFUSAL_PEAK
     assert code == 2 and out == ""
     assert err.startswith("resource limit:") and err.count("\n") == 1 and len(err) < 100
+
+
+@pytest.mark.parametrize("degree", ["b^10000", "b^4000 a"], ids=["cheap-bound", "exact-count"])
+def test_enumeration_domain_limit_exit_2(capsys, degree):
+    """b^10000 has N + M + 1 = 10,001 vertices in its first row and last
+    column alone; b^4000 a has N + M = 8,001, and its exact count, 12,002
+    vertices, refuses it.  Neither search starts."""
+    w = BS.parse(degree)
+    assert (sum(w) >= MAX_ENUMERATION_VERTICES) == (degree == "b^10000")
+    assert BS.prefix_count(w) > MAX_ENUMERATION_VERTICES
+    code, out, err, peak = invoke_traced(capsys, "enumerate", E, "--degree", degree)
+    assert peak < REFUSAL_PEAK
+    assert (code, out) == (2, "")
+    assert err == "resource limit: enumeration domain of more than 10000 vertices\n"
+
+
+def test_grid_degree_with_a_non_integer_coordinate_exit_2(capsys):
+    assert invoke(capsys, "enumerate", GRID_FX, "--degree", "1,x") == (
+        2, "", "error: bad grid degree '1,x'\n"
+    )
 
 
 def _ten_red_loops(tmp_path) -> str:

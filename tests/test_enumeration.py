@@ -2,10 +2,11 @@
 replaced.
 
 ``enumerate_leaf_checked`` (in ``oracles``) checks squares only on total
-assignments.  Rejecting each square where its last edge is assigned cuts
-only branches without a result, so the unpinned search must return the
-reference's list in its order; pinned to a path, it must return the
-reference's morphisms that the path traverses, in order.
+assignments.  Checking each square occurrence at each of its edges, on
+the edges assigned so far, cuts only branches without a result, so the
+unpinned search must return the reference's list in its order; pinned to
+a path, it must return the reference's morphisms that the path
+traverses, in order.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgraph.category import all_paths
-from bsgraph.fixtures import load_fixture
+from bsgraph.category import all_paths, verify
+from bsgraph.cli import run
+from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import path_degree, validate_path, vertex_path
 from bsgraph.morphisms import check_traverses, enumerate_morphisms
 
@@ -77,3 +79,47 @@ def test_pinned_search_keeps_the_limit(fixture_dir):
     found = enumerate_morphisms(ctx, w, through=x)
     assert len(found) == 3
     assert enumerate_morphisms(ctx, w, limit=2, through=x) == found[:2]
+
+
+# Two vertices, a red loop at each, and two blue edges into v, from u and
+# from v: A_a = I and A_b = [[0, 0], [1, 1]], so A_a A_b^2 = A_b A_a, with
+# one square for each of the two balanced groups.
+TWO_BLUE_INTO_V = """mode bs
+vertex u
+vertex v
+edge ru a u u
+edge rv a v v
+edge bu b v u
+edge bv b v v
+square s1 eA=rv aB=bv abB=bu eB=bu bA=ru
+square s2 eA=rv aB=bv abB=bv eB=bv bA=rv
+"""
+
+
+@pytest.mark.parametrize("word", ["ba", "bba", "baa", "bbaa"])
+def test_search_skips_a_candidate_whose_source_is_already_fixed(word):
+    """Both blue edges into v are candidates wherever a domain edge has
+    range v, so where an earlier edge has fixed the domain edge's source,
+    the candidate with the other source is skipped before any square is
+    read."""
+    ctx = parse_fixture(TWO_BLUE_INTO_V)
+    w = ctx.ops.parse(word)
+    found = enumerate_morphisms(ctx, w)
+    assert found and found == enumerate_leaf_checked(ctx, w)
+
+
+def test_laws_hold_with_two_blue_edges_into_one_vertex():
+    assert verify(parse_fixture(TWO_BLUE_INTO_V), 3).passed
+
+
+def test_deep_searches_do_not_recurse(capsys):
+    """The search keeps its own stack: a thousand domain edges are a
+    thousand levels, past Python's default recursion limit, here under
+    pytest's frames as well."""
+    example = str(FIXTURE_DIR / "example_E.cg")
+    g1000 = " ".join(["g"] * 1000)
+    assert run(["enumerate", example, "--degree", "b^1000", "--limit", "1"]) == 0
+    assert capsys.readouterr().out == f"[0] r=u s=u traversal {g1000}\n"
+    assert run(["lift", example, "--path", g1000, "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(": 1001 vertices, 1000 edges, r=u s=u\n")
