@@ -7,7 +7,8 @@ ab^k = ba, and multiply by the one law
 
     (N1, M1) * (N2, M2) = (N1 + N2, M1 * k^N2 + M2).
 
-Edge colours are the letters 'a' (red) and 'b' (blue).  The two modes are
+Edge colours are the letters 'a' (red) and 'b' (blue), and a colour word,
+such as a path's ``colours``, is a ``str`` of them.  The two modes are
 the mode objects BS, the positive Baumslag-Solitar monoid BS(2,1)+, and
 GRID, N^2 = BS(1,1)+; ``words`` holds their one arithmetic.
 """

@@ -76,7 +76,7 @@ def all_paths(g: ColouredGraph, max_len: int) -> list[Path]:
     out = list(frontier)
     for _ in range(max_len):
         frontier = [
-            Path(p.edges + (e.name,), p.range_, e.source, p.colours + (e.colour,))
+            Path(p.edges + (e.name,), p.range_, e.source, p.colours + e.colour)
             for p in frontier
             for e in g.edges
             if e.range_ == p.source
@@ -150,7 +150,7 @@ class CompositionTable:
         # The pattern is one letter and then a run of its last letter, so a
         # run on the right completes it only after x's first letter and
         # trailing run.
-        pattern, word = self._pattern, "".join(x.colours)
+        pattern, word = self._pattern, x.colours
         body = word.rstrip(pattern[-1])
         self.runs.append(len(word) - len(word.lstrip(pattern[-1])))
         trail = len(word) - len(body)

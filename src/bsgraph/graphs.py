@@ -1,7 +1,8 @@
 """Finite 2-coloured directed graphs and their paths.
 
 Edges point range <- source: for an edge f, r(f) sits at the arrowhead.
-A path f1 f2 ... fn is composable when s(f_i) = r(f_{i+1}).
+A path f1 f2 ... fn is composable when s(f_i) = r(f_{i+1}), and its
+colour word is the ``str`` of its edges' letters, ``""`` for a vertex.
 """
 
 from __future__ import annotations
@@ -118,11 +119,12 @@ def build_graph(vertices, edges) -> ColouredGraph:
 
 
 class Path(Frozen, fields=("edges", "range_", "source", "colours")):
-    """Composable edge sequence, or a single vertex (length 0)."""
+    """Composable edge sequence, or a single vertex (length 0), with its
+    colour word: ``colours[i]`` is the letter of ``edges[i]``."""
 
     __slots__ = ("edges", "range_", "source", "colours")
 
-    def __init__(self, edges: tuple[str, ...], range_: str, source: str, colours: tuple):
+    def __init__(self, edges: tuple[str, ...], range_: str, source: str, colours: str):
         _set(self, "edges", edges)
         _set(self, "range_", range_)
         _set(self, "source", source)
@@ -138,7 +140,7 @@ class Path(Frozen, fields=("edges", "range_", "source", "colours")):
 def vertex_path(g: ColouredGraph, v: str) -> Path:
     if v not in g.vertex_set:
         raise UnknownVertex(f"unknown vertex {v!r}")
-    return Path((), v, v, ())
+    return Path((), v, v, "")
 
 
 def validate_path(g: ColouredGraph, names) -> Path:
@@ -154,7 +156,7 @@ def validate_path(g: ColouredGraph, names) -> Path:
                 f"s({names[i]}) = {edges[i].source} != "
                 f"r({names[i + 1]}) = {edges[i + 1].range_}",
             )
-    return Path(names, edges[0].range_, edges[-1].source, tuple(e.colour for e in edges))
+    return Path(names, edges[0].range_, edges[-1].source, "".join(e.colour for e in edges))
 
 
 def parse_path(g: ColouredGraph, text: str) -> Path:

@@ -180,8 +180,6 @@ def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
     """
     collection.require_unique()
     ops, g = collection.ops, collection.graph
-    if not x.edges:
-        return identity_morphism(ops, x.range_)
     # Colours come from the graph, and every junction is checked.
     at = x.range_
     colours = []
@@ -245,8 +243,8 @@ def _rule(ops) -> tuple:
     shortest word."""
     red, blue = ops.red_first_word, ops.blue_first_word
     if ops.shortest_letters(ops.square_degree) == red:
-        return "".join(blue), red, "_blue_to_red", "blue-first"
-    return "".join(red), blue, "_red_to_blue", "red-first"
+        return blue, red, "_blue_to_red", "blue-first"
+    return red, blue, "_red_to_blue", "red-first"
 
 
 def normal_form(collection: CompleteCollection, x: Path) -> Path:
@@ -258,33 +256,22 @@ def normal_form(collection: CompleteCollection, x: Path) -> Path:
     each blue-first ``b a`` pair becomes the red-first ``a b`` pair.  The
     rules do not overlap and each shortens the colour word or moves a red
     letter left, so every order of rewriting ends at the same normal form:
-    the word with no ``a b b`` factor, resp. ``a^m b^n``.  Letters wait on
-    a stack, so a rewrite only looks again at its neighbours.  A missing
-    square raises ``NotCovered``.
+    the word with no ``a b b`` factor, resp. ``a^m b^n``.  Each step
+    rewrites the leftmost match in place, the square's other boundary into
+    the edges and its word into the colours.  A missing square raises
+    ``NotCovered``.
     """
     pattern, word, table, kind = _rule(collection.ops)
-    # Everything before the first match is normal already, and most paths
-    # of a sweep have no match at all.
-    width = len(pattern)
-    start = "".join(x.colours).find(pattern)
-    if start < 0:
-        return x
-    start += width - 1
-    table, last = getattr(collection, table), pattern[-1]
-    pattern, word = list(pattern), word[::-1]
-    names, colours = list(x.edges[:start]), list(x.colours[:start])
-    # Edges still to place, next one last; a rewrite pushes its output here.
-    todo = list(zip(reversed(x.edges[start:]), reversed(x.colours[start:])))
-    while todo:
-        name, colour = todo.pop()
-        names.append(name)
-        colours.append(colour)
-        if colour == last and colours[-width:] == pattern:
-            boundary = tuple(names[-width:])
-            other = table.get(boundary) or not_covered(kind, boundary)
-            del names[-width:], colours[-width:]
-            todo.extend(zip(reversed(other), word))
-    return Path(tuple(names), x.range_, x.source, tuple(colours))
+    table, width = getattr(collection, table), len(pattern)
+    colours, names, start = x.colours, list(x.edges), 0
+    while (start := colours.find(pattern, start)) >= 0:
+        end = start + width
+        boundary = tuple(names[start:end])
+        names[start:end] = table.get(boundary) or not_covered(kind, boundary)
+        colours = colours[:start] + word + colours[end:]
+        # A new match overlaps the replacement: nothing left of it changed.
+        start = max(start - width + 1, 0)
+    return Path(tuple(names), x.range_, x.source, colours)
 
 
 def check_traverses(lam: Morphism, x: Path) -> bool:
@@ -303,7 +290,7 @@ def _read_traversal(lam: Morphism, letters, start=None) -> Path:
     for letter in letters:
         names.append(rows[letter][w[0]][w[1]])
         w = step(w, letter)
-    return Path(tuple(names), range_, lam.vrows[w[0]][w[1]], tuple(letters))
+    return Path(tuple(names), range_, lam.vrows[w[0]][w[1]], letters)
 
 
 def shortest_traversal(lam: Morphism) -> Path:
@@ -354,7 +341,8 @@ def enumerate_morphisms(
     search never reads the collection's boundary maps or the lift.  With
     a path ``through`` of the collection's graph it returns only the
     morphisms that path traverses, in the same order: the identity goes
-    to its range and the domain edges along its colours to its own edges.
+    to its range and the domain edges along its colours to its own edges;
+    a ``through`` that is not a path of the graph finds none.
     Exponential by design; guarded by MAX_ENUMERATION_VERTICES before the
     search and by MAX_SEARCH_NODES during it.  With a non-negative
     ``limit`` the search stops once it has found that many morphisms, and
@@ -398,10 +386,8 @@ def enumerate_morphisms(
             read = itemgetter(*[slots[k] for k in kept])
             closing[slots[order[n - 1]]].append((read, allowed[kept]))
     # (name, source) of the ambient edges of each colour, by range vertex.
-    # A domain edge along the pinned path gets the path's own edge only,
-    # offered at every range: the identity's image (for the first edge) or
-    # the path's edge before it, assigned earlier in model order, has
-    # already put that range in place or cut the branch.
+    # A domain edge along the pinned path gets the path's own edge only, at
+    # that edge's range in the graph and only if their colours agree.
     candidates: dict = {l: {v: [] for v in g.vertices} for l in "ab"}
     for e in g.edges:
         candidates[e.colour][e.range_].append((e.name, e.source))
@@ -409,7 +395,9 @@ def enumerate_morphisms(
     if through is not None:
         z = ops.identity
         for name, l in zip(through.edges, through.colours):
-            choices[edge_index[(z, l)]] = dict.fromkeys(g.vertices, [(name, g.edge(name).source)])
+            e = g.edge(name)
+            pinned = {e.range_: [(name, e.source)]} if e.colour == l else {}
+            choices[edge_index[(z, l)]] = dict.fromkeys(g.vertices, ()) | pinned
             z = ops.step(z, l)
     # Per domain edge: its range and its candidates by range (picks); its
     # source, whether an earlier edge (or the identity) already fixed the

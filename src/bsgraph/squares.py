@@ -2,10 +2,10 @@
 
 A square is a morphism from the model graph of the square degree (the
 common degree of ab^k and ba) into the ambient graph, and is stored as its
-two boundary paths: the red-first one (colour word ``red_first_word``) and
-the blue-first one (b,a), which together name every edge of the square.  A
-collection is complete when both families of boundary paths of the ambient
-graph are covered exactly once.
+two boundary paths, the red-first one (colour word ``red_first_word``) and
+the blue-first one (``blue_first_word``), which together name every edge of
+the square.  A collection is complete when both families of boundary paths
+of the ambient graph are covered exactly once.
 """
 
 from __future__ import annotations

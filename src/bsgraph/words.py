@@ -1,8 +1,8 @@
 """Exact arithmetic in the degree monoid BS(k,1)+, for k = 1 and k = 2.
 
-A degree is a plain ``(N, M)`` int pair and a letter is the string ``'a'``
-(red) or ``'b'`` (blue).  The mode objects ``BS`` and ``GRID`` carry the
-operations on those pairs.
+A degree is a plain ``(N, M)`` int pair, a letter is the string ``'a'``
+(red) or ``'b'`` (blue), and a colour word is a ``str`` of letters.  The
+mode objects ``BS`` and ``GRID`` carry the operations on those pairs.
 
 The positive Baumslag-Solitar monoid on generators a, b with the relation
 ab^k = ba has a canonical normal form a^N b^M, and multiplication
@@ -40,10 +40,6 @@ def _check_letters(count: int, what: str) -> None:
         raise ResourceLimit(f"{what} of more than {MAX_LETTERS} letters")
 
 
-def format_letters(letters) -> str:
-    return "".join(letters) or "e"
-
-
 def printable_pair(w) -> list:
     """w as a two-element list, refused if M is too long to print."""
     if w[1].bit_length() > MAX_PAIR_BITS:
@@ -67,7 +63,7 @@ class BsMonoid:
     name = "bs"
     shift = 1
     identity = (0, 0)
-    blue_first_word = ("b", "a")
+    blue_first_word = "ba"
     # A fixture slot spells the base word of its edge, then the edge's letter.
     slot_names = ("eA", "aB", "abB", "eB", "bA")
     colour_tokens = {"a": "a", "b": "b"}
@@ -77,7 +73,7 @@ class BsMonoid:
         k = 1 << self.shift
         # Degree of one square: the common value of ab^k and ba.
         self.square_degree = (1, k)
-        self.red_first_word = ("a",) + ("b",) * k
+        self.red_first_word = "a" + "b" * k
 
     def __reduce__(self):
         return self.name.upper()  # copied and pickled by name: a copy of BS is BS
@@ -114,23 +110,23 @@ class BsMonoid:
         return sum(self.row_widths(w))
 
     @staticmethod
-    def longest_letters(w) -> tuple[str, ...]:
-        return ("a",) * w[0] + ("b",) * w[1]
+    def longest_letters(w) -> str:
+        return "a" * w[0] + "b" * w[1]
 
     @staticmethod
-    def shortest_letters(w) -> tuple[str, ...]:
+    def shortest_letters(w) -> str:
         """The geodesic word for w: (M >> N) b's, then for each of the low
         N bits of M, most significant first, an a followed by a b if the
         bit is set.  One pass over the bits, so it is linear in N."""
         n, m = w
         low = bin(m & ((1 << n) - 1) | 1 << n)[3:]
-        return tuple("b" * (m >> n) + low.replace("0", "a").replace("1", "ab"))
+        return "b" * (m >> n) + low.replace("0", "a").replace("1", "ab")
 
     def format(self, w) -> str:
         """The shortest form of w, "e" for the identity."""
         n, m = w
         _check_letters(n + bin(m & ((1 << n) - 1)).count("1") + (m >> n), "shortest form")
-        return format_letters(self.shortest_letters(w))
+        return self.shortest_letters(w) or "e"
 
     def label_rows(self, w) -> list:
         """``format`` of every vertex of the model graph of w, as rows:
@@ -235,7 +231,7 @@ def parse_word(text: str, ops=BS):
 
 def longest_form(w) -> str:
     _check_letters(w[0] + w[1], "longest form")
-    return format_letters(BS.longest_letters(w))
+    return BS.longest_letters(w) or "e"
 
 
 def parse_grid_degree(text: str):

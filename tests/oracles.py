@@ -22,6 +22,11 @@ composite, the reference that composing by rewriting is checked against.
 pruned: every colour/structure-preserving assignment, with the squares
 checked only once an assignment is total.  The pruned search must return
 its list, in its order.
+
+``normal_form_by_stack`` is boundary rewriting with its letters on a
+stack, each rewrite read again from the square's other boundary.  The
+in-place rewriting of the leftmost match must read the same squares in
+the same order, so it returns the same path or misses the same square.
 """
 
 from __future__ import annotations
@@ -32,16 +37,17 @@ from functools import cache
 from operator import itemgetter
 
 from bsgraph.errors import ColourMismatch, JunctionMismatch, NotAPrefix, NotComposable
-from bsgraph.graphs import concat
+from bsgraph.graphs import Path, concat
 from bsgraph.models import model, square_positions
 from bsgraph.morphisms import (
     Morphism,
     _rows_reader,
+    _rule,
     identity_morphism,
     lift_path,
     shortest_traversal,
 )
-from bsgraph.squares import Square, boundary_edges
+from bsgraph.squares import Square, boundary_edges, not_covered
 
 ALPHABET = "ab"
 
@@ -340,3 +346,26 @@ def enumerate_leaf_checked(collection, w) -> list[Morphism]:
         images[vertex_index[ops.identity]] = v
         backtrack(0)
     return results
+
+
+def normal_form_by_stack(collection, x: Path) -> Path:
+    """The normal form of x, rewriting with a stack: edges are placed one
+    at a time, and when the last ``width`` placed spell the rule's
+    pattern, they are taken off and the square's other boundary is pushed
+    back to be placed again, so a rewrite only looks again at its
+    neighbours.  A missing square raises ``NotCovered``."""
+    pattern, word, table, kind = _rule(collection.ops)
+    table, width = getattr(collection, table), len(pattern)
+    names, colours = [], []
+    # Edges still to place, next one last.
+    todo = list(zip(reversed(x.edges), reversed(x.colours)))
+    while todo:
+        name, colour = todo.pop()
+        names.append(name)
+        colours.append(colour)
+        if "".join(colours[-width:]) == pattern:
+            boundary = tuple(names[-width:])
+            other = table.get(boundary) or not_covered(kind, boundary)
+            del names[-width:], colours[-width:]
+            todo.extend(zip(reversed(other), reversed(word)))
+    return Path(tuple(names), x.range_, x.source, "".join(colours))

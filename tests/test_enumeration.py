@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from bsgraph.category import all_paths, verify
 from bsgraph.cli import run
 from bsgraph.fixtures import load_fixture, parse_fixture
-from bsgraph.graphs import path_degree, validate_path, vertex_path
+from bsgraph.graphs import Path, path_degree, validate_path, vertex_path
 from bsgraph.morphisms import check_traverses, enumerate_morphisms
 
 from .conftest import FIXTURE_DIR
@@ -69,6 +69,18 @@ def test_pinned_search_of_another_degree_is_empty(ctx):
     assert enumerate_morphisms(ctx, ctx.ops.identity, through=x) == []
     u = vertex_path(ctx.graph, "u")
     assert enumerate_morphisms(ctx, path_degree(ctx.ops, x), through=u) == []
+
+
+@pytest.mark.parametrize("through", [
+    Path(("f",), "u", "v", "b"),  # f is red
+    Path(("f",), "v", "v", "a"),  # f has range u
+    Path(("f", "f"), "u", "v", "aa"),  # s(f) = v is not r(f) = u
+], ids=["colour", "range", "junction"])
+def test_pinned_search_through_a_forged_path_is_empty(ctx, through):
+    """A pinned edge is offered only at its own range and only to a domain
+    edge of its own colour, so a ``through`` that is not a path of the
+    graph finds no morphism."""
+    assert enumerate_morphisms(ctx, path_degree(ctx.ops, through), through=through) == []
 
 
 def test_pinned_search_keeps_the_limit(fixture_dir):

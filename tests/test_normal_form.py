@@ -4,9 +4,13 @@ Three engines must name the same morphism for every path: ``normal_form``
 (rewriting the path one square at a time), ``shortest_traversal(lift_path(x))``
 (rewriting to the longest traversal, then filling the model graph row by
 row), and the one enumerated morphism that x traverses (brute force).
+Rewriting in place must also read squares in the order a stack of letters
+does (``normal_form_by_stack``).
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +18,8 @@ from hypothesis import strategies as st
 
 from bsgraph.category import all_paths, pool_morphisms
 from bsgraph.errors import NotCovered
-from bsgraph.fixtures import parse_fixture
-from bsgraph.graphs import concat, path_degree, validate_path
+from bsgraph.fixtures import load_fixture, parse_fixture
+from bsgraph.graphs import Path, concat, path_degree, validate_path
 from bsgraph.morphisms import (
     check_traverses,
     enumerate_morphisms,
@@ -25,7 +29,8 @@ from bsgraph.morphisms import (
 )
 from bsgraph.squares import CompleteCollection
 
-from .oracles import compose
+from .conftest import FIXTURE_DIR
+from .oracles import compose, normal_form_by_stack
 
 
 def _agree(ctx: CompleteCollection, paths, enum_memo: dict) -> None:
@@ -137,3 +142,53 @@ def test_each_mode_rewrites_toward_the_shortest_square_word(name, path, normal, 
     assert str(y) == normal
     assert y.colours == ops.shortest_letters(ops.square_degree)
     assert normal_form(ctx, y) == y
+
+
+def _normal_or_missing(rewrite, ctx, x):
+    """rewrite(ctx, x), or the boundary and message of its ``NotCovered``."""
+    try:
+        return rewrite(ctx, x)
+    except NotCovered as exc:
+        return exc.boundary, str(exc)
+
+
+def _same_rewrites(ctx, paths) -> int:
+    """Checks in-place rewriting against the stack on each path; returns
+    how many paths meet a missing square."""
+    missing = 0
+    for x in paths:
+        got = _normal_or_missing(normal_form, ctx, x)
+        assert got == _normal_or_missing(normal_form_by_stack, ctx, x), str(x)
+        missing += not isinstance(got, Path)
+    return missing
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.cg")), ids=lambda p: p.stem)
+def test_rewrite_order_matches_the_stack_on_fixture_paths(path):
+    ctx = load_fixture(path)
+    missing = _same_rewrites(ctx, all_paths(ctx.graph, 6))
+    assert (missing > 0) == (path.stem == "example_E_missing_phi2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_paths(9))
+def test_rewrite_order_matches_the_stack_on_generated_collections(drawn):
+    ctx, paths = drawn
+    assert _same_rewrites(ctx, paths) == 0
+
+
+def test_rewrite_order_matches_the_stack_on_long_paths(ctx, grid_ctx):
+    """Grid b^300 a^300 takes 90,000 rewrites; a random 2,000-edge walk on
+    the BS example takes them at every distance from its start."""
+    grid = validate_path(grid_ctx.graph, ["beta"] * 300 + ["rho"] * 300)
+    rng, at, walk = random.Random(0), "u", []
+    for _ in range(2000):
+        edge = rng.choice([e for e in ctx.graph.edges if e.range_ == at])
+        walk.append(edge.name)
+        at = edge.source
+    for coll, x in [(grid_ctx, grid), (ctx, validate_path(ctx.graph, walk))]:
+        y = normal_form(coll, x)
+        assert y == normal_form_by_stack(coll, x)
+        assert path_degree(coll.ops, y) == path_degree(coll.ops, x)
+        assert y.colours == coll.ops.shortest_letters(path_degree(coll.ops, y))
+    assert str(normal_form(grid_ctx, grid)) == " ".join(["rho"] * 300 + ["beta"] * 300)

@@ -14,11 +14,33 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import bsgraph
-from bsgraph.category import LawResult, VerificationReport, all_paths
+from bsgraph.category import (
+    CompositionTable,
+    LawResult,
+    VerificationReport,
+    all_paths,
+    composite,
+)
 from bsgraph.fixtures import load_fixture
-from bsgraph.graphs import ColouredGraph, Edge, Path, build_graph, validate_path
+from bsgraph.graphs import (
+    ColouredGraph,
+    Edge,
+    Path,
+    build_graph,
+    concat,
+    validate_path,
+    vertex_path,
+)
 from bsgraph.models import ModelGraph, model
-from bsgraph.morphisms import Morphism, identity_morphism, lift_path
+from bsgraph.morphisms import (
+    Morphism,
+    identity_morphism,
+    lift_path,
+    longest_traversal,
+    normal_form,
+    shortest_traversal,
+    split_traversals,
+)
 from bsgraph.squares import CompleteCollection, CompletenessReport, Square, check_complete
 from bsgraph.words import BS, GRID
 
@@ -55,13 +77,13 @@ def test_graph_compares_by_vertices_and_edges(graph_E):
 
 def test_path_compares_by_all_four_fields(graph_E):
     x = validate_path(graph_E, ["g", "f"])
-    assert _equal_and_same_hash(Path(("g", "f"), "u", "v", ("b", "a")), x)
+    assert _equal_and_same_hash(Path(("g", "f"), "u", "v", "ba"), x)
     assert hash(x) == hash((x.edges, x.range_, x.source, x.colours))
     for changed in [
-        Path(("g", "h"), "u", "v", ("b", "a")),
-        Path(("g", "f"), "v", "v", ("b", "a")),
-        Path(("g", "f"), "u", "u", ("b", "a")),
-        Path(("g", "f"), "u", "v", ("a", "a")),
+        Path(("g", "h"), "u", "v", "ba"),
+        Path(("g", "f"), "v", "v", "ba"),
+        Path(("g", "f"), "u", "u", "ba"),
+        Path(("g", "f"), "u", "v", "aa"),
     ]:
         assert changed != x
     assert x != (x.edges, x.range_, x.source, x.colours)
@@ -101,7 +123,7 @@ def test_value_types_are_frozen(ctx, graph_E, phi1, example_lam):
 def test_repr_names_the_printed_fields(ctx, graph_E, phi1, example_lam):
     assert repr(phi1) == "Square(name='phi1', red=('f', 'k', 'k'), blue=('g', 'f'))"
     x = validate_path(graph_E, ["g", "f"])
-    assert repr(x) == "Path(edges=('g', 'f'), range_='u', source='v', colours=('b', 'a'))"
+    assert repr(x) == "Path(edges=('g', 'f'), range_='u', source='v', colours='ba')"
     assert repr(graph_E).startswith(
         "ColouredGraph(vertices=('u', 'v'), edges=(Edge(name='g', colour='b', "
         "range_='u', source='u'), "
@@ -184,3 +206,30 @@ def test_importing_the_cli_does_not_import_dataclasses():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+@pytest.mark.parametrize("name", ["ctx", "grid_ctx"])
+def test_every_colour_word_is_a_str(name, request):
+    """A colour word has one representation, the string of its letters:
+    in a path, in a mode, and from the letter functions."""
+    ctx = request.getfixturevalue(name)
+    ops, g = ctx.ops, ctx.graph
+    table = CompositionTable(ctx, 3)
+    pairs = list(table.pairs())
+    for i, j in pairs:
+        table.compose(i, j)
+    lam = max(table.pool, key=lambda m: ops.prefix_count(m.degree))
+    paths = [vertex_path(g, v) for v in g.vertices] + all_paths(g, 3) + table.paths
+    paths += [shortest_traversal(lam), longest_traversal(lam)]
+    words = [ops.red_first_word, ops.blue_first_word]
+    for w1 in ops.prefixes(lam.degree):
+        paths += split_traversals(lam, w1, ops.quotient(w1, lam.degree))
+        words += [ops.shortest_letters(w1), ops.longest_letters(w1)]
+    for i, j in pairs:
+        x, y = table.paths[i], table.paths[j]
+        paths += [concat(x, y), normal_form(ctx, concat(x, y))]
+        words.append(composite(table, i, j)[3])
+    paths.append(validate_path(g, [e.name for e in g.edges[:1]]))
+    words += [x.colours for x in paths]
+    assert {type(word) for word in words} == {str}
+    assert vertex_path(g, g.vertices[0]).colours == ""
