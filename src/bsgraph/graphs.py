@@ -120,11 +120,14 @@ def build_graph(vertices, edges) -> ColouredGraph:
 
 class Path(Frozen, fields=("edges", "range_", "source", "colours")):
     """Composable edge sequence, or a single vertex (length 0), with its
-    colour word: ``colours[i]`` is the letter of ``edges[i]``."""
+    colour word: ``colours[i]`` is the letter of ``edges[i]``.  A colour
+    word that is not a ``str`` raises ``TypeError``."""
 
     __slots__ = ("edges", "range_", "source", "colours")
 
     def __init__(self, edges: tuple[str, ...], range_: str, source: str, colours: str):
+        if not isinstance(colours, str):
+            raise TypeError(f"a path's colour word is a str, not {type(colours).__name__}")
         _set(self, "edges", edges)
         _set(self, "range_", range_)
         _set(self, "source", source)

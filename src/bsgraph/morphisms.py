@@ -3,13 +3,14 @@
 The central operation turns a path of the ambient graph into the unique
 compatible morphism on the model graph of its degree.  A complete
 collection fixes that morphism square by square (unique factorization), so
-the lift writes the path's own edges into the model graph's rows and reads
-every other domain square once from the collection's maps: top down from
-its blue-first side where it lies left of the path, bottom up from its
-red-first side where it lies right of it.  A collection with a boundary
-in two squares raises ``Conflict`` before any square is read; a missing
-square raises ``NotCovered``.  The morphism is stored as those rows, in
-model order, and written out (JSON, DOT, ``key()``) by walking them.
+the lift grows the model graph's rows one path edge at a time and reads
+every other domain square once from the collection's maps: from its
+blue-first side, left of the path, as a red edge opens the next row, and
+from its red-first side, right of it, as blue edges fill the row below.
+A boundary in two squares raises ``Conflict`` before any square is read;
+a missing square raises ``NotCovered``.  The morphism is stored as those
+rows, in model order, and written out (JSON, DOT, ``key()``) by walking
+them.
 
 The shortest traversal is canonical.  ``normal_form`` computes it from any
 other traversal by rewriting one square boundary at a time, without
@@ -18,13 +19,13 @@ building the dense map.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import NotComposable, ResourceLimit
-from .graphs import Frozen, Path, _set, path_degree
+from .graphs import Frozen, Path, _set, path_degree, vertex_path
 from .models import check_model_size, model, square_positions, too_many_vertices
 from .squares import CompleteCollection, boundary_edges, not_covered
 
@@ -169,66 +170,60 @@ def identity_morphism(ops, vertex: str) -> Morphism:
 
 
 def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
-    """The unique compatible morphism traversed by x.
+    """The unique compatible morphism traversed by x, built as the paper's
+    induction builds it: the lift of y·f is the lift of y extended by f.
 
-    In row i of the model graph the path walks blue edges, then takes the
-    red edge a(i, d) down to row i + 1; its edges go into the rows as they
-    are.  Top down, each square of row i left of a(i, d) is read from its
-    blue-first side; bottom up, each one right of it from its red-first side.
-    No boundary is in two squares (``require_unique``), so both sides of a
-    square name that one square.
+    The model graph's rows grow with the path, one edge at a time.  A red
+    edge a(N, d) opens row N + 1: each square of row N is read right to
+    left from its blue-first side.  A blue edge extends row N, and each
+    row above whose row below has just completed k more blue edges, where
+    (1, k) is the square degree, gains one square, read from its red-first
+    side.  So a lift that fails raises what its shortest failing prefix
+    raises.  The same loop checks that x is a path of the graph: its
+    vertices, junctions and colour word.  No boundary is in two squares
+    (``require_unique``), so both sides of a square name that one square.
     """
     collection.require_unique()
-    ops, g = collection.ops, collection.graph
-    # Colours come from the graph, and every junction is checked.
-    at = x.range_
-    colours = []
-    for name in x.edges:
-        edge = g.edge(name)
-        if edge.range_ != at:
-            raise NotComposable(
-                None,
-                f"edge {name!r} has range {edge.range_!r} but the path is at {at!r}",
-            )
-        colours.append(edge.colour)
-        at = edge.source
-    w = reduce(ops.step, colours, ops.identity)
+    ops, g, names = collection.ops, collection.graph, x.edges
+    if len(x.colours) != len(names):
+        raise NotComposable(None, f"colour word {x.colours!r} for {len(names)} edges")
+    w = path_degree(ops, x)
     check_model_size(ops, w)
-    names, to_red, to_blue = x.edges, collection._blue_to_red, collection._red_to_blue
-    # Top down; blue is row i's blue edges left of its red edge a.
-    arows, brows, blue, start = [], [], [], 0
-    for k in [k for k, c in enumerate(colours) if c == "a"]:
-        blue += names[start:k]
-        a, start = names[k], k + 1
-        reds, below = [a], []
-        for b in reversed(blue):
-            pair = (b, a)
-            red = to_red.get(pair) or not_covered("blue-first", pair)
-            a = red[0]
-            reds.append(a)
-            below += red[:0:-1]  # row i + 1's blue edges, right to left
-        reds.reverse()
-        arows.append(reds)
-        brows.append(blue)
-        blue = below[::-1]
-    blue += names[start:]
-    # Bottom up.  Row i's square at j reads a(i, j) and the k blue edges
-    # below it, b(i+1, kj) .. b(i+1, kj+k-1), where the square degree is
-    # (1, k), and yields b(i, j) and a(i, j+1).
-    range_of = {e.name: e.range_ for e in g.edges}.__getitem__
-    vrows = [None] * len(arows) + [(*map(range_of, blue), at)]
-    brows.append(blue)
-    k = ops.square_degree[1]
-    for i in range(len(arows) - 1, -1, -1):
-        reds, blues = arows[i], brows[i]
-        a, d = reds[-1], len(blues)
-        for tail in zip(*(blue[k * d + t::k] for t in range(k))):
-            boundary = (a,) + tail
+    at = vertex_path(g, x.range_).source
+    to_red, to_blue, k = collection._blue_to_red, collection._red_to_blue, ops.square_degree[1]
+    # Row i's red and blue edges so far; row N, the last, has no red ones.
+    arows, brows = [], [[]]
+    for name, letter in zip(names, x.colours):
+        edge = g.edge(name)
+        if edge.range_ != at or edge.colour != letter:
+            raise NotComposable(None, f"edge {name!r} is not of colour {letter} with range {at!r}")
+        at = edge.source
+        if letter == "a":
+            a, reds, below = name, [name], []
+            for b in reversed(brows[-1]):
+                pair = (b, a)
+                red = to_red.get(pair) or not_covered("blue-first", pair)
+                a = red[0]
+                reds.append(a)
+                below += red[:0:-1]  # row N + 1's blue edges, right to left
+            reds.reverse()
+            arows.append(reds)
+            brows.append(below[::-1])
+            continue
+        brows[-1].append(name)
+        # Row i's next square reads a(i, j) and b(i+1, kj) .. b(i+1, kj+k-1),
+        # and yields b(i, j) and a(i, j+1).
+        i = len(arows) - 1
+        while i >= 0 and len(brows[i + 1]) == k * len(arows[i]):
+            boundary = (arows[i][-1], *brows[i + 1][-k:])
             b, a = to_blue.get(boundary) or not_covered("red-first", boundary)
-            blues.append(b)
-            reds.append(a)
-        vrows[i] = tuple(map(range_of, reds))
-        blue = blues
+            brows[i].append(b)
+            arows[i].append(a)
+            i -= 1
+    if at != x.source:
+        raise NotComposable(None, f"the path ends at {at!r}, not at its source {x.source!r}")
+    range_of = {e.name: e.range_ for e in g.edges}.__getitem__
+    vrows = [*(map(range_of, reds) for reds in arows), (*map(range_of, brows[-1]), at)]
     arows.append(())
     # The constructor freezes the row lists to tuples.
     return Morphism(ops, w, vrows, arows, brows)
@@ -258,9 +253,11 @@ def normal_form(collection: CompleteCollection, x: Path) -> Path:
     letter left, so every order of rewriting ends at the same normal form:
     the word with no ``a b b`` factor, resp. ``a^m b^n``.  Each step
     rewrites the leftmost match in place, the square's other boundary into
-    the edges and its word into the colours.  A missing square raises
-    ``NotCovered``.
+    the edges and its word into the colours.  A boundary in two squares
+    raises ``Conflict`` (``require_unique``) before any square is read, as
+    in ``lift_path``; a missing square raises ``NotCovered``.
     """
+    collection.require_unique()
     pattern, word, table, kind = _rule(collection.ops)
     table, width = getattr(collection, table), len(pattern)
     colours, names, start = x.colours, list(x.edges), 0

@@ -27,18 +27,26 @@ its list, in its order.
 stack, each rewrite read again from the square's other boundary.  The
 in-place rewriting of the leftmost match must read the same squares in
 the same order, so it returns the same path or misses the same square.
+Like ``normal_form``, it refuses a collection with a boundary in two
+squares before it reads any square.
+
+``lift_path_two_pass`` is the lift before it followed the path one edge
+at a time: a walk over the path, then every square left of the path read
+top down and every square right of it bottom up.  The one-edge fold must
+build the same morphism on every path of a complete collection, and fail
+on the same paths of an incomplete one.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import cache
+from functools import cache, reduce
 from operator import itemgetter
 
 from bsgraph.errors import ColourMismatch, JunctionMismatch, NotAPrefix, NotComposable
 from bsgraph.graphs import Path, concat
-from bsgraph.models import model, square_positions
+from bsgraph.models import check_model_size, model, square_positions
 from bsgraph.morphisms import (
     Morphism,
     _rows_reader,
@@ -353,7 +361,9 @@ def normal_form_by_stack(collection, x: Path) -> Path:
     at a time, and when the last ``width`` placed spell the rule's
     pattern, they are taken off and the square's other boundary is pushed
     back to be placed again, so a rewrite only looks again at its
-    neighbours.  A missing square raises ``NotCovered``."""
+    neighbours.  A boundary in two squares raises ``Conflict``, a missing
+    square ``NotCovered``."""
+    collection.require_unique()
     pattern, word, table, kind = _rule(collection.ops)
     table, width = getattr(collection, table), len(pattern)
     names, colours = [], []
@@ -369,3 +379,67 @@ def normal_form_by_stack(collection, x: Path) -> Path:
             del names[-width:], colours[-width:]
             todo.extend(zip(reversed(other), reversed(word)))
     return Path(tuple(names), x.range_, x.source, "".join(colours))
+
+
+def lift_path_two_pass(collection, x: Path) -> Morphism:
+    """The lift in two passes over the model graph's rows.
+
+    A walk over the path checks its junctions and reads its colours from
+    the graph.  In row i of the model graph the path walks blue edges, then
+    takes the red edge a(i, d) down to row i + 1; its edges go into the
+    rows as they are.  Top down, each square of row i left of a(i, d) is
+    read from its blue-first side; bottom up, each one right of it from its
+    red-first side.
+    """
+    collection.require_unique()
+    ops, g = collection.ops, collection.graph
+    at = x.range_
+    colours = []
+    for name in x.edges:
+        edge = g.edge(name)
+        if edge.range_ != at:
+            raise NotComposable(
+                None,
+                f"edge {name!r} has range {edge.range_!r} but the path is at {at!r}",
+            )
+        colours.append(edge.colour)
+        at = edge.source
+    w = reduce(ops.step, colours, ops.identity)
+    check_model_size(ops, w)
+    names, to_red, to_blue = x.edges, collection._blue_to_red, collection._red_to_blue
+    # Top down; blue is row i's blue edges left of its red edge a.
+    arows, brows, blue, start = [], [], [], 0
+    for k in [k for k, c in enumerate(colours) if c == "a"]:
+        blue += names[start:k]
+        a, start = names[k], k + 1
+        reds, below = [a], []
+        for b in reversed(blue):
+            pair = (b, a)
+            red = to_red.get(pair) or not_covered("blue-first", pair)
+            a = red[0]
+            reds.append(a)
+            below += red[:0:-1]  # row i + 1's blue edges, right to left
+        reds.reverse()
+        arows.append(reds)
+        brows.append(blue)
+        blue = below[::-1]
+    blue += names[start:]
+    # Bottom up.  Row i's square at j reads a(i, j) and the k blue edges
+    # below it, b(i+1, kj) .. b(i+1, kj+k-1), where the square degree is
+    # (1, k), and yields b(i, j) and a(i, j+1).
+    range_of = {e.name: e.range_ for e in g.edges}.__getitem__
+    vrows = [None] * len(arows) + [(*map(range_of, blue), at)]
+    brows.append(blue)
+    k = ops.square_degree[1]
+    for i in range(len(arows) - 1, -1, -1):
+        reds, blues = arows[i], brows[i]
+        a, d = reds[-1], len(blues)
+        for tail in zip(*(blue[k * d + t::k] for t in range(k))):
+            boundary = (a,) + tail
+            b, a = to_blue.get(boundary) or not_covered("red-first", boundary)
+            blues.append(b)
+            reds.append(a)
+        vrows[i] = tuple(map(range_of, reds))
+        blue = blues
+    arows.append(())
+    return Morphism(ops, w, vrows, arows, brows)

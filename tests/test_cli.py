@@ -82,6 +82,14 @@ def test_lift_not_covered_exit_1(capsys):
     assert "NotCovered" in out
 
 
+def test_lift_names_the_square_its_shortest_failing_prefix_misses(capsys):
+    """h g g fails at its square right of h; the longer path stops there
+    too, before its second h would miss the square left of it, k h."""
+    for path in ("h g g", "h g g f h"):
+        code, out, err = invoke(capsys, "lift", E_MISSING, "--path", path)
+        assert (code, out, err) == (1, "NotCovered: no square with red-first boundary h g g\n", "")
+
+
 def test_lift_dot(capsys):
     code, out, _ = invoke(capsys, "lift", E, "--path", "g f", "--dot")
     assert code == 0

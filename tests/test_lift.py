@@ -1,10 +1,14 @@
-"""The two-sweep lift against the worklist lift it replaced.
+"""The one-edge lift against the engines it replaced.
 
-``_WorklistLift`` is the earlier engine, kept here as the reference: it
+``_WorklistLift`` is the earliest engine, kept here as a reference: it
 appends the path one edge at a time and completes every translated square
 whose one boundary is fully assigned, from either side, until nothing
-changes.  The two must give the same morphism on every path of a complete
-collection.
+changes.  ``oracles.lift_path_two_pass`` is the one before the fold: a
+walk over the path, then the squares left of it read top down and those
+right of it bottom up.  Each must give the same morphism on every path of
+a complete collection; the two-pass lift must also fail on the same paths
+of an incomplete one.  The fold fails as its shortest failing prefix
+does, and refuses a ``Path`` that is not a path of the graph.
 """
 
 from __future__ import annotations
@@ -16,14 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgraph.category import all_paths
-from bsgraph.errors import Conflict, NotComposable, NotCovered
+from bsgraph.errors import Conflict, NotComposable, NotCovered, UnknownVertex
 from bsgraph.fixtures import load_fixture, parse_fixture
-from bsgraph.graphs import path_degree, validate_path, vertex_path
+from bsgraph.graphs import Path, path_degree, validate_path, vertex_path
 from bsgraph.models import check_model_size, model
 from bsgraph.morphisms import Morphism, check_traverses, enumerate_morphisms, lift_path
 from bsgraph.squares import CompleteCollection
 
-from .oracles import blue_keys, from_maps, maps, red_keys, square_map
+from .conftest import FIXTURE_DIR
+from .oracles import blue_keys, from_maps, lift_path_two_pass, maps, red_keys, square_map
 
 from .test_normal_form import generated_paths
 
@@ -305,9 +310,9 @@ def test_duplicated_red_boundary_is_a_conflict():
 @pytest.mark.parametrize(
     "names, message",
     [
-        # The square left of h is read top down from phi2's blue side.
+        # The square left of h is read from phi2's blue side as h opens row 1.
         (["k", "h"], "no square with blue-first boundary k h"),
-        # The square right of h is read bottom up from phi2's red side.
+        # The square right of h is read from phi2's red side once g g fill row 1.
         (["h", "g", "g"], "no square with red-first boundary h g g"),
     ],
 )
@@ -315,4 +320,119 @@ def test_lift_names_the_missing_boundary(incomplete_fixture, names, message):
     coll = incomplete_fixture
     with pytest.raises(NotCovered) as exc:
         lift_path(coll, validate_path(coll.graph, names))
+    assert str(exc.value) == message
+
+
+# ------------------------------------------------- the two-pass lift it replaced
+
+COMPLETE = [("example_E.cg", 7), ("blue_cycle.cg", 7), ("grid_single_vertex.cg", 9)]
+
+
+def _lift_or_missing(lift, ctx, x):
+    """lift(ctx, x), or None if a square is missing."""
+    try:
+        return lift(ctx, x)
+    except NotCovered:
+        return None
+
+
+def _same_as_two_pass(ctx, paths) -> int:
+    """Checks the fold against the two-pass lift on each path: the same
+    morphism, or both fail for a missing square; returns how many fail."""
+    failed = 0
+    for x in paths:
+        got = _lift_or_missing(lift_path, ctx, x)
+        assert got == _lift_or_missing(lift_path_two_pass, ctx, x), str(x)
+        failed += got is None
+    return failed
+
+
+@pytest.mark.parametrize("name, max_len", COMPLETE, ids=lambda v: str(v).split(".")[0])
+def test_lift_matches_two_pass_on_fixtures(name, max_len):
+    ctx = load_fixture(FIXTURE_DIR / name)
+    assert _same_as_two_pass(ctx, all_paths(ctx.graph, max_len)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generated_paths(8), multi_vertex_paths()))
+def test_lift_matches_two_pass_on_generated_collections(drawn):
+    ctx, paths = drawn
+    assert _same_as_two_pass(ctx, paths) == 0
+
+
+def test_lift_matches_two_pass_on_long_walks(ctx, grid_ctx):
+    """A 200-edge grid walk, where every blue edge climbs to row 0, and a
+    16-edge walk on the BS example, whose model graph is deep."""
+    walks = [(grid_ctx, _walks(grid_ctx.graph, random.Random(0), [200], 1)[0])]
+    walks.append((ctx, _walks(ctx.graph, random.Random(1), [16], 1)[0]))
+    for coll, x in walks:
+        lam = lift_path(coll, x)
+        assert lam == lift_path_two_pass(coll, x)
+        assert check_traverses(lam, x)
+
+
+@pytest.mark.parametrize("name, max_len", COMPLETE, ids=lambda v: str(v).split(".")[0])
+def test_lift_fails_where_two_pass_does_without_a_square(name, max_len):
+    """Without any one square of a complete fixture, the fold and the
+    two-pass lift fail on the same paths, and agree on the others."""
+    ctx = load_fixture(FIXTURE_DIR / name)
+    paths = all_paths(ctx.graph, max_len - 2)
+    for dropped in ctx.squares:
+        kept = [sq for sq in ctx.squares if sq is not dropped]
+        assert _same_as_two_pass(CompleteCollection(ctx.graph, ctx.ops, kept), paths) > 0
+
+
+# ------------------------------------------------------- what the fold changed
+
+
+def _missing(ctx, x):
+    """The boundary and message of the ``NotCovered`` lifting x raises,
+    or None if it lifts."""
+    try:
+        lift_path(ctx, x)
+    except NotCovered as exc:
+        return exc.boundary, str(exc)
+    return None
+
+
+def test_a_failed_lift_fails_as_its_shortest_failing_prefix(incomplete_fixture):
+    """The fold reads squares as the path grows, so lifting x stops at the
+    square its shortest failing prefix misses.  Two passes did not: the
+    top-down pass for a later red edge could miss a square first."""
+    coll = incomplete_fixture
+    failed = 0
+    for x in all_paths(coll.graph, 7):
+        got = _missing(coll, x)
+        if got is None:
+            continue
+        failed += 1
+        prefixes = (validate_path(coll.graph, x.edges[:n]) for n in range(1, len(x) + 1))
+        assert got == next(m for y in prefixes if (m := _missing(coll, y))), str(x)
+    assert failed == 426
+    x = validate_path(coll.graph, "h g g f h".split())
+    assert _missing(coll, x) == (("h", "g", "g"), "no square with red-first boundary h g g")
+
+
+@pytest.mark.parametrize(
+    "x, error, message",
+    [
+        (Path((), "zzz", "zzz", ""), UnknownVertex, "unknown vertex 'zzz'"),
+        (Path((), "u", "v", ""), NotComposable, "the path ends at 'u', not at its source 'v'"),
+        (Path(("g", "g"), "u", "zzz", "bb"), NotComposable,
+         "the path ends at 'u', not at its source 'zzz'"),
+        (Path(("h", "k"), "u", "v", "ab"), NotComposable,
+         "edge 'h' is not of colour a with range 'u'"),
+        (Path(("f", "k", "k"), "u", "v", "bbb"), NotComposable,
+         "edge 'f' is not of colour b with range 'u'"),
+        (Path(("f", "k"), "u", "v", "abb"), NotComposable, "colour word 'abb' for 2 edges"),
+    ],
+    ids=["unknown-vertex", "vertex-path-u-to-v", "wrong-source", "wrong-range", "wrong-colour",
+         "long-word"],
+)
+def test_lift_refuses_a_path_that_is_not_one_of_the_graph(ctx, x, error, message):
+    """The fold checks x against the graph as it reads it: its range, each
+    edge's range and colour, the length of its colour word, and where it
+    ends."""
+    with pytest.raises(error) as exc:
+        lift_path(ctx, x)
     assert str(exc.value) == message

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgraph.category import all_paths, pool_morphisms
-from bsgraph.errors import NotCovered
+from bsgraph.errors import Conflict, NotCovered
 from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import Path, concat, path_degree, validate_path
 from bsgraph.morphisms import (
@@ -145,11 +145,14 @@ def test_each_mode_rewrites_toward_the_shortest_square_word(name, path, normal, 
 
 
 def _normal_or_missing(rewrite, ctx, x):
-    """rewrite(ctx, x), or the boundary and message of its ``NotCovered``."""
+    """rewrite(ctx, x), or the boundary and message of its ``NotCovered``,
+    or the message of its ``Conflict``."""
     try:
         return rewrite(ctx, x)
     except NotCovered as exc:
         return exc.boundary, str(exc)
+    except Conflict as exc:
+        return str(exc)
 
 
 def _same_rewrites(ctx, paths) -> int:
@@ -167,7 +170,28 @@ def _same_rewrites(ctx, paths) -> int:
 def test_rewrite_order_matches_the_stack_on_fixture_paths(path):
     ctx = load_fixture(path)
     missing = _same_rewrites(ctx, all_paths(ctx.graph, 6))
-    assert (missing > 0) == (path.stem == "example_E_missing_phi2")
+    assert (missing > 0) == (path.stem in ("example_E_missing_phi2", "duplicated_boundary"))
+
+
+DUPLICATED_MESSAGE = (
+    "the red-first boundary r1 b b belongs to more than one square; "
+    "the collection cannot be complete for this graph"
+)
+
+
+@pytest.mark.parametrize("rewrite", [normal_form, normal_form_by_stack])
+def test_normal_form_refuses_a_duplicated_boundary(fixture_dir, rewrite):
+    """r1 b b bounds two squares, so its normal form is not unique: the
+    rewriting refuses the collection before it reads a square, on every
+    path, as ``lift_path`` does."""
+    coll = load_fixture(fixture_dir / "duplicated_boundary.cg")
+    for names in (["r1", "b", "b"], ["b"], ["b", "r2"]):
+        x = validate_path(coll.graph, names)
+        with pytest.raises(Conflict) as exc:
+            rewrite(coll, x)
+        assert str(exc.value) == DUPLICATED_MESSAGE
+        with pytest.raises(Conflict):
+            lift_path(coll, x)
 
 
 @settings(max_examples=60, deadline=None)

@@ -233,3 +233,13 @@ def test_every_colour_word_is_a_str(name, request):
     words += [x.colours for x in paths]
     assert {type(word) for word in words} == {str}
     assert vertex_path(g, g.vertices[0]).colours == ""
+
+
+@pytest.mark.parametrize("colours", [("a", "b", "b"), ["a", "b", "b"], None, b"abb"])
+def test_a_path_refuses_a_colour_word_that_is_not_a_str(graph_E, colours):
+    """A tuple of letters once was a colour word; now ``normal_form`` could
+    not read it, so the path refuses it when it is made."""
+    with pytest.raises(TypeError) as exc:
+        Path(("f", "k", "k"), "u", "v", colours)
+    assert str(exc.value) == f"a path's colour word is a str, not {type(colours).__name__}"
+    assert Path(("f", "k", "k"), "u", "v", "abb") == validate_path(graph_E, ["f", "k", "k"])
