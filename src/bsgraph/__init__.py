@@ -29,6 +29,7 @@ from .morphisms import (
     Morphism,
     check_traverses,
     enumerate_morphisms,
+    factors,
     lift_path,
     longest_traversal,
     normal_form,

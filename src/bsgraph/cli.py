@@ -17,9 +17,10 @@ from .category import SUITES, verify
 from .errors import BsGraphError, Conflict, NotAPrefix, NotComposable, NotCovered, ResourceLimit
 from .fixtures import load_fixture
 from .graphs import concat, parse_path
-from .models import model
+from .models import model, model_json_text
 from .morphisms import (
     enumerate_morphisms,
+    factors,
     lift_path,
     longest_traversal,
     shortest_traversal,
@@ -100,17 +101,13 @@ def cmd_word(args) -> int:
 
 def cmd_model(args) -> int:
     ops = MODES[args.mode]
-    m = model(ops, ops.parse(args.word))
+    w = ops.parse(args.word)
+    if args.json:
+        print(model_json_text(ops, w))
+        return 0
+    m = model(ops, w)
     if args.dot:
         sys.stdout.write(dot.model_to_dot(m))
-    elif args.json:
-        label = ops.label_rows(m.word)
-        payload = {
-            "degree": label[-1][-1],
-            "vertices": [s for row in label for s in row],
-            "edges": [{"prefix": label[i][j], "letter": l} for (i, j), l in m.edges],
-        }
-        print(json.dumps(payload, indent=2))
     else:
         # Only the degree is named: labelling every vertex would cost the
         # sum of their lengths, quadratic in M on the row of b's.
@@ -165,13 +162,12 @@ def cmd_factorize(args) -> int:
     ctx = load_fixture(args.fixture)
     lam = lift_path(ctx, parse_path(ctx.graph, args.path))
     w1 = ctx.ops.parse(args.at)
-    w2 = ctx.ops.quotient(w1, lam.degree)
-    x, y = split_traversals(lam, w1, w2)
     if args.json:
-        # Each factor is the unique morphism its traversal lifts to.
-        left, right = (lift_path(ctx, p).json_text(1) for p in (x, y))
+        left, right = (f.json_text(1) for f in factors(lam, w1))
         print(f'{{\n  "left": {left},\n  "right": {right}\n}}')
     else:
+        w2 = ctx.ops.quotient(w1, lam.degree)
+        x, y = split_traversals(lam, w1, w2)
         print(
             f"left  degree {ctx.ops.format(w1)}: {x}\n"
             f"right degree {ctx.ops.format(w2)}: {y}"
@@ -317,6 +313,13 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
+    """The ``bsgraph`` script.  A closed output pipe ends the process as it
+    ends ``cat``, by the default SIGPIPE action, where the platform has
+    one; ``run`` leaves the signal to its caller."""
+    import signal  # the script's alone: importing it costs about a millisecond
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run()
 
 

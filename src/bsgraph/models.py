@@ -9,6 +9,7 @@ themselves rather than renamed ids.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .errors import ResourceLimit
 
@@ -44,3 +45,46 @@ def square_positions(ops, w) -> list:
     the model graph of w."""
     sq = ops.square_degree
     return [m for m in ops.prefixes(w) if ops.is_prefix(ops.mul(m, sq), w)]
+
+
+def edge_count(label: list) -> int:
+    """Edges of the model graph with vertex labels ``label``: one red edge
+    per vertex off row N, one blue edge per vertex but the last of its row."""
+    return 2 * sum(map(len, label)) - len(label[-1]) - len(label)
+
+
+def model_json_text(ops, w) -> str:
+    """The model graph of w as ``model --json`` writes it: the object
+    ``{"degree", "vertices", "edges"}`` of the degree's label, every
+    vertex label and every edge's ``{"prefix", "letter"}``, in model
+    order, as ``json.dumps`` with ``indent=2`` writes it.  Labels are
+    ASCII letters, digits, commas and parentheses, so none is escaped.
+    Built from ``ops.label_rows(w)`` and joined once, with no edge list."""
+    check_model_size(ops, w)
+    label = ops.label_rows(w)
+    vertices, edges = sum(map(len, label)), edge_count(label)
+    following = ',\n    {\n      "prefix": "'
+    red, blue = (f'",\n      "letter": "{l}"\n    }}{following}' for l in "ab")
+    parts = [None] * (1 + 2 * vertices + 2 * edges)
+    parts[0] = '{\n  "degree": "' + label[-1][-1] + '",\n  "vertices": [\n    "'
+    o = 2 * vertices + 1
+    parts[1:o:2] = chain.from_iterable(label)
+    parts[2:o:2] = ['",\n    "'] * vertices
+    if not edges:
+        parts[-1] = '"\n  ],\n  "edges": []\n}'
+        return "".join(parts)
+    parts[o - 1] = '"\n  ],\n  "edges": [\n    {\n      "prefix": "'
+    # Two pieces per edge, in model order: the label of its base vertex,
+    # then its tail.  Row i < N: a(i, 0), b(i, 0), a(i, 1), ..., a(i, last).
+    for labels in label[:-1]:
+        width = len(labels)
+        stop = o + 4 * width - 2
+        parts[o:stop:4] = labels
+        parts[o + 1 : stop : 4] = [red] * width
+        parts[o + 2 : stop : 4] = labels[:-1]
+        parts[o + 3 : stop : 4] = [blue] * (width - 1)
+        o = stop
+    parts[o::2] = label[-1][:-1]
+    parts[o + 1 :: 2] = [blue] * (len(label[-1]) - 1)
+    parts[-1] = parts[-1][: -len(following)] + "\n  ]\n}"
+    return "".join(parts)

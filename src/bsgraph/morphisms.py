@@ -20,13 +20,13 @@ building the dense map.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import NotComposable, ResourceLimit
 from .graphs import Frozen, Path, _set, path_degree, vertex_path
-from .models import check_model_size, model, square_positions, too_many_vertices
+from .models import check_model_size, edge_count, model, square_positions, too_many_vertices
 from .squares import CompleteCollection, boundary_edges, not_covered
 
 
@@ -120,49 +120,91 @@ class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
         )
 
     def json_text(self, level: int = 0) -> str:
-        """The morphism as an ``indent=2`` JSON object, written in one pass.
+        """The morphism as an ``indent=2`` JSON object, joined once.
 
         The object holds the mode, the degree (word and pair), and the
         vertex and edge images, each read off the rows in model order.
         Every line after the first is indented by ``level`` more steps of
         two spaces, so the text can sit as a value at that nesting depth of
-        an enclosing ``indent=2`` document.  Names go through the same C
-        string encoder ``json.dumps`` uses; prefix labels come from
-        ``ops.label_rows``, and each vertex's head is shared by its vertex
-        item and its edge items.
+        an enclosing ``indent=2`` document.  Prefix labels come from
+        ``ops.label_rows``.  The text between one item's label and the next
+        one's depends on the item's row, its column and its image only, so
+        each image's part of it is written once per call, names escaped by
+        the same C string encoder ``json.dumps`` uses, and each row is
+        filled in by slices: labels, the row's pair head, column numbers
+        and image tails.
         """
-        ops, q = self.ops, encode_basestring_ascii
-        # Line break plus indentation at depth level, level + 1, ...
-        i0 = "\n" + "  " * level
-        i1, i2, i3, i4 = (i0 + "  " * k for k in range(1, 5))
+        ops, vrows, arows, brows = self.ops, self.vrows, self.arows, self.brows
+        head, pair, vertex, red, blue, following, edges_open, no_edges, end = _json_pieces(level)
         label = ops.label_rows(self.degree)
-        # The constant pieces of the items, and the rows of items, each
-        # joined as soon as it is written.
-        comma, end, vertex = "," + i2, i2 + "}", i3 + "]," + i3 + '"vertex": '
-        red, blue = ('"letter": "' + l + '",' + i3 + '"edge": ' for l in "ab")
-        vertex_rows, edge_rows = [], []
-        rows = zip(label, self.vrows, self.arows, self.brows)
-        for i, (labels, verts, reds, blues) in enumerate(rows):
-            heads = [f'{{{i3}"prefix": "{s}",{i3}' for s in labels]
-            pair = f'"pair": [{i4}{i},{i4}'
-            vertex_rows.append(comma.join([
-                f"{h}{pair}{j}{vertex}{q(v)}{end}"
-                for j, h, v in zip(range(len(heads)), heads, verts)
-            ]))
-            if reds or blues:
-                edge_rows.append(comma.join(_in_model_order(
-                    [f"{h}{red}{q(e)}{end}" for h, e in zip(heads, reds)],
-                    [f"{h}{blue}{q(e)}{end}" for h, e in zip(heads, blues)],
-                )))
-        vertices = comma.join(vertex_rows)
-        edges = f"[{i2}{comma.join(edge_rows)}{i1}]" if edge_rows else "[]"
-        del vertex_rows, edge_rows
-        n, m = self.degree
-        return (
-            f'{{{i1}"mode": "{ops.name}",{i1}"degree": {{{i2}"word": "{label[-1][-1]}",'
-            f'{i2}"pair": [{i3}{n},{i3}{m}{i2}]{i1}}},'
-            f'{i1}"vertices": [{i2}{vertices}{i1}],{i1}"edges": {edges}{i0}}}'
-        )
+        vertices, edges = sum(map(len, label)), edge_count(label)
+        # The head, four pieces per vertex item, then two per edge item:
+        # the label of its base vertex, then its tail.
+        parts = [None] * (1 + 4 * vertices + 2 * edges)
+        parts[0] = head % (ops.name, label[-1][-1], *self.degree)
+        columns = list(map(str, range(len(label[-1]))))
+        vtails = _tails(vertex, vrows).__getitem__
+        rtails, btails = _tails(red, arows).__getitem__, _tails(blue, brows).__getitem__
+        o, e = 1, 1 + 4 * vertices
+        for i, labels in enumerate(label):
+            width = len(labels)
+            stop = o + 4 * width
+            parts[o:stop:4] = labels
+            parts[o + 1 : stop : 4] = [pair % i] * width
+            parts[o + 2 : stop : 4] = columns[:width]
+            parts[o + 3 : stop : 4] = map(vtails, vrows[i])
+            o = stop
+            if arows[i]:
+                # a(i, 0), b(i, 0), a(i, 1), ..., a(i, last)
+                stop = e + 4 * width - 2
+                parts[e:stop:4] = labels
+                parts[e + 1 : stop : 4] = map(rtails, arows[i])
+                parts[e + 2 : stop : 4] = labels[:-1]
+                parts[e + 3 : stop : 4] = map(btails, brows[i])
+            else:
+                stop = e + 2 * width - 2
+                parts[e:stop:2] = labels[:-1]
+                parts[e + 1 : stop : 2] = map(btails, brows[i])
+            e = stop
+        # The last item of each list closes it instead of opening the next.
+        parts[o - 1] = parts[o - 1][: -len(following)] + (edges_open if edges else no_edges)
+        if edges:
+            parts[-1] = parts[-1][: -len(following)] + end
+        return "".join(parts)
+
+
+@cache
+def _json_pieces(level: int) -> tuple:
+    """The constant texts of ``Morphism.json_text`` at nesting depth
+    ``level``: the document head up to the first vertex label, a row's
+    pair head, the vertex, red and blue item tails after the label (``%``
+    templates, each ending with the text between two items up to the
+    next one's label), that text alone, the texts that open the edge list
+    or write it empty after the last vertex item, and the text that closes
+    the edge list and the object."""
+    i0 = "\n" + "  " * level
+    i1, i2, i3, i4 = (i0 + "  " * k for k in range(1, 5))
+    opening = "{" + i3 + '"prefix": "'
+    following = "," + i2 + opening
+    head = (
+        "{" + i1 + '"mode": "%s",' + i1 + '"degree": {' + i2 + '"word": "%s",' + i2
+        + '"pair": [' + i3 + "%d," + i3 + "%d" + i2 + "]" + i1 + "}," + i1
+        + '"vertices": [' + i2 + opening
+    )
+    pair = '",' + i3 + '"pair": [' + i4 + "%d," + i4
+    vertex = i3 + "]," + i3 + '"vertex": %s' + i2 + "}" + following
+    red, blue = ('",' + i3 + '"letter": "' + l + '",' + i3 + '"edge": %s' + i2 + "}" + following
+                 for l in "ab")
+    edges_open = i1 + "]," + i1 + '"edges": [' + i2 + opening
+    no_edges = i1 + "]," + i1 + '"edges": []' + i0 + "}"
+    return head, pair, vertex, red, blue, following, edges_open, no_edges, i1 + "]" + i0 + "}"
+
+
+def _tails(template: str, rows) -> dict:
+    """Each ambient name in rows -> template filled with the name as a
+    JSON string."""
+    names = dict.fromkeys(chain.from_iterable(rows))
+    return dict(zip(names, map(template.__mod__, map(encode_basestring_ascii, names))))
 
 
 def identity_morphism(ops, vertex: str) -> Morphism:
@@ -306,6 +348,34 @@ def split_traversals(lam: Morphism, w1, w2) -> tuple[Path, Path]:
     model graph."""
     shortest = lam.ops.shortest_letters
     return _read_traversal(lam, shortest(w1)), _read_traversal(lam, shortest(w2), w1)
+
+
+def factors(lam: Morphism, w1) -> tuple[Morphism, Morphism]:
+    """lam's degree-(w1, w2) factor pair, where w1 w2 is lam's degree, cut
+    out of lam's rows: by unique factorization the left factor is lam on
+    the prefixes of w1 and the right one lam on w1 times the prefixes of
+    w2.  So row i of the left factor is lam's row i cut to w1's row
+    width, and row i of the right one is lam's row N1 + i from column
+    M1 k^i on, (N1, M1) = w1.  Raises ``NotAPrefix`` unless w1 is a prefix
+    of lam's degree."""
+    ops = lam.ops
+    w2 = ops.quotient(w1, lam.degree)
+    (n1, m1), shift = w1, ops.shift
+    return _cut(lam, w1, 0, repeat(0)), _cut(lam, w2, n1, (m1 << shift * i for i in count()))
+
+
+def _cut(lam: Morphism, w, top: int, starts) -> Morphism:
+    """The morphism of degree w whose row i is lam's row top + i from
+    column ``starts``'s i-th item on."""
+    spans = [(s, s + width) for s, width in zip(starts, lam.ops.row_widths(w))]
+    vrows, arows, brows = (rows[top:] for rows in (lam.vrows, lam.arows, lam.brows))
+    return Morphism(
+        lam.ops,
+        w,
+        [row[s:e] for row, (s, e) in zip(vrows, spans)],
+        [*(row[s:e] for row, (s, e) in zip(arows, spans[:-1])), ()],
+        [row[s : e - 1] for row, (s, e) in zip(brows, spans)],
+    )
 
 
 # Search nodes (partial assignments each of whose squares agrees with some

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -332,6 +333,23 @@ def test_lift_too_large_exit_2(capsys):
     assert code == 2 and err.startswith("resource limit:")
 
 
+# Peak memory ``model --json`` may trace on the grid degree (200,200):
+# 40,401 vertices and 80,400 edges, about 5.5 MB of text.  Written from
+# the label rows it peaks near 16 MiB, the captured output included; with
+# the model graph and a dict per edge through ``json.dumps`` it took 71.
+MODEL_JSON_PEAK = 40 * 2**20
+
+
+def test_model_json_is_written_from_the_label_rows(capsys):
+    code, out, _, peak = invoke_traced(
+        capsys, "model", "--mode", "grid", "--word", "200,200", "--json"
+    )
+    assert code == 0 and peak < MODEL_JSON_PEAK
+    data = json.loads(out)
+    assert data["degree"] == "(200,200)" and len(data["vertices"]) == 201 * 201
+    assert data["edges"][-1] == {"prefix": "(200,199)", "letter": "b"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -553,14 +571,36 @@ def test_grid_fixture_round_trip():
     assert text.splitlines()[-1] == "square sigma v1=rho e1v2=beta v2=beta e2v1=rho"
 
 
+def _env(**env: str) -> dict:
+    """The environment of a fresh interpreter that imports this package,
+    with env added."""
+    package_root = pathlib.Path(bsgraph.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=str(package_root), **env)
+
+
 def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this package, with env added."""
-    package_root = pathlib.Path(bsgraph.__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=str(package_root), **env),
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], env=_env(**env), capture_output=True, text=True, timeout=60
     )
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_output_pipe_ends_the_script_as_it_ends_cat():
+    """``bsgraph model ... --json | head -c 1``: the script is ended by
+    SIGPIPE, with nothing on stderr, not by a ``BrokenPipeError``
+    traceback and the finding code 1.  The output, about 0.97 MB, is far
+    past what the pipe holds, so the write is still pending when the
+    reader closes its end."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "bsgraph.cli", "model", "--word", "a^6 b^3000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (-signal.SIGPIPE, b"")
 
 
 def test_one_parser_serves_every_run(capsys):
