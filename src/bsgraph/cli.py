@@ -17,15 +17,8 @@ from .category import SUITES, verify
 from .errors import BsGraphError, Conflict, NotAPrefix, NotComposable, NotCovered, ResourceLimit
 from .fixtures import load_fixture
 from .graphs import concat, parse_path
-from .models import model, model_json_text
-from .morphisms import (
-    enumerate_morphisms,
-    factors,
-    lift_path,
-    longest_traversal,
-    shortest_traversal,
-    split_traversals,
-)
+from .models import check_model_size, edge_count, model_json_text
+from .morphisms import enumerate_morphisms, factors, lift_path, longest_traversal, shortest_traversal
 from .squares import check_complete
 from .words import BS, MODES, longest_form, parse_word, printable_pair
 
@@ -105,13 +98,14 @@ def cmd_model(args) -> int:
     if args.json:
         print(model_json_text(ops, w))
         return 0
-    m = model(ops, w)
     if args.dot:
-        sys.stdout.write(dot.model_to_dot(m))
-    else:
-        # Only the degree is named: labelling every vertex would cost the
-        # sum of their lengths, quadratic in M on the row of b's.
-        print(f"degree {ops.format(m.word)}: {len(m.vertices)} vertices, {len(m.edges)} edges")
+        sys.stdout.write(dot.model_to_dot(ops, w))
+        return 0
+    check_model_size(ops, w)
+    # Only the degree is named: labelling every vertex would cost the
+    # sum of their lengths, quadratic in M on the row of b's.
+    widths = ops.row_widths(w)
+    print(f"degree {ops.format(w)}: {sum(widths)} vertices, {edge_count(widths)} edges")
     return 0
 
 
@@ -161,16 +155,13 @@ def cmd_compose(args) -> int:
 def cmd_factorize(args) -> int:
     ctx = load_fixture(args.fixture)
     lam = lift_path(ctx, parse_path(ctx.graph, args.path))
-    w1 = ctx.ops.parse(args.at)
+    left, right = factors(lam, ctx.ops.parse(args.at))
     if args.json:
-        left, right = (f.json_text(1) for f in factors(lam, w1))
-        print(f'{{\n  "left": {left},\n  "right": {right}\n}}')
+        print(f'{{\n  "left": {left.json_text(1)},\n  "right": {right.json_text(1)}\n}}')
     else:
-        w2 = ctx.ops.quotient(w1, lam.degree)
-        x, y = split_traversals(lam, w1, w2)
         print(
-            f"left  degree {ctx.ops.format(w1)}: {x}\n"
-            f"right degree {ctx.ops.format(w2)}: {y}"
+            f"left  degree {ctx.ops.format(left.degree)}: {shortest_traversal(left)}\n"
+            f"right degree {ctx.ops.format(right.degree)}: {shortest_traversal(right)}"
         )
     return 0
 

@@ -2,31 +2,42 @@
 
 from __future__ import annotations
 
-from .models import ModelGraph
-from .morphisms import Morphism
+from itertools import repeat
 
-_COLOUR = {"a": "red", "b": "blue"}
+from .models import check_model_size
+from .morphisms import Morphism, _in_model_order
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def _at(label: list, z) -> str:
-    """The label of the prefix pair z = (i, j) in label rows."""
-    return label[z[0]][z[1]]
+def _edge_lines(ops, label: list, reds, blues) -> list:
+    """The line of every edge of the model graph with the quoted vertex
+    labels ``label``, in model order: a(i, 0), b(i, 0), a(i, 1), ...,
+    a(i, last) on each row i < N, then row N's blue edges.  An edge is
+    drawn from the vertex it reaches to its base: row i's red edges from
+    every k-th vertex of row i + 1, where (1, k) is ``square_degree``,
+    and its blue edges from the next vertex of row i.  ``reds[i][j]`` and
+    ``blues[i][j]`` open the attributes of a(i, j) and b(i, j)."""
+    k = ops.square_degree[1]
+    lines = []
+    for row, below, red, blue in zip(label, [*label[1:], ()], reds, blues):
+        lines += _in_model_order(
+            [f"  {s} -> {r} [{a}color=red];" for s, r, a in zip(below[::k], row, red)],
+            [f"  {s} -> {r} [{a}color=blue];" for s, r, a in zip(row[1:], row, blue)],
+        )
+    return lines
 
 
-def model_to_dot(m: ModelGraph) -> str:
+def model_to_dot(ops, w) -> str:
     """Vertices are labelled with shortest-form words (grid: coordinates)."""
-    step = m.ops.step
-    label = [list(map(_quote, row)) for row in m.ops.label_rows(m.word)]
+    check_model_size(ops, w)
+    label = [list(map(_quote, row)) for row in ops.label_rows(w)]
     lines = ["digraph model {"]
-    lines.extend(f"  {_at(label, z)};" for z in m.vertices)
-    lines.extend(
-        f"  {_at(label, step(z, l))} -> {_at(label, z)} [color={_COLOUR[l]}];"
-        for z, l in m.edges
-    )
+    lines.extend(f"  {s};" for row in label for s in row)
+    no_images = repeat(repeat(""))
+    lines += _edge_lines(ops, label, no_images, no_images)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -34,21 +45,17 @@ def model_to_dot(m: ModelGraph) -> str:
 def morphism_to_dot(lam: Morphism) -> str:
     """The domain model graph, each element labelled with its image, read
     off the rows: vertices, then edges, in the model graph's order."""
-    step, label = lam.ops.step, lam.ops.label_rows(lam.degree)
-    zs = [(i, j) for i, row in enumerate(label) for j in range(len(row))]
-    rows = {"a": lam.arows, "b": lam.brows}
+    label = lam.ops.label_rows(lam.degree)
     lines = ["digraph morphism {"]
     lines.extend(
-        f"  {_quote(label[i][j])} [label={_quote(label[i][j] + ' -> ' + lam.vrows[i][j])}];"
-        for i, j in zs
+        f"  {_quote(s)} [label={_quote(s + ' -> ' + v)}];"
+        for row, images in zip(label, lam.vrows)
+        for s, v in zip(row, images)
     )
-    # Vertex (i, j) has an edge of colour l iff row i of l's rows reaches j.
-    lines.extend(
-        f"  {_quote(_at(label, step((i, j), l)))} -> {_quote(label[i][j])} "
-        f"[label={_quote(rows[l][i][j])}, color={_COLOUR[l]}];"
-        for i, j in zs
-        for l in "ab"
-        if j < len(rows[l][i])
+    quoted = [list(map(_quote, row)) for row in label]
+    reds, blues = (
+        [[f"label={_quote(e)}, " for e in row] for row in rows] for rows in (lam.arows, lam.brows)
     )
+    lines += _edge_lines(lam.ops, quoted, reds, blues)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,8 @@
 The model graph of a degree w has the prefixes of w as vertices and the
 single-letter extensions (z, z*l) as edges, coloured by l.  It is the
 universal domain for degree-w morphisms, so vertices are degree values
-themselves rather than renamed ids.
+themselves rather than renamed ids.  The CLI reads it as rows of prefixes
+(``ops.row_widths``); ``model`` lists its pairs for the enumeration oracle.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ def model(ops, w) -> ModelGraph:
 
 def square_positions(ops, w) -> list:
     """Bases m whose translated square [m, m*square_degree] fits inside
-    the model graph of w."""
-    sq = ops.square_degree
-    return [m for m in ops.prefixes(w) if ops.is_prefix(ops.mul(m, sq), w)]
+    the model graph of w, in ascending order: the vertices with both a
+    red and a blue edge, (i, j) with i < N and j < W_i - 1."""
+    return [(i, j) for i, width in enumerate(ops.row_widths(w)[:-1]) for j in range(width - 1)]
 
 
-def edge_count(label: list) -> int:
-    """Edges of the model graph with vertex labels ``label``: one red edge
-    per vertex off row N, one blue edge per vertex but the last of its row."""
-    return 2 * sum(map(len, label)) - len(label[-1]) - len(label)
+def edge_count(widths: list) -> int:
+    """Edges of the model graph with these row widths: one red edge per
+    vertex off row N, one blue edge per vertex but the last of its row."""
+    return 2 * sum(widths) - widths[-1] - len(widths)
 
 
 def model_json_text(ops, w) -> str:
@@ -62,7 +63,7 @@ def model_json_text(ops, w) -> str:
     Built from ``ops.label_rows(w)`` and joined once, with no edge list."""
     check_model_size(ops, w)
     label = ops.label_rows(w)
-    vertices, edges = sum(map(len, label)), edge_count(label)
+    vertices, edges = sum(map(len, label)), edge_count(ops.row_widths(w))
     following = ',\n    {\n      "prefix": "'
     red, blue = (f'",\n      "letter": "{l}"\n    }}{following}' for l in "ab")
     parts = [None] * (1 + 2 * vertices + 2 * edges)

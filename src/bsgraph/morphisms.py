@@ -137,7 +137,7 @@ class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
         ops, vrows, arows, brows = self.ops, self.vrows, self.arows, self.brows
         head, pair, vertex, red, blue, following, edges_open, no_edges, end = _json_pieces(level)
         label = ops.label_rows(self.degree)
-        vertices, edges = sum(map(len, label)), edge_count(label)
+        vertices, edges = sum(map(len, label)), edge_count(ops.row_widths(self.degree))
         # The head, four pieces per vertex item, then two per edge item:
         # the label of its base vertex, then its tail.
         parts = [None] * (1 + 4 * vertices + 2 * edges)

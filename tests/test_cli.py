@@ -351,6 +351,22 @@ def test_model_json_is_written_from_the_label_rows(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (["model", "--word", "b^999999"], "1000000 vertices, 999999 edges"),
+        (["model", "--mode", "grid", "--word", "999,999"], "1000000 vertices, 1998000 edges"),
+    ],
+    ids=["bs", "grid"],
+)
+def test_model_text_at_the_vertex_limit_counts_from_the_row_widths(capsys, argv, counts):
+    """A million vertices are counted, not built: the model graph's pairs
+    alone would trace about 155 MiB on the row of b's."""
+    code, out, _, peak = invoke_traced(capsys, *argv)
+    assert peak < REFUSAL_PEAK
+    assert code == 0 and out.endswith(f": {counts}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["model", "--word", "b a^20000"],

@@ -1,13 +1,15 @@
-"""The DOT writer, which walks a morphism's rows, against DOT text written
-from the morphism's two dicts."""
+"""The DOT writers, which walk the label rows, against DOT text written
+from the model graph's pairs and from the morphism's two dicts."""
 
 from __future__ import annotations
 
 import pytest
 
 from bsgraph.category import pool_morphisms
-from bsgraph.dot import morphism_to_dot
+from bsgraph.dot import model_to_dot, morphism_to_dot
 from bsgraph.fixtures import load_fixture
+from bsgraph.models import model
+from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
 from .oracles import maps
@@ -17,6 +19,25 @@ COLOUR = {"a": "red", "b": "blue"}
 
 def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
+
+
+def model_reference(ops, w) -> str:
+    """Each vertex, then each edge, of ``model(ops, w)`` in its pair order,
+    each edge drawn from the vertex it reaches to its base."""
+    label = [list(map(_quote, row)) for row in ops.label_rows(w)]
+    m = model(ops, w)
+    lines = ["digraph model {"]
+    lines += [f"  {label[i][j]};" for i, j in m.vertices]
+    for (i, j), l in m.edges:
+        s, t = ops.step((i, j), l)
+        lines.append(f"  {label[s][t]} -> {label[i][j]} [color={COLOUR[l]}];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("ops", [BS, GRID], ids=["bs", "grid"])
+def test_model_dot_equals_the_pair_walk(ops):
+    for w in [(n, m) for n in range(5) for m in range(20)] + [(6, 300), (30, 40)]:
+        assert model_to_dot(ops, w) == model_reference(ops, w), w
 
 
 def reference(lam) -> str:

@@ -15,7 +15,13 @@ from bsgraph.errors import NotAPrefix
 from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import validate_path, vertex_path
 from bsgraph.models import model, model_json_text
-from bsgraph.morphisms import enumerate_morphisms, factors, lift_path, split_traversals
+from bsgraph.morphisms import (
+    enumerate_morphisms,
+    factors,
+    lift_path,
+    shortest_traversal,
+    split_traversals,
+)
 from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
@@ -145,7 +151,8 @@ def test_factors_are_the_restrictions_and_the_lifts_of_the_split(walk):
     """At every prefix w1 of the degree, e and the degree itself included,
     the factor pair cut out of the rows is lam restricted to w1 and,
     shifted by w1, to the rest, and it is what the two traversals
-    ``split_traversals`` reads off lam lift to."""
+    ``split_traversals`` reads off lam lift to, and those traversals are
+    its factors' shortest ones."""
     ctx, path = walk
     lam = lift_path(ctx, path)
     ops = ctx.ops
@@ -155,6 +162,7 @@ def test_factors_are_the_restrictions_and_the_lifts_of_the_split(walk):
         assert (left, right) == (restrict(lam, w1), restrict_shifted(lam, w1, lam.degree))
         x, y = split_traversals(lam, w1, w2)
         assert (left, right) == (lift_path(ctx, x), lift_path(ctx, y))
+        assert (shortest_traversal(left), shortest_traversal(right)) == (x, y)
 
 
 def test_factors_of_a_non_prefix_raise_not_a_prefix():

@@ -113,6 +113,13 @@ def test_square_positions_closure():
                     assert (BS.mul(pos, z), l) in edges
 
 
+@pytest.mark.parametrize("ops", [BS, GRID], ids=["bs", "grid"])
+def test_square_positions_are_the_bases_whose_square_fits(ops):
+    for w in [(n, m) for n in range(6) for m in range(70)]:
+        fits = [m for m in ops.prefixes(w) if ops.is_prefix(ops.mul(m, ops.square_degree), w)]
+        assert square_positions(ops, w) == fits, w
+
+
 def test_square_position_count_in_2_8():
     # positions m with m * ba <= (2,8): two in the bottom row, four above
     assert len(square_positions(BS, (2, 8))) == 6
