@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from math import inf
 
 from .errors import BsGraphError, Conflict
@@ -49,6 +50,15 @@ class LawResult(namedtuple("LawResult", "name instances passed counterexample", 
         }
 
 
+# The indent=2 texts of a report and of one law in its list.
+_REPORT = '{\n  "passed": %s,\n  "laws": %s\n}'
+_LAW = (
+    '    {\n      "law": %s,\n      "instances": %d,\n      "passed": %s,\n'
+    '      "counterexample": %s\n    }'
+)
+_JSON_BOOL = {True: "true", False: "false"}
+
+
 class VerificationReport(namedtuple("VerificationReport", "laws")):
     __slots__ = ()
 
@@ -58,6 +68,24 @@ class VerificationReport(namedtuple("VerificationReport", "laws")):
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "laws": [l.to_json() for l in self.laws]}
+
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2)``, written directly: law
+        names and counterexamples go through the C string encoder that
+        ``json.dumps`` uses, so the text is the same to the byte."""
+        if not self.laws:
+            return _REPORT % (_JSON_BOOL[self.passed], "[]")
+        laws = ",\n".join(
+            _LAW % (
+                encode_basestring_ascii(law.name),
+                law.instances,
+                _JSON_BOOL[law.passed],
+                "null" if law.counterexample is None
+                else encode_basestring_ascii(law.counterexample),
+            )
+            for law in self.laws
+        )
+        return _REPORT % (_JSON_BOOL[self.passed], f"[\n{laws}\n  ]")
 
     def to_text(self) -> str:
         lines = []

@@ -23,10 +23,23 @@ from .squares import check_complete
 from .words import BS, MODES, longest_form, parse_word, printable_pair
 
 _FINDING = (NotCovered, Conflict, NotAPrefix, NotComposable)
+# Output is written in slices of at most this many characters, so that
+# the text stream's encoded copy of a large output stays this small.
+SLICE = 1 << 20
 
 
 def _emit(payload, as_json: bool, text: str):
     print(json.dumps(payload, indent=2) if as_json else text)
+
+
+def _write(*texts: str, end: str = "\n") -> None:
+    """``print(*texts, sep="", end=end)``, in slices of at most SLICE
+    characters."""
+    write = sys.stdout.write
+    for text in texts:
+        for start in range(0, len(text), SLICE):
+            write(text[start : start + SLICE])
+    write(end)
 
 
 def _count(text: str) -> int:
@@ -96,10 +109,10 @@ def cmd_model(args) -> int:
     ops = MODES[args.mode]
     w = ops.parse(args.word)
     if args.json:
-        print(model_json_text(ops, w))
+        _write(model_json_text(ops, w))
         return 0
     if args.dot:
-        sys.stdout.write(dot.model_to_dot(ops, w))
+        _write(dot.model_to_dot(ops, w), end="")
         return 0
     check_model_size(ops, w)
     # Only the degree is named: labelling every vertex would cost the
@@ -124,9 +137,9 @@ def cmd_lift(args) -> int:
             )
             return 1
     if args.dot:
-        sys.stdout.write(dot.morphism_to_dot(lam))
+        _write(dot.morphism_to_dot(lam), end="")
     elif args.json:
-        print(lam.json_text())
+        _write(lam.json_text())
     else:
         vertices, edges = sum(map(len, lam.vrows)), sum(map(len, lam.arows + lam.brows))
         print(
@@ -146,7 +159,7 @@ def cmd_compose(args) -> int:
     # composite of the two sides' lifts.
     lam = lift_path(ctx, concat(x, y))
     if args.json:
-        print(lam.json_text())
+        _write(lam.json_text())
     else:
         print(f"degree {ctx.ops.format(lam.degree)}: traversal {shortest_traversal(lam)}")
     return 0
@@ -157,7 +170,7 @@ def cmd_factorize(args) -> int:
     lam = lift_path(ctx, parse_path(ctx.graph, args.path))
     left, right = factors(lam, ctx.ops.parse(args.at))
     if args.json:
-        print(f'{{\n  "left": {left.json_text(1)},\n  "right": {right.json_text(1)}\n}}')
+        _write('{\n  "left": ', left.json_text(1), ',\n  "right": ', right.json_text(1), "\n}")
     else:
         print(
             f"left  degree {ctx.ops.format(left.degree)}: {shortest_traversal(left)}\n"
@@ -190,7 +203,7 @@ def cmd_enumerate(args) -> int:
     if args.json:
         items = ",\n    ".join(m.json_text(2) for m in found)
         listing = f"[\n    {items}\n  ]" if found else "[]"
-        print(f'{{\n  "count": {len(found)},\n  "morphisms": {listing}\n}}')
+        _write(f'{{\n  "count": {len(found)},\n  "morphisms": {listing}\n}}')
     else:
         print(
             "\n".join(
@@ -218,7 +231,7 @@ def cmd_verify(args) -> int:
         print(f"error: law suite {twice!r} given twice in --laws {args.laws!r}", file=sys.stderr)
         return 2
     report = verify(ctx, args.max_len, wanted)
-    _emit(report.to_json(), args.json, report.to_text())
+    print(report.json_text() if args.json else report.to_text())
     return 0 if report.passed else 1
 
 

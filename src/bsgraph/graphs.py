@@ -69,13 +69,22 @@ class ColouredGraph(Frozen, fields=("vertices", "edges")):
     exist however the graph is constructed.
     """
 
-    __slots__ = ("vertices", "edges", "vertex_set", "_by_name")
+    __slots__ = ("vertices", "edges", "vertex_set", "_by_name", "_range_of")
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
         _set(self, "vertices", vertices)
         _set(self, "edges", edges)
         _set(self, "vertex_set", frozenset(vertices))
         _set(self, "_by_name", {e.name: e for e in edges})
+        _set(self, "_range_of", None)
+
+    @property
+    def range_of(self) -> dict:
+        """Edge name -> range vertex, built on first use, for the lift
+        (a ``check`` run never reads it); read it, do not change it."""
+        if self._range_of is None:
+            _set(self, "_range_of", {e.name: e.range_ for e in self.edges})
+        return self._range_of
 
     def edge(self, name: str) -> Edge:
         try:
@@ -140,10 +149,15 @@ class Path(Frozen, fields=("edges", "range_", "source", "colours")):
         return " ".join(self.edges) if self.edges else self.range_
 
 
-def vertex_path(g: ColouredGraph, v: str) -> Path:
+def require_vertex(g: ColouredGraph, v: str) -> str:
+    """v, if it is a vertex of g; else raises ``UnknownVertex``."""
     if v not in g.vertex_set:
         raise UnknownVertex(f"unknown vertex {v!r}")
-    return Path((), v, v, "")
+    return v
+
+
+def vertex_path(g: ColouredGraph, v: str) -> Path:
+    return Path((), require_vertex(g, v), v, "")
 
 
 def validate_path(g: ColouredGraph, names) -> Path:

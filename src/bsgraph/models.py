@@ -3,8 +3,11 @@
 The model graph of a degree w has the prefixes of w as vertices and the
 single-letter extensions (z, z*l) as edges, coloured by l.  It is the
 universal domain for degree-w morphisms, so vertices are degree values
-themselves rather than renamed ids.  The CLI reads it as rows of prefixes
-(``ops.row_widths``); ``model`` lists its pairs for the enumeration oracle.
+themselves rather than renamed ids.  The library reads it as rows of
+prefixes (``ops.row_widths``): the CLI, the lift and the enumeration
+oracle, which numbers its domain from the row widths alone.  ``model``
+lists its pairs; it is public API and the reference the tests check
+those rows against, and nothing else in the library calls it.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import NotComposable, ResourceLimit
-from .graphs import Frozen, Path, _set, path_degree, vertex_path
-from .models import check_model_size, edge_count, model, square_positions, too_many_vertices
+from .graphs import Frozen, Path, _set, path_degree, require_vertex
+from .models import check_model_size, edge_count, square_positions, too_many_vertices
 from .squares import CompleteCollection, boundary_edges, not_covered
 
 
@@ -231,7 +231,7 @@ def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
         raise NotComposable(None, f"colour word {x.colours!r} for {len(names)} edges")
     w = path_degree(ops, x)
     check_model_size(ops, w)
-    at = vertex_path(g, x.range_).source
+    at = require_vertex(g, x.range_)
     to_red, to_blue, k = collection._blue_to_red, collection._red_to_blue, ops.square_degree[1]
     # Row i's red and blue edges so far; row N, the last, has no red ones.
     arows, brows = [], [[]]
@@ -264,7 +264,7 @@ def lift_path(collection: CompleteCollection, x: Path) -> Morphism:
             i -= 1
     if at != x.source:
         raise NotComposable(None, f"the path ends at {at!r}, not at its source {x.source!r}")
-    range_of = {e.name: e.range_ for e in g.edges}.__getitem__
+    range_of = g.range_of.__getitem__
     vrows = [*(map(range_of, reds) for reds in arows), (*map(range_of, brows[-1]), at)]
     arows.append(())
     # The constructor freezes the row lists to tuples.
@@ -378,6 +378,34 @@ def _cut(lam: Morphism, w, top: int, starts) -> Morphism:
     )
 
 
+def _numbered_edges(ops, widths) -> tuple:
+    """The edges of the model graph with rows of these widths, numbered in
+    model order as ``_rows_reader`` cuts them, with no prefix pair built.
+
+    Vertex (i, j) is number W_0 + ... + W_(i-1) + j.  Below row N, row i's
+    edges run a(i, 0), b(i, 0), a(i, 1), ..., a(i, last); row N has only
+    its blue ones.  Returns the list of each edge's (range number, letter,
+    source number), and the function that numbers the edge ((i, j), l)."""
+    k, last = 1 << ops.shift, len(widths) - 1
+    edges, firsts, v = [], [], 0
+    for i, width in enumerate(widths):
+        firsts.append(len(edges))
+        if i < last:
+            for j in range(v, v + width - 1):
+                edges += ((j, "a", v + width + k * (j - v)), (j, "b", j + 1))
+            edges.append((v + width - 1, "a", v + width + k * (width - 1)))
+        else:
+            edges += [(j, "b", j + 1) for j in range(v, v + width - 1)]
+        v += width
+
+    def number(i: int, j: int, letter: str) -> int:
+        if i < last:
+            return firsts[i] + 2 * j + (letter == "b")
+        return firsts[i] + j
+
+    return edges, number
+
+
 # Search nodes (partial assignments each of whose squares agrees with some
 # square of the collection on the edges assigned so far, complete ones
 # included) one enumeration may visit.  Its cost grows exponentially with
@@ -389,6 +417,10 @@ def _cut(lam: Morphism, w, top: int, starts) -> Morphism:
 MAX_SEARCH_NODES = 10**6
 # Vertices of the model graph one enumeration may search over.
 MAX_ENUMERATION_VERTICES = 10**4
+
+
+def _too_many_nodes(ops, w) -> ResourceLimit:
+    return ResourceLimit(f"enumeration of {ops.format(w)} passed {MAX_SEARCH_NODES} search nodes")
 
 
 def enumerate_morphisms(
@@ -421,18 +453,16 @@ def enumerate_morphisms(
     if through is not None and path_degree(ops, through) != w:
         return []
     starts = g.vertices if through is None else [through.range_]
-    domain = model(ops, w)
-    vertices, edge_keys = domain.vertices, domain.edges
-    if not edge_keys:
+    widths = ops.row_widths(w)
+    edges, number = _numbered_edges(ops, widths)
+    if not edges:
         return [identity_morphism(ops, v) for v in starts][:limit]
     if limit == 0:
         return []
-    # Domain vertices and edges are numbered in model order; images[i] is
-    # the ambient vertex of vertices[i], names[i] the ambient edge of
-    # edge_keys[i], and read_rows cuts a result's rows out of both.
-    vertex_index = {z: i for i, z in enumerate(vertices)}
-    edge_index = {k: i for i, k in enumerate(edge_keys)}
-    read_rows = _rows_reader(ops.row_widths(w))
+    # Domain vertices and edges are numbered in model order (``edges``):
+    # images[v] is the ambient vertex of vertex v, names[e] the ambient
+    # edge of edge e, and read_rows cuts a result's rows out of both.
+    read_rows = _rows_reader(widths)
     # A square's edge names, red-first boundary then blue-first, the
     # fixture slot order.  Each occurrence is checked at the level of each
     # of its edges: the ones assigned so far must be those some square has
@@ -442,9 +472,10 @@ def enumerate_morphisms(
     # gives a name and several a tuple.
     known = [sq.red + sq.blue for sq in collection.squares]
     allowed: dict = {}
-    closing: list = [[] for _ in edge_keys]
+    closing: list = [[] for _ in edges]
+    square = boundary_edges(ops)
     for m in square_positions(ops, w):
-        slots = [edge_index[(ops.mul(m, z), l)] for z, l in boundary_edges(ops)]
+        slots = [number(*ops.mul(m, z), l) for z, l in square]
         order = sorted(range(len(slots)), key=slots.__getitem__)
         for n in range(1, len(order) + 1):
             kept = tuple(sorted(order[:n]))
@@ -458,37 +489,35 @@ def enumerate_morphisms(
     candidates: dict = {l: {v: [] for v in g.vertices} for l in "ab"}
     for e in g.edges:
         candidates[e.colour][e.range_].append((e.name, e.source))
-    choices = [candidates[l] for _, l in edge_keys]
+    choices = [candidates[l] for _, l, _ in edges]
     if through is not None:
         z = ops.identity
         for name, l in zip(through.edges, through.colours):
             e = g.edge(name)
             pinned = {e.range_: [(name, e.source)]} if e.colour == l else {}
-            choices[edge_index[(z, l)]] = dict.fromkeys(g.vertices, ()) | pinned
+            choices[number(*z, l)] = dict.fromkeys(g.vertices, ()) | pinned
             z = ops.step(z, l)
     # Per domain edge: its range and its candidates by range (picks); its
-    # source, whether an earlier edge (or the identity) already fixed the
-    # source, and the squares it closes (checks).
+    # source, whether an earlier edge (or the identity, vertex 0) already
+    # fixed the source, and the squares it closes (checks).
     picks, checks = [], []
-    fixed = {vertex_index[ops.identity]}
-    for (z, l), options, closes in zip(edge_keys, choices, closing):
-        t = vertex_index[ops.step(z, l)]
-        picks.append((vertex_index[z], options))
+    fixed = {0}
+    for (r, _, t), options, closes in zip(edges, choices, closing):
+        picks.append((r, options))
         checks.append((t, t in fixed, closes))
         fixed.add(t)
     last = len(picks)
-    images: list = [None] * len(vertices)
+    images: list = [None] * sum(widths)
     names: list = [None] * last
     results: list[Morphism] = []
     nodes = 0
-    too_many = f"enumeration of {ops.format(w)} passed {MAX_SEARCH_NODES} search nodes"
     # Per level of the current branch, its candidates not tried yet.
     untried: list = [None] * last
     for v in starts:
-        images[vertex_index[ops.identity]] = v
+        images[0] = v
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
-            raise ResourceLimit(too_many)
+            raise _too_many_nodes(ops, w)
         i = 0
         untried[0] = iter(picks[0][1][v])  # edge 0 leaves the identity
         while i >= 0:
@@ -504,7 +533,7 @@ def enumerate_morphisms(
                     # A new node: one level down, or a result.
                     nodes += 1
                     if nodes > MAX_SEARCH_NODES:
-                        raise ResourceLimit(too_many)
+                        raise _too_many_nodes(ops, w)
                     if i + 1 < last:
                         i += 1
                         r, options = picks[i]

@@ -138,16 +138,17 @@ class BsMonoid:
 
         Past MAX_LABEL_LETTERS letters in all, nothing is built.  A label
         has at most (M >> N) + 2N letters, so few degrees need the exact
-        count: the label of (i, j) has j >> i letters "b", i letters "a" and
-        one more "b" per set bit of j's low i bits, and "e" has one.
+        count, which is summed row by row in closed form (``row_letters``),
+        "e" counting one, and stops once it passes the limit.
         """
         n, m = w
         widths = self.row_widths(w)
         if sum(widths) * ((m >> n) + 2 * n + 1) > MAX_LABEL_LETTERS:
-            zs = self.prefixes(w)
-            total = 1 + sum((j >> i) + i + (j & ((1 << i) - 1)).bit_count() for i, j in zs)
-            if total > MAX_LABEL_LETTERS:
-                raise ResourceLimit(f"vertex labels of more than {MAX_LABEL_LETTERS} letters")
+            total = 1
+            for i, width in enumerate(widths):
+                total += row_letters(i, width)
+                if total > MAX_LABEL_LETTERS:
+                    raise ResourceLimit(f"vertex labels of more than {MAX_LABEL_LETTERS} letters")
         row = ["b" * j for j in range(widths[0])]
         rows = [row]
         for width in widths[1:]:
@@ -162,6 +163,25 @@ class BsMonoid:
     @staticmethod
     def parse(text: str):
         return parse_word(text)
+
+
+def row_letters(i: int, width: int) -> int:
+    """Letters in the BS labels of (i, 0) .. (i, width - 1), the empty one
+    of (0, 0) counting none.  The label of (i, j) has j >> i letters "b",
+    i letters "a" and one more "b" per set bit of j mod 2^i, so the row
+    holds the sums of those three over j < width: q full runs of 2^i
+    columns, q = width >> i, then r = width mod 2^i more."""
+    if i < width.bit_length():
+        q, r = width >> i, width & ((1 << i) - 1)
+        # sum of j >> i, then i set bits in each half of a run's columns
+        runs = (q * (q - 1) << i >> 1) + q * r + (q * i << i >> 1)
+    else:
+        runs, r = 0, width
+    # Set bits of 0 .. r - 1: bit b is set in 2^b of every 2^(b+1) numbers.
+    ones = 0
+    for b in range(r.bit_length()):
+        ones += (r >> b + 1 << b) + max(0, (r & (2 << b) - 1) - (1 << b))
+    return runs + i * width + ones
 
 
 class GridMonoid(BsMonoid):

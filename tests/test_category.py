@@ -10,12 +10,15 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsgraph.category as category
 import bsgraph.models as models
 from bsgraph.category import (
     SUITES,
     CompositionTable,
+    LawResult,
+    VerificationReport,
     all_paths,
     pool_morphisms,
     verify_category,
@@ -542,17 +545,22 @@ def _fault_cases() -> dict:
 FAULT_CASES = _fault_cases()
 
 
-def fault_report(case: str) -> dict:
-    """The full JSON report of one fault case, with the fault in place only
-    while its suites run."""
+def fault_verification(case: str) -> VerificationReport:
+    """The report of one fault case, with the fault in place only while
+    its suites run."""
     make_ctx, name, fault, suites, max_len = FAULT_CASES[case]
     ctx = make_ctx()
     real = getattr(category, name)
     setattr(category, name, fault(real))
     try:
-        return category.verify(ctx, max_len, suites).to_json()
+        return category.verify(ctx, max_len, suites)
     finally:
         setattr(category, name, real)
+
+
+def fault_report(case: str) -> dict:
+    """The full JSON report of one fault case."""
+    return fault_verification(case).to_json()
 
 
 @pytest.fixture(scope="module")
@@ -570,33 +578,58 @@ def test_fault_report_is_pinned(case, fault_golden):
     assert fault_report(case) == fault_golden[case]
 
 
-def test_verify_builds_model_graphs_only_in_enumeration(ctx, monkeypatch):
-    """Within ``verify`` only the enumeration oracle builds model graphs:
-    splits are read off the pool morphisms, not restricted."""
-    real_model = models.model
-    calls = {"enumeration": 0, "elsewhere": 0}
-    depth = 0
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_report_json_text_is_json_dumps_on_faults(case):
+    report = fault_verification(case)
+    assert not report.passed
+    assert report.json_text() == json.dumps(report.to_json(), indent=2)
 
-    def counted_model(*args, **kwargs):
-        calls["enumeration" if depth else "elsewhere"] += 1
-        return real_model(*args, **kwargs)
 
-    real_enumerate = category.enumerate_morphisms
+def test_report_json_text_is_json_dumps_on_an_empty_report():
+    report = VerificationReport([])
+    assert report.json_text() == json.dumps(report.to_json(), indent=2) == (
+        '{\n  "passed": true,\n  "laws": []\n}'
+    )
 
-    def tracked_enumerate(*args, **kwargs):
-        nonlocal depth
-        depth += 1
-        try:
-            return real_enumerate(*args, **kwargs)
-        finally:
-            depth -= 1
+
+# Text with quotes, backslashes, control characters, non-ASCII and astral
+# characters and lone surrogates, all of which the encoder escapes.
+ODD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é→𝔥%{}'),
+        st.characters(exclude_categories=()),
+    )
+)
+
+
+@given(st.lists(st.tuples(
+    ODD_TEXT, st.integers(0, 10**12), st.booleans(), st.none() | ODD_TEXT
+)))
+def test_report_json_text_is_json_dumps_on_drawn_laws(laws):
+    report = VerificationReport([LawResult(*law) for law in laws])
+    assert report.json_text() == json.dumps(report.to_json(), indent=2)
+
+
+def test_verify_builds_no_model_graph(ctx, monkeypatch):
+    """``verify`` builds no model graph: splits are read off the pool
+    morphisms, and the enumeration oracle numbers its domain from the row
+    widths alone."""
+    real_model, real_enumerate = models.model, category.enumerate_morphisms
+    calls = {"model": 0, "enumeration": 0}
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return call
 
     for name, module in list(sys.modules.items()):
         if name.startswith("bsgraph") and getattr(module, "model", None) is real_model:
-            monkeypatch.setattr(module, "model", counted_model)
-    monkeypatch.setattr(category, "enumerate_morphisms", tracked_enumerate)
+            monkeypatch.setattr(module, "model", counted("model", real_model))
+    monkeypatch.setattr(category, "enumerate_morphisms", counted("enumeration", real_enumerate))
     assert category.verify(ctx, 3).passed
-    assert calls["elsewhere"] == 0
+    assert calls["model"] == 0
     assert calls["enumeration"] > 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pathlib
@@ -375,6 +376,8 @@ def test_model_text_at_the_vertex_limit_counts_from_the_row_widths(capsys, argv,
         ["model", "--word", "b^20000000"],
         # Small enough to build, but their labels would run past 10^8 letters.
         ["model", "--word", "b^20000", "--json"],
+        # At the vertex limit: its labels are counted, not listed.
+        ["model", "--word", "b^999999", "--json"],
         ["lift", E, "--path", " ".join(["g"] * 60000), "--json"],
     ],
 )
@@ -599,6 +602,43 @@ def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], env=_env(**env), capture_output=True, text=True, timeout=60
     )
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", GRID_FX, "--path", "rho rho beta beta beta", "--json"],
+        ["lift", E, "--path", "g g f h", "--dot"],
+        ["compose", E, "--lhs", "g g", "--rhs", "f h", "--json"],
+        ["factorize", E, "--path", "g g f h", "--at", "bb", "--json"],
+        ["enumerate", BLUE_CYCLE, "--degree", "ba", "--json"],
+        ["model", "--word", "a^2 b^5", "--json"],
+        ["model", "--word", "bba", "--dot"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-1:]),
+)
+def test_large_outputs_are_written_in_bounded_slices(argv, monkeypatch, capsys):
+    """The text goes out in writes of at most ``SLICE`` characters, and the
+    slices add up to the output of one write."""
+    assert run(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "SLICE", 7)
+    monkeypatch.setattr(sys, "stdout", _Writes())
+    assert run(argv) == 0
+    assert sys.stdout.getvalue() == whole
+    assert max(sys.stdout.sizes) <= 7 and len(sys.stdout.sizes) > len(whole) // 7
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

@@ -19,7 +19,9 @@ from bsgraph.category import all_paths, verify
 from bsgraph.cli import run
 from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import Path, path_degree, validate_path, vertex_path
-from bsgraph.morphisms import check_traverses, enumerate_morphisms
+from bsgraph.models import model
+from bsgraph.morphisms import _numbered_edges, _rows_reader, check_traverses, enumerate_morphisms
+from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
 from .oracles import enumerate_leaf_checked
@@ -135,3 +137,37 @@ def test_deep_searches_do_not_recurse(capsys):
     assert run(["lift", example, "--path", g1000, "--oracle"]) == 0
     out = capsys.readouterr().out
     assert out.endswith(": 1001 vertices, 1000 edges, r=u s=u\n")
+
+
+# N = 0, rows of width 1 (every row of (3, 0) in both modes, the upper
+# rows of BS (3, 1) and (2, 3)), and wider rows in both modes.
+NUMBERED = [
+    (BS, (0, 0)), (BS, (0, 1)), (BS, (0, 5)), (BS, (3, 0)), (BS, (3, 1)), (BS, (2, 3)),
+    (BS, (2, 6)), (BS, (3, 13)), (GRID, (0, 0)), (GRID, (0, 4)), (GRID, (3, 0)),
+    (GRID, (1, 1)), (GRID, (2, 3)), (GRID, (4, 2)),
+]
+
+
+@pytest.mark.parametrize("ops, w", NUMBERED, ids=lambda v: getattr(v, "name", str(v)))
+def test_oracle_numbers_its_domain_in_model_order(ops, w):
+    """The oracle's domain numbering, made from the row widths alone, is
+    ``model(ops, w)``'s vertex and edge order: edge e runs from the vertex
+    numbered by its base to the one numbered by its end, ((i, j), l) is
+    numbered e, and the rows cut out of the numbers are the model's."""
+    domain = model(ops, w)
+    vertex = {z: v for v, z in enumerate(domain.vertices)}
+    edges, number = _numbered_edges(ops, ops.row_widths(w))
+    assert edges == [(vertex[z], l, vertex[ops.step(z, l)]) for z, l in domain.edges]
+    assert [number(*z, l) for z, l in domain.edges] == list(range(len(domain.edges)))
+    vrows, arows, brows = _rows_reader(ops.row_widths(w))(
+        range(len(domain.vertices)), range(len(edges))
+    )
+    cut = {(z, l): e for e, (z, l) in enumerate(domain.edges)}
+    assert [list(row) for row in vrows] == [
+        [vertex[z] for z in domain.vertices if z[0] == i] for i in range(w[0] + 1)
+    ]
+    for rows, letter in ((arows, "a"), (brows, "b")):
+        assert [list(row) for row in rows] == [
+            [e for (z, l), e in cut.items() if z[0] == i and l == letter]
+            for i in range(w[0] + 1)
+        ]

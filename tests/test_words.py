@@ -7,7 +7,7 @@ import time
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgraph.errors import NotAPrefix, ResourceLimit, WordSyntaxError
@@ -23,6 +23,7 @@ from bsgraph.words import (
     parse_grid_degree,
     parse_word,
     printable_pair,
+    row_letters,
 )
 
 from .oracles import all_strings, brute_prefixes, fold_pair, minimal_lengths, rewrite_closure
@@ -216,6 +217,39 @@ def test_labels_are_sized_exactly_before_they_are_built(w):
         mp.setattr("bsgraph.words.MAX_LABEL_LETTERS", total - 1)
         with pytest.raises(ResourceLimit):
             BS.label_rows(w)
+
+
+def _letters(i, width) -> int:
+    """Letters in the labels of row i, summed label by label."""
+    return sum((j >> i) + i + (j & ((1 << i) - 1)).bit_count() for j in range(width))
+
+
+@given(st.integers(0, 70), st.integers(0, 5000))
+def test_row_letters_is_the_per_label_sum(i, width):
+    assert row_letters(i, width) == _letters(i, width)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 9))
+def test_labels_are_counted_on_both_sides_of_the_limit(n):
+    """At the real limit: where M is the last at which the labels of
+    (N, M) fit, the closed-form count and the label-by-label one agree on
+    M and on M + 1, the labels of (N, M) are built and those of (N, M + 1)
+    are refused."""
+
+    def total(m):
+        return 1 + sum(row_letters(i, width) for i, width in enumerate(BS.row_widths((n, m))))
+
+    lo, hi = 0, 1 << 26  # total(lo) <= MAX_LABEL_LETTERS < total(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if total(mid) <= MAX_LABEL_LETTERS else (lo, mid)
+    for m in (lo, hi):
+        widths = BS.row_widths((n, m))
+        assert total(m) == 1 + sum(_letters(i, width) for i, width in enumerate(widths))
+    assert sum(map(len, itertools.chain.from_iterable(BS.label_rows((n, lo))))) == total(lo)
+    with pytest.raises(ResourceLimit, match="vertex labels"):
+        BS.label_rows((n, hi))
 
 
 def test_labels_are_counted_where_the_cheap_bound_is_close():
