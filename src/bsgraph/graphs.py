@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import BadColour, BsGraphError, DuplicateId, NotComposable, UnknownEdge, UnknownVertex
@@ -105,26 +106,66 @@ def build_graph(vertices, edges) -> ColouredGraph:
 
     vertices: iterable of names; edges: iterable of
     (name, colour token, range vertex, source vertex).
+
+    The rows are checked a column at a time.  Rows that fail a check, or
+    that the columns cannot read (a row of another length, an unhashable
+    name), go to the row loop, which raises the first fault in declaration
+    order with ``row`` set to its row's index, vertex rows counted first.
     """
-    vs: list[str] = []
+    vs, rows = tuple(vertices), list(edges)
+    try:
+        graph = _graph_by_columns(vs, rows)
+    except TypeError:  # an unhashable name or a row without a length
+        graph = None
+    return _graph_by_rows(vs, rows) if graph is None else graph
+
+
+def _graph_by_columns(vs: tuple, rows: list) -> ColouredGraph | None:
+    """The graph of rows that pass every check of ``_graph_by_rows``
+    column by column, else None.  Tokens outside the table, ``A`` and
+    ``B`` among them, are left to the row loop's ``parse_colour``."""
+    if not {4}.issuperset(map(len, rows)):  # zip(*rows) would cut a long row short
+        return None
+    names, tokens, ranges, sources = tuple(zip(*rows)) or ((),) * 4
+    seen, colours = frozenset(vs), list(map(_COLOUR_TOKENS.get, tokens))
+    if not (
+        len(seen) == len(vs)
+        and len(set(names)) == len(names)
+        and seen.isdisjoint(names)
+        and None not in colours
+        and seen.issuperset(ranges)
+        and seen.issuperset(sources)
+    ):
+        return None
+    # Edge._make without its per-row length check: every row has 4 items.
+    return ColouredGraph(vs, tuple(map(tuple.__new__, repeat(Edge),
+                                       zip(names, colours, ranges, sources))))
+
+
+def _graph_by_rows(vs: tuple, rows: list) -> ColouredGraph:
+    """``build_graph`` one row at a time, raising the first fault with
+    the index of its row as ``row``."""
     seen: set[str] = set()
-    for v in vertices:
-        if v in seen:
-            raise DuplicateId(f"duplicate vertex {v!r}")
-        seen.add(v)
-        vs.append(v)
     es: list[Edge] = []
     names: set[str] = set()
-    for name, colour, range_, source in edges:
-        if name in names or name in seen:
-            raise DuplicateId(f"duplicate id {name!r}")
-        names.add(name)
-        colour = parse_colour(colour)
-        for v in (range_, source):
-            if v not in seen:
-                raise UnknownVertex(f"edge {name!r} uses undeclared vertex {v!r}")
-        es.append(Edge(name, colour, range_, source))
-    return ColouredGraph(tuple(vs), tuple(es))
+    try:
+        for v in vs:
+            if v in seen:
+                raise DuplicateId(f"duplicate vertex {v!r}")
+            seen.add(v)
+        for name, colour, range_, source in rows:
+            if name in names or name in seen:
+                raise DuplicateId(f"duplicate id {name!r}")
+            names.add(name)
+            colour = parse_colour(colour)
+            for v in (range_, source):
+                if v not in seen:
+                    raise UnknownVertex(f"edge {name!r} uses undeclared vertex {v!r}")
+            es.append(Edge(name, colour, range_, source))
+    except BsGraphError as exc:
+        exc.row = len(seen) + len(es)  # the rows before it, vertices first
+        raise
+    return ColouredGraph(vs, tuple(es))
 
 
 class Path(Frozen, fields=("edges", "range_", "source", "colours")):

@@ -6,16 +6,23 @@ two boundary paths, the red-first one (colour word ``red_first_word``) and
 the blue-first one (``blue_first_word``), which together name every edge of
 the square.  A collection is complete when both families of boundary paths
 of the ambient graph are covered exactly once.
+
+``build_square`` validates one square by walking its model graph's edges;
+``build_squares`` validates many a slot column at a time, and leaves the
+first square it refuses to ``build_square``, which names that square's
+first fault in model order.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
+from itertools import chain, repeat
+from operator import itemgetter, ne
 from types import MappingProxyType
 
 from .errors import ColourMismatch, Conflict, JunctionMismatch, NotCovered
-from .graphs import ColouredGraph, Frozen, _set
+from .graphs import ColouredGraph, Edge, Frozen, _set
 
 
 @cache
@@ -106,14 +113,73 @@ def build_square(g: ColouredGraph, ops, names, name: str = "") -> Square:
     return Square(name, names[:cut], names[cut:], g)
 
 
+@cache
+def slot_reader(ops) -> tuple:
+    """The mode's fixture slots as a set; the ``itemgetter`` that reads a
+    slot dict with exactly those keys into a row of edge names in
+    ``boundary_edges`` order; and each slot's ``slot=`` prefix, in that order."""
+    return (
+        frozenset(ops.slot_names),
+        itemgetter(*ops.slot_names),
+        tuple(f"{slot}=" for slot in ops.slot_names),
+    )
+
+
 def build_square_slots(g: ColouredGraph, ops, slots: dict, name: str = "") -> Square:
     """Build a square from the named fixture slots (eA=..., v1=..., ...)."""
-    table = set(ops.slot_names)
+    table, read, _ = slot_reader(ops)
     if slots.keys() != table:
         unknown, missing = sorted(slots.keys() - table), sorted(table - slots.keys())
         which = f"unknown slots {unknown}" if unknown else f"missing slots {missing}"
         raise JunctionMismatch(f"square {name!r}: {which}")
-    return build_square(g, ops, [slots[s] for s in ops.slot_names], name)
+    return build_square(g, ops, read(slots), name)
+
+
+# What an unknown edge name reads as in a batch: a colour no slot needs.
+_UNKNOWN = Edge(None, None, None, None)
+
+
+@cache
+def _batch_plan(ops) -> tuple:
+    """``build_squares``' checks for this mode: each slot's letter, in
+    ``boundary_edges`` order; the pairs of edge ends that must meet, each
+    end a (0 for range or 1 for source, slot) pair, the ends at each corner
+    paired one after the other; and ``itemgetter``s of a row's red-first
+    and blue-first names."""
+    edges, ends = boundary_edges(ops), {}
+    for k, (z, letter) in enumerate(edges):
+        ends.setdefault(z, []).append((0, k))
+        ends.setdefault(ops.step(z, letter), []).append((1, k))
+    pairs = tuple(pair for corner in ends.values() for pair in zip(corner, corner[1:]))
+    cut = len(ops.red_first_word)
+    letters = tuple(letter for _, letter in edges)
+    return letters, pairs, itemgetter(slice(cut)), itemgetter(slice(cut, None))
+
+
+def build_squares(g: ColouredGraph, ops, rows, names) -> list:
+    """The squares of rows of edge names in ``boundary_edges`` order, each
+    with its name, up to the first row ``build_square`` would refuse: all
+    of them when none is refused.
+
+    The rows are checked a slot column at a time: every slot's colour, and
+    every two edge ends that meet at one corner.  A row of another length,
+    or with a name ``g`` lacks, fails too.  ``build_square`` on the first
+    row not returned raises that row's first fault in model order.
+    """
+    letters, pairs, red, blue = _batch_plan(ops)
+    m, n = len(letters), len(rows)
+    if not {m}.issuperset(map(len, rows)):
+        n = next(i for i, row in enumerate(rows) if len(row) != m)
+    found = map(g._by_name.get, chain.from_iterable(rows[:n]), repeat(_UNKNOWN))
+    _, colours, *ends = tuple(zip(*found)) or ((),) * 4  # each n * m long, row by row
+    expected = letters * n
+    if colours != expected:
+        n = list(map(ne, colours, expected)).index(True) // m
+    for (end, k), (other, q) in pairs:
+        left, right = ends[end][k::m], ends[other][q::m]
+        if left != right:
+            n = min(n, list(map(ne, left, right)).index(True))
+    return list(map(Square, names[:n], map(red, rows), map(blue, rows), repeat(g)))
 
 
 def not_covered(kind: str, boundary):

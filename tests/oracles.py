@@ -35,6 +35,13 @@ at a time: a walk over the path, then every square left of the path read
 top down and every square right of it bottom up.  The one-edge fold must
 build the same morphism on every path of a complete collection, and fail
 on the same paths of an incomplete one.
+
+``parse_fixture_by_rows`` is the fixture parser before it validated a
+column at a time: one square at a time through ``build_square_slots``,
+and the graph through ``build_graph_by_rows``, ``build_graph``'s loop
+over its rows, which raises the first fault in declaration order.  The
+column-wise parser must return an equal collection, or raise the same
+error, with the line of the row at fault.
 """
 
 from __future__ import annotations
@@ -44,8 +51,17 @@ from collections import deque
 from functools import cache, reduce
 from operator import itemgetter
 
-from bsgraph.errors import ColourMismatch, JunctionMismatch, NotAPrefix, NotComposable
-from bsgraph.graphs import Path, concat
+from bsgraph.errors import (
+    BsGraphError,
+    ColourMismatch,
+    DuplicateId,
+    FixtureSyntaxError,
+    JunctionMismatch,
+    NotAPrefix,
+    NotComposable,
+    UnknownVertex,
+)
+from bsgraph.graphs import ColouredGraph, Edge, Path, concat, parse_colour
 from bsgraph.models import check_model_size, model, square_positions
 from bsgraph.morphisms import (
     Morphism,
@@ -55,7 +71,14 @@ from bsgraph.morphisms import (
     lift_path,
     shortest_traversal,
 )
-from bsgraph.squares import Square, boundary_edges, not_covered
+from bsgraph.squares import (
+    CompleteCollection,
+    Square,
+    boundary_edges,
+    build_square_slots,
+    not_covered,
+)
+from bsgraph.words import MODES
 
 ALPHABET = "ab"
 
@@ -443,3 +466,96 @@ def lift_path_two_pass(collection, x: Path) -> Morphism:
         blue = blues
     arows.append(())
     return Morphism(ops, w, vrows, arows, brows)
+
+
+def build_graph_by_rows(vertices, edges) -> ColouredGraph:
+    """A graph validated one row at a time, vertices first: a repeated
+    vertex name, an edge id repeated or naming a vertex, a colour token
+    ``parse_colour`` refuses, an undeclared range or source.  The first
+    fault is raised with the index of its row as ``row``, vertex rows
+    counted first."""
+    vs, seen, es, ids = [], set(), [], set()
+    row = 0
+    try:
+        for v in vertices:
+            if v in seen:
+                raise DuplicateId(f"duplicate vertex {v!r}")
+            seen.add(v)
+            vs.append(v)
+            row += 1
+        for name, colour, range_, source in edges:
+            if name in ids or name in seen:
+                raise DuplicateId(f"duplicate id {name!r}")
+            ids.add(name)
+            colour = parse_colour(colour)
+            for v in (range_, source):
+                if v not in seen:
+                    raise UnknownVertex(f"edge {name!r} uses undeclared vertex {v!r}")
+            es.append(Edge(name, colour, range_, source))
+            row += 1
+    except BsGraphError as exc:
+        exc.row = row
+        raise
+    return ColouredGraph(tuple(vs), tuple(es))
+
+
+def parse_fixture_by_rows(text: str) -> CompleteCollection:
+    """A fixture read line by line, each square's slots item by item, and
+    validated one row at a time: the graph, then each square in line order."""
+    mode = None
+    vertices, edges, vertex_lines, edge_lines = [], [], [], []
+    square_lines, square_names = [], set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind, args = tokens[0], tokens[1:]
+        if kind == "mode":
+            if len(args) != 1 or args[0] not in MODES:
+                raise FixtureSyntaxError(f"line {lineno}: mode must be bs or grid")
+            if mode is not None:
+                raise FixtureSyntaxError(f"line {lineno}: mode given twice")
+            mode = args[0]
+        elif kind == "vertex":
+            if len(args) != 1:
+                raise FixtureSyntaxError(f"line {lineno}: vertex takes one name")
+            vertices.append(args[0])
+            vertex_lines.append(lineno)
+        elif kind == "edge":
+            if len(args) != 4:
+                raise FixtureSyntaxError(f"line {lineno}: edge takes name colour range source")
+            edges.append(tuple(args))
+            edge_lines.append(lineno)
+        elif kind == "square":
+            if not args:
+                raise FixtureSyntaxError(f"line {lineno}: square needs a name")
+            slots = {}
+            for item in args[1:]:
+                if "=" not in item:
+                    raise FixtureSyntaxError(
+                        f"line {lineno}: square slot {item!r} is not slot=edge"
+                    )
+                slot, edge = item.split("=", 1)
+                if slot in slots:
+                    raise FixtureSyntaxError(f"line {lineno}: square slot {slot!r} given twice")
+                slots[slot] = edge
+            if args[0] in square_names:
+                raise FixtureSyntaxError(f"line {lineno}: duplicate square name {args[0]!r}")
+            square_names.add(args[0])
+            square_lines.append((lineno, args[0], slots))
+        else:
+            raise FixtureSyntaxError(f"line {lineno}: unknown directive {kind!r}")
+    try:
+        graph = build_graph_by_rows(vertices, edges)
+    except BsGraphError as exc:
+        line = (vertex_lines + edge_lines)[exc.row]
+        raise FixtureSyntaxError(f"line {line}: {exc}") from exc
+    ops = MODES[mode or "bs"]
+    squares = []
+    for lineno, name, slots in square_lines:
+        try:
+            squares.append(build_square_slots(graph, ops, slots, name))
+        except Exception as exc:
+            raise FixtureSyntaxError(f"line {lineno}: {exc}") from exc
+    return CompleteCollection(graph, ops, squares)

@@ -558,8 +558,9 @@ def test_missing_file_exit_2(capsys):
 def test_bad_fixture_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.cg"
     p.write_text("vertex u\nedge f a u nowhere\n")
-    code, _, err = invoke(capsys, "check", str(p))
-    assert code == 2 and "error" in err
+    code, out, err = invoke(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: edge 'f' uses undeclared vertex 'nowhere'\n"
 
 
 def test_deterministic_output(capsys):

@@ -25,7 +25,7 @@ from bsgraph.squares import (
 from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
-from .oracles import reference_square
+from .oracles import build_graph_by_rows, reference_square
 
 PHI1 = {"eA": "f", "aB": "k", "abB": "k", "eB": "g", "bA": "f"}
 PHI2 = {"eA": "h", "aB": "g", "abB": "g", "eB": "k", "bA": "h"}
@@ -300,16 +300,26 @@ def test_square_from_another_graph_is_malformed(graph_E, phi1):
 
 
 def test_check_validates_each_parsed_square_once(monkeypatch, fixture_dir):
-    calls = []
-    real = squares.build_square
+    """``check`` validates each parsed square once, as a row of the batch,
+    and ``check_complete`` validates none again."""
+    import bsgraph.fixtures as fixtures
 
-    def counted(*args, **kwargs):
-        calls.append(args[-1])
-        return real(*args, **kwargs)
+    batch, single = [], []
+    real_batch, real_single = squares.build_squares, squares.build_square
 
-    monkeypatch.setattr(squares, "build_square", counted)
+    def counted_batch(g, ops, rows, names):
+        batch.extend(names[: len(rows)])
+        return real_batch(g, ops, rows, names)
+
+    def counted_single(*args, **kwargs):
+        single.append(args[-1])
+        return real_single(*args, **kwargs)
+
+    monkeypatch.setattr(fixtures, "build_squares", counted_batch)
+    monkeypatch.setattr(fixtures, "build_square", counted_single)
+    monkeypatch.setattr(squares, "build_square", counted_single)
     assert run(["check", str(fixture_dir / "example_E.cg")]) == 0
-    assert calls == ["phi1", "phi2"]
+    assert (batch, single) == (["phi1", "phi2"], [])
 
 
 def _outcome(validate, *args):
@@ -346,3 +356,63 @@ def test_build_square_agrees_with_the_reference(fixture):
                 assert got == _outcome(reference_square, g, ops, names, sq.name), names
                 seen.add(got[0] if isinstance(got[0], type) else "square")
     assert {"square", ValueError, ColourMismatch, UnknownEdge}.issubset(seen)
+
+
+def _built(sq):
+    return sq.name, sq.red, sq.blue, sq.graph
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURE_DIR.glob("*.cg")))
+@pytest.mark.parametrize("ops", [BS, GRID], ids=["bs", "grid"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batch_stops_where_build_square_first_refuses(fixture, ops, data):
+    """On rows whose every slot is an edge of the graph or an unknown name
+    (and now and then a row of another length), among the collection's
+    own squares and copies with one slot changed, ``build_squares``
+    returns the squares ``build_square`` builds, up to the first row it
+    refuses."""
+    coll = load_fixture(FIXTURE_DIR / fixture)
+    g, m = coll.graph, len(ops.slot_names)
+    name = st.sampled_from([e.name for e in g.edges] + ["no such edge"])
+    row = st.lists(name, min_size=m, max_size=m) | st.lists(name, min_size=m - 1, max_size=m + 1)
+    if coll.ops is ops:
+        valid = st.sampled_from([sq.red + sq.blue for sq in coll.squares])
+        changed = st.tuples(valid, st.integers(0, m - 1), name).map(
+            lambda t: t[0][: t[1]] + (t[2],) + t[0][t[1] + 1 :]
+        )
+        row = valid | valid | changed | row
+    rows = [tuple(r) for r in data.draw(st.lists(row, max_size=6))]
+    names = [f"s{i}" for i in range(len(rows))]
+    expected = []
+    for row, sq_name in zip(rows, names):
+        try:
+            expected.append(_built(build_square(g, ops, row, sq_name)))
+        except Exception:  # noqa: BLE001 - the batch stops here
+            break
+    assert [_built(sq) for sq in squares.build_squares(g, ops, rows, names)] == expected
+
+
+def test_batch_of_valid_squares(ctx, grid_ctx):
+    """Every row of a shipped collection is valid: the batch returns them
+    all, each equal to ``build_square``'s, and none for no rows."""
+    for coll in (ctx, grid_ctx):
+        rows = [sq.red + sq.blue for sq in coll.squares]
+        names = [sq.name for sq in coll.squares]
+        built = squares.build_squares(coll.graph, coll.ops, rows, names)
+        assert [_built(sq) for sq in built] == [_built(sq) for sq in coll.squares]
+        assert squares.build_squares(coll.graph, coll.ops, [], []) == []
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_build_graph_rows_of_another_length(width):
+    """A row of 3 or 5 items raises what the row loop raises, wherever it
+    stands: the columns would cut a long row short."""
+    good = [("g", "b", "u", "u"), ("f", "a", "u", "v")]
+    bad = ("h", "a", "u", "v", "w")[:width]
+    for edges in (good + [bad], [bad] + good, good[:1] + [bad] + good[1:]):
+        with pytest.raises(ValueError) as want:
+            build_graph_by_rows(["u", "v"], edges)
+        with pytest.raises(ValueError) as got:
+            build_graph(["u", "v"], edges)
+        assert str(got.value) == str(want.value)
