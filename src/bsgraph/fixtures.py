@@ -144,6 +144,9 @@ def parse_fixture(text: str) -> CompleteCollection:
                 build_square_slots(graph, ops, slots[i], square_names[i])
         except Exception as exc:
             raise FixtureSyntaxError(f"line {square_lines[i]}: {exc}") from exc
+        raise AssertionError(
+            f"build_squares refused {square_names[i]!r} but build_square accepted it"
+        )
     return CompleteCollection(graph, ops, squares)
 
 

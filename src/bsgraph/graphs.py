@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from itertools import repeat
 from operator import attrgetter
 
 from .errors import BadColour, BsGraphError, DuplicateId, NotComposable, UnknownEdge, UnknownVertex
@@ -137,9 +136,7 @@ def _graph_by_columns(vs: tuple, rows: list) -> ColouredGraph | None:
         and seen.issuperset(sources)
     ):
         return None
-    # Edge._make without its per-row length check: every row has 4 items.
-    return ColouredGraph(vs, tuple(map(tuple.__new__, repeat(Edge),
-                                       zip(names, colours, ranges, sources))))
+    return ColouredGraph(vs, tuple(map(Edge._make, zip(names, colours, ranges, sources))))
 
 
 def _graph_by_rows(vs: tuple, rows: list) -> ColouredGraph:

@@ -181,3 +181,14 @@ def test_upper_case_colour_tokens_are_accepted():
     coll = parse_fixture(text)
     assert [e.colour for e in coll.graph.edges] == ["a", "b"]
     assert [(sq.red, sq.blue) for sq in coll.squares] == [(("f", "g", "g"), ("g", "f"))]
+
+
+def test_a_square_the_batch_refuses_is_never_dropped(monkeypatch):
+    """Should the batch refuse a square that ``build_square`` accepts,
+    loading fails loudly instead of returning the squares before it."""
+    import bsgraph.fixtures as fixtures
+
+    real = fixtures.build_squares
+    monkeypatch.setattr(fixtures, "build_squares", lambda *args: real(*args)[:-1])
+    with pytest.raises(AssertionError, match="refused 'phi2' but build_square accepted it"):
+        fixtures.load_fixture(FIXTURE_DIR / "example_E.cg")
