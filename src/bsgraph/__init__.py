@@ -24,7 +24,6 @@ from .category import (
 from .errors import BsGraphError
 from .fixtures import load_fixture, parse_fixture, serialize_fixture
 from .graphs import ColouredGraph, Path, build_graph, validate_path, vertex_path
-from .models import ModelGraph, model
 from .morphisms import (
     Morphism,
     check_traverses,

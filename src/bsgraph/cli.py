@@ -17,28 +17,26 @@ from .category import SUITES, verify
 from .errors import BsGraphError, Conflict, NotAPrefix, NotComposable, NotCovered, ResourceLimit
 from .fixtures import load_fixture
 from .graphs import concat, parse_path
-from .models import check_model_size, edge_count, model_json_text
+from .models import check_model_size, edge_count, model_json_parts
 from .morphisms import enumerate_morphisms, factors, lift_path, longest_traversal, shortest_traversal
 from .squares import check_complete
 from .words import BS, MODES, longest_form, parse_word, printable_pair
 
 _FINDING = (NotCovered, Conflict, NotAPrefix, NotComposable)
-# Output is written in slices of at most this many characters, so that
-# the text stream's encoded copy of a large output stays this small.
-SLICE = 1 << 20
+# Large outputs are written in runs of this many parts, each run joined
+# once, so only one run's text is held beside the parts at a time.
+SLICE = 1 << 12
 
 
 def _emit(payload, as_json: bool, text: str):
     print(json.dumps(payload, indent=2) if as_json else text)
 
 
-def _write(*texts: str, end: str = "\n") -> None:
-    """``print(*texts, sep="", end=end)``, in slices of at most SLICE
-    characters."""
+def _write(parts: list, end: str = "\n") -> None:
+    """``print("".join(parts), end=end)``, written in runs of SLICE parts."""
     write = sys.stdout.write
-    for text in texts:
-        for start in range(0, len(text), SLICE):
-            write(text[start : start + SLICE])
+    for start in range(0, len(parts), SLICE):
+        write("".join(parts[start : start + SLICE]))
     write(end)
 
 
@@ -109,10 +107,10 @@ def cmd_model(args) -> int:
     ops = MODES[args.mode]
     w = ops.parse(args.word)
     if args.json:
-        _write(model_json_text(ops, w))
+        _write(model_json_parts(ops, w))
         return 0
     if args.dot:
-        _write(dot.model_to_dot(ops, w), end="")
+        _write(dot.model_dot_parts(ops, w), end="")
         return 0
     check_model_size(ops, w)
     # Only the degree is named: labelling every vertex would cost the
@@ -137,9 +135,9 @@ def cmd_lift(args) -> int:
             )
             return 1
     if args.dot:
-        _write(dot.morphism_to_dot(lam), end="")
+        _write(dot.morphism_dot_parts(lam), end="")
     elif args.json:
-        _write(lam.json_text())
+        _write(lam.json_parts())
     else:
         vertices, edges = sum(map(len, lam.vrows)), sum(map(len, lam.arows + lam.brows))
         print(
@@ -159,7 +157,7 @@ def cmd_compose(args) -> int:
     # composite of the two sides' lifts.
     lam = lift_path(ctx, concat(x, y))
     if args.json:
-        _write(lam.json_text())
+        _write(lam.json_parts())
     else:
         print(f"degree {ctx.ops.format(lam.degree)}: traversal {shortest_traversal(lam)}")
     return 0
@@ -170,7 +168,9 @@ def cmd_factorize(args) -> int:
     lam = lift_path(ctx, parse_path(ctx.graph, args.path))
     left, right = factors(lam, ctx.ops.parse(args.at))
     if args.json:
-        _write('{\n  "left": ', left.json_text(1), ',\n  "right": ', right.json_text(1), "\n}")
+        _write(
+            ['{\n  "left": ', *left.json_parts(1), ',\n  "right": ', *right.json_parts(1), "\n}"]
+        )
     else:
         print(
             f"left  degree {ctx.ops.format(left.degree)}: {shortest_traversal(left)}\n"
@@ -201,9 +201,11 @@ def cmd_enumerate(args) -> int:
     w = ctx.ops.parse(args.degree)
     found = enumerate_morphisms(ctx, w, limit=args.limit)
     if args.json:
-        items = ",\n    ".join(m.json_text(2) for m in found)
-        listing = f"[\n    {items}\n  ]" if found else "[]"
-        _write(f'{{\n  "count": {len(found)},\n  "morphisms": {listing}\n}}')
+        parts = [f'{{\n  "count": {len(found)},\n  "morphisms": [']
+        for i, m in enumerate(found):
+            parts += [",\n    " if i else "\n    ", *m.json_parts(2)]
+        parts.append("\n  ]\n}" if found else "]\n}")
+        _write(parts)
     else:
         print(
             "\n".join(

@@ -1,4 +1,5 @@
-"""Graphviz DOT export for model graphs and morphisms."""
+"""Graphviz DOT export for model graphs and morphisms, each as the list of
+its lines, newline included."""
 
 from __future__ import annotations
 
@@ -24,31 +25,30 @@ def _edge_lines(ops, label: list, reds, blues) -> list:
     lines = []
     for row, below, red, blue in zip(label, [*label[1:], ()], reds, blues):
         lines += _in_model_order(
-            [f"  {s} -> {r} [{a}color=red];" for s, r, a in zip(below[::k], row, red)],
-            [f"  {s} -> {r} [{a}color=blue];" for s, r, a in zip(row[1:], row, blue)],
+            [f"  {s} -> {r} [{a}color=red];\n" for s, r, a in zip(below[::k], row, red)],
+            [f"  {s} -> {r} [{a}color=blue];\n" for s, r, a in zip(row[1:], row, blue)],
         )
     return lines
 
 
-def model_to_dot(ops, w) -> str:
+def model_dot_parts(ops, w) -> list:
     """Vertices are labelled with shortest-form words (grid: coordinates)."""
     check_model_size(ops, w)
     label = [list(map(_quote, row)) for row in ops.label_rows(w)]
-    lines = ["digraph model {"]
-    lines.extend(f"  {s};" for row in label for s in row)
+    lines = ["digraph model {\n", *(f"  {s};\n" for row in label for s in row)]
     no_images = repeat(repeat(""))
     lines += _edge_lines(ops, label, no_images, no_images)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return lines
 
 
-def morphism_to_dot(lam: Morphism) -> str:
+def morphism_dot_parts(lam: Morphism) -> list:
     """The domain model graph, each element labelled with its image, read
     off the rows: vertices, then edges, in the model graph's order."""
     label = lam.ops.label_rows(lam.degree)
-    lines = ["digraph morphism {"]
+    lines = ["digraph morphism {\n"]
     lines.extend(
-        f"  {_quote(s)} [label={_quote(s + ' -> ' + v)}];"
+        f"  {_quote(s)} [label={_quote(s + ' -> ' + v)}];\n"
         for row, images in zip(label, lam.vrows)
         for s, v in zip(row, images)
     )
@@ -57,5 +57,5 @@ def morphism_to_dot(lam: Morphism) -> str:
         [[f"label={_quote(e)}, " for e in row] for row in rows] for rows in (lam.arows, lam.brows)
     )
     lines += _edge_lines(lam.ops, quoted, reds, blues)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return lines

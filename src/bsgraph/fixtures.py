@@ -156,7 +156,15 @@ def load_fixture(path) -> CompleteCollection:
 
 
 def serialize_fixture(collection: CompleteCollection) -> str:
+    """The text ``parse_fixture`` reads back as ``collection``.  A name that
+    is empty or holds whitespace or '#' would not read back as one token,
+    so the first one, in write order, raises ``BsGraphError``."""
     ops, graph = collection.ops, collection.graph
+    named = [("vertex", v) for v in graph.vertices] + [("edge", e.name) for e in graph.edges]
+    named += [("square", sq.name) for sq in collection.squares]
+    bad = [(kind, name) for kind, name in named if name.split() != [name] or "#" in name]
+    if bad:
+        raise BsGraphError("cannot write %s name %r: a name is one token, with no '#'" % bad[0])
     token = ops.colour_tokens
     lines = [f"mode {ops.name}"]
     lines.extend(f"vertex {v}" for v in graph.vertices)

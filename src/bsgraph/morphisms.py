@@ -120,7 +120,11 @@ class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
         )
 
     def json_text(self, level: int = 0) -> str:
-        """The morphism as an ``indent=2`` JSON object, joined once.
+        """The text of ``json_parts(level)``, joined."""
+        return "".join(self.json_parts(level))
+
+    def json_parts(self, level: int = 0) -> list:
+        """The morphism's ``indent=2`` JSON text, as a list of str parts.
 
         The object holds the mode, the degree (word and pair), and the
         vertex and edge images, each read off the rows in model order.
@@ -170,12 +174,12 @@ class Morphism(Frozen, fields=("ops", "degree", "vrows", "arows", "brows")):
         parts[o - 1] = parts[o - 1][: -len(following)] + (edges_open if edges else no_edges)
         if edges:
             parts[-1] = parts[-1][: -len(following)] + end
-        return "".join(parts)
+        return parts
 
 
 @cache
 def _json_pieces(level: int) -> tuple:
-    """The constant texts of ``Morphism.json_text`` at nesting depth
+    """The constant texts of ``Morphism.json_parts`` at nesting depth
     ``level``: the document head up to the first vertex label, a row's
     pair head, the vertex, red and blue item tails after the label (``%``
     templates, each ending with the text between two items up to the

@@ -4,6 +4,10 @@ The word oracles work on raw letter strings or by exhaustive search, on
 purpose: none of them shares code with the canonical-pair arithmetic or
 the lifter they are used to validate.
 
+``model`` is the model graph of a degree as pair lists (``ModelGraph``),
+the reference the library's rows (``row_widths``, ``label_rows``) are
+checked against; the library itself builds no such graph.
+
 The dense references work on a morphism's vertex and edge maps over its
 model graph, the dict form of its rows (``maps``, and ``from_maps`` back):
 restriction to a prefix and its translated form (the factor pair of a
@@ -47,7 +51,7 @@ error, with the line of the row at fault.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import deque, namedtuple
 from functools import cache, reduce
 from operator import itemgetter
 
@@ -62,7 +66,7 @@ from bsgraph.errors import (
     UnknownVertex,
 )
 from bsgraph.graphs import ColouredGraph, Edge, Path, concat, parse_colour
-from bsgraph.models import check_model_size, model, square_positions
+from bsgraph.models import check_model_size, square_positions
 from bsgraph.morphisms import (
     Morphism,
     _rows_reader,
@@ -168,6 +172,23 @@ def brute_prefixes(pair: tuple[int, int], k: int = 2) -> set[tuple[int, int]]:
                 seen.add(p)
                 queue.append(p)
     return seen
+
+
+# ---------------------------------------------------------- model graphs
+
+# Prefix graph of a degree.  Edges are (base, letter) pairs with
+# r = base, s = base*letter, colour = letter.
+ModelGraph = namedtuple("ModelGraph", "ops word vertices edges")
+
+
+def model(ops, w) -> ModelGraph:
+    """The model graph of w as pair lists: every prefix of w, and every
+    (prefix, letter) whose step stays a prefix of w, in model order.  The
+    library reads the graph only as rows; this is their reference."""
+    check_model_size(ops, w)
+    vertices = tuple(ops.prefixes(w))
+    edges = tuple((z, l) for z in vertices for l in "ab" if ops.is_prefix(ops.step(z, l), w))
+    return ModelGraph(ops, w, vertices, edges)
 
 
 # ---------------------------------------------------------- dense references

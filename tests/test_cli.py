@@ -14,10 +14,10 @@ import tracemalloc
 import pytest
 
 import bsgraph
-from bsgraph import cli
+from bsgraph import cli, dot
 from bsgraph.cli import run
 from bsgraph.fixtures import load_fixture, parse_fixture, serialize_fixture
-from bsgraph.morphisms import MAX_ENUMERATION_VERTICES
+from bsgraph.morphisms import MAX_ENUMERATION_VERTICES, Morphism
 from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
@@ -606,15 +606,29 @@ def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
 
 
 class _Writes(io.StringIO):
-    """A text stream that records the length of each write."""
+    """A text stream that records each write."""
 
     def __init__(self):
         super().__init__()
-        self.sizes = []
+        self.texts = []
 
     def write(self, text):
-        self.sizes.append(len(text))
+        self.texts.append(text)
         return super().write(text)
+
+
+def _glue(stream: list, lists: list) -> list | None:
+    """The runs of ``stream`` before, between and after ``lists``, each of
+    which must be in the stream whole and in order; else None."""
+    runs, at = [], 0
+    for parts in lists:
+        starts = range(at, len(stream) - len(parts) + 1)
+        start = next((k for k in starts if stream[k : k + len(parts)] == parts), None)
+        if start is None:
+            return None
+        runs.append(stream[at:start])
+        at = start + len(parts)
+    return runs + [stream[at:]]
 
 
 @pytest.mark.parametrize(
@@ -631,15 +645,73 @@ class _Writes(io.StringIO):
     ids=lambda argv: " ".join(argv[:1] + argv[-1:]),
 )
 def test_large_outputs_are_written_in_bounded_slices(argv, monkeypatch, capsys):
-    """The text goes out in writes of at most ``SLICE`` characters, and the
-    slices add up to the output of one write."""
+    """The writers' own part lists reach ``cli._write`` whole, between at
+    most two fixed parts each; it writes them in runs of at most ``SLICE``
+    consecutive parts, each run joined once, and the runs add up to the
+    output of one write."""
     assert run(argv) == 0
     whole = capsys.readouterr().out
-    monkeypatch.setattr(cli, "SLICE", 7)
+    lists, streams = [], []
+
+    def recorded(writer):
+        def call(*args):
+            parts = writer(*args)
+            lists.append(list(parts))
+            return parts
+
+        return call
+
+    for owner, name in [
+        (Morphism, "json_parts"),
+        (cli, "model_json_parts"),
+        (dot, "model_dot_parts"),
+        (dot, "morphism_dot_parts"),
+    ]:
+        monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
+    write = cli._write
+    monkeypatch.setattr(
+        cli, "_write", lambda parts, end="\n": streams.append([*parts, end]) or write(parts, end)
+    )
+    monkeypatch.setattr(cli, "SLICE", 3)
     monkeypatch.setattr(sys, "stdout", _Writes())
     assert run(argv) == 0
     assert sys.stdout.getvalue() == whole
-    assert max(sys.stdout.sizes) <= 7 and len(sys.stdout.sizes) > len(whole) // 7
+    [[*parts, end]] = streams
+    glue = _glue(parts, lists)
+    assert lists and glue is not None and max(map(len, glue)) <= 2
+    runs = [parts[k : k + 3] for k in range(0, len(parts), 3)]
+    assert sys.stdout.texts == [*map("".join, runs), end]
+
+
+class _Sink:
+    """A text stream that keeps no text, only its length."""
+
+    length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--mode", "grid", "--word", "200,200", "--json"],
+        ["lift", GRID_FX, "--path", " ".join(["rho"] * 150 + ["beta"] * 150), "--json"],
+    ],
+    ids=["model", "lift"],
+)
+def test_no_large_output_is_held_whole(argv, monkeypatch):
+    """Written to a stream that keeps no text, a large output's traced
+    peak stays below the output's length: only a run of it is ever joined."""
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.stdout.length, (peak, sys.stdout.length)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

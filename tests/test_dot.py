@@ -6,13 +6,12 @@ from __future__ import annotations
 import pytest
 
 from bsgraph.category import pool_morphisms
-from bsgraph.dot import model_to_dot, morphism_to_dot
+from bsgraph.dot import model_dot_parts, morphism_dot_parts
 from bsgraph.fixtures import load_fixture
-from bsgraph.models import model
 from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
-from .oracles import maps
+from .oracles import maps, model
 
 COLOUR = {"a": "red", "b": "blue"}
 
@@ -37,7 +36,7 @@ def model_reference(ops, w) -> str:
 @pytest.mark.parametrize("ops", [BS, GRID], ids=["bs", "grid"])
 def test_model_dot_equals_the_pair_walk(ops):
     for w in [(n, m) for n in range(5) for m in range(20)] + [(6, 300), (30, 40)]:
-        assert model_to_dot(ops, w) == model_reference(ops, w), w
+        assert "".join(model_dot_parts(ops, w)) == model_reference(ops, w), w
 
 
 def reference(lam) -> str:
@@ -69,4 +68,4 @@ def test_morphism_dot_equals_reference_on_the_pool(name, size):
     identities = [lam for lam in pool if not lam.arows[0] and not lam.brows[0]]
     assert len(identities) == len(ctx.graph.vertices)
     for lam in pool:
-        assert morphism_to_dot(lam) == reference(lam), lam.key()
+        assert "".join(morphism_dot_parts(lam)) == reference(lam), lam.key()

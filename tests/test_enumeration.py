@@ -19,12 +19,11 @@ from bsgraph.category import all_paths, verify
 from bsgraph.cli import run
 from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import Path, path_degree, validate_path, vertex_path
-from bsgraph.models import model
 from bsgraph.morphisms import _numbered_edges, _rows_reader, check_traverses, enumerate_morphisms
 from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
-from .oracles import enumerate_leaf_checked
+from .oracles import enumerate_leaf_checked, model
 from .test_lift import multi_vertex_paths
 from .test_normal_form import generated_paths
 

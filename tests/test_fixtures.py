@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgraph.errors import FixtureSyntaxError
-from bsgraph.fixtures import parse_fixture
+from bsgraph.errors import BsGraphError, FixtureSyntaxError
+from bsgraph.fixtures import parse_fixture, serialize_fixture
 from bsgraph.graphs import build_graph
-from bsgraph.squares import paths_with_colour_word
+from bsgraph.squares import CompleteCollection, build_square, paths_with_colour_word
 from bsgraph.words import MODES
 
 from .conftest import FIXTURE_DIR
@@ -192,3 +192,47 @@ def test_a_square_the_batch_refuses_is_never_dropped(monkeypatch):
     monkeypatch.setattr(fixtures, "build_squares", lambda *args: real(*args)[:-1])
     with pytest.raises(AssertionError, match="refused 'phi2' but build_square accepted it"):
         fixtures.load_fixture(FIXTURE_DIR / "example_E.cg")
+
+
+def _loops(ops, vertex="u", red="f", blue="g", square="s") -> CompleteCollection:
+    """One vertex with a red and a blue loop, and the one square they make."""
+    g = build_graph([vertex], [(red, "a", vertex, vertex), (blue, "b", vertex, vertex)])
+    loop = {"a": red, "b": blue}
+    names = [loop[l] for l in ops.red_first_word + ops.blue_first_word]
+    return CompleteCollection(g, ops, [build_square(g, ops, names, square)])
+
+
+@pytest.mark.parametrize("name", ["l#1", "b x", "#", " ", "a\u2028b", ""])
+@pytest.mark.parametrize("kind", ["vertex", "red", "blue", "square"])
+def test_serialize_refuses_a_name_that_would_not_read_back(kind, name):
+    """A name that is empty or holds whitespace or '#' is refused by name,
+    with no text written, instead of a fixture its parser refuses."""
+    coll = _loops(MODES["bs"], **{kind: name})
+    what = "edge" if kind in ("red", "blue") else kind
+    with pytest.raises(BsGraphError) as exc:
+        serialize_fixture(coll)
+    assert str(exc.value).startswith(f"cannot write {what} name {name!r}:")
+
+
+def test_serialize_names_the_first_bad_name_in_write_order():
+    coll = _loops(MODES["grid"], red="f g", blue="", square="#1")
+    with pytest.raises(BsGraphError, match="^cannot write edge name 'f g':"):
+        serialize_fixture(coll)
+
+
+TOKEN = st.characters(blacklist_categories=("Cs",)).filter(
+    lambda c: c.isprintable() and not c.isspace() and c != "#"
+)
+
+
+@given(
+    st.sampled_from(sorted(MODES)),
+    st.lists(st.text(TOKEN, min_size=1), min_size=4, max_size=4, unique=True),
+)
+def test_serialize_round_trips_any_token_names(mode, names):
+    """Names of printable characters other than whitespace and '#' read
+    back as they were written."""
+    coll = _loops(MODES[mode], *names)
+    back = parse_fixture(serialize_fixture(coll))
+    assert back == coll
+    assert [sq.name for sq in back.squares] == [names[-1]]

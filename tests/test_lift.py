@@ -23,12 +23,20 @@ from bsgraph.category import all_paths
 from bsgraph.errors import Conflict, NotComposable, NotCovered, UnknownVertex
 from bsgraph.fixtures import load_fixture, parse_fixture
 from bsgraph.graphs import Path, path_degree, validate_path, vertex_path
-from bsgraph.models import check_model_size, model
+from bsgraph.models import check_model_size
 from bsgraph.morphisms import Morphism, check_traverses, enumerate_morphisms, lift_path
 from bsgraph.squares import CompleteCollection
 
 from .conftest import FIXTURE_DIR
-from .oracles import blue_keys, from_maps, lift_path_two_pass, maps, red_keys, square_map
+from .oracles import (
+    blue_keys,
+    from_maps,
+    lift_path_two_pass,
+    maps,
+    model,
+    red_keys,
+    square_map,
+)
 
 from .test_normal_form import generated_paths
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from bsgraph.errors import ResourceLimit
-from bsgraph.models import MAX_VERTICES, model, square_positions
+from bsgraph.models import MAX_VERTICES, square_positions
 from bsgraph.words import BS, GRID
+
+from .oracles import model
 
 
 def interval(ops, w1, w2):

@@ -20,7 +20,7 @@ from bsgraph.morphisms import (
     longest_traversal,
     shortest_traversal,
 )
-from bsgraph.models import model, square_positions
+from bsgraph.models import square_positions
 from bsgraph.squares import CompleteCollection
 from bsgraph.words import BS
 
@@ -28,6 +28,7 @@ from .oracles import (
     check_compatible,
     from_maps,
     maps,
+    model,
     occurrences,
     restrict,
     restrict_shifted,

@@ -25,7 +25,7 @@ from bsgraph.squares import (
 from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
-from .oracles import build_graph_by_rows, reference_square
+from .oracles import build_graph_by_rows, model, reference_square
 
 PHI1 = {"eA": "f", "aB": "k", "abB": "k", "eB": "g", "bA": "f"}
 PHI2 = {"eA": "h", "aB": "g", "abB": "g", "eB": "k", "bA": "h"}
@@ -243,8 +243,6 @@ def test_slot_keys_match_square_model():
     """Each mode's slots, derived from its boundary words, are the literal
     tables the fixture format documents, and cover the square's model
     graph, whose edge list is their model order."""
-    from bsgraph.models import model
-
     for ops, slots in ((BS, BS_SLOTS), (GRID, GRID_SLOTS)):
         assert dict(zip(ops.slot_names, boundary_edges(ops))) == slots, ops.name
         assert sorted(boundary_edges(ops)) == list(model(ops, ops.square_degree).edges)

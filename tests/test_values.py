@@ -31,7 +31,6 @@ from bsgraph.graphs import (
     validate_path,
     vertex_path,
 )
-from bsgraph.models import ModelGraph, model
 from bsgraph.morphisms import (
     Morphism,
     identity_morphism,
@@ -43,6 +42,8 @@ from bsgraph.morphisms import (
 )
 from bsgraph.squares import CompleteCollection, CompletenessReport, Square, check_complete
 from bsgraph.words import BS, GRID
+
+from .oracles import ModelGraph, model
 
 
 def _equal_and_same_hash(x, y) -> bool:
