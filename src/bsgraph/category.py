@@ -147,7 +147,6 @@ class CompositionTable:
         collection.require_covered()
         self.collection = collection
         self.paths: list[Path] = []  # id -> shortest traversal
-        self.keys: list = []  # id -> (range, edges)
         self.runs: list[int] = []  # id -> length of its leading run
         self.reach: list = []  # id -> shortest run it rewrites with
         self._ids: dict = {}  # (range, edges) -> id
@@ -174,7 +173,6 @@ class CompositionTable:
     def _add(self, key: tuple, x: Path) -> int:
         i = self._ids[key] = len(self.paths)
         self.paths.append(x)
-        self.keys.append(key)
         # The pattern is one letter and then a run of its last letter, so a
         # run on the right completes it only after x's first letter and
         # trailing run.
@@ -191,11 +189,6 @@ class CompositionTable:
         for i in range(len(self.pool)):
             for j in after.get(paths[i].source, ()):
                 yield i, j
-
-    def row(self, i: int):
-        """Id j -> id of the composite of i and j, for every j composed
-        with i on the right so far; read it, do not change it."""
-        return self._products.get(i, {})
 
     def compose(self, i: int, j: int) -> int:
         row = self._products[i]
@@ -259,7 +252,7 @@ def _law(name: str, instances, counterexample) -> LawResult:
 def verify_category(table: CompositionTable) -> VerificationReport:
     """Range/source, associativity, and identity laws over the table's pool."""
     collection = table.collection
-    paths, keys, compose, row = table.paths, table.keys, table.compose, table.row
+    paths, compose = table.paths, table.compose
     ops = collection.ops
 
     def range_source(i, j):
@@ -270,34 +263,31 @@ def verify_category(table: CompositionTable) -> VerificationReport:
     rs = _law("range/source of composites", table.pairs(), range_source)
 
     # Associativity is most of verify's instances (95% at max-len 5 on
-    # example_E.cg) and its triple products are most of its composites, so
-    # it compares them as (range, edges): read from the table's rows where
-    # the pair was composed, else built by ``composite`` and not interned.
-    # It runs over the pairs the range/source law composed, the failing
-    # one included, and each j·k is such a pair.
+    # example_E.cg); it runs over the pairs the range/source law composed,
+    # the failing one included.  By the junction lemma (Book-Otto), t·z
+    # for a normal form t is nf(t·run)·rest, run being z's leading run of
+    # the rule's last letter, so (x·y)·z and x·(y·z) are heads that depend
+    # on z through its run alone, each followed by rest.  That assumes
+    # ``composite`` has this form for pair products on the right too (the
+    # junction tests check it).  So each (i, j) compares the two composites
+    # as (range, edges) at the first k of each run, and every later k with
+    # the same run edges reuses the verdict: the counts and the first
+    # counterexample are those of a comparison per triple.
+    run_of = [x.edges[:q] for x, q in zip(paths[:len(table.pool)], table.runs)]
     assoc_instances = 0
     assoc_fail = None
     for i, j in islice(table.pairs(), rs.instances):
         left = compose(i, j)
-        i_row, j_row, left_row = row(i), row(j), row(left)
+        verdicts = {}
         for k in table.after.get(paths[j].source, ()):
             assoc_instances += 1
-            right = j_row.get(k)
-            if right is None:
-                right = compose(j, k)
-            outer = left_row.get(k)
-            if outer is None:
-                edges, range_, _, _ = composite(table, left, k)
-                outer = (range_, edges)
-            else:
-                outer = keys[outer]
-            inner = i_row.get(right)
-            if inner is None:
-                edges, range_, _, _ = composite(table, i, right)
-                inner = (range_, edges)
-            else:
-                inner = keys[inner]
-            if outer != inner:
+            run = run_of[k]
+            agree = verdicts.get(run)
+            if agree is None:
+                outer = composite(table, left, k)
+                inner = composite(table, i, compose(j, k))
+                agree = verdicts[run] = outer[:2] == inner[:2]
+            if not agree:
                 assoc_fail = _describe(ops, paths[i], paths[j], paths[k])
                 break
         if assoc_fail:

@@ -19,8 +19,9 @@ def _edge_lines(ops, label: list, reds, blues) -> list:
     a(i, last) on each row i < N, then row N's blue edges.  An edge is
     drawn from the vertex it reaches to its base: row i's red edges from
     every k-th vertex of row i + 1, where (1, k) is ``square_degree``,
-    and its blue edges from the next vertex of row i.  ``reds[i][j]`` and
-    ``blues[i][j]`` open the attributes of a(i, j) and b(i, j)."""
+    and its blue edges from the next vertex of row i.  Row i of ``reds``
+    and of ``blues`` yields, in order, the texts that open the attributes
+    of a(i, j) and b(i, j)."""
     k = ops.square_degree[1]
     lines = []
     for row, below, red, blue in zip(label, [*label[1:], ()], reds, blues):
@@ -53,9 +54,10 @@ def morphism_dot_parts(lam: Morphism) -> list:
         for s, v in zip(row, images)
     )
     quoted = [list(map(_quote, row)) for row in label]
-    reds, blues = (
-        [[f"label={_quote(e)}, " for e in row] for row in rows] for rows in (lam.arows, lam.brows)
-    )
+    # One label text per ambient name, not per edge image.
+    names = {e for rows in (lam.arows, lam.brows) for row in rows for e in row}
+    label_of = {e: f"label={_quote(e)}, " for e in names}.__getitem__
+    reds, blues = ([map(label_of, row) for row in rows] for rows in (lam.arows, lam.brows))
     lines += _edge_lines(lam.ops, quoted, reds, blues)
     lines.append("}\n")
     return lines

@@ -21,6 +21,8 @@ They share the degree arithmetic and model graphs with the library, but
 not its split, which reads one traversal at a time, nor its one-pass JSON
 writer.  ``compose`` lifts the concatenated traversals to the dense
 composite, the reference that composing by rewriting is checked against.
+``associativity_by_triples`` is the associativity law before it kept one
+verdict per leading run: a comparison for every triple of pool ids.
 
 ``enumerate_leaf_checked`` is the enumeration oracle's search before it
 pruned: every colour/structure-preserving assignment, with the squares
@@ -55,6 +57,8 @@ from collections import deque, namedtuple
 from functools import cache, reduce
 from operator import itemgetter
 
+from bsgraph import category
+from bsgraph.category import LawResult
 from bsgraph.errors import (
     BsGraphError,
     ColourMismatch,
@@ -348,6 +352,38 @@ def compose(ctx, mu: Morphism, nu: Morphism) -> Morphism:
     x = shortest_traversal(mu)
     y = shortest_traversal(nu)
     return lift_path(ctx, concat(x, y))
+
+
+def associativity_by_triples(table) -> LawResult:
+    """The associativity law with one comparison per triple, the reference
+    for ``verify_category``'s one comparison per leading run.
+
+    It composes the table's pool pairs in pool order up to and including
+    the first whose product has the wrong range or source, as the
+    range/source law does, then, for each of those pairs (i, j) and each
+    pool id k after j, compares ``composite(left, k)`` with
+    ``composite(i, compose(j, k))`` as (range, edges), left being the id
+    of i·j.  ``composite`` is looked up on the module at each call, so a
+    corrupted one patched in there is the one compared.
+    """
+    paths, compose_ids = table.paths, table.compose
+    pairs = []
+    for i, j in table.pairs():
+        pairs.append((i, j))
+        product = paths[compose_ids(i, j)]
+        if product.range_ != paths[i].range_ or product.source != paths[j].source:
+            break
+    count = 0
+    for i, j in pairs:
+        left = compose_ids(i, j)
+        for k in table.after.get(paths[j].source, ()):
+            count += 1
+            outer = category.composite(table, left, k)
+            inner = category.composite(table, i, compose_ids(j, k))
+            if outer[:2] != inner[:2]:
+                found = category._describe(table.collection.ops, paths[i], paths[j], paths[k])
+                return LawResult("associativity", count, False, found)
+    return LawResult("associativity", count, True)
 
 
 def enumerate_leaf_checked(collection, w) -> list[Morphism]:

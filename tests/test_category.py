@@ -40,7 +40,14 @@ from bsgraph.squares import CompleteCollection, check_complete
 from bsgraph.words import BS, GRID
 
 from .conftest import FIXTURE_DIR
-from .oracles import compose, maps, restrict, restrict_shifted, square_map
+from .oracles import (
+    associativity_by_triples,
+    compose,
+    maps,
+    restrict,
+    restrict_shifted,
+    square_map,
+)
 from .test_lift import DUPLICATED_RED, multi_vertex_paths
 from .test_normal_form import _one_vertex, generated_paths
 
@@ -248,23 +255,26 @@ def _table_matches_rewriting(ctx, max_len: int) -> int:
 
 
 def _junctions_match_rewriting(ctx, max_len: int) -> int:
-    """Once every pair of pool ids is composed, every interned id on the
-    left (pool traversal or pair product, like the left factors of
-    associativity's triple products) and every composable pool id on the
-    right: ``composite`` is the normal form of the whole concatenation.
-    Returns the number of such products."""
+    """Once every pair of pool ids is composed, every composable pair of
+    interned ids, one of them a pool traversal: ``composite`` is the normal
+    form of the whole concatenation.  These are the pairs associativity
+    composes, a pair product on the left of a pool id in (x·y)·z and a pool
+    id on the left of a pair product in x·(y·z), so this checks the
+    junction lemma its one comparison per leading run rests on.  Returns
+    the number of such products."""
     table = CompositionTable(ctx, max_len)
-    by_range = _by_range(table.paths[:len(table.pool)])
-    for i, x in enumerate(table.paths[:len(table.pool)]):
-        for _, j in by_range.get(x.source, ()):
-            table.compose(i, j)
-    assert len(table.paths) > len(table.pool)
+    pool = len(table.pool)
+    for i, j in table.pairs():
+        table.compose(i, j)
+    assert len(table.paths) > pool
+    by_range = _by_range(table.paths)
     products = 0
-    for i, x in enumerate(list(table.paths)):
+    for i, x in enumerate(table.paths):
         for y, j in by_range.get(x.source, ()):
-            z = normal_form(ctx, concat(x, y))
-            assert category.composite(table, i, j) == (z.edges, z.range_, z.source, z.colours)
-            products += 1
+            if i < pool or j < pool:
+                z = normal_form(ctx, concat(x, y))
+                assert category.composite(table, i, j) == (z.edges, z.range_, z.source, z.colours)
+                products += 1
     return products
 
 
@@ -274,7 +284,7 @@ def test_table_composites_are_normal_forms_on_fixtures(name, pairs, request):
 
 
 @pytest.mark.parametrize(
-    "name, products", [("ctx", 2212), ("grid_ctx", 280), ("blue_cycle_ctx", 61788)]
+    "name, products", [("ctx", 4032), ("grid_ctx", 460), ("blue_cycle_ctx", 120688)]
 )
 def test_composites_at_the_junction_are_normal_forms_on_fixtures(name, products, request):
     assert _junctions_match_rewriting(request.getfixturevalue(name), 3) == products
@@ -324,6 +334,33 @@ def test_composite_calls_normal_form_only_where_it_rewrites(name, request, monke
     assert rewrote and all(rewrote)
 
 
+@pytest.mark.parametrize("name", ["ctx", "blue_cycle_ctx"])
+def test_associativity_composes_twice_per_pair_and_run(name, request, monkeypatch):
+    """With every pool pair composed beforehand, the category suite calls
+    ``composite`` only for associativity: twice per distinct (pair, leading
+    run of k) class, not twice per triple."""
+    table = CompositionTable(request.getfixturevalue(name), 3)
+    for i, j in table.pairs():
+        table.compose(i, j)
+    paths, runs = table.paths, table.runs
+    classes = {
+        (i, j, paths[k].edges[:runs[k]])
+        for i, j in table.pairs()
+        for k in table.after.get(paths[j].source, ())
+    }
+    calls = []
+    real = category.composite
+
+    def counted(table, i, j):
+        calls.append((i, j))
+        return real(table, i, j)
+
+    monkeypatch.setattr(category, "composite", counted)
+    assoc = _associativity(verify_category(table))
+    assert assoc.passed
+    assert len(calls) == 2 * len(classes) < assoc.instances
+
+
 def test_table_interns_only_pool_traversals_and_pair_products(ctx):
     """Associativity compares its triple products without interning them:
     after the category suite every interned id is a pool traversal or the
@@ -352,7 +389,7 @@ def test_table_pairs_are_the_composable_pool_pairs_in_pool_order(ctx):
 @pytest.mark.parametrize("name, max_len", [("ctx", 3), ("grid_ctx", 3), ("blue_cycle_ctx", 2)])
 def test_products_rows_are_made_for_left_factors_only(name, max_len, request):
     """After all three suites the table holds a products row for exactly
-    the ids composed on the left; every other id reads an empty row."""
+    the ids composed on the left."""
     table = CompositionTable(request.getfixturevalue(name), max_len)
     left = set()
     compose = table.compose
@@ -365,7 +402,6 @@ def test_products_rows_are_made_for_left_factors_only(name, max_len, request):
     for suite in (verify_category, verify_functor, verify_factorization):
         assert suite(table).passed
     assert set(table._products) == left
-    assert {i for i in range(len(table.paths)) if table.row(i)} == left
     assert len(left) < len(table.paths)
 
 
@@ -555,6 +591,48 @@ def fault_verification(case: str) -> VerificationReport:
         return category.verify(ctx, max_len, suites)
     finally:
         setattr(category, name, real)
+
+
+def _associativity(report: VerificationReport) -> LawResult:
+    (law,) = [law for law in report.laws if law.name == "associativity"]
+    return law
+
+
+@pytest.mark.parametrize(
+    "fixture, max_len",
+    [("example_E", n) for n in range(1, 6)]
+    + [("grid_single_vertex", n) for n in range(1, 7)]
+    + [("blue_cycle", n) for n in range(1, 5)],
+)
+def test_associativity_matches_the_per_triple_reference_on_fixtures(fixture, max_len):
+    ctx = load_fixture(FIXTURE_DIR / f"{fixture}.cg")
+    law = _associativity(verify_category(CompositionTable(ctx, max_len)))
+    assert law.passed
+    assert associativity_by_triples(CompositionTable(ctx, max_len)) == law
+
+
+@pytest.mark.parametrize("mode", ["bs", "grid"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_associativity_matches_the_per_triple_reference_on_drawn_collections(mode, data):
+    """One-vertex and multi-vertex collections in the given mode, at
+    max-len 2."""
+    for strategy in (generated_paths(1), multi_vertex_paths()):
+        ctx, _ = data.draw(strategy.filter(lambda drawn: drawn[0].ops.name == mode))
+        law = _associativity(verify_category(CompositionTable(ctx, 2)))
+        assert associativity_by_triples(CompositionTable(ctx, 2)) == law
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(FAULT_CASES) if FAULT_CASES[c][1] == "composite"])
+def test_associativity_matches_the_per_triple_reference_under_faults(case, monkeypatch):
+    """Each corrupted ``composite`` of the pinned fault cases, patched in
+    for both loops, fails associativity at the same instance with the same
+    counterexample."""
+    make_ctx, _, fault, _, max_len = FAULT_CASES[case]
+    law = _associativity(fault_verification(case))
+    assert not law.passed
+    monkeypatch.setattr(category, "composite", fault(category.composite))
+    assert associativity_by_triples(CompositionTable(make_ctx(), max_len)) == law
 
 
 def fault_report(case: str) -> dict:
