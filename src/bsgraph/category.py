@@ -127,20 +127,20 @@ class CompositionTable:
     """The pool of one run, interned shortest traversals and their
     composites.
 
-    Rewriting terminates and is confluent, so a shortest traversal names
-    its morphism: ``intern`` gives each one, keyed by (range, edges), an
-    int id, and equal morphisms get equal ids.  ``compose`` reads the
-    composite of two ids from a table and, on a miss, builds it with the
-    module's ``composite`` and interns it only if its (range, edges) is
-    new.  ``runs[i]`` is the length of the leading run of the rewriting
-    rule's last letter in ``paths[i]``, where ``composite`` splits a right
-    factor, and ``reach[i]`` the shortest such run that ``paths[i]`` on the
-    left rewrites with (``inf`` if none does).  The constructor checks
-    coverage, then builds the pool of ``max_len`` and interns the shortest
-    traversal of pool morphism n as id n, so ``paths[:len(pool)]`` are the
-    pool's traversals, and ``after`` maps each vertex to the pool ids with
-    that range, in pool order.  Nothing here outlives the run: a later run
-    on the same collection gets a new table.
+    Rewriting terminates and is confluent, so a shortest traversal names its
+    morphism: ``intern`` gives each one, keyed by (range, edges), an int id,
+    and equal morphisms get equal ids.  ``compose`` reads the composite of
+    two ids from the products table, the table's one memo, and on a miss
+    builds it with the module's ``composite`` and interns it only if its
+    (range, edges) is new.  ``runs[i]`` is the length of the leading run of
+    the rewriting rule's last letter in ``paths[i]``, where ``composite``
+    splits a right factor, and ``reach[i]`` the shortest such run that
+    ``paths[i]`` on the left rewrites with (``inf`` if none does).  The
+    constructor checks coverage, then builds the pool of ``max_len`` and
+    interns the shortest traversal of pool morphism n as id n, so
+    ``paths[:len(pool)]`` are the pool's traversals, and ``after`` maps each
+    vertex to the pool ids with that range, in pool order.  Nothing here
+    outlives the run: a later run on the same collection gets a new table.
     """
 
     def __init__(self, collection: CompleteCollection, max_len: int):
@@ -150,12 +150,10 @@ class CompositionTable:
         self.runs: list[int] = []  # id -> length of its leading run
         self.reach: list = []  # id -> shortest run it rewrites with
         self._ids: dict = {}  # (range, edges) -> id
-        # id i -> {id j: id of the composite of i and j}, made when i is
-        # first composed on the left; one small dict per left factor holds
-        # no key tuples, which keeps the table lean.
+        # id i -> {id j: id of the composite of i and j, run edges: id of
+        # the head nf(paths[i]·run)}, made when i is first composed on the
+        # left; one small dict per left factor keeps the table lean.
         self._products: dict = defaultdict(dict)
-        # (id i, run edges) -> the normal form of paths[i] followed by them.
-        self._heads: dict = {}
         self._pattern = _rule(collection.ops)[0]
         self.pool = pool_morphisms(collection, max_len)
         self.after: dict = {}  # vertex -> pool ids with that range
@@ -168,9 +166,8 @@ class CompositionTable:
     def intern(self, x: Path) -> int:
         key = (x.range_, x.edges)
         i = self._ids.get(key)
-        return self._add(key, x) if i is None else i
-
-    def _add(self, key: tuple, x: Path) -> int:
+        if i is not None:
+            return i
         i = self._ids[key] = len(self.paths)
         self.paths.append(x)
         # The pattern is one letter and then a run of its last letter, so a
@@ -194,12 +191,7 @@ class CompositionTable:
         row = self._products[i]
         k = row.get(j)
         if k is None:
-            edges, range_, source, colours = composite(self, i, j)
-            key = (range_, edges)
-            k = self._ids.get(key)
-            if k is None:
-                k = self._add(key, Path(edges, range_, source, colours))
-            row[j] = k
+            k = row[j] = self.intern(Path(*composite(self, i, j)))
         return k
 
 
@@ -214,20 +206,21 @@ def composite(table: CompositionTable, i: int, j: int) -> tuple:
     with another letter.  So nf(x·y) = nf(x·run)·rest.  Without a run, or
     with one too short to complete the pattern at x's end (``reach``), the
     composite is the concatenation; otherwise the head nf(x·run) is
-    rewritten once per (i, run edges) and kept in the table.
+    rewritten once per (i, run edges) and interned; its id sits in i's
+    products row under the run's edges (a right factor's key is an int).
     """
     x, y = table.paths[i], table.paths[j]
     q = table.runs[j]
     if q < table.reach[i]:
         return x.edges + y.edges, x.range_, y.source, x.colours + y.colours
     run = y.edges[:q]
-    head = table._heads.get((i, run))
-    if head is None:
-        collection = table.collection
-        to = collection.graph.edge(run[-1]).source
-        head = table._heads[(i, run)] = normal_form(
-            collection, Path(x.edges + run, x.range_, to, x.colours + y.colours[:q])
-        )
+    row = table._products[i]
+    if run not in row:
+        to = table.collection.graph.edge(run[-1]).source
+        row[run] = table.intern(normal_form(
+            table.collection, Path(x.edges + run, x.range_, to, x.colours + y.colours[:q])
+        ))
+    head = table.paths[row[run]]
     return head.edges + y.edges[q:], x.range_, y.source, head.colours + y.colours[q:]
 
 
@@ -270,26 +263,24 @@ def verify_category(table: CompositionTable) -> VerificationReport:
     # on z through its run alone, each followed by rest.  That assumes
     # ``composite`` has this form for pair products on the right too (the
     # junction tests check it).  So each (i, j) compares the two composites
-    # as (range, edges) at the first k of each run, and every later k with
-    # the same run edges reuses the verdict: the counts and the first
-    # counterexample are those of a comparison per triple.
-    run_of = [x.edges[:q] for x, q in zip(paths[:len(table.pool)], table.runs)]
+    # as (range, edges) only at the first k of each class of equal run
+    # edges, in order: the counts and the first counterexample are those
+    # of a comparison per triple.
+    classes = {}  # vertex -> (position, id) of each class's first k
+    for v, ks in table.after.items():
+        firsts = {}
+        for pos, k in enumerate(ks):
+            firsts.setdefault(paths[k].edges[:table.runs[k]], (pos, k))
+        classes[v] = list(firsts.values())
     assoc_instances = 0
     assoc_fail = None
     for i, j in islice(table.pairs(), rs.instances):
-        left = compose(i, j)
-        verdicts = {}
-        for k in table.after.get(paths[j].source, ()):
-            assoc_instances += 1
-            run = run_of[k]
-            agree = verdicts.get(run)
-            if agree is None:
-                outer = composite(table, left, k)
-                inner = composite(table, i, compose(j, k))
-                agree = verdicts[run] = outer[:2] == inner[:2]
-            if not agree:
+        left, v = compose(i, j), paths[j].source
+        for pos, k in classes[v]:
+            if composite(table, left, k)[:2] != composite(table, i, compose(j, k))[:2]:
                 assoc_fail = _describe(ops, paths[i], paths[j], paths[k])
                 break
+        assoc_instances += pos + 1 if assoc_fail else len(table.after[v])
         if assoc_fail:
             break
     assoc = LawResult("associativity", assoc_instances, assoc_fail is None, assoc_fail)

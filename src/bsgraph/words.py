@@ -255,8 +255,13 @@ def longest_form(w) -> str:
 
 
 def parse_grid_degree(text: str):
-    """Parse "(m1,m2)" / "m1,m2", or letter syntax counting a's and b's."""
-    cleaned = text.strip().strip("()")
+    """Parse "(m1,m2)" / "m1,m2", or letter syntax counting a's and b's,
+    inside at most one enclosing pair of parentheses."""
+    cleaned = text.strip()
+    if cleaned[:1] + cleaned[-1:] == "()":
+        cleaned = cleaned[1:-1]
+    if "(" in cleaned or ")" in cleaned:
+        raise WordSyntaxError(f"bad grid degree {text!r}")
     if "," in cleaned:
         parts = cleaned.split(",")
         if len(parts) != 2:

@@ -260,16 +260,19 @@ def _junctions_match_rewriting(ctx, max_len: int) -> int:
     form of the whole concatenation.  These are the pairs associativity
     composes, a pair product on the left of a pool id in (x·y)·z and a pool
     id on the left of a pair product in x·(y·z), so this checks the
-    junction lemma its one comparison per leading run rests on.  Returns
-    the number of such products."""
+    junction lemma its one comparison per leading run rests on.  The ids
+    are those interned once the pool pairs are composed: ``composite``
+    interns the heads it rewrites, so the table grows during the loop.
+    Returns the number of such products."""
     table = CompositionTable(ctx, max_len)
     pool = len(table.pool)
     for i, j in table.pairs():
         table.compose(i, j)
-    assert len(table.paths) > pool
-    by_range = _by_range(table.paths)
+    paths = list(table.paths)
+    assert len(paths) > pool
+    by_range = _by_range(paths)
     products = 0
-    for i, x in enumerate(table.paths):
+    for i, x in enumerate(paths):
         for y, j in by_range.get(x.source, ()):
             if i < pool or j < pool:
                 z = normal_form(ctx, concat(x, y))
@@ -361,18 +364,22 @@ def test_associativity_composes_twice_per_pair_and_run(name, request, monkeypatc
     assert len(calls) == 2 * len(classes) < assoc.instances
 
 
-def test_table_interns_only_pool_traversals_and_pair_products(ctx):
+def test_table_interns_only_pool_traversals_pair_products_and_heads(ctx):
     """Associativity compares its triple products without interning them:
-    after the category suite every interned id is a pool traversal or the
-    composite of two pool ids."""
+    after the category suite every interned id is a pool traversal, the
+    composite of two pool ids, or a head, the normal form of an interned
+    traversal followed by the leading run of an interned id."""
     table = CompositionTable(ctx, 3)
     assert verify_category(table).passed
-    pool_paths = table.paths[:len(table.pool)]
+    paths, pool = table.paths, len(table.pool)
     products = {
-        normal_form(ctx, concat(x, y)) for x in pool_paths for y in pool_paths if x.source == y.range_
+        normal_form(ctx, concat(x, y)) for x in paths[:pool] for y in paths[:pool]
+        if x.source == y.range_
     }
-    assert len(table.paths) > len(pool_paths)
-    assert all(x in products for x in table.paths[len(pool_paths):])
+    runs = {validate_path(ctx.graph, z.edges[:q]) for z, q in zip(paths, table.runs) if q}
+    heads = {normal_form(ctx, concat(x, y)) for x in paths for y in runs if x.source == y.range_}
+    assert len(paths) > pool
+    assert all(x in products or x in heads for x in paths[pool:])
 
 
 def test_table_pairs_are_the_composable_pool_pairs_in_pool_order(ctx):
@@ -387,22 +394,49 @@ def test_table_pairs_are_the_composable_pool_pairs_in_pool_order(ctx):
 
 
 @pytest.mark.parametrize("name, max_len", [("ctx", 3), ("grid_ctx", 3), ("blue_cycle_ctx", 2)])
-def test_products_rows_are_made_for_left_factors_only(name, max_len, request):
+def test_products_rows_are_made_for_left_factors_only(name, max_len, request, monkeypatch):
     """After all three suites the table holds a products row for exactly
-    the ids composed on the left."""
+    the ids composed on the left or given a head, the left factors x of
+    the composites that ``composite`` splits as nf(x·run)·rest."""
     table = CompositionTable(request.getfixturevalue(name), max_len)
     left = set()
-    compose = table.compose
+    compose, real = table.compose, category.composite
 
     def recorded(i, j):
         left.add(i)
         return compose(i, j)
 
+    def headed(table, i, j):
+        if table.runs[j] >= table.reach[i]:
+            left.add(i)
+        return real(table, i, j)
+
     table.compose = recorded
+    monkeypatch.setattr(category, "composite", headed)
     for suite in (verify_category, verify_functor, verify_factorization):
         assert suite(table).passed
     assert set(table._products) == left
     assert len(left) < len(table.paths)
+
+
+@pytest.mark.parametrize("name, max_len", [("ctx", 3), ("grid_ctx", 3), ("blue_cycle_ctx", 3)])
+def test_heads_are_kept_as_products_under_their_runs(name, max_len, request):
+    """``composite`` keeps each head nf(x·run) as an interned id in x's
+    products row, keyed by the run's edge tuple next to the int keys of
+    the right factors."""
+    ctx = request.getfixturevalue(name)
+    table = CompositionTable(ctx, max_len)
+    assert verify_category(table).passed
+    heads = 0
+    for i, row in table._products.items():
+        for key, h in row.items():
+            if isinstance(key, tuple):
+                run = validate_path(ctx.graph, key)
+                assert table.paths[h] == normal_form(ctx, concat(table.paths[i], run))
+                heads += 1
+            else:
+                assert type(key) is int
+    assert heads > 0
 
 
 def test_verify_refuses_an_unknown_suite_before_lifting(ctx, monkeypatch):
@@ -442,6 +476,20 @@ def test_category_suite_memory_on_blue_cycle():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def test_category_suite_memory_on_example_E():
+    """With the heads kept as products, the table's one memo, the category
+    suite on example_E.cg at max-len 6 peaks below 5 MiB of traced memory
+    (6.8 MiB with a second memo of heads as full paths)."""
+    ctx = load_fixture(FIXTURE_DIR / "example_E.cg")
+    tracemalloc.start()
+    try:
+        assert category.verify(ctx, 6, ("category",)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_pool_morphisms_sharing_a_shortest_traversal_conflict(ctx, monkeypatch):

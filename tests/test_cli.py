@@ -411,6 +411,13 @@ def test_grid_degree_with_a_non_integer_coordinate_exit_2(capsys):
     )
 
 
+@pytest.mark.parametrize("word", ["((2,1", "2,1))"])
+def test_grid_degree_with_unmatched_parentheses_exit_2(capsys, word):
+    assert invoke(capsys, "model", "--mode", "grid", "--word", word) == (
+        2, "", f"error: bad grid degree '{word}'\n"
+    )
+
+
 def _ten_red_loops(tmp_path) -> str:
     # One vertex, one blue loop, ten red loops and a square for each pair
     # of them: a^2 b^8 has only 17 model vertices, but each of its 10^8

@@ -311,6 +311,18 @@ def test_parse_grid_degree():
         parse_grid_degree("1,2,3")
 
 
+@pytest.mark.parametrize("text, degree", [(" (2,1) ", (2, 1)), ("(aab)", (2, 1)), ("()", (0, 0))])
+def test_parse_grid_degree_takes_one_enclosing_pair(text, degree):
+    assert parse_grid_degree(text) == degree
+
+
+@pytest.mark.parametrize("text", ["((2,1", "2,1))", "((2,1))", "(2,1", "2,1)", ")2,1(", "((aab))", "a(b)"])
+def test_parse_grid_degree_refuses_other_parentheses(text):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_grid_degree(text)
+    assert str(exc.value) == f"bad grid degree {text!r}"
+
+
 def test_left_factor_agrees_with_mul():
     """The worklist lift's left division, which only the tests keep."""
     for ops in (BS, GRID):
