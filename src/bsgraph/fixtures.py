@@ -15,10 +15,11 @@ parse/serialize round trip is the identity modulo comments and spacing.
 
 Loading reads the lines one by one, then validates the graph and the
 squares a column at a time (``graphs.build_graph``,
-``squares.build_squares``).  Of several faults, the one reported is the
-first syntax fault in line order; else the graph's first, vertices before
-edges; else the first faulty square in line order, with its first fault
-in model order.  Every fault names its line.
+``squares.build_squares``), each of which raises its first fault with the
+index of its row, the row's line here.  Of several faults, the one
+reported is the first syntax fault in line order; else the graph's first,
+vertices before edges; else the first faulty square in line order, with
+its first fault in model order.  Every fault names its line.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import BsGraphError, FixtureSyntaxError
 from .graphs import build_graph
 from .squares import (
     CompleteCollection,
-    build_square,
     build_square_slots,
     build_squares,
     slot_reader,
@@ -124,7 +124,7 @@ def parse_fixture(text: str) -> CompleteCollection:
     if rows is None:
         slots = list(map(_read_slots, square_lines, square_items))
         # Squares are validated as a batch up to the first whose slots
-        # are not the mode's.
+        # are not the mode's, which ``build_square_slots`` then refuses.
         table, read, _ = slot_reader(ops)
         keys_ok = list(map(eq, map(dict.keys, slots), repeat(table)))
         rows = list(map(read, slots[: keys_ok.index(False) if False in keys_ok else len(slots)]))
@@ -133,20 +133,13 @@ def parse_fixture(text: str) -> CompleteCollection:
     except BsGraphError as exc:
         line = (vertex_lines + edge_lines)[exc.row]
         raise FixtureSyntaxError(f"line {line}: {exc}") from exc
-    squares = build_squares(graph, ops, rows, square_names)
-    if len(squares) < len(square_names):
-        # The first square refused, validated on its own, raises its first fault.
-        i = len(squares)
-        try:
-            if i < len(rows):
-                build_square(graph, ops, rows[i], square_names[i])
-            else:
-                build_square_slots(graph, ops, slots[i], square_names[i])
-        except Exception as exc:
-            raise FixtureSyntaxError(f"line {square_lines[i]}: {exc}") from exc
-        raise AssertionError(
-            f"build_squares refused {square_names[i]!r} but build_square accepted it"
-        )
+    i = len(rows)  # the first square whose slots are not the mode's, if any
+    try:
+        squares = build_squares(graph, ops, rows, square_names)
+        if i < len(square_names):
+            build_square_slots(graph, ops, slots[i], square_names[i])  # refuses its slots
+    except BsGraphError as exc:
+        raise FixtureSyntaxError(f"line {square_lines[getattr(exc, 'row', i)]}: {exc}") from exc
     return CompleteCollection(graph, ops, squares)
 
 

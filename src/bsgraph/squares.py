@@ -7,10 +7,11 @@ the blue-first one (``blue_first_word``), which together name every edge of
 the square.  A collection is complete when both families of boundary paths
 of the ambient graph are covered exactly once.
 
-``build_square`` validates one square by walking its model graph's edges;
-``build_squares`` validates many a slot column at a time, and leaves the
-first square it refuses to ``build_square``, which names that square's
-first fault in model order.
+Squares are validated from one per-mode plan of checks derived from
+``boundary_edges``: ``build_squares`` runs it over many squares a slot
+column at a time, then walks the first square it refuses alone to name
+that square's first fault in model order.  ``build_square`` is its
+one-square case.
 """
 
 from __future__ import annotations
@@ -60,57 +61,10 @@ class Square(Frozen, fields=("name", "red", "blue"), compare=("red", "blue")):
         return Square, (self.name, self.red, self.blue, self.graph)
 
 
-@cache
-def _square_plan(ops) -> tuple:
-    """``build_square``'s walk for this mode: per domain edge in model order,
-    its index in ``boundary_edges`` order, letter and slot, then for its
-    range and its source corner a number, a label and whether no earlier
-    edge reaches it; and the number of corners."""
-    edges, corners, plan = boundary_edges(ops), {}, []
-    for k in sorted(range(len(edges)), key=edges.__getitem__):
-        z, letter = edges[k]
-        item = [k, letter, f"({ops.format(z)},{letter})"]
-        for v in (z, ops.step(z, letter)):
-            first = v not in corners
-            item += (corners.setdefault(v, len(corners)), ops.format(v), first)
-        plan.append(tuple(item))
-    return tuple(plan), len(corners)
-
-
-def _forced(name: str, corner: str, old: str, value: str):
-    """Raise the ``JunctionMismatch`` of a corner forced to two vertices."""
-    raise JunctionMismatch(
-        f"square {name!r}: vertex {corner} forced to both {old!r} and {value!r}"
-    )
-
-
 def build_square(g: ColouredGraph, ops, names, name: str = "") -> Square:
-    """Validate a square's edge names, given in ``boundary_edges`` order.
-
-    Checks colours and that images meet at common vertices, deriving the
-    vertex images along the way.  Edges are checked in model order, so of
-    several faults the first in that order is reported.
-    """
-    plan, corner_count = _square_plan(ops)
-    if len(names) != len(plan):
-        dict(zip(plan, names, strict=True))  # raises zip's ValueError
-    images = [None] * corner_count
-    for k, letter, slot, r, r_corner, r_first, s, s_corner, s_first in plan:
-        image, colour, range_, source = g.edge(names[k])
-        if colour != letter:
-            raise ColourMismatch(
-                f"square {name!r}: slot {slot} needs colour {letter} but {image!r} is {colour}"
-            )
-        if r_first:
-            images[r] = range_
-        elif images[r] != range_:
-            _forced(name, r_corner, images[r], range_)
-        if s_first:
-            images[s] = source
-        elif images[s] != source:
-            _forced(name, s_corner, images[s], source)
-    cut = len(ops.red_first_word)
-    return Square(name, names[:cut], names[cut:], g)
+    """Validate a square's edge names, given in ``boundary_edges`` order:
+    ``build_squares`` on one row."""
+    return build_squares(g, ops, [names], [name])[0]
 
 
 @cache
@@ -140,46 +94,82 @@ _UNKNOWN = Edge(None, None, None, None)
 
 
 @cache
-def _batch_plan(ops) -> tuple:
-    """``build_squares``' checks for this mode: each slot's letter, in
-    ``boundary_edges`` order; the pairs of edge ends that must meet, each
-    end a (0 for range or 1 for source, slot) pair, the ends at each corner
-    paired one after the other; and ``itemgetter``s of a row's red-first
-    and blue-first names."""
-    edges, ends = boundary_edges(ops), {}
-    for k, (z, letter) in enumerate(edges):
-        ends.setdefault(z, []).append((0, k))
-        ends.setdefault(ops.step(z, letter), []).append((1, k))
-    pairs = tuple(pair for corner in ends.values() for pair in zip(corner, corner[1:]))
+def _square_checks(ops) -> tuple:
+    """The checks that validate a square of this mode, derived once from
+    ``boundary_edges``.
+
+    The walk holds, per domain edge in model order, its colour check (its
+    slot k in ``boundary_edges`` order, letter and slot label), then a meet
+    check for its range and then its source wherever an earlier edge
+    reached that corner.  A meet check (k, end, q, first, corner label)
+    compares this end with the corner's first end, that of slot q; ends
+    are ``Edge`` fields, 2 for the range and 3 for the source.  With it
+    come the slots' letters in ``boundary_edges`` order, the meet checks on
+    their own, and ``itemgetter``s of a row's red-first and blue-first names.
+    """
+    edges, first, walk = boundary_edges(ops), {}, []
+    for k in sorted(range(len(edges)), key=edges.__getitem__):
+        z, letter = edges[k]
+        meets = []
+        for end, v in ((2, z), (3, ops.step(z, letter))):
+            if v in first:
+                meets.append((k, end, *first[v], ops.format(v)))
+            else:
+                first[v] = (k, end)
+        walk.append((k, letter, f"({ops.format(z)},{letter})", tuple(meets)))
     cut = len(ops.red_first_word)
     letters = tuple(letter for _, letter in edges)
-    return letters, pairs, itemgetter(slice(cut)), itemgetter(slice(cut, None))
+    meets = tuple(chain.from_iterable(item[3] for item in walk))
+    return tuple(walk), letters, meets, itemgetter(slice(cut)), itemgetter(slice(cut, None))
 
 
 def build_squares(g: ColouredGraph, ops, rows, names) -> list:
     """The squares of rows of edge names in ``boundary_edges`` order, each
-    with its name, up to the first row ``build_square`` would refuse: all
-    of them when none is refused.
+    with its name.
 
     The rows are checked a slot column at a time: every slot's colour, and
-    every two edge ends that meet at one corner.  A row of another length,
-    or with a name ``g`` lacks, fails too.  ``build_square`` on the first
-    row not returned raises that row's first fault in model order.
+    every meet check.  The first row that fails, or has another length, is
+    then walked alone, and its first fault in model order is raised with
+    ``row`` set to its index: ``UnknownEdge``, ``ColourMismatch`` or
+    ``JunctionMismatch``, or zip's ``ValueError`` for a row of another length.
     """
-    letters, pairs, red, blue = _batch_plan(ops)
-    m, n = len(letters), len(rows)
+    walk, letters, meets, red, blue = _square_checks(ops)
+    m = len(letters)
+    n = bad = len(rows)
     if not {m}.issuperset(map(len, rows)):
-        n = next(i for i, row in enumerate(rows) if len(row) != m)
+        n = bad = next(i for i, row in enumerate(rows) if len(row) != m)
     found = map(g._by_name.get, chain.from_iterable(rows[:n]), repeat(_UNKNOWN))
-    _, colours, *ends = tuple(zip(*found)) or ((),) * 4  # each n * m long, row by row
+    columns = tuple(zip(*found)) or ((),) * 4  # Edge fields, each n * m long, row by row
     expected = letters * n
-    if colours != expected:
-        n = list(map(ne, colours, expected)).index(True) // m
-    for (end, k), (other, q) in pairs:
-        left, right = ends[end][k::m], ends[other][q::m]
+    if columns[1] != expected:
+        bad = list(map(ne, columns[1], expected)).index(True) // m
+    for k, end, q, first, _ in meets:
+        left, right = columns[end][k::m], columns[first][q::m]
         if left != right:
-            n = min(n, list(map(ne, left, right)).index(True))
-    return list(map(Square, names[:n], map(red, rows), map(blue, rows), repeat(g)))
+            bad = min(bad, list(map(ne, left, right)).index(True))
+    if bad < len(rows):
+        row, name = rows[bad], names[bad]
+        try:
+            if len(row) != m:
+                dict(zip(letters, row, strict=True))  # raises zip's ValueError
+            edges = [None] * m
+            for k, letter, slot, corner_meets in walk:
+                edge = edges[k] = g.edge(row[k])
+                if edge.colour != letter:
+                    raise ColourMismatch(
+                        f"square {name!r}: slot {slot} needs colour {letter} "
+                        f"but {edge.name!r} is {edge.colour}"
+                    )
+                for _, end, q, first, corner in corner_meets:
+                    if edge[end] != edges[q][first]:
+                        raise JunctionMismatch(
+                            f"square {name!r}: vertex {corner} forced to both "
+                            f"{edges[q][first]!r} and {edge[end]!r}"
+                        )
+        except Exception as exc:
+            exc.row = bad
+            raise
+    return list(map(Square, names, map(red, rows), map(blue, rows), repeat(g)))
 
 
 def not_covered(kind: str, boundary):

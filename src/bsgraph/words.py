@@ -47,7 +47,10 @@ def printable_pair(w) -> list:
     return list(w)
 
 
-_WORD_TOKEN = re.compile(r"([ab])(?:\s*\^?\s*(-?\d+))?")
+# Exponents and coordinates are ASCII digits: int() and \d also take
+# other scripts' digits, signs and underscores.
+_WORD_TOKEN = re.compile(r"([ab])(?:\s*\^?\s*(-?[0-9]+))?")
+_COORDINATE = re.compile(r"\s*(-?)([0-9]+)\s*")
 
 
 class BsMonoid:
@@ -238,10 +241,10 @@ def parse_word(text: str, ops=BS):
         letter, exponent = m.groups()
         count = 1
         if exponent is not None:
+            if exponent[0] == "-":
+                raise WordSyntaxError(f"negative exponent in word {text!r}")
             # An exponent past int()'s digit limit is far past MAX_LETTERS.
             count = int(exponent) if len(exponent) < 4000 else MAX_LETTERS + 1
-            if count < 0:
-                raise WordSyntaxError(f"negative exponent in word {text!r}")
         letters += count
         _check_letters(letters, "word")
         w = ops.mul(w, (count, 0) if letter == "a" else (0, count))
@@ -266,11 +269,13 @@ def parse_grid_degree(text: str):
         parts = cleaned.split(",")
         if len(parts) != 2:
             raise WordSyntaxError(f"bad grid degree {text!r}")
-        try:
-            m1, m2 = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise WordSyntaxError(f"bad grid degree {text!r}") from exc
-        if m1 < 0 or m2 < 0:
+        found = [_COORDINATE.fullmatch(part) for part in parts]
+        if None in found:
+            raise WordSyntaxError(f"bad grid degree {text!r}")
+        if any(m[1] for m in found):
             raise WordSyntaxError("coordinates must be non-negative")
-        return (m1, m2)
+        try:
+            return int(found[0][2]), int(found[1][2])
+        except ValueError as exc:  # past int()'s digit limit
+            raise WordSyntaxError(f"bad grid degree {text!r}") from exc
     return parse_word(cleaned, GRID)

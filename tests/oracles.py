@@ -43,11 +43,12 @@ build the same morphism on every path of a complete collection, and fail
 on the same paths of an incomplete one.
 
 ``parse_fixture_by_rows`` is the fixture parser before it validated a
-column at a time: one square at a time through ``build_square_slots``,
-and the graph through ``build_graph_by_rows``, ``build_graph``'s loop
-over its rows, which raises the first fault in declaration order.  The
-column-wise parser must return an equal collection, or raise the same
-error, with the line of the row at fault.
+column at a time: one square at a time, its slot names checked inline
+and its edges through ``reference_square``, and the graph through
+``build_graph_by_rows``, ``build_graph``'s loop over its rows, which
+raises the first fault in declaration order.  It calls no validator of
+the library, so the column-wise parser must return an equal collection,
+or raise the same error, with the line of the row at fault.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ from bsgraph.squares import (
     CompleteCollection,
     Square,
     boundary_edges,
-    build_square_slots,
     not_covered,
 )
 from bsgraph.words import MODES
@@ -251,10 +251,11 @@ def square_map(ops, sq) -> dict:
 
 
 def reference_square(g, ops, names, name: str = "") -> Square:
-    """``squares.build_square`` without its per-mode plan: the names
-    zipped with ``boundary_edges`` and sorted into model order, each
-    edge's colour checked, and its range and source recorded under their
-    prefix pairs, where a pair forced to two vertices is a fault."""
+    """``squares.build_square`` without its per-mode plan of checks or its
+    slot columns: the names zipped with ``boundary_edges`` and sorted into
+    model order, each edge's colour checked, and its range and source
+    recorded under their prefix pairs, where a pair forced to two
+    vertices is a fault."""
     vertices: dict = {}
     for (z, letter), image in sorted(zip(boundary_edges(ops), names, strict=True)):
         edge = g.edge(image)
@@ -609,10 +610,15 @@ def parse_fixture_by_rows(text: str) -> CompleteCollection:
         line = (vertex_lines + edge_lines)[exc.row]
         raise FixtureSyntaxError(f"line {line}: {exc}") from exc
     ops = MODES[mode or "bs"]
-    squares = []
+    squares, table = [], set(ops.slot_names)
     for lineno, name, slots in square_lines:
         try:
-            squares.append(build_square_slots(graph, ops, slots, name))
+            if slots.keys() != table:
+                unknown, missing = sorted(slots.keys() - table), sorted(table - slots.keys())
+                which = f"unknown slots {unknown}" if unknown else f"missing slots {missing}"
+                raise JunctionMismatch(f"square {name!r}: {which}")
+            names = [slots[slot] for slot in ops.slot_names]
+            squares.append(reference_square(graph, ops, names, name))
         except Exception as exc:
             raise FixtureSyntaxError(f"line {lineno}: {exc}") from exc
     return CompleteCollection(graph, ops, squares)

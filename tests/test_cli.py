@@ -411,6 +411,17 @@ def test_grid_degree_with_a_non_integer_coordinate_exit_2(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["word", "normalize", "b\u0663"], "bad character '\u0663' in word 'b\u0663'"),
+    (["word", "normalize", "a^-0"], "negative exponent in word 'a^-0'"),
+    (["model", "--mode", "grid", "--word", "1_0,2"], "bad grid degree '1_0,2'"),
+    (["model", "--mode", "grid", "--word", "+1,2"], "bad grid degree '+1,2'"),
+    (["model", "--mode", "grid", "--word=-0,1"], "coordinates must be non-negative"),
+])
+def test_degrees_take_only_ascii_digits_exit_2(capsys, argv, message):
+    assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("word", ["((2,1", "2,1))"])
 def test_grid_degree_with_unmatched_parentheses_exit_2(capsys, word):
     assert invoke(capsys, "model", "--mode", "grid", "--word", word) == (

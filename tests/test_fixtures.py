@@ -183,17 +183,6 @@ def test_upper_case_colour_tokens_are_accepted():
     assert [(sq.red, sq.blue) for sq in coll.squares] == [(("f", "g", "g"), ("g", "f"))]
 
 
-def test_a_square_the_batch_refuses_is_never_dropped(monkeypatch):
-    """Should the batch refuse a square that ``build_square`` accepts,
-    loading fails loudly instead of returning the squares before it."""
-    import bsgraph.fixtures as fixtures
-
-    real = fixtures.build_squares
-    monkeypatch.setattr(fixtures, "build_squares", lambda *args: real(*args)[:-1])
-    with pytest.raises(AssertionError, match="refused 'phi2' but build_square accepted it"):
-        fixtures.load_fixture(FIXTURE_DIR / "example_E.cg")
-
-
 def _loops(ops, vertex="u", red="f", blue="g", square="s") -> CompleteCollection:
     """One vertex with a red and a blue loop, and the one square they make."""
     g = build_graph([vertex], [(red, "a", vertex, vertex), (blue, "b", vertex, vertex)])

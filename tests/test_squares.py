@@ -302,22 +302,17 @@ def test_check_validates_each_parsed_square_once(monkeypatch, fixture_dir):
     and ``check_complete`` validates none again."""
     import bsgraph.fixtures as fixtures
 
-    batch, single = [], []
-    real_batch, real_single = squares.build_squares, squares.build_square
+    batch = []
+    real_batch = squares.build_squares
 
     def counted_batch(g, ops, rows, names):
         batch.extend(names[: len(rows)])
         return real_batch(g, ops, rows, names)
 
-    def counted_single(*args, **kwargs):
-        single.append(args[-1])
-        return real_single(*args, **kwargs)
-
     monkeypatch.setattr(fixtures, "build_squares", counted_batch)
-    monkeypatch.setattr(fixtures, "build_square", counted_single)
-    monkeypatch.setattr(squares, "build_square", counted_single)
+    monkeypatch.setattr(squares, "build_squares", counted_batch)
     assert run(["check", str(fixture_dir / "example_E.cg")]) == 0
-    assert (batch, single) == (["phi1", "phi2"], [])
+    assert batch == ["phi1", "phi2"]
 
 
 def _outcome(validate, *args):
@@ -368,8 +363,9 @@ def test_batch_stops_where_build_square_first_refuses(fixture, ops, data):
     """On rows whose every slot is an edge of the graph or an unknown name
     (and now and then a row of another length), among the collection's
     own squares and copies with one slot changed, ``build_squares``
-    returns the squares ``build_square`` builds, up to the first row it
-    refuses."""
+    returns every square ``reference_square`` builds, or raises what the
+    reference raises on the first row it refuses, with ``row`` set to that
+    row's index."""
     coll = load_fixture(FIXTURE_DIR / fixture)
     g, m = coll.graph, len(ops.slot_names)
     name = st.sampled_from([e.name for e in g.edges] + ["no such edge"])
@@ -383,11 +379,14 @@ def test_batch_stops_where_build_square_first_refuses(fixture, ops, data):
     rows = [tuple(r) for r in data.draw(st.lists(row, max_size=6))]
     names = [f"s{i}" for i in range(len(rows))]
     expected = []
-    for row, sq_name in zip(rows, names):
-        try:
-            expected.append(_built(build_square(g, ops, row, sq_name)))
-        except Exception:  # noqa: BLE001 - the batch stops here
-            break
+    for i, (row, sq_name) in enumerate(zip(rows, names)):
+        outcome = _outcome(reference_square, g, ops, row, sq_name)
+        if isinstance(outcome[0], type):
+            with pytest.raises(Exception) as exc:
+                squares.build_squares(g, ops, rows, names)
+            assert (type(exc.value), str(exc.value), exc.value.row) == (*outcome, i)
+            return
+        expected.append(_built(outcome[0]))
     assert [_built(sq) for sq in squares.build_squares(g, ops, rows, names)] == expected
 
 

@@ -52,12 +52,44 @@ def test_parse_word_examples():
     assert parse_word("abab") == (2, 3)
     assert parse_word("a^2 b^8") == (2, 8)
     assert parse_word("a2.b8") == (2, 8)
+    assert parse_word("a^01 b 002") == (1, 2)
 
 
 @pytest.mark.parametrize("bad", ["xyz", "a^-1", "a^", "b-2"])
 def test_parse_word_rejects(bad):
     with pytest.raises(WordSyntaxError):
         parse_word(bad)
+
+
+@pytest.mark.parametrize("text, bad", [("a^\u0661", "^"), ("b\u0663", "\u0663"), ("a^\uff12", "^")])
+def test_parse_word_takes_only_ascii_digits(text, bad):
+    """\\d takes other scripts' digits; an exponent is ASCII digits only."""
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word(text)
+    assert str(exc.value) == f"bad character {bad!r} in word {text!r}"
+
+
+@pytest.mark.parametrize("text", ["a^-0", "b-0", "a^-00", "a^-1"])
+def test_parse_word_refuses_every_minus_sign(text):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word(text)
+    assert str(exc.value) == f"negative exponent in word {text!r}"
+
+
+@pytest.mark.parametrize("text", ["1_0,2", "+1,2", "1,+2", "\u0661,2", "2,\uff11"])
+def test_parse_grid_degree_takes_only_ascii_digits(text):
+    """int() takes other scripts' digits, signs and underscores; a
+    coordinate is ASCII digits only."""
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_grid_degree(text)
+    assert str(exc.value) == f"bad grid degree {text!r}"
+
+
+@pytest.mark.parametrize("text", ["-0,1", "1,-0", "(-0,0)", "-1,-1", " -2 , 3 "])
+def test_parse_grid_degree_refuses_every_minus_sign(text):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_grid_degree(text)
+    assert str(exc.value) == "coordinates must be non-negative"
 
 
 def test_negative_exponents_rejected():
@@ -306,6 +338,7 @@ def test_grid_arithmetic():
 def test_parse_grid_degree():
     assert parse_grid_degree("2,1") == (2, 1)
     assert parse_grid_degree("(2, 1)") == (2, 1)
+    assert parse_grid_degree(" 01 , 2 ") == (1, 2)
     assert parse_grid_degree("aab") == (2, 1)
     with pytest.raises(WordSyntaxError):
         parse_grid_degree("1,2,3")
